@@ -11,7 +11,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (every workspace member: default-members in Cargo.toml)"
 cargo test -q
 
 echo "==> lint_kernels --deny-warnings (static verification of the kernel zoo)"
@@ -150,5 +150,13 @@ cmp "$trace_dir/sched_off.json" "$trace_dir/sched_on.json"
 MPSOC_PROFILE=0 cargo run --release -q -p mpsoc-bench --bin serve_study -- \
     --smoke --json "$trace_dir/serve_off.json"
 cmp "$trace_dir/serve_off.json" "$trace_dir/serve_a.json"
+
+echo "==> perf/run.sh --smoke (benchmark workloads, determinism-gated)"
+# Runs the four benchmark workloads at a hundredth of their size,
+# untraced and traced, in two invocations; fails unless every run checks
+# correct and the simulated results and per-layer work counts (policy
+# picks, queue entries scanned, session advances, interpreter calls) are
+# identical across all four.
+perf/run.sh --smoke
 
 echo "==> ci green"

@@ -64,6 +64,48 @@ pub struct Engine {
     quarantine_log: Vec<QuarantineEvent>,
 }
 
+/// One dispatch step, shared by [`Engine`] and
+/// [`ShardSim`](crate::ShardSim): asks `policy` for a placement against
+/// the current machine state, checks it, removes the job from `ready`
+/// and carves its partition. Returns the job's former queue index, the
+/// job and its partition; `Ok(None)` means the policy passed.
+///
+/// # Errors
+///
+/// [`SchedError::InvalidPlacement`] when the policy names an index past
+/// the queue, a zero-width partition or more clusters than are free.
+pub(crate) fn place_next(
+    policy: &mut dyn SchedPolicy,
+    ready: &mut Vec<QueuedJob>,
+    allocator: &mut Allocator,
+    now: u64,
+    total_clusters: usize,
+    models: &ModelTable,
+) -> Result<Option<(usize, QueuedJob, ClusterMask)>, SchedError> {
+    let free = allocator.free_count();
+    let ctx = SchedContext {
+        now,
+        free_clusters: free,
+        total_clusters,
+        models,
+    };
+    let Some(Placement { queue_index, m }) = policy.pick(ready, &ctx) else {
+        return Ok(None);
+    };
+    let queue_len = ready.len();
+    let invalid = || SchedError::InvalidPlacement {
+        queue_index,
+        queue_len,
+        m,
+        free,
+    };
+    if queue_index >= queue_len {
+        return Err(invalid());
+    }
+    let mask = allocator.carve(m).ok_or_else(invalid)?;
+    Ok(Some((queue_index, ready.remove(queue_index), mask)))
+}
+
 /// A job in flight on a carved partition.
 #[derive(Debug, Clone, Copy)]
 struct Running {
@@ -71,7 +113,6 @@ struct Running {
     mask: ClusterMask,
     start: u64,
     job: Job,
-    m: usize,
     /// Corruption re-dispatches charged so far (co-simulated backend).
     retries: u32,
     /// Injected faults observed across every attempt.
@@ -186,13 +227,14 @@ impl Engine {
     /// # Errors
     ///
     /// Service-backend failures (offload geometry violations, host-run
-    /// faults).
+    /// faults), and [`SchedError::InvalidPlacement`] when the policy
+    /// returns a placement the machine cannot honour (out-of-range
+    /// index, zero or unavailable partition size).
     ///
     /// # Panics
     ///
     /// Panics if `jobs` is not sorted by arrival, or if the policy
-    /// returns an invalid placement (out-of-range index, zero or
-    /// unavailable partition size).
+    /// leaves a job it could schedule in the queue for good.
     pub fn run(
         &mut self,
         jobs: &[Job],
@@ -211,6 +253,8 @@ impl Engine {
         let mut allocator = Allocator::with_quarantine(self.clusters, self.quarantined);
         let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
         let mut ready: Vec<QueuedJob> = Vec::new();
+        // Each queued job's placeholder record, in lockstep with `ready`.
+        let mut slots: Vec<usize> = Vec::new();
         // Completion events keyed by (finish, sequence): BTreeMap pops
         // in deterministic order even for simultaneous completions.
         let mut completions: BTreeMap<(u64, u64), Running> = BTreeMap::new();
@@ -243,7 +287,7 @@ impl Engine {
                     outcome: JobOutcome::Offloaded {
                         start: done.start,
                         finish: t,
-                        m: done.m,
+                        m: done.mask.count(),
                     },
                     contention_cycles: 0,
                     retries: 0,
@@ -303,8 +347,9 @@ impl Engine {
                 }
                 match self.admission.admit_degraded(job, healthy as u64) {
                     AdmissionDecision::Offload { m_min, predicted } => {
-                        // Placeholder until the offload completes; the
-                        // queue remembers where to write the outcome.
+                        // Placeholder until the offload completes; its
+                        // slot remembers where to write the outcome.
+                        slots.push(records.len());
                         records.push(JobRecord {
                             job: *job,
                             outcome: JobOutcome::Offloaded {
@@ -365,28 +410,18 @@ impl Engine {
             }
 
             // 3. Let the policy place queued jobs until it passes.
-            loop {
-                let ctx = SchedContext {
-                    now,
-                    free_clusters: allocator.free_count(),
-                    total_clusters: healthy,
-                    models: self.admission.table(),
-                };
-                let Some(Placement { queue_index, m }) = policy.pick(&ready, &ctx) else {
-                    break;
-                };
-                assert!(queue_index < ready.len(), "policy picked a ghost job");
-                let queued = ready.remove(queue_index);
-                let mask = allocator
-                    .carve(m)
-                    .unwrap_or_else(|| panic!("policy over-allocated: {m} clusters not free"));
+            while let Some((queue_index, queued, mask)) = place_next(
+                policy,
+                &mut ready,
+                &mut allocator,
+                now,
+                healthy,
+                self.admission.table(),
+            )? {
+                let record_index = slots.remove(queue_index);
                 let cycles = self
                     .backend
                     .offload_cycles(queued.job.kernel, queued.job.n, mask)?;
-                let record_index = records
-                    .iter()
-                    .position(|r| r.job.id == queued.job.id)
-                    .expect("queued job has a placeholder record");
                 // One track per partition, keyed by its lowest cluster:
                 // disjoint masks never overlap in time on one track.
                 let part = Unit::Partition(mask.iter().next().unwrap_or(0) as u32);
@@ -410,7 +445,6 @@ impl Engine {
                         mask,
                         start: now,
                         job: queued.job,
-                        m,
                         retries: 0,
                         faults: 0,
                         contention: 0,
@@ -473,6 +507,7 @@ impl Engine {
 
         let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
         let mut ready: Vec<QueuedJob> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new();
         // In-flight tenants keyed by their session job handle.
         let mut running: BTreeMap<mpsoc_offload::JobId, Running> = BTreeMap::new();
         let mut host_free_at = 0u64;
@@ -564,7 +599,7 @@ impl Engine {
                                 outcome: JobOutcome::Offloaded {
                                     start: done.start,
                                     finish,
-                                    m: done.m,
+                                    m: done.mask.count(),
                                 },
                                 contention_cycles: done.contention,
                                 retries: done.retries,
@@ -647,6 +682,7 @@ impl Engine {
                 }
                 match self.admission.admit_degraded(job, healthy as u64) {
                     AdmissionDecision::Offload { m_min, predicted } => {
+                        slots.push(records.len());
                         records.push(JobRecord {
                             job: *job,
                             outcome: JobOutcome::Offloaded {
@@ -720,25 +756,15 @@ impl Engine {
 
             // 3. Let the policy place queued jobs until it passes; each
             //    placement is submitted into the shared session.
-            loop {
-                let ctx = SchedContext {
-                    now,
-                    free_clusters: allocator.free_count(),
-                    total_clusters: healthy,
-                    models: self.admission.table(),
-                };
-                let Some(Placement { queue_index, m }) = policy.pick(&ready, &ctx) else {
-                    break;
-                };
-                assert!(queue_index < ready.len(), "policy picked a ghost job");
-                let queued = ready.remove(queue_index);
-                let mask = allocator
-                    .carve(m)
-                    .unwrap_or_else(|| panic!("policy over-allocated: {m} clusters not free"));
-                let record_index = records
-                    .iter()
-                    .position(|r| r.job.id == queued.job.id)
-                    .expect("queued job has a placeholder record");
+            while let Some((queue_index, queued, mask)) = place_next(
+                policy,
+                &mut ready,
+                &mut allocator,
+                now,
+                healthy,
+                self.admission.table(),
+            )? {
+                let record_index = slots.remove(queue_index);
                 let part = Unit::Partition(mask.iter().next().unwrap_or(0) as u32);
                 if queued.job.arrival < now {
                     self.telemetry.instant(
@@ -764,7 +790,6 @@ impl Engine {
                         mask,
                         start: now,
                         job: queued.job,
-                        m,
                         retries: 0,
                         faults: 0,
                         contention: 0,
@@ -778,15 +803,11 @@ impl Engine {
         // them as typed degraded rejections — their admission verdict
         // predates the capacity loss. Anything else left queued really
         // is a policy bug.
-        for queued in ready.drain(..) {
+        for (queued, record_index) in ready.drain(..).zip(slots.drain(..)) {
             assert!(
                 queued.m_min > healthy as u64,
                 "policy left a schedulable job unscheduled"
             );
-            let record_index = records
-                .iter()
-                .position(|r| r.job.id == queued.job.id)
-                .expect("queued job has a placeholder record");
             records[record_index] = JobRecord {
                 job: queued.job,
                 outcome: JobOutcome::Rejected {
@@ -1300,5 +1321,97 @@ mod tests {
         let a = engine(8).run(&stream, &mut FifoFirstFit).expect("run");
         let b = engine(8).run(&stream, &mut FifoFirstFit).expect("run");
         assert_eq!(a, b);
+    }
+
+    /// Job ids are the caller's labels, not keys: two queued jobs that
+    /// share one must each land in their own record.
+    #[test]
+    fn jobs_sharing_an_id_keep_their_own_outcomes() {
+        let mut stream = jobs(&[(0, 1024, 100_000), (0, 4096, 100_000)]);
+        stream[1].id = stream[0].id;
+        for mut e in [engine(8), cosim_engine(8)] {
+            let report = e.run(&stream, &mut FifoFirstFit).expect("run");
+            for (record, job) in report.records.iter().zip(&stream) {
+                assert_eq!(record.job, *job);
+                match record.outcome {
+                    JobOutcome::Offloaded { start, finish, m } => {
+                        assert_eq!(start, 0);
+                        assert!(finish > start && m >= 1, "{record:?}");
+                    }
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A policy that places the queue's first job with a fixed shape
+    /// computed from the queue and machine state.
+    struct Rogue(fn(&[QueuedJob], &SchedContext<'_>) -> Placement);
+
+    impl SchedPolicy for Rogue {
+        fn name(&self) -> &'static str {
+            "rogue"
+        }
+
+        fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
+            (!ready.is_empty()).then(|| (self.0)(ready, ctx))
+        }
+    }
+
+    #[test]
+    fn invalid_placements_are_typed_errors() {
+        let rogues: [(Rogue, usize, usize); 3] = [
+            // Past the end of the queue.
+            (
+                Rogue(|ready, _| Placement {
+                    queue_index: ready.len(),
+                    m: 1,
+                }),
+                1,
+                1,
+            ),
+            // A zero-width partition.
+            (
+                Rogue(|_, _| Placement {
+                    queue_index: 0,
+                    m: 0,
+                }),
+                0,
+                0,
+            ),
+            // More clusters than are free.
+            (
+                Rogue(|_, ctx| Placement {
+                    queue_index: 0,
+                    m: ctx.free_clusters + 1,
+                }),
+                0,
+                9,
+            ),
+        ];
+        let stream = jobs(&[(0, 1024, 100_000)]);
+        let expected = |index, m| {
+            move |err: SchedError| match err {
+                SchedError::InvalidPlacement {
+                    queue_index,
+                    queue_len,
+                    m: got,
+                    free,
+                } => assert_eq!((queue_index, queue_len, got, free), (index, 1, m, 8)),
+                other => panic!("expected InvalidPlacement, got {other}"),
+            }
+        };
+        for (mut rogue, index, m) in rogues {
+            let check = expected(index, m);
+            check(engine(8).run(&stream, &mut rogue).unwrap_err());
+            check(cosim_engine(8).run(&stream, &mut rogue).unwrap_err());
+            let mut shard = crate::ShardSim::new(
+                ModelTable::paper_defaults(),
+                8,
+                ServiceBackend::analytic(ModelTable::paper_defaults()),
+                Box::new(rogue),
+            );
+            check(shard.offer(stream[0]).unwrap_err());
+        }
     }
 }

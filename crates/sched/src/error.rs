@@ -24,6 +24,19 @@ pub enum SchedError {
         /// The session's job handle.
         job: u64,
     },
+    /// The scheduling policy returned a placement the machine cannot
+    /// honour: a queue index past the ready queue, a zero-width
+    /// partition, or more clusters than are free.
+    InvalidPlacement {
+        /// The placement's index into the ready queue.
+        queue_index: usize,
+        /// Jobs in the ready queue when the policy picked.
+        queue_len: usize,
+        /// The partition size the policy asked for.
+        m: usize,
+        /// Clusters free when the policy picked.
+        free: usize,
+    },
 }
 
 impl std::fmt::Display for SchedError {
@@ -39,6 +52,16 @@ impl std::fmt::Display for SchedError {
             SchedError::UnknownCompletion { job } => {
                 write!(f, "completion for unknown session job {job}")
             }
+            SchedError::InvalidPlacement {
+                queue_index,
+                queue_len,
+                m,
+                free,
+            } => write!(
+                f,
+                "policy placed queue entry {queue_index} of {queue_len} on {m} cluster(s) \
+                 with {free} free"
+            ),
         }
     }
 }
@@ -48,7 +71,9 @@ impl std::error::Error for SchedError {
         match self {
             SchedError::Offload(e) => Some(e),
             SchedError::Fit(e) => Some(e),
-            SchedError::SessionStalled { .. } | SchedError::UnknownCompletion { .. } => None,
+            SchedError::SessionStalled { .. }
+            | SchedError::UnknownCompletion { .. }
+            | SchedError::InvalidPlacement { .. } => None,
         }
     }
 }

@@ -130,6 +130,9 @@ impl SchedPolicy for EarliestDeadlineFirst {
 /// urgent job backfills the free clusters instead of idling them.
 /// Jobs that can no longer make their deadline at any size run
 /// best-effort at `M_min`.
+///
+/// Each pick is one allocation-free pass over the queue that returns
+/// exactly what scanning it in `(absolute deadline, index)` order would.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelGuided;
 
@@ -139,21 +142,28 @@ impl SchedPolicy for ModelGuided {
     }
 
     fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
-        let mut order: Vec<usize> = (0..ready.len()).collect();
-        order.sort_by_key(|&i| (ready[i].job.absolute_deadline(), i));
-
-        // First pass: most urgent job whose deadline is still winnable
-        // with a partition that is free right now.
-        let mut best_effort: Option<Placement> = None;
-        for &i in &order {
-            let q = &ready[i];
-            let budget = q.job.absolute_deadline().saturating_sub(ctx.now);
+        // Running minima keyed `(deadline, index)`: the most urgent
+        // winnable job whose re-solved partition fits now, and the most
+        // urgent lost job whose `M_min` fits. Indices ascend, so
+        // "strictly earlier deadline" is the whole comparison.
+        let mut winnable: Option<(u64, Placement)> = None;
+        let mut best_effort: Option<(u64, Placement)> = None;
+        for (queue_index, q) in ready.iter().enumerate() {
+            let deadline = q.job.absolute_deadline();
+            // Either outcome needs `M_min` free clusters, and a job no
+            // more urgent than the winnable candidate cannot displace
+            // it: neither needs Eq. 3 solved.
+            if q.m_min as usize > ctx.free_clusters || winnable.is_some_and(|(d, _)| deadline >= d)
+            {
+                continue;
+            }
+            let budget = deadline.saturating_sub(ctx.now);
             let model = &ctx.models.get(q.job.kernel).accel;
             match min_clusters(model, q.job.n, budget as f64) {
                 Some(required) if required as usize <= ctx.total_clusters => {
                     let m = required.max(q.m_min) as usize;
                     if m <= ctx.free_clusters {
-                        return Some(Placement { queue_index: i, m });
+                        winnable = Some((deadline, Placement { queue_index, m }));
                     }
                     // Needs more clusters than are free: wait for a
                     // release, let someone else backfill.
@@ -161,15 +171,15 @@ impl SchedPolicy for ModelGuided {
                 _ => {
                     // Deadline already lost at any width: salvage
                     // throughput at the cheap admission-time size, but
-                    // only if nothing winnable fits first.
-                    let m = q.m_min as usize;
-                    if best_effort.is_none() && m <= ctx.free_clusters {
-                        best_effort = Some(Placement { queue_index: i, m });
+                    // only if nothing winnable fits.
+                    if best_effort.map_or(true, |(d, _)| deadline < d) {
+                        let m = q.m_min as usize;
+                        best_effort = Some((deadline, Placement { queue_index, m }));
                     }
                 }
             }
         }
-        best_effort
+        winnable.or(best_effort).map(|(_, placement)| placement)
     }
 }
 
@@ -185,7 +195,10 @@ pub fn all_policies() -> Vec<Box<dyn SchedPolicy>> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::calibrate::KernelModel;
     use crate::job::KernelId;
 
     fn queued(id: u64, arrival: u64, deadline: u64, m_min: u64) -> QueuedJob {
@@ -283,6 +296,100 @@ mod tests {
         for mut policy in all_policies() {
             assert!(policy.pick(&[], &ctx(&table, 0, 32)).is_none());
             assert!(!policy.name().is_empty());
+        }
+    }
+
+    /// The model-guided pick as first written: sort the queue by
+    /// `(deadline, index)`, then return the first winnable job that fits,
+    /// else the first lost job whose `M_min` fits.
+    fn sort_then_scan(ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
+        let mut order: Vec<usize> = (0..ready.len()).collect();
+        order.sort_by_key(|&i| (ready[i].job.absolute_deadline(), i));
+        let mut best_effort: Option<Placement> = None;
+        for &i in &order {
+            let q = &ready[i];
+            let budget = q.job.absolute_deadline().saturating_sub(ctx.now);
+            let model = &ctx.models.get(q.job.kernel).accel;
+            match min_clusters(model, q.job.n, budget as f64) {
+                Some(required) if required as usize <= ctx.total_clusters => {
+                    let m = required.max(q.m_min) as usize;
+                    if m <= ctx.free_clusters {
+                        return Some(Placement { queue_index: i, m });
+                    }
+                }
+                _ => {
+                    let m = q.m_min as usize;
+                    if best_effort.is_none() && m <= ctx.free_clusters {
+                        best_effort = Some(Placement { queue_index: i, m });
+                    }
+                }
+            }
+        }
+        best_effort
+    }
+
+    /// A table whose kernels differ in overhead and parallel work, so
+    /// Eq. 3 answers differently for jobs of equal size.
+    fn mixed_table() -> ModelTable {
+        ModelTable::new(
+            KernelId::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, &kernel)| KernelModel {
+                    kernel,
+                    accel: mpsoc_offload::RuntimeModel {
+                        c0: 367.0 + 40.0 * i as f64,
+                        c_mem: 0.25,
+                        c_comp: 0.325 * (1 + i) as f64,
+                    },
+                    host: mpsoc_offload::decision::HostModel::cva6_daxpy(),
+                    r_squared: 1.0,
+                })
+                .collect(),
+        )
+    }
+
+    const SIZES: [u64; 5] = [64, 256, 1024, 4096, 16_384];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass pick returns exactly what sort-then-scan returns,
+        /// ties included: deadlines sit on a coarse grid so many jobs
+        /// share one, `now` falls before and after them, and the usable
+        /// pool is often smaller than the machine, as under quarantine.
+        #[test]
+        fn model_guided_matches_sort_then_scan(
+            specs in prop::collection::vec((0usize..35, 0u64..8, 0u64..60, any::<u64>()), 0..=300),
+            machine in 1usize..=32,
+            pools in (any::<u64>(), any::<u64>()),
+            now in 0u64..16_000,
+        ) {
+            let table = mixed_table();
+            let total = (pools.0 % (machine as u64 + 1)) as usize;
+            let free = (pools.1 % (total as u64 + 1)) as usize;
+            let ready: Vec<QueuedJob> = specs
+                .iter()
+                .enumerate()
+                .map(|(id, &(shape, arrival, deadline, m_min))| QueuedJob {
+                    job: Job {
+                        id: id as u64,
+                        kernel: KernelId::ALL[shape % KernelId::ALL.len()],
+                        n: SIZES[shape / KernelId::ALL.len()],
+                        arrival: arrival * 125,
+                        deadline: deadline * 250,
+                    },
+                    m_min: m_min % (total as u64 + 1),
+                    predicted: 0.0,
+                })
+                .collect();
+            let ctx = SchedContext {
+                now,
+                free_clusters: free,
+                total_clusters: total,
+                models: &table,
+            };
+            prop_assert_eq!(ModelGuided.pick(&ready, &ctx), sort_then_scan(&ready, &ctx));
         }
     }
 }

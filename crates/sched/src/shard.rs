@@ -49,10 +49,11 @@ use crate::admission::{AdmissionController, AdmissionDecision, RejectReason};
 use crate::alloc::Allocator;
 use crate::calibrate::ModelTable;
 use crate::cost_gate::CostGate;
+use crate::engine::place_next;
 use crate::error::SchedError;
 use crate::job::Job;
 use crate::metrics::{JobOutcome, JobRecord};
-use crate::policy::{Placement, QueuedJob, SchedContext, SchedPolicy};
+use crate::policy::{QueuedJob, SchedPolicy};
 use crate::quarantine::{QuarantineEvent, StrikeBoard};
 use crate::service::ServiceBackend;
 
@@ -330,8 +331,9 @@ impl ShardSim {
     ///
     /// # Errors
     ///
-    /// Service-backend failures; [`SchedError::SessionStalled`] can
-    /// surface from [`ShardSim::drain`], not from a bounded advance.
+    /// Service-backend failures and [`SchedError::InvalidPlacement`]
+    /// from the policy; [`SchedError::SessionStalled`] can surface from
+    /// [`ShardSim::drain`], not from a bounded advance.
     pub fn advance(&mut self, until: u64) -> Result<(), SchedError> {
         let _prof = mpsoc_sim::profile::scope("sched.shard.advance");
         if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
@@ -447,7 +449,9 @@ impl ShardSim {
     ///
     /// # Errors
     ///
-    /// Service-backend failures measuring or submitting the job.
+    /// Service-backend failures measuring or submitting the job, and
+    /// [`SchedError::InvalidPlacement`] when the policy returns a
+    /// placement the shard cannot honour.
     pub fn offer(&mut self, job: Job) -> Result<ShardDecision, SchedError> {
         self.now = self.now.max(job.arrival);
         if let Some(gate) = self.cost_gate.as_mut() {
@@ -560,7 +564,8 @@ impl ShardSim {
     ///
     /// # Errors
     ///
-    /// Service-backend failures dispatching the queue.
+    /// Service-backend failures dispatching the queue, and
+    /// [`SchedError::InvalidPlacement`] from the policy.
     pub fn inject(&mut self, stolen: QueuedJob) -> Result<(), SchedError> {
         self.backlog_cycles += stolen.predicted * stolen.m_min as f64;
         self.ready.push(stolen);
@@ -629,29 +634,22 @@ impl ShardSim {
 
     /// Lets the policy place queued jobs until it passes.
     fn dispatch(&mut self) -> Result<(), SchedError> {
-        loop {
-            let ctx = SchedContext {
-                now: self.now,
-                free_clusters: self.allocator.free_count(),
-                total_clusters: self.healthy_clusters(),
-                models: self.admission.table(),
-            };
-            let Some(Placement { queue_index, m }) = self.policy.pick(&self.ready, &ctx) else {
-                return Ok(());
-            };
-            assert!(queue_index < self.ready.len(), "policy picked a ghost job");
-            let queued = self.ready.remove(queue_index);
-            let mask = self
-                .allocator
-                .carve(m)
-                .unwrap_or_else(|| panic!("policy over-allocated: {m} clusters not free"));
+        let healthy = self.healthy_clusters();
+        while let Some((_, queued, mask)) = place_next(
+            self.policy.as_mut(),
+            &mut self.ready,
+            &mut self.allocator,
+            self.now,
+            healthy,
+            self.admission.table(),
+        )? {
             let placed = InFlight {
                 job: queued.job,
                 m_min: queued.m_min,
                 predicted: queued.predicted,
                 mask,
                 start: self.now,
-                m,
+                m: mask.count(),
                 host: false,
                 retries: 0,
                 faults: 0,
@@ -683,6 +681,7 @@ impl ShardSim {
                 }
             }
         }
+        Ok(())
     }
 
     /// The co-simulated advance loop: one shared SoC session carries
