@@ -43,6 +43,25 @@ cargo run --release -q -p mpsoc-bench --bin offload_profile -- \
 test -s "$trace_dir/smoke.trace.json"
 test -s "$trace_dir/smoke.json"
 
+echo "==> committed artifacts (results/ must regenerate byte for byte)"
+# The contract that makes changes to the cycle-exact core safe: every
+# study artifact under results/ is a pure function of the code. Runs
+# all_experiments and the seven extension studies at full scale from a
+# temporary directory, so neither results/ nor the BENCH_*.json sidecars in
+# the tree are rewritten, and fails on any byte difference.
+bin_dir="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
+artifact_dir="$trace_dir/artifacts"
+mkdir -p "$artifact_dir"
+(
+    cd "$artifact_dir"
+    "$bin_dir/all_experiments" > /dev/null
+    for study in sched_study interference fault_sweep serve_study cost_study chaos_study; do
+        "$bin_dir/$study" --json "results/$study.json" > /dev/null
+    done
+    "$bin_dir/throughput_study" --json results/throughput.json > /dev/null
+)
+diff -r results "$artifact_dir/results"
+
 echo "==> interference smoke test (determinism-checked co-simulation)"
 # The binary asserts its own headline claims (emergent co-resident
 # slowdown, contention-accounted); two seed-equal runs must serialize

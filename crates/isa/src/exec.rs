@@ -6,7 +6,7 @@ use std::fmt;
 use mpsoc_sim::Cycle;
 use serde::{Deserialize, Serialize};
 
-use crate::{MicroOp, PipeClass, Program};
+use crate::{FpReg, IntReg, MicroOp, PipeClass, Program, FP_REGS, INT_REGS};
 
 /// A memory access fault raised by a [`MemoryPort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +29,10 @@ impl Error for PortError {}
 /// is the bank-arbitration hook: given the cycle an access *wants* to
 /// issue, it returns the cycle the access is *granted* (possibly later on
 /// a bank conflict). The default grants immediately.
+///
+/// A port that never delays an access should say so through
+/// [`MemoryPort::conflict_free`]: the interpreter then fast-forwards
+/// counted loops whose timing has reached a steady state.
 pub trait MemoryPort {
     /// Reads the 64-bit word at `addr` as a double.
     ///
@@ -48,6 +52,14 @@ pub trait MemoryPort {
     /// at cycle `at`.
     fn grant(&mut self, _addr: u64, at: Cycle) -> Cycle {
         at
+    }
+
+    /// `true` when [`MemoryPort::grant`] always returns `at` unchanged
+    /// and has no side effect, so an access's timing never depends on
+    /// its address or on earlier accesses. Defaults to `false`, which
+    /// keeps every op of a run on the per-op issue model.
+    fn conflict_free(&self) -> bool {
+        false
     }
 }
 
@@ -96,6 +108,10 @@ impl MemoryPort for VecPort {
         let i = self.index(addr)?;
         self.data[i] = value;
         Ok(())
+    }
+
+    fn conflict_free(&self) -> bool {
+        true
     }
 }
 
@@ -229,6 +245,12 @@ impl From<PortError> for ExecError {
 /// issue; a taken branch inserts a fetch bubble; loads/stores consult the
 /// [`MemoryPort::grant`] hook so TCDM bank conflicts delay the LSU.
 ///
+/// On a [conflict-free](MemoryPort::conflict_free) port, counted loops
+/// are fast-forwarded: once two consecutive iterations of a straight-line
+/// loop body leave the same timing state relative to fetch, the remaining
+/// iterations run functionally and their timing is extrapolated. The
+/// result is exact to the cycle; every other loop runs op by op.
+///
 /// See the crate-level example for usage.
 #[derive(Debug, Clone, Default)]
 pub struct Interpreter {
@@ -279,323 +301,528 @@ impl Interpreter {
         let _prof = mpsoc_sim::profile::scope("isa.interpret");
         let t = &self.timing;
         let ops = program.ops();
-        let mut int_regs = [0i64; 16];
-        let mut fp_regs = [0f64; 32];
-        let mut int_ready = [start; 16];
-        let mut fp_ready = [start; 32];
-        // Indexed by PipeClass order: Mem, Fp, Int, Ctrl.
-        let mut pipe_free = [start; 4];
-        let mut fetch_avail = start;
-        let mut high_water = start;
+        let fast_forward = port.conflict_free();
+        let mut core = Core::default();
+        let mut clocks: Clocks = [start.as_u64(); CLOCKS];
+        let mut watch = LoopWatch::default();
         let mut report = ExecReport::default();
         let mut pc = 0usize;
 
-        let single_issue = t.single_issue;
-        let pipe_index = move |class: PipeClass| -> usize {
-            if single_issue {
-                return 0;
-            }
-            match class {
-                PipeClass::Mem => 0,
-                PipeClass::Fp => 1,
-                PipeClass::Int => 2,
-                PipeClass::Ctrl => 3,
-            }
-        };
-
-        // SSR stream state (streams 0-2 alias f0-f2 while enabled).
-        #[derive(Clone, Copy)]
-        struct StreamState {
-            addr: u64,
-            stride: i64,
-            remaining: u64,
-        }
-        let mut streams: [Option<StreamState>; 3] = [None, None, None];
-        let mut ssr_enabled = false;
-        // Active hardware loop: (first body pc, last body pc, iterations left).
-        let mut frep: Option<(usize, usize, u64)> = None;
-
-        fn stream_pop<P: MemoryPort>(
-            streams: &mut [Option<StreamState>; 3],
-            port: &mut P,
-            idx: usize,
-        ) -> Result<f64, ExecError> {
-            let st = streams[idx]
-                .as_mut()
-                .ok_or(ExecError::Port(PortError { addr: u64::MAX }))?;
-            if st.remaining == 0 {
-                return Err(ExecError::Port(PortError { addr: st.addr }));
-            }
-            let value = port.load(st.addr)?;
-            st.addr = st.addr.wrapping_add_signed(st.stride);
-            st.remaining -= 1;
-            Ok(value)
-        }
-
-        fn stream_push<P: MemoryPort>(
-            streams: &mut [Option<StreamState>; 3],
-            port: &mut P,
-            idx: usize,
-            value: f64,
-        ) -> Result<(), ExecError> {
-            let st = streams[idx]
-                .as_mut()
-                .ok_or(ExecError::Port(PortError { addr: u64::MAX }))?;
-            if st.remaining == 0 {
-                return Err(ExecError::Port(PortError { addr: st.addr }));
-            }
-            port.store(st.addr, value)?;
-            st.addr = st.addr.wrapping_add_signed(st.stride);
-            st.remaining -= 1;
-            Ok(())
-        }
-
         loop {
-            if report.retired >= t.max_steps {
-                return Err(ExecError::FuelExhausted {
-                    steps: report.retired,
-                });
-            }
+            fuel(&report, t)?;
             let Some(&op) = ops.get(pc) else {
                 return Err(ExecError::PcOutOfRange { pc });
             };
-            let pipe = pipe_index(op.pipe());
+            if let MicroOp::Bnez { rs, target } = op {
+                let loops_back = fast_forward
+                    && core.int[rs.index()] != 0
+                    && target <= pc
+                    && core.frep.is_none();
+                let steady = if loops_back {
+                    watch.visit(ops, pc, target, &clocks, report.stall_cycles)
+                } else {
+                    None
+                };
+                if let Some(trip) = steady {
+                    // The clocks still hold this iteration's state before
+                    // the branch; every replayed trip shifts it by one
+                    // initiation interval. The branch now falls through:
+                    // go round again to retire it on the timed path.
+                    let trips = core.replay(ops, pc, t, port, &mut report)?;
+                    for clock in &mut clocks {
+                        *clock += trips * trip.interval;
+                    }
+                    report.stall_cycles += trips * trip.stall;
+                    continue;
+                }
+            }
+
+            let d = Decoded::of(op, &core, t);
+            let pipe = PIPE_FREE + if t.single_issue { 0 } else { d.pipe };
             // In-order multi-issue: an op may share a cycle with the
             // previous op (different pipe) but never issue earlier.
-            let base = fetch_avail.max(pipe_free[pipe]);
-
-            let mut operand_ready = base;
-            let ready_int = |r: crate::IntReg, operand_ready: &mut Cycle| {
-                *operand_ready = (*operand_ready).max(int_ready[r.index()]);
-            };
-            let ready_fp = |r: crate::FpReg, operand_ready: &mut Cycle| {
-                // Enabled streams are prefetched by dedicated SSR ports:
-                // no register-file dependency.
-                if ssr_enabled && r.index() < 3 && streams[r.index()].is_some() {
-                    return;
-                }
-                *operand_ready = (*operand_ready).max(fp_ready[r.index()]);
-            };
-
-            match op {
-                MicroOp::Li { .. } => {}
-                MicroOp::Addi { rs, .. } => ready_int(rs, &mut operand_ready),
-                MicroOp::Add { rs1, rs2, .. } => {
-                    ready_int(rs1, &mut operand_ready);
-                    ready_int(rs2, &mut operand_ready);
-                }
-                MicroOp::Fld { rs, .. } => ready_int(rs, &mut operand_ready),
-                MicroOp::Fsd { fs, rs, .. } => {
-                    ready_fp(fs, &mut operand_ready);
-                    ready_int(rs, &mut operand_ready);
-                }
-                MicroOp::FsdPair { fs1, fs2, rs, .. } => {
-                    ready_fp(fs1, &mut operand_ready);
-                    ready_fp(fs2, &mut operand_ready);
-                    ready_int(rs, &mut operand_ready);
-                }
-                MicroOp::Fmadd { fa, fb, fc, .. } => {
-                    ready_fp(fa, &mut operand_ready);
-                    ready_fp(fb, &mut operand_ready);
-                    ready_fp(fc, &mut operand_ready);
-                }
-                MicroOp::Fadd { fa, fb, .. } | MicroOp::Fmul { fa, fb, .. } => {
-                    ready_fp(fa, &mut operand_ready);
-                    ready_fp(fb, &mut operand_ready);
-                }
-                MicroOp::Bnez { rs, .. } => ready_int(rs, &mut operand_ready),
-                MicroOp::SsrCfg { base, .. } => ready_int(base, &mut operand_ready),
-                MicroOp::SsrEnable | MicroOp::SsrDisable | MicroOp::Frep { .. } => {}
-                MicroOp::Halt => {}
+            let base = clocks[FETCH].max(clocks[pipe]);
+            let mut issue = d.srcs.iter().fold(base, |at, &s| at.max(clocks[s]));
+            if let Some(addr) = d.addr {
+                let granted = port.grant(addr, Cycle::new(issue)).as_u64();
+                debug_assert!(
+                    !fast_forward || granted == issue,
+                    "a conflict-free port delayed an access"
+                );
+                issue = granted;
             }
+            report.stall_cycles += issue - base;
 
-            let mut issue = operand_ready;
-
-            // Bank arbitration for memory ops.
-            if op.is_mem() {
-                let addr = match op {
-                    MicroOp::Fld { rs, offset, .. }
-                    | MicroOp::Fsd { rs, offset, .. }
-                    | MicroOp::FsdPair { rs, offset, .. } => {
-                        int_regs[rs.index()].wrapping_add(offset) as u64
-                    }
-                    _ => unreachable!("is_mem covers exactly the three mem ops"),
-                };
-                issue = port.grant(addr, issue);
-            }
-
-            report.stall_cycles += (issue - base).as_u64();
-
-            // Execute (functional semantics) and set destination latency.
-            let mut next_pc = pc + 1;
-            match op {
-                MicroOp::Li { rd, imm } => {
-                    int_regs[rd.index()] = imm;
-                    int_ready[rd.index()] = issue + Cycle::new(t.int_latency);
-                    report.int_ops += 1;
-                }
-                MicroOp::Addi { rd, rs, imm } => {
-                    int_regs[rd.index()] = int_regs[rs.index()].wrapping_add(imm);
-                    int_ready[rd.index()] = issue + Cycle::new(t.int_latency);
-                    report.int_ops += 1;
-                }
-                MicroOp::Add { rd, rs1, rs2 } => {
-                    int_regs[rd.index()] =
-                        int_regs[rs1.index()].wrapping_add(int_regs[rs2.index()]);
-                    int_ready[rd.index()] = issue + Cycle::new(t.int_latency);
-                    report.int_ops += 1;
-                }
-                MicroOp::Fld { fd, rs, offset } => {
-                    let addr = int_regs[rs.index()].wrapping_add(offset) as u64;
-                    fp_regs[fd.index()] = port.load(addr)?;
-                    fp_ready[fd.index()] = issue + Cycle::new(t.load_latency);
-                    report.mem_ops += 1;
-                }
-                MicroOp::Fsd { fs, rs, offset } => {
-                    let addr = int_regs[rs.index()].wrapping_add(offset) as u64;
-                    port.store(addr, fp_regs[fs.index()])?;
-                    report.mem_ops += 1;
-                }
-                MicroOp::FsdPair {
-                    fs1,
-                    fs2,
-                    rs,
-                    offset,
-                } => {
-                    let addr = int_regs[rs.index()].wrapping_add(offset) as u64;
-                    port.store(addr, fp_regs[fs1.index()])?;
-                    port.store(addr + 8, fp_regs[fs2.index()])?;
-                    report.mem_ops += 1;
-                }
-                MicroOp::Fmadd { fd, fa, fb, fc } => {
-                    let fd_is_stream =
-                        ssr_enabled && fd.index() < 3 && streams[fd.index()].is_some();
-                    let read = |streams: &mut [Option<StreamState>; 3],
-                                port: &mut P,
-                                fp_regs: &[f64; 32],
-                                r: crate::FpReg|
-                     -> Result<f64, ExecError> {
-                        if ssr_enabled && r.index() < 3 && streams[r.index()].is_some() {
-                            stream_pop(streams, port, r.index())
-                        } else {
-                            Ok(fp_regs[r.index()])
-                        }
-                    };
-                    let va = read(&mut streams, port, &fp_regs, fa)?;
-                    let vb = read(&mut streams, port, &fp_regs, fb)?;
-                    let vc = read(&mut streams, port, &fp_regs, fc)?;
-                    let result = va.mul_add(vb, vc);
-                    if fd_is_stream {
-                        stream_push(&mut streams, port, fd.index(), result)?;
-                    } else {
-                        fp_regs[fd.index()] = result;
-                        fp_ready[fd.index()] = issue + Cycle::new(t.fp_latency);
-                    }
-                    report.fp_ops += 1;
-                }
-                MicroOp::Fadd { fd, fa, fb } | MicroOp::Fmul { fd, fa, fb } => {
-                    let is_mul = matches!(op, MicroOp::Fmul { .. });
-                    let fd_is_stream =
-                        ssr_enabled && fd.index() < 3 && streams[fd.index()].is_some();
-                    let read = |streams: &mut [Option<StreamState>; 3],
-                                port: &mut P,
-                                fp_regs: &[f64; 32],
-                                r: crate::FpReg|
-                     -> Result<f64, ExecError> {
-                        if ssr_enabled && r.index() < 3 && streams[r.index()].is_some() {
-                            stream_pop(streams, port, r.index())
-                        } else {
-                            Ok(fp_regs[r.index()])
-                        }
-                    };
-                    let va = read(&mut streams, port, &fp_regs, fa)?;
-                    let vb = read(&mut streams, port, &fp_regs, fb)?;
-                    let result = if is_mul { va * vb } else { va + vb };
-                    if fd_is_stream {
-                        stream_push(&mut streams, port, fd.index(), result)?;
-                    } else {
-                        fp_regs[fd.index()] = result;
-                        fp_ready[fd.index()] = issue + Cycle::new(t.fp_latency);
-                    }
-                    report.fp_ops += 1;
-                }
-                MicroOp::Bnez { rs, target } => {
-                    report.branches += 1;
-                    if int_regs[rs.index()] != 0 {
-                        next_pc = target;
-                        // Taken branch: fetch bubble.
-                        fetch_avail = issue + Cycle::new(1 + t.branch_taken_penalty);
-                    }
-                }
-                MicroOp::SsrCfg {
-                    stream,
-                    base,
-                    stride,
-                    count,
-                    ..
-                } => {
-                    streams[stream as usize] = Some(StreamState {
-                        addr: int_regs[base.index()] as u64,
-                        stride,
-                        remaining: count,
-                    });
-                    report.int_ops += 1;
-                }
-                MicroOp::SsrEnable => {
-                    ssr_enabled = true;
-                    report.int_ops += 1;
-                }
-                MicroOp::SsrDisable => {
-                    ssr_enabled = false;
-                    report.int_ops += 1;
-                }
-                MicroOp::Frep { iterations, body } => {
-                    let start = pc + 1;
-                    let end = pc + body as usize;
-                    if end >= ops.len() {
-                        return Err(ExecError::PcOutOfRange { pc: end });
-                    }
-                    if iterations > 1 {
-                        frep = Some((start, end, iterations - 1));
-                    }
-                    report.branches += 1;
-                }
-                MicroOp::Halt => {
-                    report.retired += 1;
-                    report.finish = high_water.max(issue);
+            let flow = core.execute(ops, pc, port, &mut report)?;
+            report.retired += 1;
+            let next = match flow {
+                Flow::Halt => {
+                    report.finish = Cycle::new(clocks[HIGH_WATER].max(issue));
                     return Ok(report);
                 }
-            }
-
-            // Completion high-water mark (stores complete one cycle after
-            // issue; results at their latency).
-            let completion = match op.pipe() {
-                PipeClass::Mem => issue + Cycle::new(1),
-                PipeClass::Fp => issue + Cycle::new(t.fp_latency),
-                PipeClass::Int => issue + Cycle::new(t.int_latency),
-                PipeClass::Ctrl => issue + Cycle::new(1),
+                Flow::Next => {
+                    clocks[FETCH] = clocks[FETCH].max(issue);
+                    pc + 1
+                }
+                Flow::Taken(target) => {
+                    // Taken branch: fetch bubble.
+                    clocks[FETCH] = issue + 1 + t.branch_taken_penalty;
+                    target
+                }
             };
-            high_water = high_water.max(completion);
-
-            pipe_free[pipe] = issue + Cycle::new(1);
-            if !matches!(op, MicroOp::Bnez { rs, .. } if int_regs[rs.index()] != 0) {
-                fetch_avail = fetch_avail.max(issue);
+            if let Some((slot, latency)) = d.dst {
+                clocks[slot] = issue + latency;
             }
-            report.retired += 1;
-            // Hardware-loop wraparound: when the body's last op retires
-            // and iterations remain, jump back with zero overhead.
-            if let Some((start, end, remaining)) = frep {
-                if pc == end && next_pc == pc + 1 {
-                    if remaining > 0 {
-                        frep = Some((start, end, remaining - 1));
-                        next_pc = start;
-                    } else {
-                        frep = None;
-                    }
+            clocks[HIGH_WATER] = clocks[HIGH_WATER].max(issue + d.done);
+            clocks[pipe] = issue + 1;
+            pc = core.wrap(pc, next);
+        }
+    }
+}
+
+/// Fails once `report` has retired the fuel limit's worth of ops.
+fn fuel(report: &ExecReport, timing: &CoreTiming) -> Result<(), ExecError> {
+    if report.retired >= timing.max_steps {
+        return Err(ExecError::FuelExhausted {
+            steps: report.retired,
+        });
+    }
+    Ok(())
+}
+
+// The timing state is one array of clocks, so a loop's state can be
+// sampled, compared and shifted as a whole: the fetch clock, the
+// completion high-water mark, the four pipe-free times and the ready
+// time of every register.
+const FETCH: usize = 0;
+const HIGH_WATER: usize = 1;
+const PIPE_FREE: usize = 2;
+const INT_READY: usize = PIPE_FREE + 4;
+const FP_READY: usize = INT_READY + INT_REGS as usize;
+const CLOCKS: usize = FP_READY + FP_REGS as usize;
+
+type Clocks = [u64; CLOCKS];
+
+/// Loop iterations sampled for a repeating timing state before the
+/// interpreter stops watching that loop.
+const WATCH_LIMIT: u32 = 8;
+
+/// What the issue model needs to know about one op.
+struct Decoded {
+    /// Pipe index, in [`PipeClass`] order: Mem, Fp, Int, Ctrl.
+    pipe: usize,
+    /// Clock slots the operands wait on. Unused entries name `FETCH`,
+    /// which never delays issue.
+    srcs: [usize; 3],
+    /// The clock slot the result makes ready, and its latency.
+    dst: Option<(usize, u64)>,
+    /// Cycles from issue until the op completes.
+    done: u64,
+    /// The local byte address a load or store accesses.
+    addr: Option<u64>,
+}
+
+impl Decoded {
+    fn of(op: MicroOp, core: &Core, t: &CoreTiming) -> Self {
+        let int = |r: IntReg| INT_READY + r.index();
+        // Enabled streams are prefetched by dedicated SSR ports: no
+        // register-file dependency, and stream writes free no register.
+        let fp = |r: FpReg| {
+            if core.is_stream(r) {
+                FETCH
+            } else {
+                FP_READY + r.index()
+            }
+        };
+        let fp_result = |r: FpReg| (!core.is_stream(r)).then_some((fp(r), t.fp_latency));
+        // Stores complete one cycle after issue; results at their latency.
+        let (pipe, done) = match op.pipe() {
+            PipeClass::Mem => (0, 1),
+            PipeClass::Fp => (1, t.fp_latency),
+            PipeClass::Int => (2, t.int_latency),
+            PipeClass::Ctrl => (3, 1),
+        };
+        let mut d = Decoded {
+            pipe,
+            srcs: [FETCH; 3],
+            dst: None,
+            done,
+            addr: None,
+        };
+        match op {
+            MicroOp::Li { rd, .. } => d.dst = Some((int(rd), t.int_latency)),
+            MicroOp::Addi { rd, rs, .. } => {
+                d.srcs[0] = int(rs);
+                d.dst = Some((int(rd), t.int_latency));
+            }
+            MicroOp::Add { rd, rs1, rs2 } => {
+                d.srcs = [int(rs1), int(rs2), FETCH];
+                d.dst = Some((int(rd), t.int_latency));
+            }
+            MicroOp::Fld { fd, rs, offset } => {
+                d.srcs[0] = int(rs);
+                d.dst = Some((FP_READY + fd.index(), t.load_latency));
+                d.addr = Some(core.addr(rs, offset));
+            }
+            MicroOp::Fsd { fs, rs, offset } => {
+                d.srcs = [fp(fs), int(rs), FETCH];
+                d.addr = Some(core.addr(rs, offset));
+            }
+            MicroOp::FsdPair {
+                fs1,
+                fs2,
+                rs,
+                offset,
+            } => {
+                d.srcs = [fp(fs1), fp(fs2), int(rs)];
+                d.addr = Some(core.addr(rs, offset));
+            }
+            MicroOp::Fmadd { fd, fa, fb, fc } => {
+                d.srcs = [fp(fa), fp(fb), fp(fc)];
+                d.dst = fp_result(fd);
+            }
+            MicroOp::Fadd { fd, fa, fb } | MicroOp::Fmul { fd, fa, fb } => {
+                d.srcs = [fp(fa), fp(fb), FETCH];
+                d.dst = fp_result(fd);
+            }
+            MicroOp::Bnez { rs, .. } | MicroOp::SsrCfg { base: rs, .. } => d.srcs[0] = int(rs),
+            MicroOp::SsrEnable | MicroOp::SsrDisable | MicroOp::Frep { .. } | MicroOp::Halt => {}
+        }
+        d
+    }
+}
+
+/// Where control goes after an op.
+enum Flow {
+    Next,
+    Taken(usize),
+    Halt,
+}
+
+/// One SSR stream's cursor.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stream {
+    addr: u64,
+    stride: i64,
+    remaining: u64,
+}
+
+/// The architectural state of a core: what a program computes, as
+/// opposed to when. The timed step and the loop replay both change it
+/// only through [`Core::execute`], so they cannot disagree on results.
+#[derive(Debug, Default)]
+struct Core {
+    int: [i64; INT_REGS as usize],
+    fp: [f64; FP_REGS as usize],
+    /// Streams 0-2, aliasing `f0`-`f2` while streaming is enabled.
+    streams: [Stream; 3],
+    /// Bit `i` is set once stream `i` has been configured.
+    configured: u32,
+    ssr_enabled: bool,
+    /// Bit `i` is set while reads and writes of `f{i}` are stream
+    /// accesses.
+    streaming: u32,
+    /// Active hardware loop: (first body pc, last body pc, iterations
+    /// left).
+    frep: Option<(usize, usize, u64)>,
+}
+
+impl Core {
+    fn is_stream(&self, r: FpReg) -> bool {
+        self.streaming & (1 << r.index()) != 0
+    }
+
+    fn addr(&self, rs: IntReg, offset: i64) -> u64 {
+        self.int[rs.index()].wrapping_add(offset) as u64
+    }
+
+    /// Moves stream `idx` one element on, returning the element's
+    /// address; an exhausted stream faults.
+    fn next_element(&mut self, idx: usize) -> Result<u64, ExecError> {
+        let st = &mut self.streams[idx];
+        if st.remaining == 0 {
+            return Err(ExecError::Port(PortError { addr: st.addr }));
+        }
+        let addr = st.addr;
+        st.addr = st.addr.wrapping_add_signed(st.stride);
+        st.remaining -= 1;
+        Ok(addr)
+    }
+
+    fn read(&mut self, r: FpReg, port: &mut impl MemoryPort) -> Result<f64, ExecError> {
+        if self.is_stream(r) {
+            let addr = self.next_element(r.index())?;
+            Ok(port.load(addr)?)
+        } else {
+            Ok(self.fp[r.index()])
+        }
+    }
+
+    fn write(&mut self, r: FpReg, value: f64, port: &mut impl MemoryPort) -> Result<(), ExecError> {
+        if self.is_stream(r) {
+            let addr = self.next_element(r.index())?;
+            port.store(addr, value)?;
+        } else {
+            self.fp[r.index()] = value;
+        }
+        Ok(())
+    }
+
+    /// Applies the op at `pc`: registers, SSR streams, memory, the
+    /// hardware loop and `report`'s op counters.
+    ///
+    /// Always inlined: as an out-of-line call, every replayed op pays
+    /// the call and a round trip of its `Result` through memory, which
+    /// made replay about twice as slow on an x86-64 host.
+    #[inline(always)]
+    fn execute<P: MemoryPort>(
+        &mut self,
+        ops: &[MicroOp],
+        pc: usize,
+        port: &mut P,
+        report: &mut ExecReport,
+    ) -> Result<Flow, ExecError> {
+        let op = ops[pc];
+        match op {
+            MicroOp::Li { rd, imm } => {
+                self.int[rd.index()] = imm;
+                report.int_ops += 1;
+            }
+            MicroOp::Addi { rd, rs, imm } => {
+                self.int[rd.index()] = self.int[rs.index()].wrapping_add(imm);
+                report.int_ops += 1;
+            }
+            MicroOp::Add { rd, rs1, rs2 } => {
+                self.int[rd.index()] = self.int[rs1.index()].wrapping_add(self.int[rs2.index()]);
+                report.int_ops += 1;
+            }
+            MicroOp::Fld { fd, rs, offset } => {
+                self.fp[fd.index()] = port.load(self.addr(rs, offset))?;
+                report.mem_ops += 1;
+            }
+            // Plain stores read the register file even while `fs`
+            // streams.
+            MicroOp::Fsd { fs, rs, offset } => {
+                port.store(self.addr(rs, offset), self.fp[fs.index()])?;
+                report.mem_ops += 1;
+            }
+            MicroOp::FsdPair {
+                fs1,
+                fs2,
+                rs,
+                offset,
+            } => {
+                let addr = self.addr(rs, offset);
+                port.store(addr, self.fp[fs1.index()])?;
+                port.store(addr + 8, self.fp[fs2.index()])?;
+                report.mem_ops += 1;
+            }
+            MicroOp::Fmadd { fd, fa, fb, fc } => {
+                let a = self.read(fa, port)?;
+                let b = self.read(fb, port)?;
+                let c = self.read(fc, port)?;
+                self.write(fd, a.mul_add(b, c), port)?;
+                report.fp_ops += 1;
+            }
+            MicroOp::Fadd { fd, fa, fb } | MicroOp::Fmul { fd, fa, fb } => {
+                let a = self.read(fa, port)?;
+                let b = self.read(fb, port)?;
+                let result = if matches!(op, MicroOp::Fmul { .. }) {
+                    a * b
+                } else {
+                    a + b
+                };
+                self.write(fd, result, port)?;
+                report.fp_ops += 1;
+            }
+            MicroOp::Bnez { rs, target } => {
+                report.branches += 1;
+                if self.int[rs.index()] != 0 {
+                    return Ok(Flow::Taken(target));
                 }
             }
-            pc = next_pc;
+            MicroOp::SsrCfg {
+                stream,
+                base,
+                stride,
+                count,
+                ..
+            } => {
+                self.streams[stream as usize] = Stream {
+                    addr: self.int[base.index()] as u64,
+                    stride,
+                    remaining: count,
+                };
+                self.configured |= 1 << stream;
+                self.set_streaming(self.ssr_enabled);
+                report.int_ops += 1;
+            }
+            MicroOp::SsrEnable | MicroOp::SsrDisable => {
+                self.set_streaming(op == MicroOp::SsrEnable);
+                report.int_ops += 1;
+            }
+            MicroOp::Frep { iterations, body } => {
+                let end = pc + body as usize;
+                if end >= ops.len() {
+                    return Err(ExecError::PcOutOfRange { pc: end });
+                }
+                if iterations > 1 {
+                    self.frep = Some((pc + 1, end, iterations - 1));
+                }
+                report.branches += 1;
+            }
+            MicroOp::Halt => return Ok(Flow::Halt),
         }
+        Ok(Flow::Next)
+    }
+
+    fn set_streaming(&mut self, enabled: bool) {
+        self.ssr_enabled = enabled;
+        self.streaming = if enabled { self.configured } else { 0 };
+    }
+
+    /// The pc after `pc` retires toward `next`. When the last op of a
+    /// hardware-loop body retires and iterations remain, control jumps
+    /// back to the body's first op with zero overhead.
+    fn wrap(&mut self, pc: usize, next: usize) -> usize {
+        match self.frep {
+            Some((start, end, remaining)) if pc == end && next == pc + 1 => {
+                if remaining > 0 {
+                    self.frep = Some((start, end, remaining - 1));
+                    return start;
+                }
+                self.frep = None;
+                next
+            }
+            _ => next,
+        }
+    }
+
+    /// Runs the loop closed by the taken branch at `branch` functionally,
+    /// without timing, until that branch falls through, and returns the
+    /// trips run. Fuel, port faults and stream exhaustion surface at the
+    /// same op as on the timed path.
+    fn replay<P: MemoryPort>(
+        &mut self,
+        ops: &[MicroOp],
+        branch: usize,
+        timing: &CoreTiming,
+        port: &mut P,
+        report: &mut ExecReport,
+    ) -> Result<u64, ExecError> {
+        let MicroOp::Bnez { rs, target } = ops[branch] else {
+            unreachable!("a replay starts at its loop's closing branch");
+        };
+        let body_len = (branch - target) as u64;
+        let mut trips = 0;
+        loop {
+            fuel(report, timing)?;
+            if self.int[rs.index()] == 0 {
+                return Ok(trips);
+            }
+            // The branch is taken: retire it, then run one trip of the
+            // body, checking fuel per op only when it may run out.
+            self.execute(ops, branch, port, report)?;
+            report.retired += 1;
+            trips += 1;
+            let checked = report.retired + body_len > timing.max_steps;
+            for pc in target..branch {
+                if checked {
+                    fuel(report, timing)?;
+                }
+                self.execute(ops, pc, port, report)?;
+                report.retired += 1;
+            }
+        }
+    }
+}
+
+/// What one more trip of a steady-state loop adds.
+struct Trip {
+    /// The initiation interval: cycles every clock advances.
+    interval: u64,
+    /// Stall cycles.
+    stall: u64,
+}
+
+/// Watches the innermost loop for a steady state. Before each taken
+/// closing branch it samples the timing state relative to fetch, each
+/// clock as `max(c - fetch, 0)`: no op issues before fetch, and fetch
+/// never moves back, so a clock behind fetch cannot affect the future.
+/// Two equal consecutive samples mean every later trip repeats the last
+/// one, shifted by its initiation interval.
+///
+/// Two consecutive samples at one branch are always exactly one trip
+/// apart: after the branch falls through, control can only come back
+/// through a taken backward branch elsewhere, which moves the watch, or
+/// while a hardware loop is active, which the caller never samples.
+struct LoopWatch {
+    /// The closing branch watched, `usize::MAX` for none.
+    branch: usize,
+    /// Samples taken; at [`WATCH_LIMIT`] the loop is no longer watched.
+    samples: u32,
+    relative: Clocks,
+    fetch: u64,
+    stall: u64,
+}
+
+impl Default for LoopWatch {
+    fn default() -> Self {
+        LoopWatch {
+            branch: usize::MAX,
+            samples: 0,
+            relative: [0; CLOCKS],
+            fetch: 0,
+            stall: 0,
+        }
+    }
+}
+
+impl LoopWatch {
+    /// Samples `clocks` before the taken branch at `branch` back to
+    /// `target`, and returns the per-trip deltas once the sample repeats.
+    fn visit(
+        &mut self,
+        ops: &[MicroOp],
+        branch: usize,
+        target: usize,
+        clocks: &Clocks,
+        stall: u64,
+    ) -> Option<Trip> {
+        if self.branch != branch {
+            // Only a straight-line body repeats one timing pattern: none
+            // of its ops may redirect control or change which registers
+            // stream.
+            let straight = ops[target..branch].iter().all(|op| {
+                !matches!(
+                    op,
+                    MicroOp::Bnez { .. }
+                        | MicroOp::Frep { .. }
+                        | MicroOp::Halt
+                        | MicroOp::SsrCfg { .. }
+                        | MicroOp::SsrEnable
+                        | MicroOp::SsrDisable
+                )
+            });
+            self.branch = branch;
+            self.samples = if straight { 0 } else { WATCH_LIMIT };
+        }
+        if self.samples >= WATCH_LIMIT {
+            return None;
+        }
+        let fetch = clocks[FETCH];
+        let relative = clocks.map(|c| c.saturating_sub(fetch));
+        if self.samples > 0 && relative == self.relative {
+            return Some(Trip {
+                interval: fetch - self.fetch,
+                stall: stall - self.stall,
+            });
+        }
+        self.samples += 1;
+        self.relative = relative;
+        self.fetch = fetch;
+        self.stall = stall;
+        None
     }
 }
 

@@ -14,7 +14,10 @@
 //!
 //! The calibrated DAXPY kernel in `mpsoc-kernels` reaches a steady-state
 //! initiation interval of 26 cycles per 10 elements on this model —
-//! the 2.6 cycles/element/core of the paper's Eq. 1 compute term.
+//! the 2.6 cycles/element/core of the paper's Eq. 1 compute term. Once a
+//! loop's timing repeats like that, the interpreter runs its remaining
+//! iterations functionally and extrapolates their timing, exactly, on any
+//! port that declares itself [conflict-free](MemoryPort::conflict_free).
 //!
 //! # Example
 //!
@@ -48,6 +51,8 @@
 mod exec;
 mod op;
 mod program;
+#[cfg(test)]
+mod reference;
 
 pub use exec::{CoreTiming, ExecError, ExecReport, Interpreter, MemoryPort, PortError, VecPort};
 pub use op::{FpReg, IntReg, MicroOp, PipeClass, FP_REGS, INT_REGS};

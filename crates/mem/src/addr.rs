@@ -72,6 +72,7 @@ impl Addr {
 
     /// Distance from `base` in whole words, `None` if `self < base` or the
     /// offset is not word-aligned.
+    #[inline]
     pub fn word_offset_from(self, base: Addr) -> Option<u64> {
         let delta = self.0.checked_sub(base.0)?;
         (delta % WORD_BYTES == 0).then_some(delta / WORD_BYTES)

@@ -68,6 +68,7 @@ impl WordStore {
         addr >= self.base && addr < self.end()
     }
 
+    #[inline]
     fn index(&self, addr: Addr) -> Result<usize, MemoryError> {
         if !addr.is_word_aligned() {
             return Err(MemoryError::Misaligned { addr });
@@ -87,6 +88,7 @@ impl WordStore {
     /// # Errors
     ///
     /// Returns [`MemoryError::Misaligned`] or [`MemoryError::OutOfBounds`].
+    #[inline]
     pub fn read_u64(&self, addr: Addr) -> Result<u64, MemoryError> {
         Ok(self.words[self.index(addr)?])
     }
@@ -96,6 +98,7 @@ impl WordStore {
     /// # Errors
     ///
     /// Returns [`MemoryError::Misaligned`] or [`MemoryError::OutOfBounds`].
+    #[inline]
     pub fn write_u64(&mut self, addr: Addr, value: u64) -> Result<(), MemoryError> {
         let i = self.index(addr)?;
         self.words[i] = value;
@@ -107,6 +110,7 @@ impl WordStore {
     /// # Errors
     ///
     /// Returns [`MemoryError::Misaligned`] or [`MemoryError::OutOfBounds`].
+    #[inline]
     pub fn read_f64(&self, addr: Addr) -> Result<f64, MemoryError> {
         self.read_u64(addr).map(f64::from_bits)
     }
@@ -116,6 +120,7 @@ impl WordStore {
     /// # Errors
     ///
     /// Returns [`MemoryError::Misaligned`] or [`MemoryError::OutOfBounds`].
+    #[inline]
     pub fn write_f64(&mut self, addr: Addr, value: f64) -> Result<(), MemoryError> {
         self.write_u64(addr, value.to_bits())
     }

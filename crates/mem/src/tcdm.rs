@@ -94,6 +94,7 @@ impl Tcdm {
 
     /// Requests a single-word access at time `at`; returns the grant time.
     /// In [`BankMode::Ideal`] the grant is always immediate.
+    #[inline]
     pub fn access(&mut self, word: u64, at: Cycle) -> Cycle {
         match self.mode {
             BankMode::Ideal => at,
@@ -114,6 +115,7 @@ impl Tcdm {
     /// # Errors
     ///
     /// [`MemoryError::OutOfBounds`] if the index is out of range.
+    #[inline]
     pub fn read_f64(&self, word: u64) -> Result<f64, MemoryError> {
         self.data.read_f64(Addr::new(0).add_words(word))
     }
@@ -123,6 +125,7 @@ impl Tcdm {
     /// # Errors
     ///
     /// [`MemoryError::OutOfBounds`] if the index is out of range.
+    #[inline]
     pub fn write_f64(&mut self, word: u64, value: f64) -> Result<(), MemoryError> {
         self.data.write_f64(Addr::new(0).add_words(word), value)
     }

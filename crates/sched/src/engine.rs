@@ -492,18 +492,8 @@ impl Engine {
         let mut strikes = StrikeBoard::with_threshold(self.clusters, self.auto_quarantine);
         self.quarantine_log.clear();
         let clusters = self.clusters;
-        let ServiceBackend::CoSimulated {
-            offloader,
-            seed,
-            strategy,
-            host_cache,
-        } = &mut self.backend
-        else {
-            unreachable!("run_cosimulated requires a co-simulated backend");
-        };
-        let seed = *seed;
-        let strategy = *strategy;
-        offloader.begin_jobs();
+        let backend = &mut self.backend;
+        backend.session().begin_jobs();
 
         let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
         let mut ready: Vec<QueuedJob> = Vec::new();
@@ -522,7 +512,7 @@ impl Engine {
             //    frees its partition) before the arrival is admitted.
             let now = if !running.is_empty() {
                 let horizon = arrival_t.map_or(Cycle::MAX, Cycle::new);
-                match offloader.advance_jobs(horizon)? {
+                match backend.session().advance_jobs(horizon)? {
                     mpsoc_offload::SessionStep::Completed(t) => {
                         let Some(mut done) = running.remove(&t.job) else {
                             return Err(SchedError::UnknownCompletion { job: t.job });
@@ -574,13 +564,10 @@ impl Engine {
                                 EventKind::Redispatch,
                                 done.job.id,
                             );
-                            let (x, y) = crate::calibrate::operands(done.job.n, seed ^ done.job.n);
-                            let handle = offloader.submit_at(
-                                done.job.kernel.instantiate().as_ref(),
-                                &x,
-                                &y,
+                            let handle = backend.submit_at(
+                                done.job.kernel,
+                                done.job.n,
                                 done.mask,
-                                strategy,
                                 t.finished_at,
                             )?;
                             running.insert(handle, done);
@@ -702,19 +689,7 @@ impl Engine {
                     }
                     AdmissionDecision::Host { .. } => {
                         let start = now.max(host_free_at);
-                        let cycles = match host_cache.get(&(job.kernel, job.n)) {
-                            Some(&c) => c,
-                            None => {
-                                let (x, y) = crate::calibrate::operands(job.n, seed ^ job.n);
-                                let (c, _) = offloader.run_on_host(
-                                    job.kernel.instantiate().as_ref(),
-                                    &x,
-                                    &y,
-                                )?;
-                                host_cache.insert((job.kernel, job.n), c);
-                                c
-                            }
-                        };
+                        let cycles = backend.host_cycles(job.kernel, job.n)?;
                         let finish = start + cycles;
                         host_free_at = finish;
                         let span = self.telemetry.begin(
@@ -774,15 +749,8 @@ impl Engine {
                         now - queued.job.arrival,
                     );
                 }
-                let (x, y) = crate::calibrate::operands(queued.job.n, seed ^ queued.job.n);
-                let handle = offloader.submit_at(
-                    queued.job.kernel.instantiate().as_ref(),
-                    &x,
-                    &y,
-                    mask,
-                    strategy,
-                    Cycle::new(now),
-                )?;
+                let handle =
+                    backend.submit_at(queued.job.kernel, queued.job.n, mask, Cycle::new(now))?;
                 running.insert(
                     handle,
                     Running {

@@ -29,7 +29,8 @@
 use std::collections::BTreeMap;
 
 use mpsoc_noc::ClusterMask;
-use mpsoc_offload::{OffloadStrategy, Offloader};
+use mpsoc_offload::{JobId, OffloadStrategy, Offloader};
+use mpsoc_sim::Cycle;
 
 use crate::calibrate::{operands, ModelTable};
 use crate::error::SchedError;
@@ -72,6 +73,11 @@ pub enum ServiceBackend {
         /// scalar host pipeline is modeled as a serial server, exactly
         /// as under the measured backend).
         host_cache: BTreeMap<(KernelId, u64), u64>,
+        /// Memoized operand pairs by element count. A pair is a pure
+        /// function of `(n, seed ^ n)`, so one serves every submission
+        /// of that size; like `host_cache`, the memo grows with the
+        /// number of distinct sizes.
+        operand_cache: BTreeMap<u64, (Vec<f64>, Vec<f64>)>,
     },
 }
 
@@ -101,7 +107,54 @@ impl ServiceBackend {
             seed,
             strategy: OffloadStrategy::extended(),
             host_cache: BTreeMap::new(),
+            operand_cache: BTreeMap::new(),
         }
+    }
+
+    /// The shared SoC session of a co-simulated backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the backend is [`ServiceBackend::CoSimulated`].
+    pub(crate) fn session(&mut self) -> &mut Offloader {
+        let ServiceBackend::CoSimulated { offloader, .. } = self else {
+            unreachable!("only the co-simulated backend runs a shared session");
+        };
+        offloader
+    }
+
+    /// Submits one offload of `kernel` over `n` elements on `mask` into
+    /// the co-simulated session at virtual time `at`.
+    ///
+    /// # Errors
+    ///
+    /// Offload failures from the session (e.g. a partition too small
+    /// for the job's TCDM footprint).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the backend is [`ServiceBackend::CoSimulated`].
+    pub(crate) fn submit_at(
+        &mut self,
+        kernel: KernelId,
+        n: u64,
+        mask: ClusterMask,
+        at: Cycle,
+    ) -> Result<JobId, SchedError> {
+        let ServiceBackend::CoSimulated {
+            offloader,
+            seed,
+            strategy,
+            operand_cache,
+            ..
+        } = self
+        else {
+            unreachable!("only the co-simulated backend runs a shared session");
+        };
+        let (x, y) = operand_cache
+            .entry(n)
+            .or_insert_with(|| operands(n, *seed ^ n));
+        Ok(offloader.submit_at(kernel.instantiate().as_ref(), x, y, mask, *strategy, at)?)
     }
 
     /// Drops memoized solo-run offload measurements.

@@ -497,7 +497,7 @@ impl ShardSim {
             }
             AdmissionDecision::Host { .. } => {
                 let start = self.now.max(self.host_free_at);
-                let cycles = self.host_cycles(job)?;
+                let cycles = self.backend.host_cycles(job.kernel, job.n)?;
                 let finish = start + cycles;
                 self.host_free_at = finish;
                 self.completions.insert(
@@ -572,29 +572,6 @@ impl ShardSim {
         self.dispatch()
     }
 
-    /// Host runtime lookup mirroring the engine: memoized measurement
-    /// under the measured/co-simulated backends, a model prediction
-    /// under the analytic one.
-    fn host_cycles(&mut self, job: Job) -> Result<u64, SchedError> {
-        match &mut self.backend {
-            ServiceBackend::CoSimulated {
-                offloader,
-                seed,
-                host_cache,
-                ..
-            } => {
-                if let Some(&c) = host_cache.get(&(job.kernel, job.n)) {
-                    return Ok(c);
-                }
-                let (x, y) = crate::calibrate::operands(job.n, *seed ^ job.n);
-                let (c, _) = offloader.run_on_host(job.kernel.instantiate().as_ref(), &x, &y)?;
-                host_cache.insert((job.kernel, job.n), c);
-                Ok(c)
-            }
-            other => other.host_cycles(job.kernel, job.n),
-        }
-    }
-
     fn push_rejection(&mut self, job: Job, reason: RejectReason) {
         self.finished.push(JobRecord {
             job,
@@ -655,30 +632,21 @@ impl ShardSim {
                 faults: 0,
                 contention: 0,
             };
-            match &mut self.backend {
-                ServiceBackend::CoSimulated {
-                    offloader,
-                    seed,
-                    strategy,
-                    ..
-                } => {
-                    let (x, y) = crate::calibrate::operands(queued.job.n, *seed ^ queued.job.n);
-                    let handle = offloader.submit_at(
-                        queued.job.kernel.instantiate().as_ref(),
-                        &x,
-                        &y,
-                        mask,
-                        *strategy,
-                        Cycle::new(self.now),
-                    )?;
-                    self.running.insert(handle, placed);
-                }
-                other => {
-                    let cycles = other.offload_cycles(queued.job.kernel, queued.job.n, mask)?;
-                    self.completions
-                        .insert((self.now + cycles, self.seq), placed);
-                    self.seq += 1;
-                }
+            if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
+                let handle = self.backend.submit_at(
+                    queued.job.kernel,
+                    queued.job.n,
+                    mask,
+                    Cycle::new(self.now),
+                )?;
+                self.running.insert(handle, placed);
+            } else {
+                let cycles = self
+                    .backend
+                    .offload_cycles(queued.job.kernel, queued.job.n, mask)?;
+                self.completions
+                    .insert((self.now + cycles, self.seq), placed);
+                self.seq += 1;
             }
         }
         Ok(())
@@ -716,15 +684,10 @@ impl ShardSim {
             // host completion, so host and session events retire in
             // global time order.
             let horizon = next_host.map_or(until, |t| t.min(until));
-            let step = {
-                let ServiceBackend::CoSimulated { offloader, .. } = &mut self.backend else {
-                    unreachable!("advance_cosimulated requires a co-simulated backend");
-                };
-                if self.running.is_empty() {
-                    mpsoc_offload::SessionStep::Idle
-                } else {
-                    offloader.advance_jobs(Cycle::new(horizon))?
-                }
+            let step = if self.running.is_empty() {
+                mpsoc_offload::SessionStep::Idle
+            } else {
+                self.backend.session().advance_jobs(Cycle::new(horizon))?
             };
             match step {
                 mpsoc_offload::SessionStep::Completed(t) => {
@@ -780,24 +743,9 @@ impl ShardSim {
             // Observable corruption: re-dispatch on the same partition
             // with fresh fault dice, charging the retry to the record.
             done.retries += 1;
-            let ServiceBackend::CoSimulated {
-                offloader,
-                seed,
-                strategy,
-                ..
-            } = &mut self.backend
-            else {
-                unreachable!("co-simulated completion without a co-simulated backend");
-            };
-            let (x, y) = crate::calibrate::operands(done.job.n, *seed ^ done.job.n);
-            let handle = offloader.submit_at(
-                done.job.kernel.instantiate().as_ref(),
-                &x,
-                &y,
-                done.mask,
-                *strategy,
-                t.finished_at,
-            )?;
+            let handle =
+                self.backend
+                    .submit_at(done.job.kernel, done.job.n, done.mask, t.finished_at)?;
             self.running.insert(handle, done);
             return Ok(());
         }

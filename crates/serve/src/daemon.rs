@@ -35,7 +35,8 @@ use crate::wire::{encode, DecodeError, Decoder};
 /// One scripted client session: timed protocol sends.
 #[derive(Debug, Clone, Default)]
 pub struct ClientScript {
-    /// `(virtual time, request)` pairs, non-decreasing in time.
+    /// `(virtual time, request)` pairs, non-decreasing in time
+    /// ([`Daemon::run`] refuses a script that is not).
     pub sends: Vec<(u64, Request)>,
 }
 
@@ -100,7 +101,8 @@ impl SessionLog {
     }
 }
 
-/// Daemon failure: a scheduling error or a client's undecodable bytes.
+/// Daemon failure: a scheduling error, a client's undecodable bytes, or
+/// a client script that goes back in time.
 #[derive(Debug)]
 pub enum ServeError {
     /// The fleet failed (service backend error, stalled session).
@@ -112,6 +114,17 @@ pub enum ServeError {
         /// What was wrong with them.
         error: DecodeError,
     },
+    /// A client script is not ordered by time.
+    ScriptOrder {
+        /// Which session's script.
+        session: usize,
+        /// Index of the first send earlier than the one before it.
+        send: usize,
+        /// That send's virtual time.
+        at: u64,
+        /// The virtual time of the send before it.
+        after: u64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -121,6 +134,15 @@ impl fmt::Display for ServeError {
             ServeError::Decode { session, error } => {
                 write!(f, "session {session}: {error}")
             }
+            ServeError::ScriptOrder {
+                session,
+                send,
+                at,
+                after,
+            } => write!(
+                f,
+                "session {session}: send {send} at time {at} comes after a send at time {after}"
+            ),
         }
     }
 }
@@ -130,6 +152,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Sched(e) => Some(e),
             ServeError::Decode { error, .. } => Some(error),
+            ServeError::ScriptOrder { .. } => None,
         }
     }
 }
@@ -161,16 +184,22 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`ServeError`] on fleet failures or undecodable client bytes.
+    /// [`ServeError`] on fleet failures, undecodable client bytes, or a
+    /// script that is not ordered by time (checked before anything
+    /// runs).
     pub fn run(&mut self, scripts: &[ClientScript]) -> Result<Vec<SessionLog>, ServeError> {
         let _prof = mpsoc_sim::profile::scope("serve.daemon.run");
         // Merge all sends into (time, session, send index) order.
         let mut events: Vec<(u64, usize, usize)> = Vec::new();
         for (session, script) in scripts.iter().enumerate() {
-            assert!(
-                script.sends.windows(2).all(|w| w[0].0 <= w[1].0),
-                "client script must be non-decreasing in time"
-            );
+            if let Some(i) = script.sends.windows(2).position(|w| w[0].0 > w[1].0) {
+                return Err(ServeError::ScriptOrder {
+                    session,
+                    send: i + 1,
+                    at: script.sends[i + 1].0,
+                    after: script.sends[i].0,
+                });
+            }
             for (idx, &(t, _)) in script.sends.iter().enumerate() {
                 events.push((t, session, idx));
             }
@@ -375,6 +404,35 @@ mod tests {
             },
             &ModelTable::paper_defaults(),
         ))
+    }
+
+    #[test]
+    fn out_of_order_script_is_a_typed_error_naming_the_send() {
+        let mut ordered = ClientScript::new();
+        ordered.submit_at(0, 1, KernelId::Daxpy, 1024, 100_000);
+        let mut late = ClientScript::new();
+        late.submit_at(50, 1, KernelId::Daxpy, 1024, 100_000);
+        late.submit_at(70, 2, KernelId::Daxpy, 1024, 100_000);
+        late.submit_at(60, 3, KernelId::Daxpy, 1024, 100_000);
+        let mut d = daemon(2, 8);
+        let err = d
+            .run(&[ordered, late])
+            .expect_err("script 1 goes back in time");
+        assert!(matches!(
+            err,
+            ServeError::ScriptOrder {
+                session: 1,
+                send: 2,
+                at: 60,
+                after: 70
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "session 1: send 2 at time 60 comes after a send at time 70"
+        );
+        // Nothing ran: the fleet saw no job.
+        assert_eq!(d.fleet().submitted(), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 use mpsoc_faults::{FaultInjector, FaultKind, FaultPlan, FaultStats};
 use mpsoc_isa::{Interpreter, MemoryPort, PortError};
-use mpsoc_mem::{Addr, ClusterReg, MainMemory, MemoryMap, Tcdm};
+use mpsoc_mem::{Addr, BankMode, ClusterReg, MainMemory, MemoryMap, Tcdm};
 use mpsoc_noc::{ClusterMask, Interconnect};
 use mpsoc_sim::stats::StatsRegistry;
 use mpsoc_sim::trace::Tracer;
@@ -143,6 +143,10 @@ impl MemoryPort for TcdmPort<'_> {
 
     fn grant(&mut self, addr: u64, at: Cycle) -> Cycle {
         self.tcdm.access(addr / 8, at)
+    }
+
+    fn conflict_free(&self) -> bool {
+        self.tcdm.mode() == BankMode::Ideal
     }
 }
 
@@ -554,11 +558,11 @@ impl Soc {
             return Err(SocError::MissingJob { cluster });
         };
         let transfers = match dir {
-            DmaDirection::In => job.stages[stage].dma_in.clone(),
-            DmaDirection::Out => job.stages[stage].dma_out.clone(),
+            DmaDirection::In => &job.stages[stage].dma_in,
+            DmaDirection::Out => &job.stages[stage].dma_out,
         };
         let mut total = 0;
-        for t in &transfers {
+        for t in transfers {
             match dir {
                 DmaDirection::In => {
                     self.tcdms[cluster].dma_in(
@@ -575,18 +579,18 @@ impl Soc {
             }
             total += t.words;
         }
+        let first = transfers.first().copied();
         if let Some(slot) = self.owner_of(cluster) {
             self.jobs[slot].activity.dma_words += total;
         }
-        if total > 0
+        let corrupt = total > 0
             && (self.fault_strikes(at, FaultKind::DmaCorrupt, cluster)
-                || self.flaky_strikes(at, cluster))
-        {
+                || self.flaky_strikes(at, cluster));
+        if let (true, Some(t)) = (corrupt, first) {
             // A burst took a bit flip in flight. The engine's CRC check
             // flags the transfer (the observable signal recovery acts
             // on) but the corrupted data still lands, so a runtime that
             // ignores the flag computes a wrong result.
-            let t = &transfers[0];
             match dir {
                 DmaDirection::In => {
                     let w = self.tcdms[cluster].read_f64(t.local_word)?;
@@ -681,10 +685,12 @@ impl Soc {
     /// Runs every worker core of `cluster` over `stage`'s programs from
     /// `start`; returns the latest finish time.
     fn run_cores(&mut self, start: Cycle, cluster: usize, stage: usize) -> Result<Cycle, SocError> {
-        let Some(job) = self.clusters[cluster].job.clone() else {
+        let state = &mut self.clusters[cluster];
+        let Some(job) = state.job.as_ref() else {
             return Err(SocError::MissingJob { cluster });
         };
         let interpreter = Interpreter::with_timing(self.config.core_timing);
+        let owner = self.cluster_owner[cluster];
         let mut latest = start;
         for (core, program) in job.stages[stage].programs.iter().enumerate() {
             let mut port = TcdmPort {
@@ -698,10 +704,10 @@ impl Soc {
                     error,
                 })?;
             latest = latest.max(report.finish);
-            if let Some(slot) = self.owner_of(cluster) {
+            if let Some(slot) = owner {
                 self.jobs[slot].activity.core_ops += report.retired;
             }
-            self.clusters[cluster].core_reports.push(report);
+            state.core_reports.push(report);
         }
         Ok(latest)
     }
@@ -1230,11 +1236,13 @@ impl Simulate for Soc {
                 reg,
                 value,
             } => {
-                self.trace(
-                    now,
-                    "noc",
-                    format!("mailbox[{cluster}].{reg:?} <- {value:#x}"),
-                );
+                if self.tracer.is_enabled() {
+                    self.trace(
+                        now,
+                        "noc",
+                        format!("mailbox[{cluster}].{reg:?} <- {value:#x}"),
+                    );
+                }
                 match reg {
                     ClusterReg::JobPtr => {
                         self.clusters[cluster].mailbox_job_ptr = value;
