@@ -178,4 +178,12 @@ echo "==> perf/run.sh --smoke (benchmark workloads, determinism-gated)"
 # identical across all four.
 perf/run.sh --smoke
 
+echo "==> perf package: tests, clippy -D warnings, fmt --check"
+# The benchmark is its own package (perf/Cargo.toml with an empty
+# [workspace]), so the workspace gates above never build its checkers
+# and metric table; gate them here.
+cargo test --release -q --offline --manifest-path perf/Cargo.toml
+cargo clippy --offline --manifest-path perf/Cargo.toml -- -D warnings
+cargo fmt --check --manifest-path perf/Cargo.toml
+
 echo "==> ci green"

@@ -21,8 +21,8 @@
 //! that send garbage get a typed [`ServeError::Decode`] naming their
 //! session, not a hang.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use mpsoc_sched::{JobOutcome, SchedError, ShardDecision};
 
@@ -30,7 +30,7 @@ use crate::fleet::Fleet;
 use crate::proto::{Request, Response, StatsReport};
 use crate::slo::FleetSlo;
 use crate::transport::Duplex;
-use crate::wire::{encode, DecodeError, Decoder};
+use crate::wire::{encode_into, DecodeError, Decoder};
 
 /// One scripted client session: timed protocol sends.
 #[derive(Debug, Clone, Default)]
@@ -204,32 +204,28 @@ impl Daemon {
                 events.push((t, session, idx));
             }
         }
-        events.sort();
+        // (time, session, index) is unique, so the unstable sort is exact.
+        events.sort_unstable();
 
         let mut pipes: Vec<Duplex> = scripts.iter().map(|_| Duplex::new()).collect();
         let mut decoders: Vec<Decoder> = scripts.iter().map(|_| Decoder::new()).collect();
-        // Fleet job id → (session, client_job): the daemon's private
-        // mapping between wire identity and fleet identity.
-        let mut origin: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
-        // Responses gathered as (virtual time, emit sequence, session).
-        let mut responses: Vec<(u64, u64, usize, Response)> = Vec::new();
-        let mut emit_seq = 0u64;
-        let mut collected = 0usize;
-
-        let emit = |responses: &mut Vec<(u64, u64, usize, Response)>,
-                    emit_seq: &mut u64,
-                    t: u64,
-                    session: usize,
-                    r: Response| {
-            responses.push((t, *emit_seq, session, r));
-            *emit_seq += 1;
-        };
+        // The daemon's private mapping from fleet identity to wire
+        // identity: fleet job ids are sequential, so the job with id
+        // `first_job + i` came from `origin[i]` (`None` for a rejection).
+        let first_job = self.fleet.submitted();
+        let mut origin: Vec<Option<(usize, u64)>> = Vec::new();
+        let mut outbox = Outbox::default();
+        // Records resolved before this run were answered by earlier runs.
+        let mut collected = self.fleet.completed().len();
+        let mut frame = Vec::new();
 
         for (t, session, idx) in events {
             // The "wire": the client's encoded frame crosses its pipe
             // now; the daemon drains and decodes incrementally.
             let (_, request) = scripts[session].sends[idx];
-            pipes[session].client_send(&encode(&request));
+            frame.clear();
+            encode_into(&mut frame, &request);
+            pipes[session].client_send(&frame);
             let inbound = pipes[session].server_drain();
             decoders[session].push(&inbound);
             loop {
@@ -246,35 +242,26 @@ impl Daemon {
                         n,
                         deadline,
                     } => {
-                        let fleet_job = self.next_fleet_job_id();
+                        debug_assert_eq!(self.fleet.submitted(), first_job + origin.len() as u64);
                         let (shard, decision) = self.fleet.submit(kernel, n, deadline, t)?;
-                        match decision {
+                        let verdict = match decision {
                             ShardDecision::Queued { .. } | ShardDecision::Host { .. } => {
-                                origin.insert(fleet_job, (session, client_job));
-                                emit(
-                                    &mut responses,
-                                    &mut emit_seq,
-                                    t,
-                                    session,
-                                    Response::JobAccepted { client_job, shard },
-                                );
+                                origin.push(Some((session, client_job)));
+                                Response::JobAccepted { client_job, shard }
                             }
                             ShardDecision::Rejected { reason } => {
-                                emit(
-                                    &mut responses,
-                                    &mut emit_seq,
-                                    t,
-                                    session,
-                                    Response::JobRejected { client_job, reason },
-                                );
+                                origin.push(None);
+                                Response::JobRejected { client_job, reason }
                             }
-                        }
+                        };
+                        outbox.emit(t, session, &verdict);
                         // Completions the submit's advance uncovered.
                         Self::collect_completions(
                             &self.fleet,
                             &mut collected,
+                            first_job,
                             &origin,
-                            |t, session, r| emit(&mut responses, &mut emit_seq, t, session, r),
+                            &mut outbox,
                         );
                     }
                     // Stats polls are read-only: they snapshot the fleet
@@ -284,41 +271,21 @@ impl Daemon {
                     // byte-identically with or without polls.
                     Request::GetStats => {
                         let report = self.stats_report(t);
-                        emit(
-                            &mut responses,
-                            &mut emit_seq,
-                            t,
-                            session,
-                            Response::Stats { report },
-                        );
+                        outbox.emit(t, session, &Response::Stats { report });
                     }
                 }
             }
         }
 
         self.fleet.drain()?;
-        Self::collect_completions(&self.fleet, &mut collected, &origin, |t, session, r| {
-            emit(&mut responses, &mut emit_seq, t, session, r)
-        });
-
-        // Deliver responses in global virtual-time order (stable by
-        // emission sequence), so each session's stream is time-sorted.
-        responses.sort_by_key(|&(t, seq, _, _)| (t, seq));
-        for (_, _, session, response) in responses {
-            pipes[session].server_send(&encode(&response));
-        }
+        Self::collect_completions(&self.fleet, &mut collected, first_job, &origin, &mut outbox);
+        outbox.deliver(&mut pipes);
         Ok(pipes
             .into_iter()
             .map(|mut p| SessionLog {
                 outbound: p.client_drain(),
             })
             .collect())
-    }
-
-    /// The fleet job id the *next* submission will get (fleet ids are
-    /// sequential from 0).
-    fn next_fleet_job_id(&self) -> u64 {
-        self.fleet.submitted()
     }
 
     /// A [`StatsReport`] snapshot of the fleet as it stands, stamped
@@ -348,12 +315,14 @@ impl Daemon {
         }
     }
 
-    /// Emits `JobComplete` for fleet records not yet reported.
+    /// Emits `JobComplete` for fleet records not yet reported; jobs
+    /// submitted before `first_job` belong to no session of this run.
     fn collect_completions(
         fleet: &Fleet,
         collected: &mut usize,
-        origin: &BTreeMap<u64, (usize, u64)>,
-        mut emit: impl FnMut(u64, usize, Response),
+        first_job: u64,
+        origin: &[Option<(usize, u64)>],
+        outbox: &mut Outbox,
     ) {
         let records = fleet.completed();
         while *collected < records.len() {
@@ -365,13 +334,19 @@ impl Daemon {
                 // Rejections were answered at submit time.
                 JobOutcome::Rejected { .. } => continue,
             };
-            let Some(&(session, client_job)) = origin.get(&fr.record.job.id) else {
+            let Some(&Some((session, client_job))) = fr
+                .record
+                .job
+                .id
+                .checked_sub(first_job)
+                .and_then(|i| origin.get(i as usize))
+            else {
                 continue;
             };
-            emit(
+            outbox.emit(
                 finish,
                 session,
-                Response::JobComplete {
+                &Response::JobComplete {
                     client_job,
                     shard: fr.shard,
                     start,
@@ -385,10 +360,43 @@ impl Daemon {
     }
 }
 
+/// One run's responses, each framed once when it is emitted into a
+/// shared byte arena and delivered at the end in global virtual-time
+/// order, so each session's stream is time-sorted even though
+/// completions are discovered lazily.
+#[derive(Default)]
+struct Outbox {
+    arena: Vec<u8>,
+    /// `(virtual time, emit sequence, session, frame's place in arena)`.
+    keys: Vec<(u64, u64, usize, Range<usize>)>,
+}
+
+impl Outbox {
+    fn emit(&mut self, time: u64, session: usize, response: &Response) {
+        let start = self.arena.len();
+        encode_into(&mut self.arena, response);
+        let seq = self.keys.len() as u64;
+        self.keys
+            .push((time, seq, session, start..self.arena.len()));
+    }
+
+    /// Copies every frame into its session's pipe, ordered by (virtual
+    /// time, emit sequence). The pair is unique, so the unstable sort
+    /// yields the one order a stable sort by time would.
+    fn deliver(mut self, pipes: &mut [Duplex]) {
+        self.keys
+            .sort_unstable_by_key(|&(time, seq, ..)| (time, seq));
+        for (_, _, session, frame) in self.keys {
+            pipes[session].server_send(&self.arena[frame]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, PlacementPolicy};
+    use crate::wire::encode;
     use mpsoc_sched::{KernelId, ModelTable, RejectReason};
 
     fn daemon(shards: usize, queue_limit: usize) -> Daemon {

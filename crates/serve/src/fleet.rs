@@ -160,6 +160,10 @@ pub struct Fleet {
     next_job_id: u64,
     submitted: u64,
     completed: Vec<FleetRecord>,
+    /// Latest finish cycle among the served (non-rejected) records.
+    makespan: u64,
+    /// Served records that finished by their deadline.
+    deadline_met: u64,
     /// Last state code published to `serve.health.shard_state`, per
     /// shard (the counter carries the delta on each transition).
     state_logged: Vec<u64>,
@@ -209,6 +213,8 @@ impl Fleet {
             next_job_id: 0,
             submitted: 0,
             completed: Vec::new(),
+            makespan: 0,
+            deadline_met: 0,
             state_logged: vec![0; config.shards],
             config,
         }
@@ -243,6 +249,18 @@ impl Fleet {
     /// resolution order.
     pub fn completed(&self) -> &[FleetRecord] {
         &self.completed
+    }
+
+    /// The latest finish cycle among the served records so far (0 when
+    /// nothing was served), kept as records are collected.
+    pub(crate) fn makespan(&self) -> u64 {
+        self.makespan
+    }
+
+    /// How many served records so far finished by their deadline, kept
+    /// as records are collected.
+    pub(crate) fn deadline_met(&self) -> u64 {
+        self.deadline_met
     }
 
     /// Per-shard statistics registries, indexed by shard.
@@ -576,12 +594,21 @@ impl Fleet {
         Ok(())
     }
 
-    /// Drains shard `i`'s finished records into the fleet log and its
-    /// statistics registry, along with its quarantine events and any
-    /// health-state transition they caused.
+    /// Drains shard `i`'s finished records into the fleet log, its
+    /// statistics registry and the fleet's running SLO counters, along
+    /// with its quarantine events and any health-state transition they
+    /// caused.
     fn collect(&mut self, i: usize) {
         for record in self.shards[i].drain_finished() {
             let reg = &mut self.stats[i];
+            if let JobOutcome::Offloaded { finish, .. } | JobOutcome::Host { finish, .. } =
+                record.outcome
+            {
+                self.makespan = self.makespan.max(finish);
+                if !record.missed_deadline() {
+                    self.deadline_met += 1;
+                }
+            }
             match record.outcome {
                 JobOutcome::Offloaded { .. } => {
                     reg.incr("serve.offloaded");

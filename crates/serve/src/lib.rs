@@ -16,8 +16,7 @@
 //!    [`Decoder`] and typed [`DecodeError`]s for truncated, oversized,
 //!    bad-magic and bad-version streams.
 //! 3. **Transport** ([`transport`]) — deterministic in-process duplex
-//!    pipes (CI needs no sockets); a real TCP front door behind the
-//!    `tcp` feature.
+//!    pipes (CI needs no sockets).
 //! 4. **Fleet** ([`fleet`]) — independent [`ShardSim`] machines behind a
 //!    balancer with pluggable placement (round-robin, least-loaded,
 //!    model-guided on Eq. 1 backlog), queue-depth backpressure, work
@@ -80,8 +79,6 @@ pub mod fleet;
 pub mod metrics;
 pub mod proto;
 pub mod slo;
-#[cfg(feature = "tcp")]
-pub mod tcp;
 pub mod transport;
 pub mod wire;
 

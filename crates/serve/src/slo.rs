@@ -10,7 +10,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::fleet::Fleet;
-use mpsoc_sched::JobOutcome;
 
 /// Per-shard slice of the fleet summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,25 +107,10 @@ impl FleetSlo {
         let view = fleet.fleet_view();
         let stats = view.stats();
         let config = fleet.config();
-        let makespan = fleet
-            .completed()
-            .iter()
-            .filter_map(|fr| match fr.record.outcome {
-                JobOutcome::Offloaded { finish, .. } | JobOutcome::Host { finish, .. } => {
-                    Some(finish)
-                }
-                JobOutcome::Rejected { .. } => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let deadline_met = fleet
-            .completed()
-            .iter()
-            .filter(|fr| {
-                !matches!(fr.record.outcome, JobOutcome::Rejected { .. })
-                    && !fr.record.missed_deadline()
-            })
-            .count() as u64;
+        // Kept as the fleet collects records, so a summary costs time in
+        // the shard count, not the number of jobs served.
+        let makespan = fleet.makespan();
+        let deadline_met = fleet.deadline_met();
         let submitted = fleet.submitted();
         let latency = stats.histogram("serve.latency");
         let per_shard = (0..config.shards)

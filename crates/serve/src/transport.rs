@@ -8,8 +8,7 @@
 //! There is no hidden buffering, no OS scheduling, no partial-write
 //! nondeterminism; chunk boundaries are whatever the test or study
 //! chooses, which is exactly what the incremental [`crate::wire::Decoder`]
-//! is exercised against. A real TCP transport (feature `tcp`) carries
-//! the same frames for interactive use.
+//! is exercised against.
 
 /// A duplex in-process byte pipe between one client and the daemon.
 ///

@@ -5,7 +5,7 @@
 //! ```text
 //! frame   := magic version length payload
 //! magic   := 0x4D 0x4A                ; "MJ"
-//! version := u8                       ; PROTOCOL_VERSION (currently 1)
+//! version := u8                       ; PROTOCOL_VERSION (currently 3)
 //! length  := u32                      ; payload byte count, ≤ MAX_PAYLOAD
 //! payload := length bytes of UTF-8 JSON (one Request or Response)
 //! ```
@@ -19,6 +19,7 @@
 //! connection.
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -107,19 +108,29 @@ impl std::error::Error for DecodeError {}
 /// impossible for the fixed-size protocol messages, so a bug, not an
 /// input condition.
 pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
-    let payload = serde_json::to_string(msg)
-        .expect("protocol messages contain no non-finite floats")
-        .into_bytes();
+    let mut frame = Vec::new();
+    encode_into(&mut frame, msg);
+    frame
+}
+
+/// Appends one message's complete frame to `out` — [`encode`] without
+/// the per-frame buffer, for callers that frame many messages into one.
+///
+/// # Panics
+///
+/// As [`encode`].
+pub(crate) fn encode_into<T: Serialize>(out: &mut Vec<u8>, msg: &T) {
+    let payload =
+        serde_json::to_string(msg).expect("protocol messages contain no non-finite floats");
     assert!(
         payload.len() <= MAX_PAYLOAD,
         "outgoing frame exceeds MAX_PAYLOAD"
     );
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(PROTOCOL_VERSION);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    out.reserve(HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.push(PROTOCOL_VERSION);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload.as_bytes());
 }
 
 /// Decodes one payload into a typed message.
@@ -138,9 +149,16 @@ pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, DecodeError> 
 }
 
 /// An incremental frame decoder over a byte stream.
+///
+/// Popping a frame only advances a read cursor; the consumed prefix is
+/// dropped once, by the next [`Decoder::push`]. So a frame never moves
+/// the bytes buffered behind it, and a chunk holding many frames costs
+/// time linear in its length.
 #[derive(Debug, Default, Clone)]
 pub struct Decoder {
     buf: Vec<u8>,
+    /// Start of the unconsumed bytes in `buf`.
+    pos: usize,
 }
 
 impl Decoder {
@@ -152,12 +170,14 @@ impl Decoder {
     /// Appends stream bytes (any chunking, including one byte at a
     /// time).
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered (a partial frame, between frames: 0).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Pops the next complete frame's payload, `Ok(None)` when the
@@ -169,47 +189,55 @@ impl Decoder {
     /// oversized length) as soon as the offending header bytes are
     /// visible — before waiting for the declared payload.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
-        if self.buf.len() >= 2 {
-            let found = [self.buf[0], self.buf[1]];
-            if found != MAGIC {
-                return Err(DecodeError::BadMagic { found });
-            }
-        }
-        if self.buf.len() >= 3 {
-            let found = self.buf[2];
-            if found != PROTOCOL_VERSION {
-                return Err(DecodeError::UnknownVersion { found });
-            }
-        }
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let declared =
-            u32::from_le_bytes([self.buf[3], self.buf[4], self.buf[5], self.buf[6]]) as u64;
-        if declared > MAX_PAYLOAD as u64 {
-            return Err(DecodeError::Oversized { declared });
-        }
-        let total = HEADER_LEN + declared as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = self.buf[HEADER_LEN..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
+        Ok(self.pop_frame()?.map(|payload| self.buf[payload].to_vec()))
     }
 
     /// Pops the next complete frame decoded as a typed message,
-    /// `Ok(None)` when no complete frame is buffered.
+    /// `Ok(None)` when no complete frame is buffered. The payload is
+    /// decoded where it lies in the buffer.
     ///
     /// # Errors
     ///
     /// Everything [`Decoder::next_frame`] reports, plus
-    /// [`DecodeError::Malformed`] for undecodable payloads.
+    /// [`DecodeError::Malformed`] for undecodable payloads (the frame is
+    /// consumed either way).
     pub fn next_message<T: Deserialize>(&mut self) -> Result<Option<T>, DecodeError> {
-        match self.next_frame()? {
-            Some(payload) => decode_payload(&payload).map(Some),
+        match self.pop_frame()? {
+            Some(payload) => decode_payload(&self.buf[payload]).map(Some),
             None => Ok(None),
         }
+    }
+
+    /// Validates the next frame's header and, once the whole frame is
+    /// buffered, consumes it and returns its payload's place in `buf`.
+    fn pop_frame(&mut self) -> Result<Option<Range<usize>>, DecodeError> {
+        let rest = &self.buf[self.pos..];
+        if rest.len() >= 2 {
+            let found = [rest[0], rest[1]];
+            if found != MAGIC {
+                return Err(DecodeError::BadMagic { found });
+            }
+        }
+        if rest.len() >= 3 {
+            let found = rest[2];
+            if found != PROTOCOL_VERSION {
+                return Err(DecodeError::UnknownVersion { found });
+            }
+        }
+        if rest.len() < HEADER_LEN {
+            return Ok(None);
+        }
+        let declared = u32::from_le_bytes([rest[3], rest[4], rest[5], rest[6]]) as u64;
+        if declared > MAX_PAYLOAD as u64 {
+            return Err(DecodeError::Oversized { declared });
+        }
+        let total = HEADER_LEN + declared as usize;
+        if rest.len() < total {
+            return Ok(None);
+        }
+        let payload = self.pos + HEADER_LEN..self.pos + total;
+        self.pos += total;
+        Ok(Some(payload))
     }
 
     /// Declares the stream ended: leftover bytes mean a frame was cut
@@ -219,18 +247,18 @@ impl Decoder {
     ///
     /// [`DecodeError::Truncated`] when a partial frame is buffered.
     pub fn finish(&self) -> Result<(), DecodeError> {
-        if self.buf.is_empty() {
+        let rest = &self.buf[self.pos..];
+        if rest.is_empty() {
             return Ok(());
         }
-        let missing = if self.buf.len() < HEADER_LEN {
-            HEADER_LEN - self.buf.len()
+        let missing = if rest.len() < HEADER_LEN {
+            HEADER_LEN - rest.len()
         } else {
-            let declared =
-                u32::from_le_bytes([self.buf[3], self.buf[4], self.buf[5], self.buf[6]]) as usize;
-            HEADER_LEN + declared - self.buf.len()
+            let declared = u32::from_le_bytes([rest[3], rest[4], rest[5], rest[6]]) as usize;
+            HEADER_LEN + declared - rest.len()
         };
         Err(DecodeError::Truncated {
-            buffered: self.buf.len(),
+            buffered: rest.len(),
             missing,
         })
     }

@@ -315,7 +315,7 @@ impl StatsRegistry {
 
     /// Adds `delta` to the counter `name`, creating it at zero if absent.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        upsert(&mut self.counters, name, |c| *c += delta);
     }
 
     /// Increments the counter `name` by one.
@@ -332,15 +332,11 @@ impl StatsRegistry {
     /// values, into the matching [`Histogram`] (rounded to integer), so
     /// every observed series gets p50/p95/p99 for free.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.summaries
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
+        upsert(&mut self.summaries, name, |s| s.record(value));
         if value >= 0.0 {
-            self.histograms
-                .entry(name.to_owned())
-                .or_default()
-                .record(value.round() as u64);
+            upsert(&mut self.histograms, name, |h| {
+                h.record(value.round() as u64)
+            });
         }
     }
 
@@ -374,37 +370,25 @@ impl StatsRegistry {
     /// aggregating under a different name than the source (e.g. a
     /// per-shard prefix).
     pub fn merge_summary_named(&mut self, name: &str, summary: &Summary) {
-        self.summaries
-            .entry(name.to_owned())
-            .or_default()
-            .merge(summary);
+        upsert(&mut self.summaries, name, |s| s.merge(summary));
     }
 
     /// Merges `histogram` into the series `name`, creating it if absent.
     pub fn merge_histogram_named(&mut self, name: &str, histogram: &Histogram) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .merge(histogram);
+        upsert(&mut self.histograms, name, |h| h.merge(histogram));
     }
 
     /// Merges another registry into this one (counters add, summaries and
     /// histograms merge).
     pub fn merge(&mut self, other: &StatsRegistry) {
         for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
+            upsert(&mut self.counters, name, |c| *c += value);
         }
         for (name, summary) in &other.summaries {
-            self.summaries
-                .entry(name.clone())
-                .or_default()
-                .merge(summary);
+            self.merge_summary_named(name, summary);
         }
         for (name, histogram) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(histogram);
+            self.merge_histogram_named(name, histogram);
         }
     }
 
@@ -413,6 +397,16 @@ impl StatsRegistry {
         self.counters.clear();
         self.summaries.clear();
         self.histograms.clear();
+    }
+}
+
+/// Applies `update` to the entry `name`, creating it at its default
+/// first. The key is only allocated for a name the map has not seen, so
+/// a hot counter costs one lookup and no allocation per update.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, update: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => update(v),
+        None => update(map.entry(name.to_owned()).or_default()),
     }
 }
 

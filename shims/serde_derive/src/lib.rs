@@ -248,9 +248,10 @@ fn gen_serialize(item: &Item) -> String {
             if item.transparent && fields.len() == 1 {
                 format!("::serde::Serialize::serialize(&self.{})", fields[0])
             } else {
-                let mut s = String::from(
+                let mut s = format!(
                     "let mut fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                     ::std::vec::Vec::new();\n",
+                     ::std::vec::Vec::with_capacity({});\n",
+                    fields.len()
                 );
                 for f in fields {
                     s.push_str(&format!(
@@ -291,10 +292,11 @@ fn gen_serialize(item: &Item) -> String {
                                  ::serde::Serialize::serialize({f})));\n"
                             ));
                         }
+                        let capacity = fields.len();
                         arms.push_str(&format!(
                             "{name}::{vname} {{ {bindings} }} => {{\n\
                              let mut inner: ::std::vec::Vec<(::std::string::String, \
-                             ::serde::Value)> = ::std::vec::Vec::new();\n\
+                             ::serde::Value)> = ::std::vec::Vec::with_capacity({capacity});\n\
                              {pushes}\
                              ::serde::Value::Object(vec![(::std::string::String::from(\
                              \"{vname}\"), ::serde::Value::Object(inner))])\n}}\n"

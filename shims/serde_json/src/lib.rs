@@ -10,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -41,7 +41,7 @@ impl std::error::Error for Error {}
 ///
 /// Returns [`Error`] if the value contains a non-finite float.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
+    let mut out = String::with_capacity(128);
     write_value(&mut out, &value.serialize(), None, 0)?;
     Ok(out)
 }
@@ -76,13 +76,19 @@ fn write_value(
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::I64(i) => out.push_str(&i.to_string()),
+        // Numbers format straight into `out`; writing into a `String`
+        // cannot fail.
+        Value::U64(u) => {
+            let _ = write!(out, "{u}");
+        }
+        Value::I64(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::F64(f) => {
             if !f.is_finite() {
                 return Err(Error::new("non-finite float is not representable in JSON"));
             }
-            out.push_str(&f.to_string());
+            let _ = write!(out, "{f}");
         }
         Value::Str(s) => write_string(out, s),
         Value::Array(elems) => {
@@ -150,12 +156,14 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -272,13 +280,27 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one piece.
+            let rest = &self.bytes[self.pos..];
+            let end = self.pos
+                + rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+            let run = self
+                .text
+                .get(self.pos..end)
+                .ok_or_else(|| Error::new("invalid UTF-8 in string"))?;
+            out.push_str(run);
+            self.pos = end;
             match self.peek() {
                 None => return Err(Error::new("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped at a backslash: decode one escape.
+                Some(_) => {
                     self.pos += 1;
                     let esc = self
                         .peek()
@@ -317,17 +339,6 @@ impl Parser<'_> {
                             return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
                         }
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
                 }
             }
         }
