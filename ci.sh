@@ -62,41 +62,45 @@ mkdir -p "$artifact_dir"
 )
 diff -r results "$artifact_dir/results"
 
-echo "==> interference smoke test (determinism-checked co-simulation)"
-# The binary asserts its own headline claims (emergent co-resident
-# slowdown, contention-accounted); two seed-equal runs must serialize
-# byte-identically or the shared-SoC session has lost determinism.
-cargo run --release -q -p mpsoc-bench --bin interference -- \
-    --smoke --json "$trace_dir/interference_a.json"
-cargo run --release -q -p mpsoc-bench --bin interference -- \
-    --smoke --json "$trace_dir/interference_b.json"
-test -s "$trace_dir/interference_a.json"
-cmp "$trace_dir/interference_a.json" "$trace_dir/interference_b.json"
-
-echo "==> fault_sweep smoke test (self-healing offload under injected faults)"
-# The binary asserts the robustness claims itself (100% single-transient
-# recovery, verified-or-typed outcomes, smooth quarantine degradation);
-# two runs must serialize byte-identically — fault injection is a pure
-# function of (seed, site, occurrence), so determinism must survive it.
-cargo run --release -q -p mpsoc-bench --bin fault_sweep -- \
-    --smoke --json "$trace_dir/fault_a.json"
-cargo run --release -q -p mpsoc-bench --bin fault_sweep -- \
-    --smoke --json "$trace_dir/fault_b.json"
-test -s "$trace_dir/fault_a.json"
-cmp "$trace_dir/fault_a.json" "$trace_dir/fault_b.json"
-
-echo "==> serve_study smoke test (fleet serving front-end, determinism-gated)"
-# The binary asserts the serving claims itself (load-aware placement
-# beating round-robin on p99 at overload, backpressure firing, stealing
-# firing, cosim witness retries, in-process replay equality); two runs
-# must serialize byte-identically — the whole serving path, wire frames
-# included, is a pure function of the seed.
-cargo run --release -q -p mpsoc-bench --bin serve_study -- \
-    --smoke --json "$trace_dir/serve_a.json"
-cargo run --release -q -p mpsoc-bench --bin serve_study -- \
-    --smoke --json "$trace_dir/serve_b.json"
-test -s "$trace_dir/serve_a.json"
-cmp "$trace_dir/serve_a.json" "$trace_dir/serve_b.json"
+echo "==> study smoke tests (self-asserting, determinism-gated, replayed)"
+# Each binary asserts its own claims:
+# - interference: emergent co-resident slowdown, contention accounted;
+# - fault_sweep: 100% single-transient recovery, verified-or-typed
+#   outcomes, smooth quarantine degradation;
+# - serve_study: load-aware placement beating round-robin on p99 at
+#   overload, backpressure and stealing firing, cosim witness retries,
+#   in-process replay equality;
+# - cost_study: simulator-measured cycles and all five phase milestones
+#   inside the static [best, worst] in every zoo × size × strategy cell,
+#   host path included, plus a co-simulated two-tenant witness under the
+#   contention-widened worst bound;
+# - chaos_study: auto-quarantine firing mid-stream with no explicit
+#   quarantine call, zero-fault plans reproducing the no-plan fleet
+#   byte-for-byte, and quarantine+failover+redirect attainment beating
+#   no-recovery by >= 15% at the overloaded witness cell.
+# Two smoke runs of each must serialize byte-identically: the shared SoC
+# session, fault injection, strikes, evacuation and the serving path's
+# wire frames are all pure functions of the seed. cost_study's replay
+# re-checks the recorded phase breakdowns against freshly computed
+# bounds; chaos_study's re-computes the recorded grid from its own scale
+# stamp and demands the same bytes. serve_a.json is also the reference
+# of the profiling-off gate below.
+for study in interference fault_sweep serve_study cost_study chaos_study; do
+    echo "==> $study smoke test"
+    out="$trace_dir/${study%%_*}"
+    for run in a b; do
+        cargo run --release -q -p mpsoc-bench --bin "$study" -- \
+            --smoke --json "${out}_$run.json"
+    done
+    test -s "${out}_a.json"
+    cmp "${out}_a.json" "${out}_b.json"
+    case "$study" in
+        cost_study | chaos_study)
+            cargo run --release -q -p mpsoc-bench --bin "$study" -- \
+                --replay "${out}_a.json"
+            ;;
+    esac
+done
 
 echo "==> throughput_study smoke test (self-profiler + cycles/sec meter)"
 # The binary asserts the observability claims itself (profile tree
@@ -122,40 +126,6 @@ cargo run --release -q -p mpsoc-bench --bin lint_kernels -- \
     --smoke --deny-warnings --json "$trace_dir/lint_b.json"
 test -s "$trace_dir/lint_a.json"
 cmp "$trace_dir/lint_a.json" "$trace_dir/lint_b.json"
-
-echo "==> cost_study smoke test (static bounds soundness, determinism-gated)"
-# The binary asserts soundness itself: simulator-measured cycles and all
-# five phase milestones inside the static [best, worst] in every zoo ×
-# size × strategy cell, host path included, plus a co-simulated
-# two-tenant witness under the contention-widened worst bound. Two runs
-# must serialize byte-identically, and the replay sanitizer re-checks
-# the recorded phase breakdowns against freshly computed bounds.
-cargo run --release -q -p mpsoc-bench --bin cost_study -- \
-    --smoke --json "$trace_dir/cost_a.json"
-cargo run --release -q -p mpsoc-bench --bin cost_study -- \
-    --smoke --json "$trace_dir/cost_b.json"
-test -s "$trace_dir/cost_a.json"
-cmp "$trace_dir/cost_a.json" "$trace_dir/cost_b.json"
-cargo run --release -q -p mpsoc-bench --bin cost_study -- \
-    --replay "$trace_dir/cost_a.json"
-
-echo "==> chaos_study smoke test (fleet self-healing, determinism-gated)"
-# The binary asserts the self-healing claims itself: auto-quarantine
-# fires mid-stream with no explicit quarantine call, zero-fault plans
-# reproduce the no-plan fleet byte-for-byte, and at the overloaded
-# witness cell quarantine+failover+redirect attainment beats
-# no-recovery by >= 15%. Two runs must serialize byte-identically —
-# fault injection, strikes, and evacuation are all pure functions of
-# the seed — and the replay sanitizer re-computes the recorded grid
-# from its own scale stamp and demands the same bytes.
-cargo run --release -q -p mpsoc-bench --bin chaos_study -- \
-    --smoke --json "$trace_dir/chaos_a.json"
-cargo run --release -q -p mpsoc-bench --bin chaos_study -- \
-    --smoke --json "$trace_dir/chaos_b.json"
-test -s "$trace_dir/chaos_a.json"
-cmp "$trace_dir/chaos_a.json" "$trace_dir/chaos_b.json"
-cargo run --release -q -p mpsoc-bench --bin chaos_study -- \
-    --replay "$trace_dir/chaos_a.json"
 
 echo "==> profiling-off byte-identity (MPSOC_PROFILE=0 must not change results)"
 # The profiler's disabled path is a single branch per scope; proving it

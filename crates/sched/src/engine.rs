@@ -1,9 +1,15 @@
-//! The deterministic discrete-event engine: virtual time, admission,
-//! spatial allocation and policy-driven dispatch over one job stream.
+//! The closed-loop scheduler: one pre-sorted job stream through
+//! admission, spatial allocation and policy-driven dispatch, reported
+//! as a [`RunReport`].
 //!
-//! Virtual time advances from event to event (arrivals and partition
-//! completions). How concurrent tenants are timed depends on the
-//! service backend:
+//! [`Engine::run`] drives the crate's one scheduling loop (the private
+//! `SchedLoop` of [`ShardSim`](crate::ShardSim)) over the whole stream:
+//! for each group of jobs arriving in the same cycle it retires the
+//! completions before that cycle, re-picking after each, retires those
+//! at it, admits the whole group and re-picks once; then it drains.
+//! Each job's record is written into the job's input slot as it
+//! resolves. How concurrent tenants are timed depends on the service
+//! backend:
 //!
 //! - Under [`ServiceBackend::Measured`] and [`ServiceBackend::Analytic`]
 //!   each offload contributes a standalone (measured-solo or predicted)
@@ -26,99 +32,29 @@
 //!
 //! Host-executed jobs occupy a single serial host server (FIFO): the
 //! host core runs one kernel at a time, concurrently with the clusters.
-
-use std::collections::BTreeMap;
+//!
+//! [`JobRecord::contention_cycles`]: crate::JobRecord::contention_cycles
 
 use mpsoc_noc::ClusterMask;
-use mpsoc_sim::Cycle;
-use mpsoc_telemetry::{EventKind, EventTrace, Unit};
+use mpsoc_telemetry::EventTrace;
 
-use crate::admission::{AdmissionController, AdmissionDecision, RejectReason};
-use crate::alloc::Allocator;
+use crate::admission::AdmissionController;
 use crate::calibrate::ModelTable;
 use crate::cost_gate::CostGate;
 use crate::error::SchedError;
 use crate::job::Job;
 use crate::lint_gate::LintGate;
-use crate::metrics::{JobOutcome, JobRecord, Metrics, RunReport};
-use crate::policy::{Placement, QueuedJob, SchedContext, SchedPolicy};
-use crate::quarantine::{QuarantineEvent, StrikeBoard, AUTO_QUARANTINE_STRIKES};
+use crate::metrics::{Metrics, RunReport};
+use crate::policy::SchedPolicy;
+use crate::quarantine::QuarantineEvent;
 use crate::service::ServiceBackend;
+use crate::shard::SchedLoop;
 
 /// The multi-tenant scheduler: admission + allocation + dispatch over a
 /// service-time backend.
 #[derive(Debug)]
 pub struct Engine {
-    admission: AdmissionController,
-    backend: ServiceBackend,
-    clusters: usize,
-    quarantined: ClusterMask,
-    telemetry: EventTrace,
-    lint_gate: Option<LintGate>,
-    cost_gate: Option<CostGate>,
-    /// Corrupt completions flagged on one cluster before the engine
-    /// quarantines it automatically (co-simulated runs only); `None`
-    /// disables the closed loop.
-    auto_quarantine: Option<u32>,
-    /// Automatic quarantine decisions of the last [`Engine::run`].
-    quarantine_log: Vec<QuarantineEvent>,
-}
-
-/// One dispatch step, shared by [`Engine`] and
-/// [`ShardSim`](crate::ShardSim): asks `policy` for a placement against
-/// the current machine state, checks it, removes the job from `ready`
-/// and carves its partition. Returns the job's former queue index, the
-/// job and its partition; `Ok(None)` means the policy passed.
-///
-/// # Errors
-///
-/// [`SchedError::InvalidPlacement`] when the policy names an index past
-/// the queue, a zero-width partition or more clusters than are free.
-pub(crate) fn place_next(
-    policy: &mut dyn SchedPolicy,
-    ready: &mut Vec<QueuedJob>,
-    allocator: &mut Allocator,
-    now: u64,
-    total_clusters: usize,
-    models: &ModelTable,
-) -> Result<Option<(usize, QueuedJob, ClusterMask)>, SchedError> {
-    let free = allocator.free_count();
-    let ctx = SchedContext {
-        now,
-        free_clusters: free,
-        total_clusters,
-        models,
-    };
-    let Some(Placement { queue_index, m }) = policy.pick(ready, &ctx) else {
-        return Ok(None);
-    };
-    let queue_len = ready.len();
-    let invalid = || SchedError::InvalidPlacement {
-        queue_index,
-        queue_len,
-        m,
-        free,
-    };
-    if queue_index >= queue_len {
-        return Err(invalid());
-    }
-    let mask = allocator.carve(m).ok_or_else(invalid)?;
-    Ok(Some((queue_index, ready.remove(queue_index), mask)))
-}
-
-/// A job in flight on a carved partition.
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    record_index: usize,
-    mask: ClusterMask,
-    start: u64,
-    job: Job,
-    /// Corruption re-dispatches charged so far (co-simulated backend).
-    retries: u32,
-    /// Injected faults observed across every attempt.
-    faults: u64,
-    /// Contention cycles accumulated across every attempt.
-    contention: u64,
+    sched: SchedLoop,
 }
 
 impl Engine {
@@ -126,15 +62,7 @@ impl Engine {
     /// for admission and predictions and `backend` for service times.
     pub fn new(table: ModelTable, clusters: usize, backend: ServiceBackend) -> Self {
         Engine {
-            admission: AdmissionController::new(table, clusters as u64),
-            backend,
-            clusters,
-            quarantined: ClusterMask::EMPTY,
-            telemetry: EventTrace::disabled(),
-            lint_gate: None,
-            cost_gate: None,
-            auto_quarantine: Some(AUTO_QUARANTINE_STRIKES),
-            quarantine_log: Vec::new(),
+            sched: SchedLoop::new(table, clusters, backend),
         }
     }
 
@@ -152,46 +80,49 @@ impl Engine {
     /// Quarantining also drops the static cost gate's memoized bounds
     /// and re-bounds it to the surviving pool: min-best totals were
     /// computed over partitions the machine can no longer grant.
+    ///
+    /// [`RejectReason::DegradedMachine`]: crate::RejectReason::DegradedMachine
     pub fn quarantine(&mut self, mask: ClusterMask) {
-        self.quarantined = self
+        let sched = &mut self.sched;
+        sched.quarantined = sched
             .quarantined
-            .union(mask.intersection(ClusterMask::first(self.clusters)));
-        self.backend.invalidate_measurements();
-        if let Some(gate) = self.cost_gate.as_mut() {
-            gate.restrict_clusters(self.clusters - self.quarantined.count());
+            .union(mask.intersection(ClusterMask::first(sched.clusters)));
+        sched.backend.invalidate_measurements();
+        let healthy = sched.healthy_clusters();
+        if let Some(gate) = sched.cost_gate.as_mut() {
+            gate.restrict_clusters(healthy);
         }
     }
 
     /// The clusters currently quarantined.
     pub fn quarantined(&self) -> ClusterMask {
-        self.quarantined
+        self.sched.quarantined
     }
 
     /// Configures automatic quarantine for co-simulated runs: a cluster
     /// is retired after `threshold` corrupt completions flagged it
     /// (default [`AUTO_QUARANTINE_STRIKES`]); `None` disables the
     /// closed loop — corruption is then absorbed by re-dispatch alone.
+    ///
+    /// [`AUTO_QUARANTINE_STRIKES`]: crate::AUTO_QUARANTINE_STRIKES
     pub fn set_auto_quarantine(&mut self, threshold: Option<u32>) {
-        self.auto_quarantine = threshold;
+        self.sched.strikes.set_threshold(threshold);
     }
 
     /// Automatic quarantine decisions made during the last
     /// [`Engine::run`], in firing order.
     pub fn quarantine_events(&self) -> &[QuarantineEvent] {
-        &self.quarantine_log
-    }
-
-    /// Healthy (non-quarantined) clusters.
-    fn healthy_clusters(&self) -> usize {
-        self.clusters - self.quarantined.count()
+        &self.sched.quarantine_events
     }
 
     /// Enables static program verification at admission: every arriving
     /// job's worst-case core program is linted (memoized per kernel and
     /// problem size) and jobs with lint *errors* are rejected with
     /// [`RejectReason::ProgramLint`] before admission control runs.
+    ///
+    /// [`RejectReason::ProgramLint`]: crate::RejectReason::ProgramLint
     pub fn enable_lint(&mut self, gate: LintGate) {
-        self.lint_gate = Some(gate);
+        self.sched.lint_gate = Some(gate);
     }
 
     /// Enables static cost verification at admission: jobs whose
@@ -199,42 +130,50 @@ impl Engine {
     /// cluster count, strategy, and the host path are rejected with
     /// [`RejectReason::StaticInfeasible`] before Eq. 3 runs. Verdicts
     /// are memoized per kernel and problem size.
+    ///
+    /// [`RejectReason::StaticInfeasible`]: crate::RejectReason::StaticInfeasible
     pub fn enable_cost(&mut self, gate: CostGate) {
-        self.cost_gate = Some(gate);
+        self.sched.cost_gate = Some(gate);
     }
 
     /// The admission controller in use.
     pub fn admission(&self) -> &AdmissionController {
-        &self.admission
+        &self.sched.admission
     }
 
     /// Enables typed-event telemetry for subsequent [`Engine::run`]
     /// calls: job arrivals, queue waits, partition occupancy spans,
-    /// host runs and rejections. Disabled, every recording site is a
-    /// single branch and reports stay byte-identical.
+    /// host runs, rejections, re-dispatches and quarantines. Disabled,
+    /// every recording site is a single branch and reports stay
+    /// byte-identical.
     pub fn enable_telemetry(&mut self, capacity: usize) {
-        self.telemetry = EventTrace::enabled(capacity);
+        self.sched.trace = EventTrace::enabled(capacity);
     }
 
     /// The typed-event trace of the last [`Engine::run`] (empty unless
     /// [`Engine::enable_telemetry`] was called).
     pub fn telemetry(&self) -> &EventTrace {
-        &self.telemetry
+        &self.sched.trace
     }
 
     /// Simulates `jobs` (must be sorted by arrival time) under `policy`.
+    /// The report's records are in input order, each holding its job as
+    /// given, so jobs may share an id.
     ///
     /// # Errors
     ///
     /// Service-backend failures (offload geometry violations, host-run
-    /// faults), and [`SchedError::InvalidPlacement`] when the policy
+    /// faults), [`SchedError::InvalidPlacement`] when the policy
     /// returns a placement the machine cannot honour (out-of-range
-    /// index, zero or unavailable partition size).
+    /// index, zero or unavailable partition size),
+    /// [`SchedError::Unscheduled`] when the policy leaves jobs that fit
+    /// the machine queued with nothing left in flight, and
+    /// [`SchedError::SessionStalled`] when a co-simulated tenant never
+    /// completes.
     ///
     /// # Panics
     ///
-    /// Panics if `jobs` is not sorted by arrival, or if the policy
-    /// leaves a job it could schedule in the queue for good.
+    /// Panics if `jobs` is not sorted by arrival.
     pub fn run(
         &mut self,
         jobs: &[Job],
@@ -245,555 +184,12 @@ impl Engine {
             "job stream must be sorted by arrival time"
         );
         let _prof = mpsoc_sim::profile::scope("sched.engine.run");
-        self.telemetry.clear();
-        if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
-            return self.run_cosimulated(jobs, policy);
-        }
-        let healthy = self.healthy_clusters();
-        let mut allocator = Allocator::with_quarantine(self.clusters, self.quarantined);
-        let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
-        let mut ready: Vec<QueuedJob> = Vec::new();
-        // Each queued job's placeholder record, in lockstep with `ready`.
-        let mut slots: Vec<usize> = Vec::new();
-        // Completion events keyed by (finish, sequence): BTreeMap pops
-        // in deterministic order even for simultaneous completions.
-        let mut completions: BTreeMap<(u64, u64), Running> = BTreeMap::new();
-        let mut seq = 0u64;
-        let mut host_free_at = 0u64;
-        let mut next_arrival = 0usize;
-
-        loop {
-            // Next event: the earlier of the next arrival and the next
-            // completion; completions win ties so freed clusters are
-            // visible to jobs arriving at the same cycle.
-            let arrival_t = jobs.get(next_arrival).map(|j| j.arrival);
-            let completion_t = completions.keys().next().map(|&(t, _)| t);
-            let now = match (arrival_t, completion_t) {
-                (Some(a), Some(c)) => a.min(c),
-                (Some(a), None) => a,
-                (None, Some(c)) => c,
-                (None, None) => break,
-            };
-
-            // 1. Retire everything finishing at `now`.
-            while let Some((&key @ (t, _), _)) = completions.iter().next() {
-                if t > now {
-                    break;
-                }
-                let done = completions.remove(&key).expect("key just observed");
-                allocator.release(done.mask);
-                records[done.record_index] = JobRecord {
-                    job: done.job,
-                    outcome: JobOutcome::Offloaded {
-                        start: done.start,
-                        finish: t,
-                        m: done.mask.count(),
-                    },
-                    contention_cycles: 0,
-                    retries: 0,
-                    faults_observed: 0,
-                };
-            }
-
-            // 2. Admit everything arriving at `now`.
-            while let Some(job) = jobs.get(next_arrival).filter(|j| j.arrival == now) {
-                next_arrival += 1;
-                self.telemetry.instant(
-                    Cycle::new(now),
-                    Unit::SchedHost,
-                    EventKind::JobArrive,
-                    job.id,
-                );
-                if let Some(gate) = self.lint_gate.as_mut() {
-                    if let Some(report) = gate.check(job) {
-                        let errors = report.error_count() as u32;
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::ProgramLint { errors },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                if let Some(gate) = self.cost_gate.as_mut() {
-                    if let Some(best) = gate.check(job) {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::StaticInfeasible { best },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                match self.admission.admit_degraded(job, healthy as u64) {
-                    AdmissionDecision::Offload { m_min, predicted } => {
-                        // Placeholder until the offload completes; its
-                        // slot remembers where to write the outcome.
-                        slots.push(records.len());
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Offloaded {
-                                start: 0,
-                                finish: 0,
-                                m: 0,
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        ready.push(QueuedJob {
-                            job: *job,
-                            m_min,
-                            predicted,
-                        });
-                    }
-                    AdmissionDecision::Host { .. } => {
-                        let start = now.max(host_free_at);
-                        let cycles = self.backend.host_cycles(job.kernel, job.n)?;
-                        let finish = start + cycles;
-                        host_free_at = finish;
-                        let span = self.telemetry.begin(
-                            Cycle::new(start),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                        );
-                        self.telemetry.end(
-                            Cycle::new(finish),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                            span,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Host { start, finish },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                    AdmissionDecision::Reject { reason } => {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected { reason },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                }
-            }
-
-            // 3. Let the policy place queued jobs until it passes.
-            while let Some((queue_index, queued, mask)) = place_next(
-                policy,
-                &mut ready,
-                &mut allocator,
-                now,
-                healthy,
-                self.admission.table(),
-            )? {
-                let record_index = slots.remove(queue_index);
-                let cycles = self
-                    .backend
-                    .offload_cycles(queued.job.kernel, queued.job.n, mask)?;
-                // One track per partition, keyed by its lowest cluster:
-                // disjoint masks never overlap in time on one track.
-                let part = Unit::Partition(mask.iter().next().unwrap_or(0) as u32);
-                if queued.job.arrival < now {
-                    self.telemetry.instant(
-                        Cycle::new(now),
-                        part,
-                        EventKind::QueueWait,
-                        now - queued.job.arrival,
-                    );
-                }
-                let span = self
-                    .telemetry
-                    .begin(Cycle::new(now), part, EventKind::Offload);
-                self.telemetry
-                    .end(Cycle::new(now + cycles), part, EventKind::Offload, span);
-                completions.insert(
-                    (now + cycles, seq),
-                    Running {
-                        record_index,
-                        mask,
-                        start: now,
-                        job: queued.job,
-                        retries: 0,
-                        faults: 0,
-                        contention: 0,
-                    },
-                );
-                seq += 1;
-            }
-        }
-
-        assert!(ready.is_empty(), "policy left admitted jobs unscheduled");
-        let metrics = Metrics::from_records(&records, self.clusters);
+        let records = self.sched.run(jobs, policy)?;
+        let clusters = self.sched.clusters;
         Ok(RunReport {
             policy: policy.name().to_owned(),
-            clusters: self.clusters,
-            metrics,
-            records,
-        })
-    }
-
-    /// The [`ServiceBackend::CoSimulated`] run loop: one shared SoC
-    /// session carries every placed job, and virtual time follows the
-    /// SoC's own event queue instead of pre-charged busy intervals.
-    ///
-    /// The scheduling semantics mirror [`Engine::run`] exactly —
-    /// completions retire before same-cycle arrivals are admitted (the
-    /// session is advanced with the next arrival as its horizon, so any
-    /// completion at or before that instant surfaces first), the policy
-    /// re-picks after every event, and host-fallback jobs occupy the
-    /// virtual serial host server. What changes is where offload
-    /// finish times come from: each placement is *submitted* into the
-    /// shared session and its completion — host queueing, NoC stalls,
-    /// HBM queueing and AMO waits included — emerges from co-simulating
-    /// all in-flight tenants together.
-    fn run_cosimulated(
-        &mut self,
-        jobs: &[Job],
-        policy: &mut dyn SchedPolicy,
-    ) -> Result<RunReport, SchedError> {
-        let mut healthy = self.healthy_clusters();
-        let mut allocator = Allocator::with_quarantine(self.clusters, self.quarantined);
-        // The closed loop from fault observation to scheduling decision:
-        // corrupt completions accumulate strikes per flagged cluster and
-        // crossing the hysteresis threshold quarantines the cluster
-        // mid-stream — no external diagnosis call involved.
-        let mut strikes = StrikeBoard::with_threshold(self.clusters, self.auto_quarantine);
-        self.quarantine_log.clear();
-        let clusters = self.clusters;
-        let backend = &mut self.backend;
-        backend.session().begin_jobs();
-
-        let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
-        let mut ready: Vec<QueuedJob> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        // In-flight tenants keyed by their session job handle.
-        let mut running: BTreeMap<mpsoc_offload::JobId, Running> = BTreeMap::new();
-        let mut host_free_at = 0u64;
-        let mut next_arrival = 0usize;
-
-        loop {
-            let arrival_t = jobs.get(next_arrival).map(|j| j.arrival);
-
-            // 1. Drive the shared SoC to the next event. Advancing with
-            //    the next arrival as horizon makes completions win ties:
-            //    a tenant finishing at the arrival cycle retires (and
-            //    frees its partition) before the arrival is admitted.
-            let now = if !running.is_empty() {
-                let horizon = arrival_t.map_or(Cycle::MAX, Cycle::new);
-                match backend.session().advance_jobs(horizon)? {
-                    mpsoc_offload::SessionStep::Completed(t) => {
-                        let Some(mut done) = running.remove(&t.job) else {
-                            return Err(SchedError::UnknownCompletion { job: t.job });
-                        };
-                        done.faults += t.faults_injected;
-                        done.contention += t.contention.total_cycles();
-                        let finish = t.finished_at.as_u64();
-                        let part = Unit::Partition(done.mask.iter().next().unwrap_or(0) as u32);
-                        if t.corrupt_clusters != 0 {
-                            // Strike accounting happens on *every*
-                            // corrupt completion — including the final
-                            // attempt of an exhausted retry budget — so
-                            // a flaky cluster is diagnosed even when
-                            // re-dispatch keeps absorbing its output.
-                            let fire = strikes.record(t.corrupt_clusters, self.quarantined);
-                            if !fire.is_empty() {
-                                for cluster in fire.iter() {
-                                    self.telemetry.instant(
-                                        t.finished_at,
-                                        Unit::SchedHost,
-                                        EventKind::Quarantine,
-                                        cluster as u64,
-                                    );
-                                    self.quarantine_log.push(QuarantineEvent {
-                                        at: finish,
-                                        cluster,
-                                        strikes: strikes.strikes(cluster),
-                                    });
-                                }
-                                self.quarantined = self.quarantined.union(fire);
-                                allocator.quarantine(fire);
-                                healthy = clusters - self.quarantined.count();
-                                if let Some(gate) = self.cost_gate.as_mut() {
-                                    gate.restrict_clusters(healthy);
-                                }
-                            }
-                        }
-                        if t.corrupt_clusters != 0
-                            && done.retries < crate::shard::COSIM_MAX_REDISPATCH
-                        {
-                            // The DMA CRC flagged corrupted data: the
-                            // result cannot be returned, so re-dispatch
-                            // on the same partition with fresh fault
-                            // dice and charge the retry to the record.
-                            done.retries += 1;
-                            self.telemetry.instant(
-                                t.finished_at,
-                                part,
-                                EventKind::Redispatch,
-                                done.job.id,
-                            );
-                            let handle = backend.submit_at(
-                                done.job.kernel,
-                                done.job.n,
-                                done.mask,
-                                t.finished_at,
-                            )?;
-                            running.insert(handle, done);
-                            finish
-                        } else {
-                            allocator.release(done.mask);
-                            let span = self.telemetry.begin(
-                                Cycle::new(done.start),
-                                part,
-                                EventKind::Offload,
-                            );
-                            self.telemetry
-                                .end(t.finished_at, part, EventKind::Offload, span);
-                            records[done.record_index] = JobRecord {
-                                job: done.job,
-                                outcome: JobOutcome::Offloaded {
-                                    start: done.start,
-                                    finish,
-                                    m: done.mask.count(),
-                                },
-                                contention_cycles: done.contention,
-                                retries: done.retries,
-                                faults_observed: done.faults,
-                            };
-                            finish
-                        }
-                    }
-                    mpsoc_offload::SessionStep::Horizon | mpsoc_offload::SessionStep::Idle => {
-                        // With no arrival left to advance virtual time,
-                        // a paused session means an in-flight tenant
-                        // will never complete (reachable under injected
-                        // faults: a wedged barrier or a dead cluster).
-                        let Some(t) = arrival_t else {
-                            return Err(SchedError::SessionStalled {
-                                in_flight: running.len(),
-                            });
-                        };
-                        t
-                    }
-                }
-            } else {
-                match arrival_t {
-                    Some(a) => a,
-                    None => break,
-                }
-            };
-
-            // 2. Admit everything arriving at `now` (identical to the
-            //    legacy path; host fallback runs on the virtual serial
-            //    host server, memoized like the measured backend).
-            while let Some(job) = jobs.get(next_arrival).filter(|j| j.arrival == now) {
-                next_arrival += 1;
-                self.telemetry.instant(
-                    Cycle::new(now),
-                    Unit::SchedHost,
-                    EventKind::JobArrive,
-                    job.id,
-                );
-                if let Some(gate) = self.lint_gate.as_mut() {
-                    if let Some(report) = gate.check(job) {
-                        let errors = report.error_count() as u32;
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::ProgramLint { errors },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                if let Some(gate) = self.cost_gate.as_mut() {
-                    if let Some(best) = gate.check(job) {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::StaticInfeasible { best },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                match self.admission.admit_degraded(job, healthy as u64) {
-                    AdmissionDecision::Offload { m_min, predicted } => {
-                        slots.push(records.len());
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Offloaded {
-                                start: 0,
-                                finish: 0,
-                                m: 0,
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        ready.push(QueuedJob {
-                            job: *job,
-                            m_min,
-                            predicted,
-                        });
-                    }
-                    AdmissionDecision::Host { .. } => {
-                        let start = now.max(host_free_at);
-                        let cycles = backend.host_cycles(job.kernel, job.n)?;
-                        let finish = start + cycles;
-                        host_free_at = finish;
-                        let span = self.telemetry.begin(
-                            Cycle::new(start),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                        );
-                        self.telemetry.end(
-                            Cycle::new(finish),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                            span,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Host { start, finish },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                    AdmissionDecision::Reject { reason } => {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected { reason },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                }
-            }
-
-            // 3. Let the policy place queued jobs until it passes; each
-            //    placement is submitted into the shared session.
-            while let Some((queue_index, queued, mask)) = place_next(
-                policy,
-                &mut ready,
-                &mut allocator,
-                now,
-                healthy,
-                self.admission.table(),
-            )? {
-                let record_index = slots.remove(queue_index);
-                let part = Unit::Partition(mask.iter().next().unwrap_or(0) as u32);
-                if queued.job.arrival < now {
-                    self.telemetry.instant(
-                        Cycle::new(now),
-                        part,
-                        EventKind::QueueWait,
-                        now - queued.job.arrival,
-                    );
-                }
-                let handle =
-                    backend.submit_at(queued.job.kernel, queued.job.n, mask, Cycle::new(now))?;
-                running.insert(
-                    handle,
-                    Running {
-                        record_index,
-                        mask,
-                        start: now,
-                        job: queued.job,
-                        retries: 0,
-                        faults: 0,
-                        contention: 0,
-                    },
-                );
-            }
-        }
-
-        // Mid-stream quarantine can strand admitted jobs whose Eq. 3
-        // minimum partition no longer fits the surviving pool: resolve
-        // them as typed degraded rejections — their admission verdict
-        // predates the capacity loss. Anything else left queued really
-        // is a policy bug.
-        for (queued, record_index) in ready.drain(..).zip(slots.drain(..)) {
-            assert!(
-                queued.m_min > healthy as u64,
-                "policy left a schedulable job unscheduled"
-            );
-            records[record_index] = JobRecord {
-                job: queued.job,
-                outcome: JobOutcome::Rejected {
-                    reason: RejectReason::DegradedMachine {
-                        required: queued.m_min,
-                        healthy: healthy as u64,
-                    },
-                },
-                contention_cycles: 0,
-                retries: 0,
-                faults_observed: 0,
-            };
-        }
-        let metrics = Metrics::from_records(&records, self.clusters);
-        Ok(RunReport {
-            policy: policy.name().to_owned(),
-            clusters: self.clusters,
-            metrics,
+            clusters,
+            metrics: Metrics::from_records(&records, clusters),
             records,
         })
     }
@@ -803,7 +199,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::job::KernelId;
-    use crate::policy::FifoFirstFit;
+    use crate::metrics::JobOutcome;
+    use crate::policy::{FifoFirstFit, Placement, QueuedJob, SchedContext};
 
     fn jobs(specs: &[(u64, u64, u64)]) -> Vec<Job> {
         specs
@@ -1138,7 +535,11 @@ mod tests {
         assert_eq!(cache_len(&backend), 1);
         let mut e = Engine::new(ModelTable::paper_defaults(), 8, backend);
         e.quarantine(ClusterMask::single(7));
-        assert_eq!(cache_len(&e.backend), 0, "quarantine must drop the cache");
+        assert_eq!(
+            cache_len(&e.sched.backend),
+            0,
+            "quarantine must drop the cache"
+        );
     }
 
     #[test]
@@ -1312,9 +713,9 @@ mod tests {
         }
     }
 
-    /// A policy that places the queue's first job with a fixed shape
-    /// computed from the queue and machine state.
-    struct Rogue(fn(&[QueuedJob], &SchedContext<'_>) -> Placement);
+    /// A policy that answers every pick with a fixed rule computed from
+    /// the queue and machine state.
+    struct Rogue(fn(&[QueuedJob], &SchedContext<'_>) -> Option<Placement>);
 
     impl SchedPolicy for Rogue {
         fn name(&self) -> &'static str {
@@ -1322,7 +723,10 @@ mod tests {
         }
 
         fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
-            (!ready.is_empty()).then(|| (self.0)(ready, ctx))
+            if ready.is_empty() {
+                return None;
+            }
+            (self.0)(ready, ctx)
         }
     }
 
@@ -1331,27 +735,33 @@ mod tests {
         let rogues: [(Rogue, usize, usize); 3] = [
             // Past the end of the queue.
             (
-                Rogue(|ready, _| Placement {
-                    queue_index: ready.len(),
-                    m: 1,
+                Rogue(|ready, _| {
+                    Some(Placement {
+                        queue_index: ready.len(),
+                        m: 1,
+                    })
                 }),
                 1,
                 1,
             ),
             // A zero-width partition.
             (
-                Rogue(|_, _| Placement {
-                    queue_index: 0,
-                    m: 0,
+                Rogue(|_, _| {
+                    Some(Placement {
+                        queue_index: 0,
+                        m: 0,
+                    })
                 }),
                 0,
                 0,
             ),
             // More clusters than are free.
             (
-                Rogue(|_, ctx| Placement {
-                    queue_index: 0,
-                    m: ctx.free_clusters + 1,
+                Rogue(|_, ctx| {
+                    Some(Placement {
+                        queue_index: 0,
+                        m: ctx.free_clusters + 1,
+                    })
                 }),
                 0,
                 9,
@@ -1381,5 +791,24 @@ mod tests {
             );
             check(shard.offer(stream[0]).unwrap_err());
         }
+
+        // A policy that never places anything leaves a job that fits the
+        // idle machine queued: a typed error naming the policy, not a
+        // panic or a stalled co-simulated session.
+        let unscheduled = |err: SchedError| match err {
+            SchedError::Unscheduled { queued } => assert_eq!(queued, 1),
+            other => panic!("expected Unscheduled, got {other}"),
+        };
+        let never = || Rogue(|_, _| None);
+        unscheduled(engine(8).run(&stream, &mut never()).unwrap_err());
+        unscheduled(cosim_engine(8).run(&stream, &mut never()).unwrap_err());
+        let mut shard = crate::ShardSim::new(
+            ModelTable::paper_defaults(),
+            8,
+            ServiceBackend::analytic(ModelTable::paper_defaults()),
+            Box::new(never()),
+        );
+        shard.offer(stream[0]).expect("the job queues");
+        unscheduled(shard.drain().unwrap_err());
     }
 }

@@ -18,6 +18,13 @@ pub enum SchedError {
         /// Tenants stuck in flight.
         in_flight: usize,
     },
+    /// The policy left admitted jobs that fit the machine queued with
+    /// nothing in flight, so no completion will come to re-pick them:
+    /// a policy that passes on a job it could place.
+    Unscheduled {
+        /// Jobs left in the queue.
+        queued: usize,
+    },
     /// The co-simulated session delivered a completion for a job the
     /// engine never submitted.
     UnknownCompletion {
@@ -49,6 +56,10 @@ impl std::fmt::Display for SchedError {
                 "co-simulated session stalled with {in_flight} tenant(s) in flight \
                  that will never complete"
             ),
+            SchedError::Unscheduled { queued } => write!(
+                f,
+                "policy left {queued} admitted job(s) unscheduled with nothing in flight"
+            ),
             SchedError::UnknownCompletion { job } => {
                 write!(f, "completion for unknown session job {job}")
             }
@@ -72,6 +83,7 @@ impl std::error::Error for SchedError {
             SchedError::Offload(e) => Some(e),
             SchedError::Fit(e) => Some(e),
             SchedError::SessionStalled { .. }
+            | SchedError::Unscheduled { .. }
             | SchedError::UnknownCompletion { .. }
             | SchedError::InvalidPlacement { .. } => None,
         }

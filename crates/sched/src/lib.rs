@@ -25,7 +25,9 @@
 //!    remaining slack and backfills.
 //! 6. **Engine & metrics** ([`Engine`], [`RunReport`]) — a discrete-event
 //!    virtual-time simulation producing serializable per-job records and
-//!    aggregate throughput/latency/miss-rate/utilization metrics.
+//!    aggregate throughput/latency/miss-rate/utilization metrics. It
+//!    drives the crate's one scheduling loop over a closed stream; a
+//!    [`ShardSim`] drives the same loop incrementally for serving.
 //!
 //! Everything is deterministic under a fixed seed: two identical runs
 //! serialize to byte-identical reports.

@@ -67,6 +67,11 @@ impl StrikeBoard {
         self.threshold = threshold;
     }
 
+    /// Forgets every strike; the threshold stays.
+    pub(crate) fn clear(&mut self) {
+        self.strikes.fill(0);
+    }
+
     /// Strikes accumulated against `cluster` so far.
     pub fn strikes(&self, cluster: usize) -> u32 {
         self.strikes.get(cluster).copied().unwrap_or(0)

@@ -1,36 +1,44 @@
-//! An incremental, open-ended scheduling engine: one shard of a serving
-//! fleet.
+//! The scheduling loop, and [`ShardSim`]: one shard of a serving fleet.
 //!
-//! [`Engine::run`](crate::Engine::run) consumes a complete, pre-sorted
-//! job stream — the
-//! right shape for closed experiments, the wrong one for a serving
-//! front-end where jobs arrive over a wire and completions must be
-//! reported as they happen. [`ShardSim`] exposes the same scheduling
-//! semantics (admission → spatial allocation → policy-driven dispatch
-//! over a [`ServiceBackend`]) as an *incremental* state machine:
+//! `mpsoc-sched` has one admission → allocation → dispatch loop. It
+//! lives here, in a private struct whose steps take the policy from
+//! their caller, and two drivers share it:
 //!
-//! - [`ShardSim::advance`] drives virtual time forward to a horizon,
-//!   retiring completions and re-dispatching the queue after each one;
-//! - [`ShardSim::offer`] presents one arriving job and returns its
-//!   admission fate immediately (queued, host, or rejected — including
-//!   the serving-specific [`RejectReason::QueueFull`] backpressure);
-//! - [`ShardSim::steal`]/[`ShardSim::inject`] move *queued-but-unstarted*
-//!   jobs between shards — the work-stealing primitive of a fleet load
-//!   balancer;
-//! - [`ShardSim::drain_finished`] yields completed [`JobRecord`]s in
-//!   completion order.
+//! - [`ShardSim`] drives it incrementally, for a serving front-end where
+//!   jobs arrive over a wire and completions must be reported as they
+//!   happen. [`ShardSim::advance`] drives virtual time to a horizon;
+//!   [`ShardSim::offer`] presents one arriving job and returns its fate
+//!   at once (queued, host, or rejected, including the serving-specific
+//!   [`RejectReason::QueueFull`] backpressure);
+//!   [`ShardSim::steal`]/[`ShardSim::inject`] move
+//!   *queued-but-unstarted* jobs between shards, the work-stealing
+//!   primitive of a fleet load balancer; [`ShardSim::drain_finished`]
+//!   yields completed [`JobRecord`]s in completion order.
+//! - [`Engine::run`](crate::Engine::run) drives it over a complete,
+//!   pre-sorted job stream and writes each job's record into the job's
+//!   input slot as it finishes.
 //!
-//! Event ordering matches the engine exactly: completions retire before
-//! same-cycle arrivals (drive `advance(t)` before `offer`ing an arrival
-//! at `t`), the policy re-picks after every event, and host-fallback
-//! jobs serialize on the virtual host server. Fed an identical stream,
-//! a `ShardSim` reproduces `Engine::run`'s records field-for-field (see
-//! the equivalence tests), so fleet results compose from the same
-//! building block the closed-loop studies use.
+//! Events are ordered in virtual time. Host runs, and offloads priced by
+//! the analytic or measured backend, complete at cycles known when they
+//! start and are keyed `(finish, sequence)`. Under
+//! [`ServiceBackend::CoSimulated`] offloads complete in one shared SoC
+//! session, which is advanced no further than the next of those keyed
+//! completions, so both kinds retire in global time order. The policy
+//! re-picks after each retired instant, and after each co-simulated
+//! completion. Host-fallback jobs serialize on the virtual host server.
 //!
-//! Under [`ServiceBackend::CoSimulated`] the shard drives its own shared
-//! SoC session and — like the engine — re-dispatches a tenant whose
-//! completion carries the observable corruption signal
+//! **The tie rule.** Completions at cycle `t` retire before the jobs
+//! arriving at `t` are admitted. The engine then admits every job that
+//! arrives at `t` and re-picks once. A shard re-picks after every
+//! [`ShardSim::offer`], because a serving shard answers each offer
+//! before it sees the next one. Under
+//! [`FifoFirstFit`](crate::FifoFirstFit), which every fleet shard runs,
+//! both rules place the same jobs (the `shard_matches_engine_*` tests);
+//! a policy that reorders the queue, such as the model-guided packer,
+//! can place differently, which is why the engine keeps its batch step.
+//!
+//! Under [`ServiceBackend::CoSimulated`] the loop re-dispatches a tenant
+//! whose completion carries the observable corruption signal
 //! (`corrupt_clusters`), bounded by [`COSIM_MAX_REDISPATCH`]; the
 //! re-dispatch count lands in [`JobRecord::retries`]. Corrupt
 //! completions also accumulate per-cluster strikes
@@ -43,17 +51,19 @@
 use std::collections::BTreeMap;
 
 use mpsoc_noc::ClusterMask;
+use mpsoc_offload::{JobId, SessionStep, TenantRun};
 use mpsoc_sim::Cycle;
+use mpsoc_telemetry::{EventKind, EventTrace, Unit};
 
 use crate::admission::{AdmissionController, AdmissionDecision, RejectReason};
 use crate::alloc::Allocator;
 use crate::calibrate::ModelTable;
 use crate::cost_gate::CostGate;
-use crate::engine::place_next;
 use crate::error::SchedError;
 use crate::job::Job;
+use crate::lint_gate::LintGate;
 use crate::metrics::{JobOutcome, JobRecord};
-use crate::policy::{QueuedJob, SchedPolicy};
+use crate::policy::{Placement, QueuedJob, SchedContext, SchedPolicy};
 use crate::quarantine::{QuarantineEvent, StrikeBoard};
 use crate::service::ServiceBackend;
 
@@ -103,47 +113,593 @@ pub struct CostCheck {
     pub predicted: f64,
 }
 
-/// One job in flight (placed on a partition, or a scheduled host run).
+/// The record slot of a job whose record is appended to a
+/// completion-ordered log instead of written into a fixed place.
+const APPEND: usize = usize::MAX;
+
+/// One job in flight: placed on a partition, or a scheduled host run
+/// (an empty mask).
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     job: Job,
-    m_min: u64,
-    predicted: f64,
+    /// Where its record goes (see [`SchedLoop::log`]).
+    slot: usize,
+    /// Its share of the backlog: `M_min · t̂(M_min, N)` cluster-cycles.
+    demand: f64,
     mask: ClusterMask,
     start: u64,
-    m: usize,
-    host: bool,
+    /// Corruption re-dispatches charged so far (co-simulated backend).
     retries: u32,
+    /// Injected faults observed across every attempt.
     faults: u64,
+    /// Contention cycles accumulated across every attempt.
     contention: u64,
 }
 
-/// An incremental single-machine scheduler: admission, allocation and
-/// dispatch over a service backend, driven event-by-event.
-pub struct ShardSim {
-    admission: AdmissionController,
-    backend: ServiceBackend,
-    clusters: usize,
+/// The trace track of the partition `mask`, keyed by its lowest
+/// cluster: disjoint partitions never overlap in time on one track.
+fn partition(mask: ClusterMask) -> Unit {
+    Unit::Partition(mask.iter().next().unwrap_or(0) as u32)
+}
+
+/// The scheduling loop's state: admission, allocation and dispatch
+/// over a service backend, in virtual time. Every step that may pick
+/// takes the policy from its caller — [`ShardSim`] passes its own,
+/// [`Engine::run`](crate::Engine::run) the one it borrowed.
+#[derive(Debug)]
+pub(crate) struct SchedLoop {
+    pub(crate) admission: AdmissionController,
+    pub(crate) backend: ServiceBackend,
+    pub(crate) clusters: usize,
     allocator: Allocator,
-    policy: Box<dyn SchedPolicy>,
     queue_limit: Option<usize>,
     now: u64,
     host_free_at: u64,
     seq: u64,
     ready: Vec<QueuedJob>,
+    /// Each queued job's record slot, in lockstep with `ready`.
+    slots: Vec<usize>,
     /// Virtual-time completion events, keyed `(finish, sequence)`.
     completions: BTreeMap<(u64, u64), InFlight>,
     /// Co-simulated tenants keyed by their session job handle.
-    running: BTreeMap<mpsoc_offload::JobId, InFlight>,
+    running: BTreeMap<JobId, InFlight>,
     finished: Vec<JobRecord>,
     backlog_cycles: f64,
     busy_cluster_cycles: u64,
     completed_jobs: u64,
-    cost_gate: Option<CostGate>,
+    pub(crate) lint_gate: Option<LintGate>,
+    pub(crate) cost_gate: Option<CostGate>,
     last_cost_check: Option<CostCheck>,
-    quarantined: ClusterMask,
-    strikes: StrikeBoard,
-    quarantine_events: Vec<QuarantineEvent>,
+    pub(crate) quarantined: ClusterMask,
+    pub(crate) strikes: StrikeBoard,
+    pub(crate) quarantine_events: Vec<QuarantineEvent>,
+    pub(crate) trace: EventTrace,
+}
+
+impl SchedLoop {
+    pub(crate) fn new(table: ModelTable, clusters: usize, backend: ServiceBackend) -> Self {
+        let mut sched = SchedLoop {
+            admission: AdmissionController::new(table, clusters as u64),
+            backend,
+            clusters,
+            allocator: Allocator::new(clusters),
+            queue_limit: None,
+            now: 0,
+            host_free_at: 0,
+            seq: 0,
+            ready: Vec::new(),
+            slots: Vec::new(),
+            completions: BTreeMap::new(),
+            running: BTreeMap::new(),
+            finished: Vec::new(),
+            backlog_cycles: 0.0,
+            busy_cluster_cycles: 0,
+            completed_jobs: 0,
+            lint_gate: None,
+            cost_gate: None,
+            last_cost_check: None,
+            quarantined: ClusterMask::EMPTY,
+            strikes: StrikeBoard::new(clusters),
+            quarantine_events: Vec::new(),
+            trace: EventTrace::disabled(),
+        };
+        sched.begin_session();
+        sched
+    }
+
+    fn begin_session(&mut self) {
+        if let ServiceBackend::CoSimulated { offloader, .. } = &mut self.backend {
+            offloader.begin_jobs();
+        }
+    }
+
+    pub(crate) fn healthy_clusters(&self) -> usize {
+        self.clusters - self.quarantined.count()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.completions.len() + self.running.len()
+    }
+
+    /// Runs `jobs` (sorted by arrival) from an idle machine and returns
+    /// their records in input order. What a run leaves behind — the
+    /// standing quarantine, the backend's and the gates' memos — carries
+    /// into the next; everything else starts afresh.
+    ///
+    /// For each group of jobs arriving at cycle `t`: retire the
+    /// completions before `t`, re-picking after each; retire those at
+    /// `t`; admit the whole group; re-pick once. Then drain.
+    pub(crate) fn run(
+        &mut self,
+        jobs: &[Job],
+        policy: &mut dyn SchedPolicy,
+    ) -> Result<Vec<JobRecord>, SchedError> {
+        self.allocator = Allocator::with_quarantine(self.clusters, self.quarantined);
+        self.now = 0;
+        self.host_free_at = 0;
+        self.seq = 0;
+        self.ready.clear();
+        self.slots.clear();
+        self.completions.clear();
+        self.running.clear();
+        self.backlog_cycles = 0.0;
+        self.busy_cluster_cycles = 0;
+        self.completed_jobs = 0;
+        self.strikes.clear();
+        self.quarantine_events.clear();
+        self.trace.clear();
+        self.begin_session();
+        self.finished = Vec::with_capacity(jobs.len());
+
+        let mut next = 0;
+        while let Some(first) = jobs.get(next) {
+            let t = first.arrival;
+            self.advance(t, false, policy)?;
+            while let Some(&job) = jobs.get(next).filter(|j| j.arrival == t) {
+                // The job's slot, overwritten when the job resolves.
+                self.finished.push(JobRecord {
+                    job,
+                    outcome: JobOutcome::Offloaded {
+                        start: 0,
+                        finish: 0,
+                        m: 0,
+                    },
+                    contention_cycles: 0,
+                    retries: 0,
+                    faults_observed: 0,
+                });
+                self.admit(job, next)?;
+                next += 1;
+            }
+            self.dispatch(policy)?;
+        }
+        self.drain(policy)?;
+        Ok(std::mem::take(&mut self.finished))
+    }
+
+    /// Retires every completion at or before `until`, re-picking after
+    /// each retired instant and each co-simulated completion — except,
+    /// with `repick_at_until` false, those exactly at `until`.
+    ///
+    /// `advance`, `admit` and `dispatch` are inlined into every caller:
+    /// a closed run takes each of them for every job, and left as calls
+    /// they measurably slow the benchmark's `closed-fifo` workload.
+    #[inline(always)]
+    fn advance(
+        &mut self,
+        until: u64,
+        repick_at_until: bool,
+        policy: &mut dyn SchedPolicy,
+    ) -> Result<(), SchedError> {
+        loop {
+            let next = self
+                .completions
+                .first_key_value()
+                .map(|(&(t, _), _)| t)
+                .filter(|&t| t <= until);
+            // The session runs no further than the next virtual-time
+            // completion, so the two retire in global time order.
+            let step = if self.running.is_empty() {
+                SessionStep::Idle
+            } else {
+                let horizon = next.unwrap_or(until);
+                self.backend.session().advance_jobs(Cycle::new(horizon))?
+            };
+            let t = match step {
+                SessionStep::Completed(run) => {
+                    self.retire_session(&run)?;
+                    run.finished_at.as_u64()
+                }
+                SessionStep::Horizon | SessionStep::Idle => {
+                    let Some(t) = next else { break };
+                    self.now = t;
+                    while let Some(entry) =
+                        self.completions.first_entry().filter(|e| e.key().0 == t)
+                    {
+                        let done = entry.remove();
+                        self.retire(done, t);
+                    }
+                    t
+                }
+            };
+            if t < until || repick_at_until {
+                self.dispatch(policy)?;
+            }
+        }
+        if until != u64::MAX {
+            self.now = self.now.max(until);
+        }
+        Ok(())
+    }
+
+    /// Runs the loop dry: retires everything in flight and resolves the
+    /// queue.
+    fn drain(&mut self, policy: &mut dyn SchedPolicy) -> Result<(), SchedError> {
+        loop {
+            let retired = self.completed_jobs;
+            // Profiled under the same site as `ShardSim::advance`: to a
+            // shard's caller, draining is advancing to the end.
+            {
+                let _prof = mpsoc_sim::profile::scope("sched.shard.advance");
+                self.advance(u64::MAX, true, policy)?;
+            }
+            let in_flight = self.in_flight();
+            if in_flight == 0 {
+                if self.ready.is_empty() {
+                    return Ok(());
+                }
+                // Nothing in flight: no event will come to re-pick.
+                // Mid-stream quarantine can strand queued jobs whose
+                // Eq. 3 minimum partition no longer fits the surviving
+                // pool; resolve them as typed degraded rejections — a
+                // served "no" — and re-pick for the rest. A job that
+                // fits and still waits was passed over by the policy.
+                if self.reject_stranded() {
+                    self.dispatch(policy)?;
+                    continue;
+                }
+                return Err(SchedError::Unscheduled {
+                    queued: self.ready.len(),
+                });
+            }
+            if self.completed_jobs == retired {
+                return Err(SchedError::SessionStalled { in_flight });
+            }
+        }
+    }
+
+    /// Decides one arriving job's fate without re-picking: the lint and
+    /// cost gates, then Eq. 3 admission against the healthy pool.
+    #[inline(always)]
+    fn admit(&mut self, job: Job, slot: usize) -> Result<ShardDecision, SchedError> {
+        self.now = self.now.max(job.arrival);
+        let now = Cycle::new(self.now);
+        self.trace
+            .instant(now, Unit::SchedHost, EventKind::JobArrive, job.id);
+        let gated = match self.lint_gate.as_mut().and_then(|g| g.check(&job)) {
+            Some(report) => Some(RejectReason::ProgramLint {
+                errors: report.error_count() as u32,
+            }),
+            None => self
+                .cost_gate
+                .as_mut()
+                .and_then(|g| g.check(&job))
+                .map(|best| RejectReason::StaticInfeasible { best }),
+        };
+        let decision = match gated {
+            Some(reason) => AdmissionDecision::Reject { reason },
+            None => self
+                .admission
+                .admit_degraded(&job, self.healthy_clusters() as u64),
+        };
+        let reason = match decision {
+            AdmissionDecision::Offload { .. }
+                if self
+                    .queue_limit
+                    .is_some_and(|limit| self.ready.len() >= limit) =>
+            {
+                RejectReason::QueueFull {
+                    depth: self.ready.len() as u64,
+                }
+            }
+            AdmissionDecision::Offload { m_min, predicted } => {
+                self.ready.push(QueuedJob {
+                    job,
+                    m_min,
+                    predicted,
+                });
+                self.slots.push(slot);
+                self.backlog_cycles += predicted * m_min as f64;
+                if let Some(gate) = self.cost_gate.as_mut() {
+                    self.last_cost_check =
+                        gate.envelope(job.kernel, job.n, m_min as usize)
+                            .map(|env| CostCheck {
+                                best: env.best,
+                                worst: env.worst,
+                                predicted,
+                            });
+                }
+                return Ok(ShardDecision::Queued { m_min, predicted });
+            }
+            AdmissionDecision::Host { .. } => {
+                let start = self.now.max(self.host_free_at);
+                let finish = start + self.backend.host_cycles(job.kernel, job.n)?;
+                self.host_free_at = finish;
+                let span = self
+                    .trace
+                    .begin(Cycle::new(start), Unit::SchedHost, EventKind::HostRun);
+                self.trace.end(
+                    Cycle::new(finish),
+                    Unit::SchedHost,
+                    EventKind::HostRun,
+                    span,
+                );
+                self.completions.insert(
+                    (finish, self.seq),
+                    InFlight {
+                        job,
+                        slot,
+                        demand: 0.0,
+                        mask: ClusterMask::EMPTY,
+                        start,
+                        retries: 0,
+                        faults: 0,
+                        contention: 0,
+                    },
+                );
+                self.seq += 1;
+                return Ok(ShardDecision::Host { start, finish });
+            }
+            AdmissionDecision::Reject { reason } => reason,
+        };
+        self.trace
+            .instant(now, Unit::SchedHost, EventKind::Reject, job.id);
+        self.reject(job, slot, reason);
+        Ok(ShardDecision::Rejected { reason })
+    }
+
+    /// Lets the policy place queued jobs until it passes: pick, check,
+    /// remove from the queue, carve the partition, start the job.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::InvalidPlacement`] when the policy names an index
+    /// past the queue, a zero-width partition or more clusters than are
+    /// free; service-backend failures starting the job.
+    #[inline(always)]
+    fn dispatch(&mut self, policy: &mut dyn SchedPolicy) -> Result<(), SchedError> {
+        let total_clusters = self.healthy_clusters();
+        loop {
+            let free = self.allocator.free_count();
+            let ctx = SchedContext {
+                now: self.now,
+                free_clusters: free,
+                total_clusters,
+                models: self.admission.table(),
+            };
+            let Some(Placement { queue_index, m }) = policy.pick(&self.ready, &ctx) else {
+                return Ok(());
+            };
+            let queue_len = self.ready.len();
+            let invalid = || SchedError::InvalidPlacement {
+                queue_index,
+                queue_len,
+                m,
+                free,
+            };
+            if queue_index >= queue_len {
+                return Err(invalid());
+            }
+            let mask = self.allocator.carve(m).ok_or_else(invalid)?;
+            let queued = self.ready.remove(queue_index);
+            let placed = InFlight {
+                job: queued.job,
+                slot: self.slots.remove(queue_index),
+                demand: queued.predicted * queued.m_min as f64,
+                mask,
+                start: self.now,
+                retries: 0,
+                faults: 0,
+                contention: 0,
+            };
+            let (now, part) = (Cycle::new(self.now), partition(mask));
+            if queued.job.arrival < self.now {
+                let waited = self.now - queued.job.arrival;
+                self.trace.instant(now, part, EventKind::QueueWait, waited);
+            }
+            let (kernel, n) = (queued.job.kernel, queued.job.n);
+            if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
+                let handle = self.backend.submit_at(kernel, n, mask, now)?;
+                self.running.insert(handle, placed);
+            } else {
+                let finish = self.now + self.backend.offload_cycles(kernel, n, mask)?;
+                let span = self.trace.begin(now, part, EventKind::Offload);
+                self.trace
+                    .end(Cycle::new(finish), part, EventKind::Offload, span);
+                self.completions.insert((finish, self.seq), placed);
+                self.seq += 1;
+            }
+        }
+    }
+
+    /// Retires (or corruption-re-dispatches) one co-simulated tenant.
+    fn retire_session(&mut self, run: &TenantRun) -> Result<(), SchedError> {
+        let Some(mut done) = self.running.remove(&run.job) else {
+            return Err(SchedError::UnknownCompletion { job: run.job });
+        };
+        let finish = run.finished_at.as_u64();
+        self.now = self.now.max(finish);
+        done.faults += run.faults_injected;
+        done.contention += run.contention.total_cycles();
+        let part = partition(done.mask);
+        if run.corrupt_clusters != 0 {
+            // Strike accounting on every corrupt completion — including
+            // a final attempt whose retry budget is exhausted — so a
+            // flaky cluster is diagnosed even while re-dispatch keeps
+            // absorbing its output. Crossing the hysteresis threshold
+            // quarantines the cluster mid-stream, with no external
+            // `quarantine` call involved.
+            let fire = self.strikes.record(run.corrupt_clusters, self.quarantined);
+            self.quarantine(fire);
+            if done.retries < COSIM_MAX_REDISPATCH {
+                // Observable corruption: re-dispatch on the same
+                // partition with fresh fault dice, charging the retry
+                // to the record.
+                done.retries += 1;
+                self.trace
+                    .instant(run.finished_at, part, EventKind::Redispatch, done.job.id);
+                let handle = self.backend.submit_at(
+                    done.job.kernel,
+                    done.job.n,
+                    done.mask,
+                    run.finished_at,
+                )?;
+                self.running.insert(handle, done);
+                return Ok(());
+            }
+        }
+        let span = self
+            .trace
+            .begin(Cycle::new(done.start), part, EventKind::Offload);
+        self.trace
+            .end(run.finished_at, part, EventKind::Offload, span);
+        self.retire(done, finish);
+        Ok(())
+    }
+
+    /// Retires one finished job into the record log.
+    fn retire(&mut self, done: InFlight, finish: u64) {
+        let outcome = if done.mask.is_empty() {
+            JobOutcome::Host {
+                start: done.start,
+                finish,
+            }
+        } else {
+            let m = done.mask.count();
+            self.allocator.release(done.mask);
+            self.backlog_cycles -= done.demand;
+            self.busy_cluster_cycles += (finish - done.start) * m as u64;
+            JobOutcome::Offloaded {
+                start: done.start,
+                finish,
+                m,
+            }
+        };
+        self.completed_jobs += 1;
+        self.log(
+            done.slot,
+            JobRecord {
+                job: done.job,
+                outcome,
+                contention_cycles: done.contention,
+                retries: done.retries,
+                faults_observed: done.faults,
+            },
+        );
+    }
+
+    /// Writes a record into its slot of a closed run's log, or appends
+    /// it to a shard's completion-ordered log ([`APPEND`]).
+    fn log(&mut self, slot: usize, record: JobRecord) {
+        match self.finished.get_mut(slot) {
+            Some(entry) => *entry = record,
+            None => self.finished.push(record),
+        }
+    }
+
+    /// Logs `job` as rejected for `reason`.
+    fn reject(&mut self, job: Job, slot: usize, reason: RejectReason) {
+        self.log(
+            slot,
+            JobRecord {
+                job,
+                outcome: JobOutcome::Rejected { reason },
+                contention_cycles: 0,
+                retries: 0,
+                faults_observed: 0,
+            },
+        );
+    }
+
+    /// Resolves an evicted job as a [`RejectReason::DegradedMachine`]
+    /// rejection against the surviving pool.
+    fn reject_degraded(&mut self, q: QueuedJob, slot: usize) {
+        let healthy = self.healthy_clusters() as u64;
+        let reason = RejectReason::DegradedMachine {
+            required: q.m_min,
+            healthy,
+        };
+        self.reject(q.job, slot, reason);
+    }
+
+    /// Removes the queued jobs whose minimum partition exceeds the
+    /// healthy pool, with their record slots, in arrival order.
+    fn evict(&mut self) -> Vec<(QueuedJob, usize)> {
+        let healthy = self.healthy_clusters() as u64;
+        let mut evicted = Vec::new();
+        let mut i = 0;
+        while i < self.ready.len() {
+            if self.ready[i].m_min > healthy {
+                let q = self.ready.remove(i);
+                self.backlog_cycles -= q.predicted * q.m_min as f64;
+                evicted.push((q, self.slots.remove(i)));
+            } else {
+                i += 1;
+            }
+        }
+        evicted
+    }
+
+    /// Rejects the queued jobs quarantine stranded; returns whether
+    /// there were any.
+    fn reject_stranded(&mut self) -> bool {
+        let stranded = self.evict();
+        let any = !stranded.is_empty();
+        for (q, slot) in stranded {
+            self.reject_degraded(q, slot);
+        }
+        any
+    }
+
+    /// Retires the clusters of `mask` not yet quarantined: the allocator
+    /// stops granting them, admission reasons against the surviving
+    /// pool, the measured backend's and the cost gate's memos drop, and
+    /// each cluster is logged as a [`QuarantineEvent`].
+    fn quarantine(&mut self, mask: ClusterMask) {
+        let mask = mask
+            .intersection(ClusterMask::first(self.clusters))
+            .without(self.quarantined);
+        if mask.is_empty() {
+            return;
+        }
+        self.quarantined = self.quarantined.union(mask);
+        self.allocator.quarantine(mask);
+        self.backend.invalidate_measurements();
+        let healthy = self.healthy_clusters();
+        if let Some(gate) = self.cost_gate.as_mut() {
+            gate.restrict_clusters(healthy);
+        }
+        for cluster in mask.iter() {
+            self.trace.instant(
+                Cycle::new(self.now),
+                Unit::SchedHost,
+                EventKind::Quarantine,
+                cluster as u64,
+            );
+            self.quarantine_events.push(QuarantineEvent {
+                at: self.now,
+                cluster,
+                strikes: self.strikes.strikes(cluster),
+            });
+        }
+    }
+}
+
+/// An incremental single-machine scheduler: admission, allocation and
+/// dispatch over a service backend, driven event-by-event.
+pub struct ShardSim {
+    sched: SchedLoop,
+    policy: Box<dyn SchedPolicy>,
 }
 
 impl ShardSim {
@@ -155,32 +711,9 @@ impl ShardSim {
         backend: ServiceBackend,
         policy: Box<dyn SchedPolicy>,
     ) -> Self {
-        let mut backend = backend;
-        if let ServiceBackend::CoSimulated { offloader, .. } = &mut backend {
-            offloader.begin_jobs();
-        }
         ShardSim {
-            admission: AdmissionController::new(table, clusters as u64),
-            backend,
-            clusters,
-            allocator: Allocator::new(clusters),
+            sched: SchedLoop::new(table, clusters, backend),
             policy,
-            queue_limit: None,
-            now: 0,
-            host_free_at: 0,
-            seq: 0,
-            ready: Vec::new(),
-            completions: BTreeMap::new(),
-            running: BTreeMap::new(),
-            finished: Vec::new(),
-            backlog_cycles: 0.0,
-            busy_cluster_cycles: 0,
-            completed_jobs: 0,
-            cost_gate: None,
-            last_cost_check: None,
-            quarantined: ClusterMask::EMPTY,
-            strikes: StrikeBoard::new(clusters),
-            quarantine_events: Vec::new(),
         }
     }
 
@@ -198,26 +731,7 @@ impl ShardSim {
     ///
     /// [`Engine::quarantine`]: crate::Engine::quarantine
     pub fn quarantine(&mut self, mask: ClusterMask) {
-        let mask = mask
-            .intersection(ClusterMask::first(self.clusters))
-            .without(self.quarantined);
-        if mask.is_empty() {
-            return;
-        }
-        self.quarantined = self.quarantined.union(mask);
-        self.allocator.quarantine(mask);
-        self.backend.invalidate_measurements();
-        let healthy = self.clusters - self.quarantined.count();
-        if let Some(gate) = self.cost_gate.as_mut() {
-            gate.restrict_clusters(healthy);
-        }
-        for cluster in mask.iter() {
-            self.quarantine_events.push(QuarantineEvent {
-                at: self.now,
-                cluster,
-                strikes: self.strikes.strikes(cluster),
-            });
-        }
+        self.sched.quarantine(mask);
     }
 
     /// Configures automatic quarantine: a cluster is retired after
@@ -225,25 +739,25 @@ impl ShardSim {
     /// [`crate::AUTO_QUARANTINE_STRIKES`]); `None` disables the closed
     /// loop so corruption is absorbed by re-dispatch alone.
     pub fn set_auto_quarantine(&mut self, threshold: Option<u32>) {
-        self.strikes.set_threshold(threshold);
+        self.sched.strikes.set_threshold(threshold);
     }
 
     /// The clusters currently quarantined.
     pub fn quarantined(&self) -> ClusterMask {
-        self.quarantined
+        self.sched.quarantined
     }
 
     /// Healthy (non-quarantined) clusters — the shard's *effective*
     /// capacity, which a fleet balancer should weight by instead of the
     /// configured size.
     pub fn healthy_clusters(&self) -> usize {
-        self.clusters - self.quarantined.count()
+        self.sched.healthy_clusters()
     }
 
     /// Takes the quarantine decisions (manual and automatic) made since
     /// the last drain, in firing order.
     pub fn drain_quarantine_events(&mut self) -> Vec<QuarantineEvent> {
-        std::mem::take(&mut self.quarantine_events)
+        std::mem::take(&mut self.sched.quarantine_events)
     }
 
     /// Enables static cost verification: offered jobs whose deadline
@@ -252,14 +766,14 @@ impl ShardSim {
     /// queued admission records a [`CostCheck`] residual (see
     /// [`ShardSim::take_cost_check`]).
     pub fn enable_cost(&mut self, gate: CostGate) {
-        self.cost_gate = Some(gate);
+        self.sched.cost_gate = Some(gate);
     }
 
     /// Takes the prediction-vs-static-bounds residual of the most recent
     /// queued admission, if a cost gate is enabled and the bounds were
     /// computable. Cleared on read so callers see each admission once.
     pub fn take_cost_check(&mut self) -> Option<CostCheck> {
-        self.last_cost_check.take()
+        self.sched.last_cost_check.take()
     }
 
     /// Caps the admitted-but-unstarted queue: once `limit` jobs wait,
@@ -268,60 +782,60 @@ impl ShardSim {
     /// Host-fallback jobs bypass the cap (they occupy the host server,
     /// not the cluster queue).
     pub fn set_queue_limit(&mut self, limit: usize) {
-        self.queue_limit = Some(limit);
+        self.sched.queue_limit = Some(limit);
     }
 
     /// Current virtual time (the latest horizon or event retired).
     pub fn now(&self) -> u64 {
-        self.now
+        self.sched.now
     }
 
     /// The machine size.
     pub fn clusters(&self) -> usize {
-        self.clusters
+        self.sched.clusters
     }
 
     /// Clusters currently free.
     pub fn free_clusters(&self) -> usize {
-        self.allocator.free_count()
+        self.sched.allocator.free_count()
     }
 
     /// Admitted jobs waiting for clusters.
     pub fn queue_depth(&self) -> usize {
-        self.ready.len()
+        self.sched.ready.len()
     }
 
     /// Jobs currently occupying partitions or the host server.
     pub fn in_flight(&self) -> usize {
-        self.completions.len() + self.running.len()
+        self.sched.in_flight()
     }
 
     /// Predicted cluster-cycles of work admitted but not yet finished
     /// (queued + in flight, at the admission-time `M_min` estimate) —
     /// the load signal a fleet balancer compares across shards.
     pub fn backlog_cycles(&self) -> f64 {
-        self.backlog_cycles
+        self.sched.backlog_cycles
     }
 
     /// Busy cluster-cycles accumulated by retired offloads.
     pub fn busy_cluster_cycles(&self) -> u64 {
-        self.busy_cluster_cycles
+        self.sched.busy_cluster_cycles
     }
 
     /// Jobs retired so far (offloaded + host).
     pub fn completed_jobs(&self) -> u64 {
-        self.completed_jobs
+        self.sched.completed_jobs
     }
 
     /// The admission controller's model table.
     pub fn models(&self) -> &ModelTable {
-        self.admission.table()
+        self.sched.admission.table()
     }
 
     /// Takes every record finished since the last drain, in completion
     /// order (rejections appear at their offer time).
     pub fn drain_finished(&mut self) -> Vec<JobRecord> {
-        std::mem::take(&mut self.finished)
+        std::mem::take(&mut self.sched.finished)
     }
 
     /// Drives virtual time to `until` (inclusive): retires every
@@ -336,28 +850,7 @@ impl ShardSim {
     /// [`ShardSim::drain`], not from a bounded advance.
     pub fn advance(&mut self, until: u64) -> Result<(), SchedError> {
         let _prof = mpsoc_sim::profile::scope("sched.shard.advance");
-        if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
-            self.advance_cosimulated(until)?;
-        } else {
-            while let Some((&(t, _), _)) = self.completions.iter().next() {
-                if t > until {
-                    break;
-                }
-                self.now = t;
-                while let Some((&key @ (tt, _), _)) = self.completions.iter().next() {
-                    if tt > t {
-                        break;
-                    }
-                    let done = self.completions.remove(&key).expect("key just observed");
-                    self.retire(done, t);
-                }
-                self.dispatch()?;
-            }
-        }
-        if until != u64::MAX {
-            self.now = self.now.max(until);
-        }
-        Ok(())
+        self.sched.advance(until, true, self.policy.as_mut())
     }
 
     /// Runs the shard dry: advances until the queue is empty and nothing
@@ -366,42 +859,11 @@ impl ShardSim {
     /// # Errors
     ///
     /// [`SchedError::SessionStalled`] when in-flight work stops making
-    /// progress (a wedged co-simulated tenant under injected faults).
+    /// progress (a wedged co-simulated tenant under injected faults),
+    /// and [`SchedError::Unscheduled`] when nothing is in flight and the
+    /// policy leaves jobs that fit the machine queued.
     pub fn drain(&mut self) -> Result<(), SchedError> {
-        loop {
-            let retired = self.completed_jobs;
-            self.advance(u64::MAX)?;
-            if self.ready.is_empty() && self.in_flight() == 0 {
-                return Ok(());
-            }
-            if self.completed_jobs == retired {
-                // Mid-stream quarantine can strand queued jobs whose
-                // Eq. 3 minimum partition no longer fits the surviving
-                // pool. With nothing in flight they can never start:
-                // resolve them as typed degraded rejections — a served
-                // "no" — instead of reporting a wedged session.
-                if self.in_flight() == 0 && self.reject_stranded() {
-                    continue;
-                }
-                return Err(SchedError::SessionStalled {
-                    in_flight: self.in_flight(),
-                });
-            }
-        }
-    }
-
-    /// Rejects queued jobs whose minimum partition exceeds the healthy
-    /// pool (they were admitted before quarantine shrank the machine).
-    /// Returns whether anything was resolved.
-    fn reject_stranded(&mut self) -> bool {
-        let stranded = self.evict_unservable();
-        if stranded.is_empty() {
-            return false;
-        }
-        for q in stranded {
-            self.reject_evicted(q);
-        }
-        true
+        self.sched.drain(self.policy.as_mut())
     }
 
     /// Removes and returns the queued-but-unstarted jobs whose minimum
@@ -412,19 +874,7 @@ impl ShardSim {
     /// shard and either re-places the evicted jobs on a shard that still
     /// fits them or resolves them via [`ShardSim::reject_evicted`].
     pub fn evict_unservable(&mut self) -> Vec<QueuedJob> {
-        let healthy = self.healthy_clusters() as u64;
-        let mut evicted = Vec::new();
-        let mut i = 0;
-        while i < self.ready.len() {
-            if self.ready[i].m_min > healthy {
-                let q = self.ready.remove(i);
-                self.backlog_cycles -= q.predicted * q.m_min as f64;
-                evicted.push(q);
-            } else {
-                i += 1;
-            }
-        }
-        evicted
+        self.sched.evict().into_iter().map(|(q, _)| q).collect()
     }
 
     /// Resolves an evicted (or failed-over-but-unplaceable) job as a
@@ -432,14 +882,7 @@ impl ShardSim {
     /// shard's surviving pool — a served "no", counted exactly once like
     /// any other rejection.
     pub fn reject_evicted(&mut self, q: QueuedJob) {
-        let healthy = self.healthy_clusters() as u64;
-        self.push_rejection(
-            q.job,
-            RejectReason::DegradedMachine {
-                required: q.m_min,
-                healthy,
-            },
-        );
+        self.sched.reject_degraded(q, APPEND);
     }
 
     /// Presents one arriving job (arrivals must be offered in
@@ -453,76 +896,10 @@ impl ShardSim {
     /// [`SchedError::InvalidPlacement`] when the policy returns a
     /// placement the shard cannot honour.
     pub fn offer(&mut self, job: Job) -> Result<ShardDecision, SchedError> {
-        self.now = self.now.max(job.arrival);
-        if let Some(gate) = self.cost_gate.as_mut() {
-            if let Some(best) = gate.check(&job) {
-                let reason = RejectReason::StaticInfeasible { best };
-                self.push_rejection(job, reason);
-                return Ok(ShardDecision::Rejected { reason });
-            }
+        let decision = self.sched.admit(job, APPEND)?;
+        if let ShardDecision::Queued { .. } = decision {
+            self.sched.dispatch(self.policy.as_mut())?;
         }
-        let decision = match self
-            .admission
-            .admit_degraded(&job, self.healthy_clusters() as u64)
-        {
-            AdmissionDecision::Offload { m_min, predicted } => {
-                if self
-                    .queue_limit
-                    .is_some_and(|limit| self.ready.len() >= limit)
-                {
-                    let reason = RejectReason::QueueFull {
-                        depth: self.ready.len() as u64,
-                    };
-                    self.push_rejection(job, reason);
-                    ShardDecision::Rejected { reason }
-                } else {
-                    self.ready.push(QueuedJob {
-                        job,
-                        m_min,
-                        predicted,
-                    });
-                    self.backlog_cycles += predicted * m_min as f64;
-                    if let Some(gate) = self.cost_gate.as_mut() {
-                        self.last_cost_check = gate
-                            .envelope(job.kernel, job.n, m_min as usize)
-                            .map(|env| CostCheck {
-                                best: env.best,
-                                worst: env.worst,
-                                predicted,
-                            });
-                    }
-                    self.dispatch()?;
-                    ShardDecision::Queued { m_min, predicted }
-                }
-            }
-            AdmissionDecision::Host { .. } => {
-                let start = self.now.max(self.host_free_at);
-                let cycles = self.backend.host_cycles(job.kernel, job.n)?;
-                let finish = start + cycles;
-                self.host_free_at = finish;
-                self.completions.insert(
-                    (finish, self.seq),
-                    InFlight {
-                        job,
-                        m_min: 0,
-                        predicted: 0.0,
-                        mask: ClusterMask::EMPTY,
-                        start,
-                        m: 0,
-                        host: true,
-                        retries: 0,
-                        faults: 0,
-                        contention: 0,
-                    },
-                );
-                self.seq += 1;
-                ShardDecision::Host { start, finish }
-            }
-            AdmissionDecision::Reject { reason } => {
-                self.push_rejection(job, reason);
-                ShardDecision::Rejected { reason }
-            }
-        };
         Ok(decision)
     }
 
@@ -534,8 +911,9 @@ impl ShardSim {
     /// only rejections can be withdrawn. Returns whether a record was
     /// removed.
     pub fn withdraw_rejection(&mut self, job_id: u64) -> bool {
+        let finished = &mut self.sched.finished;
         let retractable = matches!(
-            self.finished.last(),
+            finished.last(),
             Some(JobRecord {
                 job,
                 outcome: JobOutcome::Rejected { .. },
@@ -543,7 +921,7 @@ impl ShardSim {
             }) if job.id == job_id
         );
         if retractable {
-            self.finished.pop();
+            finished.pop();
         }
         retractable
     }
@@ -553,8 +931,10 @@ impl ShardSim {
     /// from the tail leaves the oldest (most slack-starved) jobs on the
     /// shard that admitted them.
     pub fn steal(&mut self) -> Option<QueuedJob> {
-        let stolen = self.ready.pop()?;
-        self.backlog_cycles -= stolen.predicted * stolen.m_min as f64;
+        let sched = &mut self.sched;
+        let stolen = sched.ready.pop()?;
+        sched.slots.pop();
+        sched.backlog_cycles -= stolen.predicted * stolen.m_min as f64;
         Some(stolen)
     }
 
@@ -567,204 +947,11 @@ impl ShardSim {
     /// Service-backend failures dispatching the queue, and
     /// [`SchedError::InvalidPlacement`] from the policy.
     pub fn inject(&mut self, stolen: QueuedJob) -> Result<(), SchedError> {
-        self.backlog_cycles += stolen.predicted * stolen.m_min as f64;
-        self.ready.push(stolen);
-        self.dispatch()
-    }
-
-    fn push_rejection(&mut self, job: Job, reason: RejectReason) {
-        self.finished.push(JobRecord {
-            job,
-            outcome: JobOutcome::Rejected { reason },
-            contention_cycles: 0,
-            retries: 0,
-            faults_observed: 0,
-        });
-    }
-
-    /// Retires one virtual-time completion into the finished log.
-    fn retire(&mut self, done: InFlight, finish: u64) {
-        let outcome = if done.host {
-            JobOutcome::Host {
-                start: done.start,
-                finish,
-            }
-        } else {
-            self.allocator.release(done.mask);
-            self.backlog_cycles -= done.predicted * done.m_min as f64;
-            self.busy_cluster_cycles += (finish - done.start) * done.m as u64;
-            JobOutcome::Offloaded {
-                start: done.start,
-                finish,
-                m: done.m,
-            }
-        };
-        self.completed_jobs += 1;
-        self.finished.push(JobRecord {
-            job: done.job,
-            outcome,
-            contention_cycles: done.contention,
-            retries: done.retries,
-            faults_observed: done.faults,
-        });
-    }
-
-    /// Lets the policy place queued jobs until it passes.
-    fn dispatch(&mut self) -> Result<(), SchedError> {
-        let healthy = self.healthy_clusters();
-        while let Some((_, queued, mask)) = place_next(
-            self.policy.as_mut(),
-            &mut self.ready,
-            &mut self.allocator,
-            self.now,
-            healthy,
-            self.admission.table(),
-        )? {
-            let placed = InFlight {
-                job: queued.job,
-                m_min: queued.m_min,
-                predicted: queued.predicted,
-                mask,
-                start: self.now,
-                m: mask.count(),
-                host: false,
-                retries: 0,
-                faults: 0,
-                contention: 0,
-            };
-            if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
-                let handle = self.backend.submit_at(
-                    queued.job.kernel,
-                    queued.job.n,
-                    mask,
-                    Cycle::new(self.now),
-                )?;
-                self.running.insert(handle, placed);
-            } else {
-                let cycles = self
-                    .backend
-                    .offload_cycles(queued.job.kernel, queued.job.n, mask)?;
-                self.completions
-                    .insert((self.now + cycles, self.seq), placed);
-                self.seq += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// The co-simulated advance loop: one shared SoC session carries
-    /// every placed tenant; host-fallback completions interleave at
-    /// their scheduled virtual times.
-    fn advance_cosimulated(&mut self, until: u64) -> Result<(), SchedError> {
-        loop {
-            // Host completions scheduled before the next session event
-            // retire first (both are virtual-time ordered).
-            let next_host = self.completions.keys().next().map(|&(t, _)| t);
-            if let Some(t) = next_host.filter(|&t| t <= until) {
-                // Retire host runs up to the next session completion: we
-                // must interleave, so peek the session only as far as
-                // the host event.
-                if self.running.is_empty() {
-                    self.now = t;
-                    while let Some((&key @ (tt, _), _)) = self.completions.iter().next() {
-                        if tt > t {
-                            break;
-                        }
-                        let done = self.completions.remove(&key).expect("key just observed");
-                        self.retire(done, t);
-                    }
-                    self.dispatch()?;
-                    continue;
-                }
-            }
-            if self.running.is_empty() && next_host.map_or(true, |t| t > until) {
-                break;
-            }
-            // Advance the session no further than the earliest scheduled
-            // host completion, so host and session events retire in
-            // global time order.
-            let horizon = next_host.map_or(until, |t| t.min(until));
-            let step = if self.running.is_empty() {
-                mpsoc_offload::SessionStep::Idle
-            } else {
-                self.backend.session().advance_jobs(Cycle::new(horizon))?
-            };
-            match step {
-                mpsoc_offload::SessionStep::Completed(t) => {
-                    self.retire_cosimulated(*t)?;
-                    self.dispatch()?;
-                }
-                mpsoc_offload::SessionStep::Horizon | mpsoc_offload::SessionStep::Idle => {
-                    // No session event before `horizon`: retire the host
-                    // completions there, or stop at the caller's bound.
-                    match next_host.filter(|&t| t <= until) {
-                        Some(t) => {
-                            self.now = t;
-                            while let Some((&key @ (tt, _), _)) = self.completions.iter().next() {
-                                if tt > t {
-                                    break;
-                                }
-                                let done =
-                                    self.completions.remove(&key).expect("key just observed");
-                                self.retire(done, t);
-                            }
-                            self.dispatch()?;
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Retires (or corruption-re-dispatches) one co-simulated tenant.
-    fn retire_cosimulated(&mut self, t: mpsoc_offload::TenantRun) -> Result<(), SchedError> {
-        let Some(mut done) = self.running.remove(&t.job) else {
-            return Err(SchedError::UnknownCompletion { job: t.job });
-        };
-        let finish = t.finished_at.as_u64();
-        self.now = self.now.max(finish);
-        done.faults += t.faults_injected;
-        done.contention += t.contention.total_cycles();
-        if t.corrupt_clusters != 0 {
-            // Strike accounting on every corrupt completion — including
-            // a final attempt whose retry budget is exhausted — so a
-            // flaky cluster is diagnosed even while re-dispatch keeps
-            // absorbing its output. Crossing the hysteresis threshold
-            // quarantines the cluster mid-stream, with no external
-            // `quarantine` call involved.
-            let fire = self.strikes.record(t.corrupt_clusters, self.quarantined);
-            if !fire.is_empty() {
-                self.quarantine(fire);
-            }
-        }
-        if t.corrupt_clusters != 0 && done.retries < COSIM_MAX_REDISPATCH {
-            // Observable corruption: re-dispatch on the same partition
-            // with fresh fault dice, charging the retry to the record.
-            done.retries += 1;
-            let handle =
-                self.backend
-                    .submit_at(done.job.kernel, done.job.n, done.mask, t.finished_at)?;
-            self.running.insert(handle, done);
-            return Ok(());
-        }
-        self.allocator.release(done.mask);
-        self.backlog_cycles -= done.predicted * done.m_min as f64;
-        self.busy_cluster_cycles += (finish - done.start) * done.m as u64;
-        self.completed_jobs += 1;
-        self.finished.push(JobRecord {
-            job: done.job,
-            outcome: JobOutcome::Offloaded {
-                start: done.start,
-                finish,
-                m: done.m,
-            },
-            contention_cycles: done.contention,
-            retries: done.retries,
-            faults_observed: done.faults,
-        });
-        Ok(())
+        let sched = &mut self.sched;
+        sched.backlog_cycles += stolen.predicted * stolen.m_min as f64;
+        sched.ready.push(stolen);
+        sched.slots.push(APPEND);
+        sched.dispatch(self.policy.as_mut())
     }
 }
 
@@ -809,8 +996,10 @@ mod tests {
         records
     }
 
-    /// The contract that licenses fleet results: fed the same stream, a
-    /// shard reproduces the closed-loop engine's records exactly.
+    /// The contract that licenses fleet results: the loop's two drivers
+    /// agree. Fed the same stream under FIFO, a shard (one re-pick per
+    /// offer) reproduces the engine's records (one re-pick per arrival
+    /// instant).
     #[test]
     fn shard_matches_engine_on_an_analytic_stream() {
         let stream = jobs(&[
@@ -1035,11 +1224,14 @@ mod tests {
             ServiceBackend::Measured { offload_cache, .. } => offload_cache.len(),
             _ => unreachable!(),
         };
-        assert!(cache_len(&s.backend) > 0, "the run populated the cache");
+        assert!(
+            cache_len(&s.sched.backend) > 0,
+            "the run populated the cache"
+        );
         s.quarantine(ClusterMask::single(3));
-        assert_eq!(cache_len(&s.backend), 0, "measured cache must drop");
+        assert_eq!(cache_len(&s.sched.backend), 0, "measured cache must drop");
         assert_eq!(
-            s.cost_gate.as_ref().map(|g| g.effective_clusters()),
+            s.sched.cost_gate.as_ref().map(|g| g.effective_clusters()),
             Some(3),
             "cost gate must re-bound to the surviving pool"
         );

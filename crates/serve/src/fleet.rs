@@ -1,10 +1,13 @@
 //! The shard manager: a fleet of independent co-simulated (or analytic)
 //! SoC shards behind one load balancer.
 //!
-//! Each shard is an incremental [`ShardSim`] — the same admission →
-//! allocation → dispatch semantics as the closed-loop `Engine`, driven
-//! event-by-event. The fleet layer adds what a serving front-end needs
-//! on top:
+//! Each shard is an incremental [`ShardSim`]: a driver of the one
+//! admission → allocation → dispatch loop the closed-loop `Engine` also
+//! drives, fed event by event. A shard re-picks after every offer,
+//! because it must answer each offer before the next arrives; every
+//! shard runs [`FifoFirstFit`], under which that places the same jobs as
+//! the engine's one re-pick per arrival instant. The fleet layer adds
+//! what a serving front-end needs on top:
 //!
 //! - **Placement** ([`PlacementPolicy`]): which shard an arriving job is
 //!   offered to. Round-robin ignores load; least-loaded picks the

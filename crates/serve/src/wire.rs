@@ -59,9 +59,9 @@ pub enum DecodeError {
     /// [`Decoder::finish`]; mid-stream a partial frame just waits for
     /// more bytes).
     Truncated {
-        /// Bytes buffered when the stream ended.
+        /// Bytes of the cut-off frame that arrived.
         buffered: usize,
-        /// Bytes the pending frame still needed.
+        /// Bytes the cut-off frame still needed.
         missing: usize,
     },
     /// The payload is not a well-formed message of the expected type.
@@ -212,56 +212,70 @@ impl Decoder {
     /// buffered, consumes it and returns its payload's place in `buf`.
     fn pop_frame(&mut self) -> Result<Option<Range<usize>>, DecodeError> {
         let rest = &self.buf[self.pos..];
-        if rest.len() >= 2 {
-            let found = [rest[0], rest[1]];
-            if found != MAGIC {
-                return Err(DecodeError::BadMagic { found });
+        match frame_len(rest)? {
+            Some(total) if rest.len() >= total => {
+                let payload = self.pos + HEADER_LEN..self.pos + total;
+                self.pos += total;
+                Ok(Some(payload))
             }
+            _ => Ok(None),
         }
-        if rest.len() >= 3 {
-            let found = rest[2];
-            if found != PROTOCOL_VERSION {
-                return Err(DecodeError::UnknownVersion { found });
-            }
-        }
-        if rest.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let declared = u32::from_le_bytes([rest[3], rest[4], rest[5], rest[6]]) as u64;
-        if declared > MAX_PAYLOAD as u64 {
-            return Err(DecodeError::Oversized { declared });
-        }
-        let total = HEADER_LEN + declared as usize;
-        if rest.len() < total {
-            return Ok(None);
-        }
-        let payload = self.pos + HEADER_LEN..self.pos + total;
-        self.pos += total;
-        Ok(Some(payload))
     }
 
-    /// Declares the stream ended: leftover bytes mean a frame was cut
-    /// off mid-flight.
+    /// Declares the stream ended and checks that it ended on a frame
+    /// boundary. Complete frames still buffered are not an error: the
+    /// stream carried them whole, and they stay poppable. Only a frame
+    /// cut off mid-flight is.
     ///
     /// # Errors
     ///
-    /// [`DecodeError::Truncated`] when a partial frame is buffered.
+    /// [`DecodeError::Truncated`] for a partial frame at the end of the
+    /// stream, and the header errors [`Decoder::next_frame`] would
+    /// report for a buffered frame not yet popped.
     pub fn finish(&self) -> Result<(), DecodeError> {
-        let rest = &self.buf[self.pos..];
-        if rest.is_empty() {
-            return Ok(());
+        let mut rest = &self.buf[self.pos..];
+        while !rest.is_empty() {
+            let needed = frame_len(rest)?.unwrap_or(HEADER_LEN);
+            if rest.len() < needed {
+                return Err(DecodeError::Truncated {
+                    buffered: rest.len(),
+                    missing: needed - rest.len(),
+                });
+            }
+            rest = &rest[needed..];
         }
-        let missing = if rest.len() < HEADER_LEN {
-            HEADER_LEN - rest.len()
-        } else {
-            let declared = u32::from_le_bytes([rest[3], rest[4], rest[5], rest[6]]) as usize;
-            HEADER_LEN + declared - rest.len()
-        };
-        Err(DecodeError::Truncated {
-            buffered: rest.len(),
-            missing,
-        })
+        Ok(())
     }
+}
+
+/// Validates the header at the start of `rest` and returns the whole
+/// frame's length, `None` while the length field is incomplete.
+///
+/// # Errors
+///
+/// Header-level [`DecodeError`]s as soon as the offending bytes are
+/// visible.
+fn frame_len(rest: &[u8]) -> Result<Option<usize>, DecodeError> {
+    if rest.len() >= 2 {
+        let found = [rest[0], rest[1]];
+        if found != MAGIC {
+            return Err(DecodeError::BadMagic { found });
+        }
+    }
+    if rest.len() >= 3 {
+        let found = rest[2];
+        if found != PROTOCOL_VERSION {
+            return Err(DecodeError::UnknownVersion { found });
+        }
+    }
+    if rest.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let declared = u32::from_le_bytes([rest[3], rest[4], rest[5], rest[6]]) as u64;
+    if declared > MAX_PAYLOAD as u64 {
+        return Err(DecodeError::Oversized { declared });
+    }
+    Ok(Some(HEADER_LEN + declared as usize))
 }
 
 #[cfg(test)]

@@ -185,3 +185,52 @@ fn request_streams_decode_the_same_however_they_are_split() {
 fn response_streams_decode_the_same_however_they_are_split() {
     every_split(&responses());
 }
+
+/// A caller that stops popping early leaves whole frames buffered. The
+/// stream still ended on a frame boundary, so `finish` reports nothing
+/// cut off, however many frames wait; the frames stay poppable after it.
+#[test]
+fn finish_with_complete_frames_unread_is_clean() {
+    let msgs = requests();
+    let stream: Vec<u8> = msgs.iter().flat_map(encode).collect();
+    for unread in 1..=msgs.len() {
+        let mut dec = Decoder::new();
+        dec.push(&stream);
+        let popped = msgs.len() - unread;
+        for &msg in &msgs[..popped] {
+            assert_eq!(dec.next_message::<Request>(), Ok(Some(msg)));
+        }
+        assert_eq!(dec.finish(), Ok(()), "{unread} frame(s) unread");
+        for &msg in &msgs[popped..] {
+            assert_eq!(dec.next_message::<Request>(), Ok(Some(msg)));
+        }
+        assert_eq!(dec.finish(), Ok(()));
+    }
+}
+
+/// Whole frames followed by a cut-off one: `finish` reports the cut-off
+/// frame alone, with the same counts as if it were the only frame.
+#[test]
+fn finish_behind_complete_frames_reports_only_the_cut_off_frame() {
+    let whole: Vec<u8> = requests().iter().flat_map(encode).collect();
+    let last = encode(&requests()[0]);
+    for i in 1..last.len() {
+        let mut dec = Decoder::new();
+        dec.push(&whole);
+        dec.push(&last[..i]);
+        let missing = if i < HEADER_LEN {
+            HEADER_LEN - i
+        } else {
+            last.len() - i
+        };
+        assert_eq!(
+            dec.finish(),
+            Err(DecodeError::Truncated {
+                buffered: i,
+                missing,
+            }),
+            "two whole frames, then {i} of {} bytes",
+            last.len()
+        );
+    }
+}
