@@ -76,15 +76,15 @@ pub struct BenchSidecar<T: Serialize> {
 
 // Hand-rolled: the vendored serde derive does not handle generics.
 impl<T: Serialize> Serialize for BenchSidecar<T> {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_owned(), self.name.serialize()),
-            ("wall_seconds".to_owned(), self.wall_seconds.serialize()),
-            ("jobs".to_owned(), self.jobs.serialize()),
-            ("throughput".to_owned(), self.throughput.serialize()),
-            ("metadata".to_owned(), self.metadata.serialize()),
-            ("detail".to_owned(), self.detail.serialize()),
-        ])
+    fn serialize(&self, out: &mut serde::Writer<'_>) {
+        out.begin_object();
+        out.field("name", &self.name);
+        out.field("wall_seconds", &self.wall_seconds);
+        out.field("jobs", &self.jobs);
+        out.field("throughput", &self.throughput);
+        out.field("metadata", &self.metadata);
+        out.field("detail", &self.detail);
+        out.end_object();
     }
 }
 

@@ -108,29 +108,30 @@ impl std::error::Error for DecodeError {}
 /// impossible for the fixed-size protocol messages, so a bug, not an
 /// input condition.
 pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
-    let mut frame = Vec::new();
+    // Room for the header and a typical message, as serde_json's
+    // `to_vec` starts with.
+    let mut frame = Vec::with_capacity(HEADER_LEN + 128);
     encode_into(&mut frame, msg);
     frame
 }
 
 /// Appends one message's complete frame to `out` — [`encode`] without
 /// the per-frame buffer, for callers that frame many messages into one.
+/// The payload is written in place behind a placeholder header, whose
+/// length field is filled in afterwards.
 ///
 /// # Panics
 ///
 /// As [`encode`].
 pub(crate) fn encode_into<T: Serialize>(out: &mut Vec<u8>, msg: &T) {
-    let payload =
-        serde_json::to_string(msg).expect("protocol messages contain no non-finite floats");
-    assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "outgoing frame exceeds MAX_PAYLOAD"
-    );
-    out.reserve(HEADER_LEN + payload.len());
+    let header = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(PROTOCOL_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload.as_bytes());
+    out.extend_from_slice(&[0; 4]);
+    serde_json::to_writer(out, msg).expect("protocol messages contain no non-finite floats");
+    let len = out.len() - header - HEADER_LEN;
+    assert!(len <= MAX_PAYLOAD, "outgoing frame exceeds MAX_PAYLOAD");
+    out[header + 3..header + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Decodes one payload into a typed message.
@@ -139,7 +140,7 @@ pub(crate) fn encode_into<T: Serialize>(out: &mut Vec<u8>, msg: &T) {
 ///
 /// [`DecodeError::Malformed`] when the payload is not valid UTF-8 JSON
 /// of the expected shape.
-pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, DecodeError> {
+fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, DecodeError> {
     let text = std::str::from_utf8(payload).map_err(|e| DecodeError::Malformed {
         detail: format!("payload is not UTF-8: {e}"),
     })?;
@@ -388,19 +389,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn malformed_payload_is_a_typed_error() {
-        let payload = b"{not json";
+    /// A frame around an arbitrary payload.
+    fn frame(payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
         frame.push(PROTOCOL_VERSION);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn malformed_payload_is_a_typed_error() {
         let mut dec = Decoder::new();
-        dec.push(&frame);
+        dec.push(&frame(b"{not json"));
         match dec.next_message::<Request>() {
             Err(DecodeError::Malformed { .. }) => {}
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_malformed_and_the_stream_goes_on() {
+        // Nested arrays filling a whole frame: as the payload itself, and
+        // under an unknown field of a submission, which the reader skips.
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let prefix = r#"{"SubmitJob":{"client_job":1,"kernel":"Daxpy","n":8,"deadline":9,"x":"#;
+        let depth = (MAX_PAYLOAD - prefix.len() - 2) / 2;
+        let mut in_field = format!("{prefix}{}}}}}", nest(depth));
+        in_field.push_str(&" ".repeat(MAX_PAYLOAD - in_field.len()));
+        for payload in [nest(MAX_PAYLOAD / 2), in_field] {
+            assert_eq!(payload.len(), MAX_PAYLOAD);
+            let mut dec = Decoder::new();
+            dec.push(&frame(payload.as_bytes()));
+            dec.push(&encode(&submit(2)));
+            match dec.next_message::<Request>() {
+                Err(DecodeError::Malformed { .. }) => {}
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+            assert_eq!(dec.next_message::<Request>(), Ok(Some(submit(2))));
+            assert!(serde_json::from_str::<serde_json::Value>(&payload).is_err());
         }
     }
 }

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Writer};
 
 use crate::Cycle;
 
@@ -133,19 +133,17 @@ impl Tracer {
     }
 }
 
-// Hand-written so bench reports can embed a whole trace; the ring buffer
-// flattens to an oldest-first array regardless of its internal split.
+// Hand-written so bench reports can embed a whole trace in a fixed
+// field order (not the declaration order); the ring buffer flattens to
+// an oldest-first array regardless of its internal split.
 impl Serialize for Tracer {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("enabled".to_owned(), Value::Bool(self.enabled)),
-            ("capacity".to_owned(), Value::U64(self.capacity as u64)),
-            ("dropped".to_owned(), Value::U64(self.dropped)),
-            (
-                "records".to_owned(),
-                Value::Array(self.records.iter().map(Serialize::serialize).collect()),
-            ),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_object();
+        out.field("enabled", &self.enabled);
+        out.field("capacity", &self.capacity);
+        out.field("dropped", &self.dropped);
+        out.field("records", &self.records);
+        out.end_object();
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use mpsoc_sim::Cycle;
-use serde::{Serialize, Value};
+use serde::{Serialize, Writer};
 
 use crate::event::{EventKind, Mark, TraceEvent};
 use crate::Unit;
@@ -180,18 +180,16 @@ impl EventTrace {
     }
 }
 
-// Hand-written: the ring buffer flattens to an oldest-first array.
+// Hand-written: only the recorded state goes out, in a fixed field
+// order, and the ring buffer flattens to an oldest-first array.
 impl Serialize for EventTrace {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("enabled".to_owned(), Value::Bool(self.enabled)),
-            ("capacity".to_owned(), Value::U64(self.capacity as u64)),
-            ("dropped".to_owned(), Value::U64(self.dropped)),
-            (
-                "events".to_owned(),
-                Value::Array(self.events.iter().map(Serialize::serialize).collect()),
-            ),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_object();
+        out.field("enabled", &self.enabled);
+        out.field("capacity", &self.capacity);
+        out.field("dropped", &self.dropped);
+        out.field("events", &self.events);
+        out.end_object();
     }
 }
 

@@ -1,18 +1,29 @@
 //! Hand-rolled `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
 //! vendored `serde` shim.
 //!
-//! This environment has no access to crates.io, so the real `serde_derive`
-//! (and its `syn`/`quote` dependency tree) cannot be used. This macro
-//! parses the item's token stream directly and emits impls of the shim's
-//! value-tree traits (`serde::Serialize::serialize(&self) -> Value` and
-//! `serde::Deserialize::deserialize(&Value) -> Result<Self, DeError>`).
+//! The workspace builds offline, so the real `serde_derive` (and its
+//! `syn`/`quote` dependency tree) is not used. This macro parses the
+//! item's token stream directly and emits straight-line impls of the
+//! shim's JSON traits:
 //!
-//! Supported shapes — everything this workspace derives on:
+//! - `Serialize::serialize(&self, &mut Writer)` opens the object or
+//!   array, writes each field under its name — a quoted literal — and
+//!   closes it;
+//! - `Deserialize::deserialize(&mut Reader)` walks the object's keys and
+//!   matches each against the field names as string literals: keys may
+//!   come in any order, the first of a repeated key wins, unknown keys
+//!   are skipped, and a missing field reads as `null` (so an `Option`
+//!   field becomes `None`). Arrays read element by element, with missing
+//!   elements as `null` and extra ones skipped.
+//!
+//! Neither builds an intermediate document. Supported shapes — everything
+//! this workspace derives on:
 //! - structs with named fields,
 //! - tuple structs (including `#[serde(transparent)]` newtypes),
-//! - unit structs,
+//! - unit structs (written as `null`; any value reads as one),
 //! - enums with unit, named-field, newtype and tuple variants
-//!   (externally tagged, matching serde's default representation).
+//!   (externally tagged, matching serde's default representation: a
+//!   unit variant is a string, a data variant a single-key object).
 //!
 //! Generic items are intentionally unsupported and produce a compile
 //! error; the workspace does not serialize any.
@@ -244,82 +255,54 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
+        ItemKind::NamedStruct(fields) if item.transparent && fields.len() == 1 => {
+            format!("::serde::Serialize::serialize(&self.{}, __w);", fields[0])
+        }
         ItemKind::NamedStruct(fields) => {
-            if item.transparent && fields.len() == 1 {
-                format!("::serde::Serialize::serialize(&self.{})", fields[0])
-            } else {
-                let mut s = format!(
-                    "let mut fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                     ::std::vec::Vec::with_capacity({});\n",
-                    fields.len()
-                );
-                for f in fields {
-                    s.push_str(&format!(
-                        "fields.push((::std::string::String::from(\"{f}\"), \
-                         ::serde::Serialize::serialize(&self.{f})));\n"
-                    ));
-                }
-                s.push_str("::serde::Value::Object(fields)");
-                s
-            }
+            write_object(fields.iter().map(|f| (f, format!("&self.{f}"))))
         }
-        ItemKind::TupleStruct(len) => {
-            if item.transparent && *len == 1 {
-                "::serde::Serialize::serialize(&self.0)".to_owned()
-            } else {
-                let elems: Vec<String> = (0..*len)
-                    .map(|k| format!("::serde::Serialize::serialize(&self.{k})"))
-                    .collect();
-                format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-            }
+        ItemKind::TupleStruct(1) if item.transparent => {
+            "::serde::Serialize::serialize(&self.0, __w);".to_owned()
         }
-        ItemKind::UnitStruct => "::serde::Value::Null".to_owned(),
+        ItemKind::TupleStruct(len) => write_array((0..*len).map(|k| format!("&self.{k}"))),
+        ItemKind::UnitStruct => "__w.null();".to_owned(),
         ItemKind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vname = &v.name;
-                match &v.fields {
-                    VariantFields::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => \
-                         ::serde::Value::Str(::std::string::String::from(\"{vname}\")),\n"
-                    )),
+                let (pattern, inner) = match &v.fields {
+                    VariantFields::Unit => {
+                        arms.push_str(&format!("{name}::{vname} => __w.raw({}),\n", quoted(vname)));
+                        continue;
+                    }
                     VariantFields::Named(fields) => {
-                        let bindings = fields.join(", ");
-                        let mut pushes = String::new();
-                        for f in fields {
-                            pushes.push_str(&format!(
-                                "inner.push((::std::string::String::from(\"{f}\"), \
-                                 ::serde::Serialize::serialize({f})));\n"
-                            ));
-                        }
-                        let capacity = fields.len();
-                        arms.push_str(&format!(
-                            "{name}::{vname} {{ {bindings} }} => {{\n\
-                             let mut inner: ::std::vec::Vec<(::std::string::String, \
-                             ::serde::Value)> = ::std::vec::Vec::with_capacity({capacity});\n\
-                             {pushes}\
-                             ::serde::Value::Object(vec![(::std::string::String::from(\
-                             \"{vname}\"), ::serde::Value::Object(inner))])\n}}\n"
-                        ));
+                        let bindings: Vec<String> =
+                            fields.iter().map(|f| format!("{f}: __f_{f}")).collect();
+                        (
+                            format!("{{ {} }}", bindings.join(", ")),
+                            write_object(fields.iter().map(|f| (f, format!("__f_{f}")))),
+                        )
                     }
                     VariantFields::Tuple(len) => {
-                        let bindings: Vec<String> = (0..*len).map(|k| format!("f{k}")).collect();
+                        let bindings: Vec<String> = (0..*len).map(|k| format!("__f{k}")).collect();
                         let inner = if *len == 1 {
-                            "::serde::Serialize::serialize(f0)".to_owned()
+                            "::serde::Serialize::serialize(__f0, __w);".to_owned()
                         } else {
-                            let elems: Vec<String> = bindings
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::serialize({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
+                            write_array(bindings.iter().cloned())
                         };
-                        arms.push_str(&format!(
-                            "{name}::{vname}({}) => ::serde::Value::Object(vec![(\
-                             ::std::string::String::from(\"{vname}\"), {inner})]),\n",
-                            bindings.join(", ")
-                        ));
+                        (format!("({})", bindings.join(", ")), inner)
                     }
-                }
+                };
+                // Externally tagged: `{"Variant": <fields>}`.
+                arms.push_str(&format!(
+                    "{name}::{vname} {pattern} => {{\n\
+                     __w.begin_object();\n\
+                     __w.quoted_key({});\n\
+                     {inner}\
+                     __w.end_object();\n\
+                     }}\n",
+                    quoted(vname)
+                ));
             }
             format!("match self {{\n{arms}}}")
         }
@@ -327,124 +310,107 @@ fn gen_serialize(item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-         fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn serialize(&self, __w: &mut ::serde::Writer<'_>) {{\n{body}\n}}\n}}\n"
     )
+}
+
+/// Statements writing an object of `(field name, value reference)`
+/// entries.
+fn write_object<'a>(fields: impl Iterator<Item = (&'a String, String)>) -> String {
+    let mut s = "__w.begin_object();\n".to_owned();
+    for (f, value) in fields {
+        s.push_str(&format!(
+            "__w.quoted_key({});\n::serde::Serialize::serialize({value}, __w);\n",
+            quoted(f)
+        ));
+    }
+    s.push_str("__w.end_object();\n");
+    s
+}
+
+/// `name` as the source of a Rust string literal holding its JSON form:
+/// `client_job` becomes `"\"client_job\""`. Identifiers hold nothing
+/// JSON escapes.
+fn quoted(name: &str) -> String {
+    format!("\"\\\"{name}\\\"\"")
+}
+
+/// Statements writing an array of value references.
+fn write_array(elems: impl Iterator<Item = String>) -> String {
+    let mut s = "__w.begin_array();\n".to_owned();
+    for value in elems {
+        s.push_str(&format!("__w.element({value});\n"));
+    }
+    s.push_str("__w.end_array();\n");
+    s
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
+    let ok = "::std::result::Result::Ok";
     let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => {
-            if item.transparent && fields.len() == 1 {
-                format!(
-                    "::std::result::Result::Ok({name} {{ {}: \
-                     ::serde::Deserialize::deserialize(v)? }})",
-                    fields[0]
-                )
-            } else {
-                let mut inits = String::new();
-                for f in fields {
-                    inits.push_str(&format!(
-                        "{f}: ::serde::Deserialize::deserialize(::serde::get_field(obj, \
-                         \"{f}\"))?,\n"
-                    ));
-                }
-                format!(
-                    "let obj = v.as_object().ok_or_else(|| ::serde::DeError::new(\
-                     \"expected object for {name}\"))?;\n\
-                     ::std::result::Result::Ok({name} {{\n{inits}}})"
-                )
-            }
+        ItemKind::NamedStruct(fields) if item.transparent && fields.len() == 1 => format!(
+            "{ok}({name} {{ {}: ::serde::Deserialize::deserialize(__r)? }})",
+            fields[0]
+        ),
+        ItemKind::NamedStruct(fields) => format!("{ok}({{\n{}}})", read_object(name, fields)),
+        ItemKind::TupleStruct(1) if item.transparent => {
+            format!("{ok}({name}(::serde::Deserialize::deserialize(__r)?))")
         }
-        ItemKind::TupleStruct(len) => {
-            if item.transparent && *len == 1 {
-                format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(v)?))")
-            } else {
-                let elems: Vec<String> = (0..*len)
-                    .map(|k| {
-                        format!(
-                            "::serde::Deserialize::deserialize(arr.get({k}).unwrap_or(\
-                             &::serde::Value::Null))?"
-                        )
-                    })
-                    .collect();
-                format!(
-                    "let arr = v.as_array().ok_or_else(|| ::serde::DeError::new(\
-                     \"expected array for {name}\"))?;\n\
-                     ::std::result::Result::Ok({name}({}))",
-                    elems.join(", ")
-                )
-            }
-        }
-        ItemKind::UnitStruct => format!("::std::result::Result::Ok({name})"),
+        ItemKind::TupleStruct(len) => format!("{ok}({{\n{}}})", read_array(name, *len)),
+        // Any value reads as a unit struct.
+        ItemKind::UnitStruct => format!("__r.skip_value()?;\n{ok}({name})"),
         ItemKind::Enum(variants) => {
             let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
+            let mut data_arms = String::new();
             for v in variants {
                 let vname = &v.name;
+                let path = format!("{name}::{vname}");
                 match &v.fields {
-                    VariantFields::Unit => unit_arms.push_str(&format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),\n"
+                    VariantFields::Unit => {
+                        unit_arms.push_str(&format!("\"{vname}\" => {ok}({path}),\n"));
+                    }
+                    VariantFields::Named(fields) => data_arms.push_str(&format!(
+                        "\"{vname}\" => {{\n{}}}\n",
+                        read_object(&path, fields)
                     )),
-                    VariantFields::Named(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{f}: ::serde::Deserialize::deserialize(::serde::get_field(\
-                                 obj, \"{f}\"))?,\n"
-                            ));
-                        }
-                        tagged_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let obj = inner.as_object().ok_or_else(|| ::serde::DeError::new(\
-                             \"expected object for {name}::{vname}\"))?;\n\
-                             ::std::result::Result::Ok({name}::{vname} {{\n{inits}}})\n}}\n"
-                        ));
-                    }
-                    VariantFields::Tuple(len) => {
-                        if *len == 1 {
-                            tagged_arms.push_str(&format!(
-                                "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(\
-                                 ::serde::Deserialize::deserialize(inner)?)),\n"
-                            ));
-                        } else {
-                            let elems: Vec<String> = (0..*len)
-                                .map(|k| {
-                                    format!(
-                                        "::serde::Deserialize::deserialize(arr.get({k})\
-                                         .unwrap_or(&::serde::Value::Null))?"
-                                    )
-                                })
-                                .collect();
-                            tagged_arms.push_str(&format!(
-                                "\"{vname}\" => {{\n\
-                                 let arr = inner.as_array().ok_or_else(|| \
-                                 ::serde::DeError::new(\"expected array for \
-                                 {name}::{vname}\"))?;\n\
-                                 ::std::result::Result::Ok({name}::{vname}({}))\n}}\n",
-                                elems.join(", ")
-                            ));
-                        }
-                    }
+                    VariantFields::Tuple(1) => data_arms.push_str(&format!(
+                        "\"{vname}\" => {path}(::serde::Deserialize::deserialize(__r)?),\n"
+                    )),
+                    VariantFields::Tuple(len) => data_arms.push_str(&format!(
+                        "\"{vname}\" => {{\n{}}}\n",
+                        read_array(&path, *len)
+                    )),
                 }
             }
+            let unknown = |kind: &str| {
+                format!(
+                    "::std::result::Result::Err(::serde::Error::new(::std::format!(\
+                     \"unknown {kind}variant `{{__other}}` for {name}\")))"
+                )
+            };
+            let unit_unknown = unknown("unit ");
+            let data_unknown = unknown("");
+            let data = if data_arms.is_empty() {
+                format!("{{\nlet __other = __tag;\n{data_unknown}\n}}")
+            } else {
+                format!(
+                    "{{\nlet __v = match &*__tag {{\n\
+                     {data_arms}\
+                     __other => return {data_unknown},\n\
+                     }};\n\
+                     __r.end_variant()?;\n\
+                     {ok}(__v)\n\
+                     }}"
+                )
+            };
             format!(
-                "match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n\
+                "match __r.variant()? {{\n\
+                 ::serde::VariantTag::Unit(__tag) => match &*__tag {{\n\
                  {unit_arms}\
-                 other => ::std::result::Result::Err(::serde::DeError::new(format!(\
-                 \"unknown unit variant `{{other}}` for {name}\"))),\n\
+                 __other => {unit_unknown},\n\
                  }},\n\
-                 ::serde::Value::Object(entries) if entries.len() == 1 => {{\n\
-                 let (tag, inner) = &entries[0];\n\
-                 match tag.as_str() {{\n\
-                 {tagged_arms}\
-                 other => ::std::result::Result::Err(::serde::DeError::new(format!(\
-                 \"unknown variant `{{other}}` for {name}\"))),\n\
-                 }}\n\
-                 }},\n\
-                 _ => ::std::result::Result::Err(::serde::DeError::new(\
-                 \"expected string or single-key object for {name}\")),\n\
+                 ::serde::VariantTag::Data(__tag) => {data}\n\
                  }}"
             )
         }
@@ -452,7 +418,50 @@ fn gen_deserialize(item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-         fn deserialize(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> \
-         {{\n{body}\n}}\n}}\n"
+         fn deserialize(__r: &mut ::serde::Reader<'_>) \
+         -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
+    )
+}
+
+/// A block reading an object into `path { fields }`. Keys may come in
+/// any order; the first of a repeated key wins, unknown keys are
+/// skipped, and a missing field reads as `null`.
+fn read_object(path: &str, fields: &[String]) -> String {
+    let mut s = String::new();
+    for f in fields {
+        s.push_str(&format!("let mut __f_{f} = ::std::option::Option::None;\n"));
+    }
+    s.push_str(
+        "__r.begin_object()?;\n\
+         while let ::std::option::Option::Some(__key) = __r.next_key()? {\n\
+         match &*__key {\n",
+    );
+    for f in fields {
+        s.push_str(&format!(
+            "\"{f}\" if __f_{f}.is_none() => __f_{f} = \
+             ::std::option::Option::Some(::serde::Deserialize::deserialize(__r)?),\n"
+        ));
+    }
+    s.push_str("_ => __r.skip_value()?,\n}\n}\n");
+    s.push_str(&format!("{path} {{\n"));
+    for f in fields {
+        s.push_str(&format!(
+            "{f}: __f_{f}.map_or_else(::serde::missing, ::std::result::Result::Ok)?,\n"
+        ));
+    }
+    s.push_str("}\n");
+    s
+}
+
+/// A block reading an array into `path(elements)`. Missing elements
+/// read as `null`; extra ones are skipped.
+fn read_array(path: &str, len: usize) -> String {
+    let elems = vec!["__r.tuple_element(&mut __open)?"; len].join(", ");
+    format!(
+        "__r.begin_array()?;\n\
+         let mut __open = true;\n\
+         let __v = {path}({elems});\n\
+         __r.end_tuple(__open)?;\n\
+         __v\n"
     )
 }
