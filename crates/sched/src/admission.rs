@@ -155,7 +155,7 @@ impl AdmissionController {
     /// the engine passes the *healthy* cluster count here, so quarantine
     /// shrinks what admission reasons about without rebuilding the
     /// controller.
-    pub fn admit_with_clusters(&self, job: &Job, clusters: u64) -> AdmissionDecision {
+    fn admit_with_clusters(&self, job: &Job, clusters: u64) -> AdmissionDecision {
         let model = self.table.get(job.kernel);
         let budget = job.deadline as f64;
         let host_predicted = model.host.predict(job.n);

@@ -96,7 +96,7 @@ impl CostGate {
     /// The smallest statically-possible runtime for `(kernel, n)` on
     /// this machine — any cluster count, any strategy, or the host.
     /// `None` when the generated programs cannot be bounded.
-    pub fn min_best(&mut self, kernel: KernelId, n: u64) -> Option<u64> {
+    fn min_best(&mut self, kernel: KernelId, n: u64) -> Option<u64> {
         if let Some(v) = self.min_best.get(&(kernel, n)) {
             return *v;
         }

@@ -167,9 +167,11 @@ impl Engine {
     /// returns a placement the machine cannot honour (out-of-range
     /// index, zero or unavailable partition size),
     /// [`SchedError::Unscheduled`] when the policy leaves jobs that fit
-    /// the machine queued with nothing left in flight, and
+    /// the machine queued with nothing left in flight,
     /// [`SchedError::SessionStalled`] when a co-simulated tenant never
-    /// completes.
+    /// completes, and [`SchedError::PastHorizon`] when a job's host run
+    /// or offload would finish past cycle `u64::MAX`, where virtual time
+    /// ends.
     ///
     /// # Panics
     ///

@@ -44,6 +44,16 @@ pub enum SchedError {
         /// Clusters free when the policy picked.
         free: usize,
     },
+    /// A job would finish past cycle `u64::MAX`, where virtual time
+    /// ends: its host run or its offload starts too late to fit.
+    PastHorizon {
+        /// The job's id.
+        job: u64,
+        /// The cycle it would start at.
+        start: u64,
+        /// Its service time (cycles).
+        cycles: u64,
+    },
 }
 
 impl std::fmt::Display for SchedError {
@@ -73,6 +83,11 @@ impl std::fmt::Display for SchedError {
                 "policy placed queue entry {queue_index} of {queue_len} on {m} cluster(s) \
                  with {free} free"
             ),
+            SchedError::PastHorizon { job, start, cycles } => write!(
+                f,
+                "job {job} starting at cycle {start} would run {cycles} cycle(s), \
+                 past the end of virtual time"
+            ),
         }
     }
 }
@@ -85,7 +100,8 @@ impl std::error::Error for SchedError {
             SchedError::SessionStalled { .. }
             | SchedError::Unscheduled { .. }
             | SchedError::UnknownCompletion { .. }
-            | SchedError::InvalidPlacement { .. } => None,
+            | SchedError::InvalidPlacement { .. }
+            | SchedError::PastHorizon { .. } => None,
         }
     }
 }

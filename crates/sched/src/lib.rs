@@ -68,6 +68,7 @@ mod lint_gate;
 mod metrics;
 mod policy;
 mod quarantine;
+mod queue;
 mod service;
 mod shard;
 mod workload;
@@ -86,6 +87,7 @@ pub use policy::{
     SchedContext, SchedPolicy, SmallestFirst,
 };
 pub use quarantine::{QuarantineEvent, StrikeBoard, AUTO_QUARANTINE_STRIKES};
+pub use queue::ReadyQueue;
 pub use service::ServiceBackend;
 pub use shard::{CostCheck, ShardDecision, ShardSim, COSIM_MAX_REDISPATCH};
 pub use workload::{ArrivalPattern, Workload};

@@ -1,17 +1,22 @@
 //! Scheduling policies: which queued job starts next, and how many
 //! clusters it gets.
 //!
-//! All policies see the same interface — the admitted-but-waiting queue
-//! and a snapshot of machine state — and return one placement at a time;
-//! the engine re-asks until the policy passes. This keeps policies pure
-//! decision logic: carving masks, clocks and bookkeeping stay in the
-//! engine.
+//! A policy sees the admitted-but-waiting jobs as a slice in admission
+//! order, and a [`SchedContext`]: a snapshot of the machine and the
+//! [`ReadyQueue`] that slice belongs to. It returns one placement at a
+//! time, and the scheduling loop re-asks until the policy passes.
+//! FIFO, smallest-first and EDF scan the slice. The model-guided packer
+//! walks the queue's deadline index instead, which keeps what earlier
+//! picks learned: the jobs that can no longer meet their deadline.
+//! Policies stay pure decision logic: carving masks, clocks and
+//! bookkeeping stay in the loop.
 
 use mpsoc_offload::decision::min_clusters;
 use serde::{Deserialize, Serialize};
 
 use crate::calibrate::ModelTable;
 use crate::job::Job;
+use crate::queue::ReadyQueue;
 
 /// An admitted job waiting for clusters, with its admission-time
 /// solution of Eq. 3 attached.
@@ -38,6 +43,9 @@ pub struct SchedContext<'a> {
     pub total_clusters: usize,
     /// Per-kernel fitted models (for policies that re-predict).
     pub models: &'a ModelTable,
+    /// The queue whose jobs [`SchedPolicy::pick`] receives as `ready`.
+    /// [`ModelGuided`] walks its deadline index.
+    pub queue: &'a ReadyQueue,
 }
 
 /// One placement: start the `queue_index`-th waiting job on `m`
@@ -58,7 +66,7 @@ pub trait SchedPolicy {
     /// Picks the next placement, or `None` to leave the machine as-is
     /// until the next event. Called repeatedly after every arrival and
     /// completion; each returned placement removes that job from the
-    /// queue before the next call.
+    /// queue before the next call. `ready` is `ctx.queue.jobs()`.
     fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement>;
 }
 
@@ -131,8 +139,12 @@ impl SchedPolicy for EarliestDeadlineFirst {
 /// Jobs that can no longer make their deadline at any size run
 /// best-effort at `M_min`.
 ///
-/// Each pick is one allocation-free pass over the queue that returns
-/// exactly what scanning it in `(absolute deadline, index)` order would.
+/// A pick walks the open jobs of the queue's deadline index in
+/// `(absolute deadline, admission)` order and returns the first whose
+/// partition fits. A job it finds lost leaves the walk for good; when
+/// no open job fits, the most urgent lost job whose `M_min` fits runs.
+/// That is exactly what scanning the whole queue in deadline order
+/// returns, but Eq. 3 is solved once per lost job, not once per pick.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelGuided;
 
@@ -142,45 +154,41 @@ impl SchedPolicy for ModelGuided {
     }
 
     fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
-        // Running minima keyed `(deadline, index)`: the most urgent
-        // winnable job whose re-solved partition fits now, and the most
-        // urgent lost job whose `M_min` fits. Indices ascend, so
-        // "strictly earlier deadline" is the whole comparison.
-        let mut winnable: Option<(u64, Placement)> = None;
-        let mut best_effort: Option<(u64, Placement)> = None;
-        for (queue_index, q) in ready.iter().enumerate() {
-            let deadline = q.job.absolute_deadline();
-            // Either outcome needs `M_min` free clusters, and a job no
-            // more urgent than the winnable candidate cannot displace
-            // it: neither needs Eq. 3 solved.
-            if q.m_min as usize > ctx.free_clusters || winnable.is_some_and(|(d, _)| deadline >= d)
-            {
-                continue;
-            }
-            let budget = deadline.saturating_sub(ctx.now);
-            let model = &ctx.models.get(q.job.kernel).accel;
-            match min_clusters(model, q.job.n, budget as f64) {
-                Some(required) if required as usize <= ctx.total_clusters => {
-                    let m = required.max(q.m_min) as usize;
-                    if m <= ctx.free_clusters {
-                        winnable = Some((deadline, Placement { queue_index, m }));
-                    }
-                    // Needs more clusters than are free: wait for a
-                    // release, let someone else backfill.
+        debug_assert_eq!(ready.len(), ctx.queue.len(), "`ready` is the queue's slice");
+        let mut index = ctx.queue.deadline_index(ctx);
+        let mut after = None;
+        while let Some((key, q)) = index.next_open(after) {
+            match required_clusters(&q, ctx) {
+                Some(m) if m <= ctx.free_clusters => {
+                    let queue_index = index.position(key);
+                    return Some(Placement { queue_index, m });
                 }
-                _ => {
-                    // Deadline already lost at any width: salvage
-                    // throughput at the cheap admission-time size, but
-                    // only if nothing winnable fits.
-                    if best_effort.map_or(true, |(d, _)| deadline < d) {
-                        let m = q.m_min as usize;
-                        best_effort = Some((deadline, Placement { queue_index, m }));
-                    }
-                }
+                // Needs more clusters than are free: wait for a release,
+                // let someone else backfill.
+                Some(_) => {}
+                None => index.retire(key),
             }
+            after = Some(key);
         }
-        winnable.or(best_effort).map(|(_, placement)| placement)
+        // Every lost job is now out of the walk. Salvage throughput at
+        // the cheap admission-time size, since nothing winnable fits.
+        let (key, m_min) = index.most_urgent_lost(ctx.free_clusters)?;
+        Some(Placement {
+            queue_index: index.position(key),
+            m: m_min as usize,
+        })
     }
+}
+
+/// The partition `q` needs to meet its deadline starting at `ctx.now`:
+/// Eq. 3 re-solved against the remaining slack, never below `M_min`.
+/// `None` when no partition of the usable pool meets the deadline: the
+/// job is lost.
+fn required_clusters(q: &QueuedJob, ctx: &SchedContext<'_>) -> Option<usize> {
+    let budget = q.job.absolute_deadline().saturating_sub(ctx.now);
+    let model = &ctx.models.get(q.job.kernel).accel;
+    let required = min_clusters(model, q.job.n, budget as f64)?;
+    (required as usize <= ctx.total_clusters).then(|| required.max(q.m_min) as usize)
 }
 
 /// Every built-in policy, in a fixed order (baseline first).
@@ -191,6 +199,55 @@ pub fn all_policies() -> Vec<Box<dyn SchedPolicy>> {
         Box::new(EarliestDeadlineFirst),
         Box::new(ModelGuided),
     ]
+}
+
+/// The model-guided pick as first written, kept as the reference the
+/// deadline index is tested against: sort the queue by `(deadline,
+/// index)`, then return the first winnable job that fits, else the first
+/// lost job whose `M_min` fits.
+#[cfg(test)]
+pub(crate) fn sort_then_scan(ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
+    let mut order: Vec<usize> = (0..ready.len()).collect();
+    order.sort_by_key(|&i| (ready[i].job.absolute_deadline(), i));
+    let mut best_effort: Option<Placement> = None;
+    for &i in &order {
+        let q = &ready[i];
+        let budget = q.job.absolute_deadline().saturating_sub(ctx.now);
+        let model = &ctx.models.get(q.job.kernel).accel;
+        match min_clusters(model, q.job.n, budget as f64) {
+            Some(required) if required as usize <= ctx.total_clusters => {
+                let m = required.max(q.m_min) as usize;
+                if m <= ctx.free_clusters {
+                    return Some(Placement { queue_index: i, m });
+                }
+            }
+            _ => {
+                let m = q.m_min as usize;
+                if best_effort.is_none() && m <= ctx.free_clusters {
+                    best_effort = Some(Placement { queue_index: i, m });
+                }
+            }
+        }
+    }
+    best_effort
+}
+
+/// [`ModelGuided`] answered by [`sort_then_scan`] on the slice alone,
+/// never reading `ctx.queue`. It reports under the packer's name, so
+/// whole run reports compare equal.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SortThenScan;
+
+#[cfg(test)]
+impl SchedPolicy for SortThenScan {
+    fn name(&self) -> &'static str {
+        ModelGuided.name()
+    }
+
+    fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
+        sort_then_scan(ready, ctx)
+    }
 }
 
 #[cfg(test)]
@@ -215,25 +272,39 @@ mod tests {
         }
     }
 
-    fn ctx(table: &ModelTable, now: u64, free: usize) -> SchedContext<'_> {
+    fn queue_of(jobs: &[QueuedJob]) -> ReadyQueue {
+        let mut queue = ReadyQueue::default();
+        for (slot, q) in jobs.iter().enumerate() {
+            queue.push(*q, slot);
+        }
+        queue
+    }
+
+    fn ctx<'a>(
+        table: &'a ModelTable,
+        queue: &'a ReadyQueue,
+        now: u64,
+        free: usize,
+    ) -> SchedContext<'a> {
         SchedContext {
             now,
             free_clusters: free,
             total_clusters: 32,
             models: table,
+            queue,
         }
     }
 
     #[test]
     fn fifo_blocks_on_the_head() {
         let table = ModelTable::paper_defaults();
-        let ready = vec![queued(0, 0, 1000, 8), queued(1, 10, 1000, 1)];
+        let ready = queue_of(&[queued(0, 0, 1000, 8), queued(1, 10, 1000, 1)]);
         let mut fifo = FifoFirstFit;
         // Head needs 8, only 4 free: everything waits, even the 1-wide
         // second job.
-        assert_eq!(fifo.pick(&ready, &ctx(&table, 0, 4)), None);
+        assert_eq!(fifo.pick(ready.jobs(), &ctx(&table, &ready, 0, 4)), None);
         assert_eq!(
-            fifo.pick(&ready, &ctx(&table, 0, 8)),
+            fifo.pick(ready.jobs(), &ctx(&table, &ready, 0, 8)),
             Some(Placement {
                 queue_index: 0,
                 m: 8
@@ -244,9 +315,9 @@ mod tests {
     #[test]
     fn smallest_first_prefers_narrow_jobs() {
         let table = ModelTable::paper_defaults();
-        let ready = vec![queued(0, 0, 1000, 8), queued(1, 10, 1000, 2)];
+        let ready = queue_of(&[queued(0, 0, 1000, 8), queued(1, 10, 1000, 2)]);
         assert_eq!(
-            SmallestFirst.pick(&ready, &ctx(&table, 0, 4)),
+            SmallestFirst.pick(ready.jobs(), &ctx(&table, &ready, 0, 4)),
             Some(Placement {
                 queue_index: 1,
                 m: 2
@@ -257,9 +328,9 @@ mod tests {
     #[test]
     fn edf_prefers_urgent_jobs() {
         let table = ModelTable::paper_defaults();
-        let ready = vec![queued(0, 0, 5000, 2), queued(1, 10, 500, 2)];
+        let ready = queue_of(&[queued(0, 0, 5000, 2), queued(1, 10, 500, 2)]);
         assert_eq!(
-            EarliestDeadlineFirst.pick(&ready, &ctx(&table, 0, 4)),
+            EarliestDeadlineFirst.pick(ready.jobs(), &ctx(&table, &ready, 0, 4)),
             Some(Placement {
                 queue_index: 1,
                 m: 2
@@ -273,9 +344,13 @@ mod tests {
         // Admitted with M_min = 1 against a 1000-cycle budget
         // (t̂(1,1024) = 956). 300 cycles later the budget is 700 and
         // Eq. 3 needs five clusters.
-        let ready = vec![queued(0, 0, 1000, 1)];
-        let early = ModelGuided.pick(&ready, &ctx(&table, 0, 32)).unwrap();
-        let late = ModelGuided.pick(&ready, &ctx(&table, 300, 32)).unwrap();
+        let ready = queue_of(&[queued(0, 0, 1000, 1)]);
+        let early = ModelGuided
+            .pick(ready.jobs(), &ctx(&table, &ready, 0, 32))
+            .unwrap();
+        let late = ModelGuided
+            .pick(ready.jobs(), &ctx(&table, &ready, 300, 32))
+            .unwrap();
         assert_eq!(early.m, 1);
         assert!(late.m > 1, "eroded slack must widen the partition");
     }
@@ -285,47 +360,65 @@ mod tests {
         let table = ModelTable::paper_defaults();
         // Urgent job needs more clusters than are free; the later job
         // fits and should run instead of idling the machine.
-        let ready = vec![queued(0, 0, 700, 13), queued(1, 0, 100_000, 1)];
-        let pick = ModelGuided.pick(&ready, &ctx(&table, 0, 4)).unwrap();
+        let ready = queue_of(&[queued(0, 0, 700, 13), queued(1, 0, 100_000, 1)]);
+        let pick = ModelGuided
+            .pick(ready.jobs(), &ctx(&table, &ready, 0, 4))
+            .unwrap();
         assert_eq!(pick.queue_index, 1);
+    }
+
+    /// A job found lost is winnable again when a later read moves the
+    /// context back: an earlier `now`, a larger pool, another table.
+    #[test]
+    fn model_guided_reopens_lost_jobs_when_the_context_moves_back() {
+        let table = ModelTable::paper_defaults();
+        // A 700-cycle budget needs five clusters from cycle 0 (Eq. 3
+        // slack 77 against 332.8 cycles of parallel work); from cycle 300
+        // no partition meets it.
+        let ready = queue_of(&[queued(0, 0, 700, 1)]);
+        let m = |ctx: SchedContext<'_>| ModelGuided.pick(ready.jobs(), &ctx).map(|p| p.m);
+        assert_eq!(
+            m(ctx(&table, &ready, 300, 32)),
+            Some(1),
+            "lost: best effort"
+        );
+        assert_eq!(m(ctx(&table, &ready, 0, 32)), Some(5), "earlier now");
+        let small = SchedContext {
+            total_clusters: 4,
+            ..ctx(&table, &ready, 0, 4)
+        };
+        assert_eq!(m(small), Some(1), "lost on four clusters");
+        assert_eq!(m(ctx(&table, &ready, 0, 32)), Some(5), "larger pool");
+        let slow = ModelTable::new(
+            KernelId::ALL
+                .iter()
+                .map(|&kernel| KernelModel {
+                    accel: mpsoc_offload::RuntimeModel {
+                        c0: 10_000.0,
+                        ..mpsoc_offload::RuntimeModel::paper()
+                    },
+                    ..*table.get(kernel)
+                })
+                .collect(),
+        );
+        assert_eq!(
+            m(ctx(&slow, &ready, 0, 32)),
+            Some(1),
+            "lost under a slow model"
+        );
+        assert_eq!(m(ctx(&table, &ready, 0, 32)), Some(5), "another table");
     }
 
     #[test]
     fn policies_idle_on_an_empty_queue() {
         let table = ModelTable::paper_defaults();
+        let empty = ReadyQueue::default();
         for mut policy in all_policies() {
-            assert!(policy.pick(&[], &ctx(&table, 0, 32)).is_none());
+            assert!(policy
+                .pick(empty.jobs(), &ctx(&table, &empty, 0, 32))
+                .is_none());
             assert!(!policy.name().is_empty());
         }
-    }
-
-    /// The model-guided pick as first written: sort the queue by
-    /// `(deadline, index)`, then return the first winnable job that fits,
-    /// else the first lost job whose `M_min` fits.
-    fn sort_then_scan(ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
-        let mut order: Vec<usize> = (0..ready.len()).collect();
-        order.sort_by_key(|&i| (ready[i].job.absolute_deadline(), i));
-        let mut best_effort: Option<Placement> = None;
-        for &i in &order {
-            let q = &ready[i];
-            let budget = q.job.absolute_deadline().saturating_sub(ctx.now);
-            let model = &ctx.models.get(q.job.kernel).accel;
-            match min_clusters(model, q.job.n, budget as f64) {
-                Some(required) if required as usize <= ctx.total_clusters => {
-                    let m = required.max(q.m_min) as usize;
-                    if m <= ctx.free_clusters {
-                        return Some(Placement { queue_index: i, m });
-                    }
-                }
-                _ => {
-                    let m = q.m_min as usize;
-                    if best_effort.is_none() && m <= ctx.free_clusters {
-                        best_effort = Some(Placement { queue_index: i, m });
-                    }
-                }
-            }
-        }
-        best_effort
     }
 
     /// A table whose kernels differ in overhead and parallel work, so
@@ -354,42 +447,67 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The one-pass pick returns exactly what sort-then-scan returns,
-        /// ties included: deadlines sit on a coarse grid so many jobs
-        /// share one, `now` falls before and after them, and the usable
-        /// pool is often smaller than the machine, as under quarantine.
+        /// The indexed pick returns exactly what sort-then-scan returns
+        /// on the current slice after every step of a random sequence:
+        /// pushes, picks that remove their placement and take its
+        /// clusters, steals from the tail, evictions of jobs wider than
+        /// the pool, `now` advancing, clusters freed and the pool
+        /// shrinking, as under quarantine. Deadlines sit on a coarse
+        /// grid so many jobs share one, and `M_min` spans `0..=total`.
         #[test]
         fn model_guided_matches_sort_then_scan(
-            specs in prop::collection::vec((0usize..35, 0u64..8, 0u64..60, any::<u64>()), 0..=300),
+            steps in prop::collection::vec((0u8..10, 0usize..35, 0u64..60, any::<u64>()), 0..=300),
             machine in 1usize..=32,
-            pools in (any::<u64>(), any::<u64>()),
-            now in 0u64..16_000,
+            start in 0u64..8_000,
         ) {
             let table = mixed_table();
-            let total = (pools.0 % (machine as u64 + 1)) as usize;
-            let free = (pools.1 % (total as u64 + 1)) as usize;
-            let ready: Vec<QueuedJob> = specs
-                .iter()
-                .enumerate()
-                .map(|(id, &(shape, arrival, deadline, m_min))| QueuedJob {
-                    job: Job {
-                        id: id as u64,
-                        kernel: KernelId::ALL[shape % KernelId::ALL.len()],
-                        n: SIZES[shape / KernelId::ALL.len()],
-                        arrival: arrival * 125,
-                        deadline: deadline * 250,
-                    },
-                    m_min: m_min % (total as u64 + 1),
-                    predicted: 0.0,
-                })
-                .collect();
-            let ctx = SchedContext {
-                now,
-                free_clusters: free,
-                total_clusters: total,
-                models: &table,
-            };
-            prop_assert_eq!(ModelGuided.pick(&ready, &ctx), sort_then_scan(&ready, &ctx));
+            let mut queue = ReadyQueue::default();
+            let (mut now, mut total, mut free) = (start, machine, machine);
+            for (id, &(op, shape, deadline, dice)) in steps.iter().enumerate() {
+                let mut take = false;
+                match op {
+                    0..=4 => queue.push(
+                        QueuedJob {
+                            job: Job {
+                                id: id as u64,
+                                kernel: KernelId::ALL[shape % KernelId::ALL.len()],
+                                n: SIZES[shape / KernelId::ALL.len()],
+                                arrival: (dice >> 32) % 8 * 125,
+                                deadline: deadline * 250,
+                            },
+                            m_min: dice % (total as u64 + 1),
+                            predicted: 0.0,
+                        },
+                        id,
+                    ),
+                    5 => take = true,
+                    6 => {
+                        queue.pop();
+                    }
+                    7 => {
+                        queue.remove_where(|q| q.m_min > total as u64);
+                    }
+                    8 => now += dice % 500,
+                    _ if dice % 2 == 0 => free = (dice / 2 % (total as u64 + 1)) as usize,
+                    _ => {
+                        total -= total.min((dice / 2 % 2) as usize);
+                        free = free.min(total);
+                    }
+                }
+                let ctx = SchedContext {
+                    now,
+                    free_clusters: free,
+                    total_clusters: total,
+                    models: &table,
+                    queue: &queue,
+                };
+                let got = ModelGuided.pick(queue.jobs(), &ctx);
+                prop_assert_eq!(got, sort_then_scan(queue.jobs(), &ctx));
+                if let Some(p) = got.filter(|_| take) {
+                    queue.remove(p.queue_index);
+                    free -= p.m;
+                }
+            }
         }
     }
 }

@@ -53,7 +53,7 @@ impl StrikeBoard {
 
     /// A board with an explicit threshold; `None` disables automatic
     /// quarantine (strikes still accumulate and stay observable).
-    pub fn with_threshold(clusters: usize, threshold: Option<u32>) -> Self {
+    fn with_threshold(clusters: usize, threshold: Option<u32>) -> Self {
         StrikeBoard {
             threshold,
             strikes: vec![0; clusters],

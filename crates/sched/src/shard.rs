@@ -65,6 +65,7 @@ use crate::lint_gate::LintGate;
 use crate::metrics::{JobOutcome, JobRecord};
 use crate::policy::{Placement, QueuedJob, SchedContext, SchedPolicy};
 use crate::quarantine::{QuarantineEvent, StrikeBoard};
+use crate::queue::ReadyQueue;
 use crate::service::ServiceBackend;
 
 /// Bounded re-dispatch budget for co-simulated tenants that complete
@@ -156,9 +157,8 @@ pub(crate) struct SchedLoop {
     now: u64,
     host_free_at: u64,
     seq: u64,
-    ready: Vec<QueuedJob>,
-    /// Each queued job's record slot, in lockstep with `ready`.
-    slots: Vec<usize>,
+    /// Admitted jobs waiting for clusters, with their record slots.
+    ready: ReadyQueue,
     /// Virtual-time completion events, keyed `(finish, sequence)`.
     completions: BTreeMap<(u64, u64), InFlight>,
     /// Co-simulated tenants keyed by their session job handle.
@@ -187,8 +187,7 @@ impl SchedLoop {
             now: 0,
             host_free_at: 0,
             seq: 0,
-            ready: Vec::new(),
-            slots: Vec::new(),
+            ready: ReadyQueue::default(),
             completions: BTreeMap::new(),
             running: BTreeMap::new(),
             finished: Vec::new(),
@@ -239,7 +238,6 @@ impl SchedLoop {
         self.host_free_at = 0;
         self.seq = 0;
         self.ready.clear();
-        self.slots.clear();
         self.completions.clear();
         self.running.clear();
         self.backlog_cycles = 0.0;
@@ -403,12 +401,14 @@ impl SchedLoop {
                 }
             }
             AdmissionDecision::Offload { m_min, predicted } => {
-                self.ready.push(QueuedJob {
-                    job,
-                    m_min,
-                    predicted,
-                });
-                self.slots.push(slot);
+                self.ready.push(
+                    QueuedJob {
+                        job,
+                        m_min,
+                        predicted,
+                    },
+                    slot,
+                );
                 self.backlog_cycles += predicted * m_min as f64;
                 if let Some(gate) = self.cost_gate.as_mut() {
                     self.last_cost_check =
@@ -423,7 +423,12 @@ impl SchedLoop {
             }
             AdmissionDecision::Host { .. } => {
                 let start = self.now.max(self.host_free_at);
-                let finish = start + self.backend.host_cycles(job.kernel, job.n)?;
+                let cycles = self.backend.host_cycles(job.kernel, job.n)?;
+                let finish = start.checked_add(cycles).ok_or(SchedError::PastHorizon {
+                    job: job.id,
+                    start,
+                    cycles,
+                })?;
                 self.host_free_at = finish;
                 let span = self
                     .trace
@@ -465,7 +470,8 @@ impl SchedLoop {
     ///
     /// [`SchedError::InvalidPlacement`] when the policy names an index
     /// past the queue, a zero-width partition or more clusters than are
-    /// free; service-backend failures starting the job.
+    /// free; [`SchedError::PastHorizon`] when an offload would finish
+    /// past cycle `u64::MAX`; service-backend failures starting the job.
     #[inline(always)]
     fn dispatch(&mut self, policy: &mut dyn SchedPolicy) -> Result<(), SchedError> {
         let total_clusters = self.healthy_clusters();
@@ -476,8 +482,9 @@ impl SchedLoop {
                 free_clusters: free,
                 total_clusters,
                 models: self.admission.table(),
+                queue: &self.ready,
             };
-            let Some(Placement { queue_index, m }) = policy.pick(&self.ready, &ctx) else {
+            let Some(Placement { queue_index, m }) = policy.pick(self.ready.jobs(), &ctx) else {
                 return Ok(());
             };
             let queue_len = self.ready.len();
@@ -491,10 +498,10 @@ impl SchedLoop {
                 return Err(invalid());
             }
             let mask = self.allocator.carve(m).ok_or_else(invalid)?;
-            let queued = self.ready.remove(queue_index);
+            let (queued, slot) = self.ready.remove(queue_index);
             let placed = InFlight {
                 job: queued.job,
-                slot: self.slots.remove(queue_index),
+                slot,
                 demand: queued.predicted * queued.m_min as f64,
                 mask,
                 start: self.now,
@@ -512,7 +519,15 @@ impl SchedLoop {
                 let handle = self.backend.submit_at(kernel, n, mask, now)?;
                 self.running.insert(handle, placed);
             } else {
-                let finish = self.now + self.backend.offload_cycles(kernel, n, mask)?;
+                let cycles = self.backend.offload_cycles(kernel, n, mask)?;
+                let finish = self
+                    .now
+                    .checked_add(cycles)
+                    .ok_or(SchedError::PastHorizon {
+                        job: queued.job.id,
+                        start: self.now,
+                        cycles,
+                    })?;
                 let span = self.trace.begin(now, part, EventKind::Offload);
                 self.trace
                     .end(Cycle::new(finish), part, EventKind::Offload, span);
@@ -636,16 +651,9 @@ impl SchedLoop {
     /// healthy pool, with their record slots, in arrival order.
     fn evict(&mut self) -> Vec<(QueuedJob, usize)> {
         let healthy = self.healthy_clusters() as u64;
-        let mut evicted = Vec::new();
-        let mut i = 0;
-        while i < self.ready.len() {
-            if self.ready[i].m_min > healthy {
-                let q = self.ready.remove(i);
-                self.backlog_cycles -= q.predicted * q.m_min as f64;
-                evicted.push((q, self.slots.remove(i)));
-            } else {
-                i += 1;
-            }
+        let evicted = self.ready.remove_where(|q| q.m_min > healthy);
+        for (q, _) in &evicted {
+            self.backlog_cycles -= q.predicted * q.m_min as f64;
         }
         evicted
     }
@@ -822,11 +830,6 @@ impl ShardSim {
         self.sched.busy_cluster_cycles
     }
 
-    /// Jobs retired so far (offloaded + host).
-    pub fn completed_jobs(&self) -> u64 {
-        self.sched.completed_jobs
-    }
-
     /// The admission controller's model table.
     pub fn models(&self) -> &ModelTable {
         self.sched.admission.table()
@@ -890,11 +893,16 @@ impl ShardSim {
     /// its fate and schedules it. The returned decision is also recorded
     /// (rejections immediately, completions when they retire).
     ///
+    /// Virtual time ends at cycle `u64::MAX`. A host run or an offload
+    /// that would finish past it is an error, not a wrapped clock.
+    ///
     /// # Errors
     ///
-    /// Service-backend failures measuring or submitting the job, and
-    /// [`SchedError::InvalidPlacement`] when the policy returns a
-    /// placement the shard cannot honour.
+    /// Service-backend failures measuring or submitting the job,
+    /// [`SchedError::PastHorizon`] when this job's host run, or an
+    /// offload the offer lets the policy start, would finish past cycle
+    /// `u64::MAX`, and [`SchedError::InvalidPlacement`] when the policy
+    /// returns a placement the shard cannot honour.
     pub fn offer(&mut self, job: Job) -> Result<ShardDecision, SchedError> {
         let decision = self.sched.admit(job, APPEND)?;
         if let ShardDecision::Queued { .. } = decision {
@@ -932,8 +940,7 @@ impl ShardSim {
     /// shard that admitted them.
     pub fn steal(&mut self) -> Option<QueuedJob> {
         let sched = &mut self.sched;
-        let stolen = sched.ready.pop()?;
-        sched.slots.pop();
+        let (stolen, _) = sched.ready.pop()?;
         sched.backlog_cycles -= stolen.predicted * stolen.m_min as f64;
         Some(stolen)
     }
@@ -949,8 +956,7 @@ impl ShardSim {
     pub fn inject(&mut self, stolen: QueuedJob) -> Result<(), SchedError> {
         let sched = &mut self.sched;
         sched.backlog_cycles += stolen.predicted * stolen.m_min as f64;
-        sched.ready.push(stolen);
-        sched.slots.push(APPEND);
+        sched.ready.push(stolen, APPEND);
         sched.dispatch(self.policy.as_mut())
     }
 }
@@ -959,7 +965,8 @@ impl ShardSim {
 mod tests {
     use super::*;
     use crate::job::KernelId;
-    use crate::policy::FifoFirstFit;
+    use crate::policy::{FifoFirstFit, ModelGuided, SortThenScan};
+    use crate::workload::{ArrivalPattern, Workload};
     use crate::Engine;
 
     fn jobs(specs: &[(u64, u64, u64)]) -> Vec<Job> {
@@ -1065,7 +1072,7 @@ mod tests {
         s.drain().expect("drain");
         let records = s.drain_finished();
         assert_eq!(records.len(), 3);
-        assert_eq!(s.completed_jobs(), 2);
+        assert_eq!(s.sched.completed_jobs, 2);
     }
 
     #[test]
@@ -1098,7 +1105,7 @@ mod tests {
         ));
 
         donor.drain().expect("drain");
-        assert_eq!(donor.completed_jobs(), 1);
+        assert_eq!(donor.sched.completed_jobs, 1);
     }
 
     #[test]
@@ -1301,5 +1308,156 @@ mod tests {
             }
             other => panic!("expected a degraded rejection, got {other:?}"),
         }
+    }
+
+    /// Offers a DAXPY job of `n` elements 10 cycles before virtual time
+    /// ends: whatever runs it would finish past `u64::MAX`, which must be
+    /// a typed error, with the clock neither wrapped nor moved back.
+    fn offer_at_the_end_of_time(n: u64) {
+        let mut s = shard(4, ServiceBackend::analytic(ModelTable::paper_defaults()));
+        let job = jobs(&[(u64::MAX - 10, n, 100_000)])[0];
+        s.advance(job.arrival).expect("advance");
+        match s.offer(job) {
+            Err(SchedError::PastHorizon { job: 0, start, .. }) => {
+                assert_eq!(start, u64::MAX - 10)
+            }
+            other => panic!("expected PastHorizon, got {other:?}"),
+        }
+        assert_eq!(s.now(), u64::MAX - 10);
+    }
+
+    #[test]
+    fn a_host_run_past_the_end_of_time_is_a_typed_error() {
+        // Below break-even: 64 elements stay on the host.
+        offer_at_the_end_of_time(64);
+    }
+
+    #[test]
+    fn an_offload_past_the_end_of_time_is_a_typed_error() {
+        offer_at_the_end_of_time(1024);
+    }
+
+    /// A seeded stream offered at 8× what `clusters` clusters serve at
+    /// the workload's reference partition: queues form and jobs in them
+    /// lose their deadlines.
+    fn overloaded(seed: u64, count: usize, clusters: usize) -> Vec<Job> {
+        let table = ModelTable::paper_defaults();
+        let mut workload = Workload::balanced(
+            count,
+            seed,
+            ArrivalPattern::Poisson {
+                mean_interarrival: 1.0,
+            },
+        );
+        workload.arrivals = ArrivalPattern::Poisson {
+            mean_interarrival: workload.interarrival_for_load(&table, clusters, 8.0),
+        };
+        workload.generate(&table)
+    }
+
+    /// Drives two 4-cluster shards through `stream` under `policy`. Jobs
+    /// alternate between the shards; every seventh offer moves the
+    /// newest queued job of the deeper queue to the other shard; halfway
+    /// through, shard 0 loses three clusters and rejects the queued jobs
+    /// that no longer fit. Returns each shard's records.
+    fn two_shards(stream: &[Job], policy: fn() -> Box<dyn SchedPolicy>) -> [Vec<JobRecord>; 2] {
+        let table = ModelTable::paper_defaults();
+        let mut shards = [0, 1].map(|_| {
+            let backend = ServiceBackend::analytic(table.clone());
+            let mut s = ShardSim::new(table.clone(), 4, backend, policy());
+            s.set_queue_limit(64);
+            s
+        });
+        for (i, job) in stream.iter().enumerate() {
+            for s in &mut shards {
+                s.advance(job.arrival).expect("advance");
+            }
+            shards[i % 2].offer(*job).expect("offer");
+            if i % 7 == 6 {
+                let from = usize::from(shards[1].queue_depth() > shards[0].queue_depth());
+                if let Some(stolen) = shards[from].steal() {
+                    shards[1 - from].inject(stolen).expect("inject");
+                }
+            }
+            if i == stream.len() / 2 {
+                shards[0].quarantine(ClusterMask::first(3));
+                for q in shards[0].evict_unservable() {
+                    shards[0].reject_evicted(q);
+                }
+            }
+        }
+        shards.map(|mut s| {
+            s.drain().expect("drain");
+            s.drain_finished()
+        })
+    }
+
+    /// Whole shards under the indexed pick log what shards under the
+    /// slice oracle log, through steals, injections, a mid-stream
+    /// quarantine and the evictions it forces.
+    #[test]
+    fn shards_match_the_slice_oracle() {
+        for seed in 1..=4 {
+            let stream = overloaded(seed, 600, 8);
+            let indexed = two_shards(&stream, || Box::new(ModelGuided));
+            assert_eq!(indexed, two_shards(&stream, || Box::new(SortThenScan)));
+            let records = indexed.concat();
+            let (mut lost, mut degraded) = (0, 0);
+            for r in &records {
+                match r.outcome {
+                    JobOutcome::Offloaded { finish, .. } if finish > r.job.absolute_deadline() => {
+                        lost += 1
+                    }
+                    JobOutcome::Rejected {
+                        reason: RejectReason::DegradedMachine { .. },
+                    } => degraded += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(records.len(), stream.len());
+            assert!(
+                lost > 0 && degraded > 0,
+                "seed {seed}: {lost} lost, {degraded} degraded"
+            );
+        }
+    }
+
+    /// Closed runs under the indexed pick report what runs under the
+    /// slice oracle report, including a second run on the same engine
+    /// after quarantine shrank it.
+    #[test]
+    fn engine_runs_match_the_slice_oracle() {
+        let table = ModelTable::paper_defaults();
+        for seed in 1..=3 {
+            let stream = overloaded(seed, 600, 8);
+            let runs = |policy: &mut dyn SchedPolicy| {
+                let backend = ServiceBackend::analytic(table.clone());
+                let mut engine = Engine::new(table.clone(), 8, backend);
+                let first = engine.run(&stream, policy).expect("run");
+                engine.quarantine(ClusterMask::first(3));
+                (first, engine.run(&stream, policy).expect("run"))
+            };
+            assert_eq!(runs(&mut ModelGuided), runs(&mut SortThenScan));
+        }
+    }
+
+    /// FIFO never reads the deadline index, so neither a closed run (the
+    /// loop `Engine::run` drives) nor a shard builds it; the model-guided
+    /// packer does.
+    #[test]
+    fn fifo_never_builds_the_deadline_index() {
+        let table = ModelTable::paper_defaults();
+        let stream = overloaded(1, 300, 8);
+        let closed = |policy: &mut dyn SchedPolicy| {
+            let mut sched =
+                SchedLoop::new(table.clone(), 8, ServiceBackend::analytic(table.clone()));
+            sched.run(&stream, policy).expect("run");
+            sched.ready.index_built()
+        };
+        assert!(!closed(&mut FifoFirstFit));
+        assert!(closed(&mut ModelGuided));
+        let mut s = shard(8, ServiceBackend::analytic(table.clone()));
+        run_stream(&mut s, &stream);
+        assert!(!s.sched.ready.index_built());
     }
 }

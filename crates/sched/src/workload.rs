@@ -85,7 +85,7 @@ impl Workload {
     /// Expected cluster-cycle demand of one job: the mean over the mix
     /// and sizes of `M_ref · t̂(M_ref, N)`. Used to convert a target
     /// offered load into an interarrival gap.
-    pub fn mean_demand(&self, table: &ModelTable) -> f64 {
+    fn mean_demand(&self, table: &ModelTable) -> f64 {
         let weight_sum: f64 = self.mix.iter().map(|(_, w)| w).sum();
         let mut demand = 0.0;
         for &(kernel, weight) in &self.mix {
