@@ -14,9 +14,6 @@ cargo build --release
 echo "==> cargo test -q (every workspace member: default-members in Cargo.toml)"
 cargo test -q
 
-echo "==> lint_kernels --deny-warnings (static verification of the kernel zoo)"
-cargo run --release -q -p mpsoc-bench --bin lint_kernels -- --deny-warnings
-
 echo "==> forbid(unsafe_code) gate (every workspace crate must carry the attribute)"
 for lib in crates/*/src/lib.rs; do
     grep -q '^#!\[forbid(unsafe_code)\]' "$lib" \
@@ -43,102 +40,70 @@ cargo run --release -q -p mpsoc-bench --bin offload_profile -- \
 test -s "$trace_dir/smoke.trace.json"
 test -s "$trace_dir/smoke.json"
 
+# The eight self-asserting studies. Each checks its own claims and exits
+# non-zero when one fails (mpsoc_bench::study owns their command line):
+# - sched_study: model-guided beating FIFO on miss rate, contention
+#   visible only to the co-simulated backend;
+# - interference: emergent co-resident slowdown, contention accounted;
+# - fault_sweep: 100% single-transient recovery, verified-or-typed
+#   outcomes, smooth quarantine degradation;
+# - serve_study: load-aware placement beating round-robin on p99 at
+#   overload, backpressure and stealing firing, cosim witness retries;
+# - cost_study: simulator-measured cycles and all five phase milestones
+#   inside the static [best, worst] in every zoo x size x strategy cell,
+#   host path included, plus a co-simulated two-tenant witness under the
+#   contention-widened worst bound;
+# - chaos_study: auto-quarantine firing mid-stream, zero-fault plans
+#   reproducing the no-plan fleet byte for byte, and recovery beating
+#   no-recovery attainment by >= 15% at the overloaded witness cell;
+# - throughput_study: the profile tree reconciling with wall time,
+#   live interpreter/engine hot sites, profiling-off byte identity,
+#   nonzero per-backend rates, daemon GetStats == FleetSlo;
+# - lint_kernels: the whole kernel zoo and the JSON fixtures lint clean,
+#   warnings included.
+studies="sched_study interference fault_sweep serve_study cost_study chaos_study throughput_study lint_kernels"
+bin_dir="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
+
 echo "==> committed artifacts (results/ must regenerate byte for byte)"
 # The contract that makes changes to the cycle-exact core safe: every
 # study artifact under results/ is a pure function of the code. Runs
-# all_experiments and the seven extension studies at full scale from a
-# temporary directory, so neither results/ nor the BENCH_*.json sidecars in
-# the tree are rewritten, and fails on any byte difference.
-bin_dir="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
+# all_experiments and every study at full scale, with no flags so each
+# writes its default results/ path, from a temporary directory (so
+# neither results/ nor the BENCH_*.json sidecars in the tree are
+# rewritten), and fails on any byte difference.
 artifact_dir="$trace_dir/artifacts"
 mkdir -p "$artifact_dir"
 (
     cd "$artifact_dir"
     "$bin_dir/all_experiments" > /dev/null
-    for study in sched_study interference fault_sweep serve_study cost_study chaos_study; do
-        "$bin_dir/$study" --json "results/$study.json" > /dev/null
+    for study in $studies; do
+        "$bin_dir/$study" > /dev/null
     done
-    "$bin_dir/throughput_study" --json results/throughput.json > /dev/null
 )
 diff -r results "$artifact_dir/results"
 
-echo "==> study smoke tests (self-asserting, determinism-gated, replayed)"
-# Each binary asserts its own claims:
-# - interference: emergent co-resident slowdown, contention accounted;
-# - fault_sweep: 100% single-transient recovery, verified-or-typed
-#   outcomes, smooth quarantine degradation;
-# - serve_study: load-aware placement beating round-robin on p99 at
-#   overload, backpressure and stealing firing, cosim witness retries,
-#   in-process replay equality;
-# - cost_study: simulator-measured cycles and all five phase milestones
-#   inside the static [best, worst] in every zoo × size × strategy cell,
-#   host path included, plus a co-simulated two-tenant witness under the
-#   contention-widened worst bound;
-# - chaos_study: auto-quarantine firing mid-stream with no explicit
-#   quarantine call, zero-fault plans reproducing the no-plan fleet
-#   byte-for-byte, and quarantine+failover+redirect attainment beating
-#   no-recovery by >= 15% at the overloaded witness cell.
-# Two smoke runs of each must serialize byte-identically: the shared SoC
+echo "==> study smoke tests (self-asserting, replayed with profiling off)"
+# Each study runs its smoke grid and writes the report, then replays it
+# with the self-profiler off: the replay re-runs the study and requires
+# the same bytes. That one run is the determinism gate (the shared SoC
 # session, fault injection, strikes, evacuation and the serving path's
-# wire frames are all pure functions of the seed. cost_study's replay
-# re-checks the recorded phase breakdowns against freshly computed
-# bounds; chaos_study's re-computes the recorded grid from its own scale
-# stamp and demands the same bytes. serve_a.json is also the reference
-# of the profiling-off gate below.
-for study in interference fault_sweep serve_study cost_study chaos_study; do
+# wire frames are pure functions of the seed), the replay gate and the
+# profiling-off gate (a disabled profiler scope is a single branch and
+# must not leak into cycle-domain output).
+for study in $studies; do
     echo "==> $study smoke test"
-    out="$trace_dir/${study%%_*}"
-    for run in a b; do
-        cargo run --release -q -p mpsoc-bench --bin "$study" -- \
-            --smoke --json "${out}_$run.json"
-    done
-    test -s "${out}_a.json"
-    cmp "${out}_a.json" "${out}_b.json"
-    case "$study" in
-        cost_study | chaos_study)
-            cargo run --release -q -p mpsoc-bench --bin "$study" -- \
-                --replay "${out}_a.json"
-            ;;
-    esac
+    out="$trace_dir/$study.json"
+    exports=()
+    if [ "$study" = throughput_study ]; then
+        exports=(--flamegraph "$trace_dir/throughput.folded"
+            --chrome "$trace_dir/throughput.trace.json")
+    fi
+    "$bin_dir/$study" --smoke --json "$out" "${exports[@]}" > /dev/null
+    test -s "$out"
+    MPSOC_PROFILE=0 "$bin_dir/$study" --smoke --replay "$out" > /dev/null
 done
-
-echo "==> throughput_study smoke test (self-profiler + cycles/sec meter)"
-# The binary asserts the observability claims itself (profile tree
-# reconciling with wall time within 10%, live interpreter/engine hot
-# sites, profiling-off byte-identity, nonzero per-backend rates, daemon
-# GetStats == FleetSlo); two runs must serialize byte-identically — the
-# cycle-domain report carries no wall-clock state.
-cargo run --release -q -p mpsoc-bench --bin throughput_study -- \
-    --smoke --json "$trace_dir/throughput_a.json" \
-    --flamegraph "$trace_dir/throughput.folded" \
-    --chrome "$trace_dir/throughput.trace.json"
-cargo run --release -q -p mpsoc-bench --bin throughput_study -- \
-    --smoke --json "$trace_dir/throughput_b.json"
-test -s "$trace_dir/throughput_a.json"
 test -s "$trace_dir/throughput.folded"
 test -s "$trace_dir/throughput.trace.json"
-cmp "$trace_dir/throughput_a.json" "$trace_dir/throughput_b.json"
-
-echo "==> lint_kernels smoke test (determinism-gated like the other studies)"
-cargo run --release -q -p mpsoc-bench --bin lint_kernels -- \
-    --smoke --deny-warnings --json "$trace_dir/lint_a.json"
-cargo run --release -q -p mpsoc-bench --bin lint_kernels -- \
-    --smoke --deny-warnings --json "$trace_dir/lint_b.json"
-test -s "$trace_dir/lint_a.json"
-cmp "$trace_dir/lint_a.json" "$trace_dir/lint_b.json"
-
-echo "==> profiling-off byte-identity (MPSOC_PROFILE=0 must not change results)"
-# The profiler's disabled path is a single branch per scope; proving it
-# cannot leak into cycle-domain output: profiled and unprofiled smoke
-# runs of the study binaries must serialize byte-identically.
-MPSOC_PROFILE=0 cargo run --release -q -p mpsoc-bench --bin sched_study -- \
-    --smoke --json "$trace_dir/sched_off.json"
-cargo run --release -q -p mpsoc-bench --bin sched_study -- \
-    --smoke --json "$trace_dir/sched_on.json"
-cmp "$trace_dir/sched_off.json" "$trace_dir/sched_on.json"
-MPSOC_PROFILE=0 cargo run --release -q -p mpsoc-bench --bin serve_study -- \
-    --smoke --json "$trace_dir/serve_off.json"
-cmp "$trace_dir/serve_off.json" "$trace_dir/serve_a.json"
 
 echo "==> perf/run.sh --smoke (benchmark workloads, determinism-gated)"
 # Runs the four benchmark workloads at a hundredth of their size,

@@ -6,9 +6,10 @@
 //! cargo run --release -p mpsoc-bench --bin ablation [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness, PAPER_M};
+use mpsoc_bench::{render_table, study, write_json, Harness, PAPER_M};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let rows = harness.ablation()?;
 
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         both < mc_only && both < credit_only && both < base
     );
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

@@ -4,12 +4,15 @@
 //! ```text
 //! cargo run --release -p mpsoc-bench --bin all_experiments
 //! ```
+//!
+//! It takes no arguments; any argument is a usage error (exit 2).
 
 use std::path::Path;
 
-use mpsoc_bench::{write_csv, write_json, Harness};
+use mpsoc_bench::{study, write_csv, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    study::flags(&[], &[]);
     let out = Path::new("results");
     let mut harness = Harness::new()?;
 

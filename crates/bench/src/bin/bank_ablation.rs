@@ -9,7 +9,7 @@
 //! cargo run --release -p mpsoc-bench --bin bank_ablation [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness, PAPER_M};
+use mpsoc_bench::{render_table, study, write_json, Harness, PAPER_M};
 use mpsoc_mem::BankMode;
 use mpsoc_offload::OffloadStrategy;
 use mpsoc_soc::SocConfig;
@@ -25,6 +25,7 @@ struct Row {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let n = 1024;
     let mut ideal = Harness::new()?;
     let mut banked_cfg = SocConfig::manticore();
@@ -77,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("results remain numerically correct under contention: true (asserted per run)");
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

@@ -7,9 +7,10 @@
 //! cargo run --release -p mpsoc-bench --bin breakeven [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness};
+use mpsoc_bench::{render_table, study, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let rows = harness.breakeven()?;
 
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .all(|r| (r.accel_cycles as f64) < r.host_cycles * 1.02)
     );
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

@@ -31,30 +31,33 @@
 //! attainment by ≥ 15%; (4) every job resolves exactly once in every
 //! cell; (5) an in-process replay of the first cell is exactly
 //! reproducible. Wall-clock throughput goes **only** into
-//! `BENCH_chaos.json`; the `--json` artifact is a pure function of the
-//! seed, so CI runs the study twice and requires byte-identical output.
+//! `BENCH_chaos.json` (full runs); the report is a pure function of the
+//! seed, so CI replays the study against its own artifact and requires
+//! byte-identical output.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin chaos_study \
-//!     [-- --smoke] [-- --json out.json] [-- --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin chaos_study -- \
+//!     [--smoke] [--json out.json | --replay recorded.json]
 //! ```
 //!
-//! `--replay <path>` re-reads a recorded artifact, re-runs the study at
-//! the recorded scale, and requires the fresh report to serialize
-//! byte-identically — the whole chaos path is a pure function of the
-//! seed or the artifact is stale.
+//! The command line and the report's life cycle are
+//! [`mpsoc_bench::study`]'s: a full run writes
+//! `results/chaos_study.json` by default, and `--replay` re-runs the
+//! study at the scale `--smoke` selects and demands the recorded bytes.
 
-use std::path::PathBuf;
+use std::error::Error;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::{json_arg, render_table, write_bench_sidecar, write_json};
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     AdmissionController, AdmissionDecision, ArrivalPattern, ModelTable, ServiceBackend, Workload,
 };
 use mpsoc_serve::{Fleet, FleetConfig, FleetSlo, PlacementPolicy};
 use mpsoc_soc::{FaultPlan, SocConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const SEED: u64 = 0xC_4A05_F1EE;
 const CLUSTERS_PER_SHARD: usize = 2;
@@ -132,7 +135,7 @@ impl Recovery {
 }
 
 /// One `(rate, shards, recovery)` cell of the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct ChaosRow {
     recovery: String,
     fault_rate: f64,
@@ -159,7 +162,7 @@ struct ChaosRow {
 }
 
 /// The deterministic artifact: every cell, plus the run shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct ChaosStudyReport {
     smoke: bool,
     total_jobs: u64,
@@ -312,8 +315,7 @@ fn run_cell(
 }
 
 /// Runs the whole study and returns the deterministic report (the
-/// printed narration is a side effect). Factored out so `--replay` can
-/// recompute a recorded artifact bit-for-bit.
+/// printed narration is a side effect).
 fn compute_report(smoke: bool) -> Result<ChaosStudyReport, Box<dyn std::error::Error>> {
     let (rates, shard_counts, jobs_per_cell, witness_jobs): (&[f64], &[usize], usize, usize) =
         if smoke {
@@ -505,37 +507,18 @@ fn compute_report(smoke: bool) -> Result<ChaosStudyReport, Box<dyn std::error::E
     })
 }
 
-fn replay_arg() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--replay" {
-            return args.next().map(PathBuf::from);
-        }
-    }
-    None
+const STUDY: Study = Study {
+    artifact: "chaos_study",
+    extra: &[],
+};
+
+fn main() -> ExitCode {
+    study::main(&STUDY, run)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = replay_arg() {
-        let recorded = std::fs::read_to_string(&path)?;
-        let report: ChaosStudyReport = serde_json::from_str(&recorded)?;
-        let fresh = compute_report(report.smoke)?;
-        assert_eq!(
-            serde_json::to_string_pretty(&fresh)?,
-            recorded.trim_end(),
-            "replay diverged from the recorded artifact"
-        );
-        println!(
-            "replay: {} rows re-computed byte-identically from {}",
-            fresh.rows.len(),
-            path.display()
-        );
-        return Ok(());
-    }
-
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn run(run: &Run) -> Result<Output<ChaosStudyReport, Vec<BenchCell>>, Box<dyn Error>> {
     let started = Instant::now();
-    let report = compute_report(smoke)?;
+    let report = compute_report(run.smoke)?;
     let wall = started.elapsed().as_secs_f64();
 
     let table_rows: Vec<Vec<String>> = report
@@ -570,32 +553,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
 
-    let path = json_arg().unwrap_or_else(|| "results/chaos_study.json".into());
-    write_json(&path, &report)?;
     println!(
-        "\n{} jobs in {wall:.2}s — wrote {}",
+        "\n{} jobs in {wall:.2}s ({:.0} jobs/sec)",
         report.total_jobs,
-        path.display()
+        report.total_jobs as f64 / wall
     );
-
-    if !smoke {
-        let cells: Vec<BenchCell> = report
-            .rows
-            .iter()
-            .map(|r| BenchCell {
-                fault_rate: r.fault_rate,
-                shards: r.shards,
-                recovery: r.recovery.clone(),
-                attainment: r.attainment,
-                quarantined_clusters: r.quarantined_clusters,
-            })
-            .collect();
-        let path = write_bench_sidecar("chaos", wall, report.total_jobs, cells)?;
-        println!(
-            "{:.0} jobs/sec — wrote {}",
-            report.total_jobs as f64 / wall,
-            path.display()
-        );
-    }
-    Ok(())
+    let cells: Vec<BenchCell> = report
+        .rows
+        .iter()
+        .map(|r| BenchCell {
+            fault_rate: r.fault_rate,
+            shards: r.shards,
+            recovery: r.recovery.clone(),
+            attainment: r.attainment,
+            quarantined_clusters: r.quarantined_clusters,
+        })
+        .collect();
+    let jobs = report.total_jobs;
+    Ok(Output::new(report).sidecar("chaos", wall, jobs, cells))
 }

@@ -9,7 +9,7 @@
 //! cargo run --release -p mpsoc-bench --bin codegen_ablation [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness, PAPER_M};
+use mpsoc_bench::{render_table, study, write_json, Harness, PAPER_M};
 use mpsoc_kernels::{Daxpy, DaxpySsr, Kernel};
 use mpsoc_offload::{OffloadStrategy, RuntimeModel, Sample};
 use mpsoc_sim::rng::SplitMix64;
@@ -44,6 +44,7 @@ fn measure(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let kernels: Vec<(&str, Box<dyn Kernel>)> = vec![
         (
@@ -122,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ssr.t_8192_4 < scalar.t_8192_4
     );
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p mpsoc-bench --bin cost_study -- \
-//!     [--smoke] [--json out.json] [--replay recorded.json]
+//!     [--smoke] [--json out.json | --replay recorded.json]
 //! ```
 //!
 //! The binary asserts its own headline claim — **soundness**: in every
@@ -17,39 +17,32 @@
 //! **tightness** (`worst / actual`) per cell so over-approximation is
 //! visible, not just bounded. Exits non-zero on any violation.
 //!
-//! `--replay <path>` is the trace-replay sanitizer: it re-reads a
-//! previously written report, reconstructs each cell's kernel and
-//! strategy, recomputes the bounds with the *current* analyzer, and
-//! re-checks the recorded [`PhaseBreakdown`] durations against them —
-//! so a future interpreter or hardware-model change that silently
-//! breaks soundness fails CI against the recorded traces.
-//!
-//! Without `--json`, the deterministic report goes to
-//! `results/cost_study.json`; wall-clock numbers go to the
-//! never-byte-compared `BENCH_cost.json` sidecar.
+//! The command line and the report's life cycle are
+//! [`mpsoc_bench::study`]'s: a full run writes `results/cost_study.json`
+//! by default and the wall-clock `BENCH_cost.json` sidecar, and a run
+//! with violations writes its report before it exits 1. `--replay`
+//! re-runs the grid and demands the recorded bytes; since the fresh run
+//! re-checks every total, phase milestone, phase breakdown and host row
+//! against the current analyzer, a byte-equal replay is a sound one.
 //!
 //! [`ContentionEnvelope`]: mpsoc_lint::ContentionEnvelope
 //! [`PhaseBreakdown`]: mpsoc_telemetry::PhaseBreakdown
 
-use std::path::PathBuf;
+use std::error::Error;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::{json_arg, render_table, write_bench_sidecar, write_json};
-use mpsoc_kernels::{
-    Axpby, Daxpy, DaxpySsr, Dot, Gemv, Kernel, Memset, Scale, Stencil3, Sum, VecAdd,
-};
-use mpsoc_lint::{bound_host_run, bound_offload, ContentionEnvelope, OffloadBounds};
-use mpsoc_offload::{
-    ClusterMask, DispatchStrategy, OffloadStrategy, Offloader, RuntimeCosts, SessionStep,
-    SyncStrategy,
-};
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
+use mpsoc_kernels::{zoo, Daxpy, Kernel};
+use mpsoc_lint::{bound_host_run, bound_offload, ContentionEnvelope};
+use mpsoc_offload::{ClusterMask, OffloadStrategy, Offloader, RuntimeCosts, SessionStep};
 use mpsoc_sim::Cycle;
 use mpsoc_soc::SocConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One `(kernel, N, M, strategy)` soundness cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct CostRow {
     kernel: String,
     n: u64,
@@ -64,15 +57,13 @@ struct CostRow {
     actual: u64,
     /// `worst / actual` — 1.0 would be a perfectly tight bound.
     tightness: f64,
-    /// Recorded phase durations (dispatch, dma_in, compute, dma_out,
-    /// sync) — the replay sanitizer's input. Always five entries; a
-    /// `Vec` because the vendored serde cannot derive array
-    /// deserialization.
-    phases: Vec<u64>,
+    /// Measured phase durations (dispatch, dma_in, compute, dma_out,
+    /// sync).
+    phases: [u64; 5],
 }
 
 /// One host-path soundness cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct HostRow {
     kernel: String,
     n: u64,
@@ -85,7 +76,7 @@ struct HostRow {
 /// The co-simulated contention witness: two credit-sync tenants on
 /// disjoint partitions of one SoC, each bounded with the *other's*
 /// [`ContentionEnvelope`] folded into its worst case.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct CosimRow {
     kernel: String,
     n: u64,
@@ -100,7 +91,7 @@ struct CosimRow {
 }
 
 /// The deterministic JSON artifact.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct CostReport {
     smoke: bool,
     clusters: usize,
@@ -114,39 +105,6 @@ struct CostReport {
     violations: usize,
 }
 
-fn zoo() -> Vec<Box<dyn Kernel>> {
-    vec![
-        Box::new(Daxpy::new(2.0)),
-        Box::new(DaxpySsr::new(2.0)),
-        Box::new(Axpby::new(1.5, -0.5)),
-        Box::new(Scale::new(3.0)),
-        Box::new(VecAdd::new()),
-        Box::new(Memset::new(7.0)),
-        Box::new(Dot::new()),
-        Box::new(Sum::new()),
-        Box::new(Gemv::new(vec![1.0, 2.0, 3.0])),
-        Box::new(Stencil3::new(0.25, 0.5, 0.25)),
-    ]
-}
-
-fn kernel_by_name(name: &str) -> Option<Box<dyn Kernel>> {
-    zoo().into_iter().find(|k| k.name() == name)
-}
-
-fn strategy_from_names(dispatch: &str, sync: &str) -> Option<OffloadStrategy> {
-    let dispatch = match dispatch {
-        "multicast" => DispatchStrategy::Multicast,
-        "sequential" => DispatchStrategy::Sequential,
-        _ => return None,
-    };
-    let sync = match sync {
-        "software-barrier" => SyncStrategy::SoftwareBarrier,
-        "credit-counter" => SyncStrategy::CreditCounter,
-        _ => return None,
-    };
-    Some(OffloadStrategy { dispatch, sync })
-}
-
 fn operands(kernel: &dyn Kernel, n: u64) -> (Vec<f64>, Vec<f64>) {
     // Timing on this SoC is data-independent; fixed patterns keep the
     // artifact a pure function of the grid.
@@ -155,139 +113,17 @@ fn operands(kernel: &dyn Kernel, n: u64) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-fn replay_arg() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--replay" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
+const STUDY: Study = Study {
+    artifact: "cost_study",
+    extra: &[],
+};
 
-/// Re-checks a recorded report against the *current* analyzer: the
-/// trace-replay sanitizer. Returns the number of violations.
-fn replay(path: &PathBuf) -> Result<usize, Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(path)?;
-    let report: CostReport = serde_json::from_str(&text)?;
-    let config = SocConfig::manticore();
-    let costs = RuntimeCosts::default();
-    let solo = ContentionEnvelope::default();
-    let mut violations = 0usize;
-    for row in &report.rows {
-        let Some(kernel) = kernel_by_name(&row.kernel) else {
-            println!("replay: unknown kernel {:?}", row.kernel);
-            violations += 1;
-            continue;
-        };
-        let Some(strategy) = strategy_from_names(&row.dispatch, &row.sync) else {
-            println!("replay: unknown strategy {}+{}", row.dispatch, row.sync);
-            violations += 1;
-            continue;
-        };
-        let bounds: OffloadBounds = match bound_offload(
-            kernel.as_ref(),
-            row.n,
-            row.m,
-            strategy,
-            &config,
-            &costs,
-            &solo,
-        ) {
-            Ok(b) => b,
-            Err(e) => {
-                println!(
-                    "replay: {} N={} M={} became unboundable: {}",
-                    row.kernel, row.n, row.m, e
-                );
-                violations += 1;
-                continue;
-            }
-        };
-        if !bounds.total.contains(row.actual) {
-            println!(
-                "replay: {} N={} M={} {}+{}: recorded total {} outside [{}, {}]",
-                row.kernel,
-                row.n,
-                row.m,
-                row.dispatch,
-                row.sync,
-                row.actual,
-                bounds.total.best,
-                bounds.total.worst
-            );
-            violations += 1;
-        }
-        let Ok(phases) = <[u64; 5]>::try_from(row.phases.clone()) else {
-            println!(
-                "replay: {} N={} M={}: malformed phase record {:?}",
-                row.kernel, row.n, row.m, row.phases
-            );
-            violations += 1;
-            continue;
-        };
-        if let Err(e) = bounds.check_phases(phases) {
-            println!(
-                "replay: {} N={} M={} {}+{}: {}",
-                row.kernel, row.n, row.m, row.dispatch, row.sync, e
-            );
-            violations += 1;
-        }
-    }
-    for row in &report.host_rows {
-        let Some(kernel) = kernel_by_name(&row.kernel) else {
-            println!("replay: unknown kernel {:?}", row.kernel);
-            violations += 1;
-            continue;
-        };
-        match bound_host_run(kernel.as_ref(), row.n) {
-            Ok(cost) if cost.cycles.contains(row.actual) => {}
-            Ok(cost) => {
-                println!(
-                    "replay: host {} N={}: recorded {} outside [{}, {}]",
-                    row.kernel, row.n, row.actual, cost.cycles.best, cost.cycles.worst
-                );
-                violations += 1;
-            }
-            Err(e) => {
-                println!("replay: host {} N={} unboundable: {}", row.kernel, row.n, e);
-                violations += 1;
-            }
-        }
-    }
-    println!(
-        "replay: {} offload + {} host cells re-checked, {} violation(s)",
-        report.rows.len(),
-        report.host_rows.len(),
-        violations
-    );
-    Ok(violations)
-}
-
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("cost_study failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    study::main(&STUDY, run)
 }
 
-fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
-    if let Some(path) = replay_arg() {
-        let violations = replay(&path)?;
-        return Ok(if violations == 0 {
-            println!("ok");
-            ExitCode::SUCCESS
-        } else {
-            println!("FAILED");
-            ExitCode::FAILURE
-        });
-    }
-
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn run(run: &Run) -> Result<Output<CostReport, f64>, Box<dyn Error>> {
+    let smoke = run.smoke;
     let started = Instant::now();
     let (sizes, machines): (&[u64], &[usize]) = if smoke {
         (&[1, 64, 250], &[1, 4])
@@ -365,7 +201,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                         worst: bounds.total.worst,
                         actual,
                         tightness: bounds.total.tightness(actual),
-                        phases: phases.to_vec(),
+                        phases,
                     });
                 }
             }
@@ -521,33 +357,10 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         max_tightness,
         violations,
     };
-    let path = json_arg().unwrap_or_else(|| PathBuf::from("results/cost_study.json"));
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    write_json(&path, &report)?;
-    println!("wrote {}", path.display());
-
-    // Like the other studies, only a full run refreshes the sidecar: the
-    // smoke runs in ci.sh must leave the committed BENCH_cost.json alone.
-    if !smoke {
-        let cells = (report.rows.len() + report.host_rows.len() + report.cosim.len()) as u64;
-        let bench = write_bench_sidecar(
-            "cost",
-            started.elapsed().as_secs_f64(),
-            cells,
-            report.mean_tightness,
-        )?;
-        println!("wrote {}", bench.display());
-    }
-
-    Ok(if report.violations == 0 {
-        println!("ok");
-        ExitCode::SUCCESS
-    } else {
-        println!("FAILED");
-        ExitCode::FAILURE
-    })
+    let cells = (report.rows.len() + report.host_rows.len() + report.cosim.len()) as u64;
+    let wall = started.elapsed().as_secs_f64();
+    let (tightness, passed) = (report.mean_tightness, report.violations == 0);
+    Ok(Output::new(report)
+        .sidecar("cost", wall, cells, tightness)
+        .passed(passed))
 }

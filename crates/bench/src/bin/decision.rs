@@ -6,9 +6,10 @@
 //! cargo run --release -p mpsoc-bench --bin decision [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness};
+use mpsoc_bench::{render_table, study, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let (model, rows) = harness.decision_table(1.0)?;
 
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let all_confirmed = rows.iter().all(|r| r.confirmed);
     println!("all decisions confirmed by simulation (±1%): {all_confirmed}");
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

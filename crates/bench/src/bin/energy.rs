@@ -8,9 +8,10 @@
 //! cargo run --release -p mpsoc-bench --bin energy [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness};
+use mpsoc_bench::{render_table, study, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let rows = harness.energy_sweep()?;
 
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     println!("extended never costs more energy: {wins}");
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p mpsoc-bench --bin fault_sweep -- \
-//!     [--smoke] [--json out.json]
+//!     [--smoke] [--json out.json | --replay recorded.json]
 //! ```
 //!
 //! Four sections, each self-asserting (the binary exits non-zero when a
@@ -28,9 +28,14 @@
 //!    artifact byte-identical to running with no plan installed.
 //!
 //! Deterministic: two seed-equal runs serialize byte-identically (CI
-//! runs `--smoke` twice and compares).
+//! replays `--smoke` against its own artifact). The command line and the
+//! report's life cycle are [`mpsoc_bench::study`]'s.
 
-use mpsoc_bench::{json_arg, render_table, write_json};
+use std::error::Error;
+use std::process::ExitCode;
+
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
 use mpsoc_kernels::{Daxpy, Kernel};
 use mpsoc_offload::{
     AttemptOutcome, OffloadStrategy, Offloader, RecoveredResult, RecoveryPolicy, ResilientReport,
@@ -411,8 +416,17 @@ fn noop_byte_stability(n: usize, m: usize) -> bool {
     true
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+const STUDY: Study = Study {
+    artifact: "fault_sweep",
+    extra: &[],
+};
+
+fn main() -> ExitCode {
+    study::main(&STUDY, run)
+}
+
+fn run(run: &Run) -> Result<Output<FaultSweepReport>, Box<dyn Error>> {
+    let smoke = run.smoke;
 
     let (n, m) = if smoke { (256, 4) } else { (1024, 8) };
     let rates: &[f64] = if smoke {
@@ -522,17 +536,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let noop_byte_stable = noop_byte_stability(n, m);
     println!("zero-fault plan byte-stability: ok");
 
-    if let Some(path) = json_arg() {
-        let report = FaultSweepReport {
-            seed: SEED,
-            smoke,
-            transient,
-            rates: rate_rows,
-            quarantine,
-            noop_byte_stable,
-        };
-        write_json(&path, &report)?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
+    Ok(Output::new(FaultSweepReport {
+        seed: SEED,
+        smoke,
+        transient,
+        rates: rate_rows,
+        quarantine,
+        noop_byte_stable,
+    }))
 }

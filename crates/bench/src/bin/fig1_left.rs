@@ -5,26 +5,12 @@
 //! cargo run --release -p mpsoc-bench --bin fig1_left [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Fig1LeftRow, Harness};
-use mpsoc_offload::OffloadStrategy;
+use mpsoc_bench::{render_table, study, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
-    let dense = std::env::args().any(|a| a == "--dense");
-    let rows: Vec<Fig1LeftRow> = if dense {
-        // Every cluster count 1..=32, for plotting the full curve.
-        (1..=32usize)
-            .map(|m| {
-                Ok::<_, Box<dyn std::error::Error>>(Fig1LeftRow {
-                    m,
-                    baseline: harness.measure_daxpy(1024, m, OffloadStrategy::baseline())?,
-                    extended: harness.measure_daxpy(1024, m, OffloadStrategy::extended())?,
-                })
-            })
-            .collect::<Result<_, _>>()?
-    } else {
-        harness.fig1_left()?
-    };
+    let rows = harness.fig1_left()?;
 
     println!("Fig. 1 (left) — DAXPY N=1024 runtime [cycles == ns @ 1 GHz]\n");
     let table: Vec<Vec<String>> = rows
@@ -55,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("gap at M=32: {} cycles (paper: more than 300)", last.gap());
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

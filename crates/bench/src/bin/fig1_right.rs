@@ -5,9 +5,10 @@
 //! cargo run --release -p mpsoc-bench --bin fig1_right [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness, FIG1_RIGHT_N, PAPER_M};
+use mpsoc_bench::{render_table, study, write_json, Harness, FIG1_RIGHT_N, PAPER_M};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let rows = harness.fig1_right()?;
 
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     println!("speedup decreases with N at fixed M: {monotone}");
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

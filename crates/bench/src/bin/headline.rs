@@ -6,9 +6,10 @@
 //! cargo run --release -p mpsoc-bench --bin headline [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, write_json, Harness};
+use mpsoc_bench::{study, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let h = harness.headline()?;
 
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         h.improvement_pct
     );
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &h)?;
         println!("\nwrote {}", path.display());
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p mpsoc-bench --bin interference -- \
-//!     [--smoke] [--json out.json]
+//!     [--smoke] [--json out.json | --replay recorded.json]
 //! ```
 //!
 //! Every tenant runs a closed-loop stream of DAXPY offloads on its own
@@ -31,11 +31,15 @@
 //! slowdown accounted by the tagged contention counters, and (full
 //! sweep) `c_int > 0` with a strictly better MAPE — and exits non-zero
 //! otherwise, so CI can use `--smoke` as a determinism-checked smoke
-//! test.
+//! test. The command line and the report's life cycle are
+//! [`mpsoc_bench::study`]'s.
 
 use std::collections::BTreeMap;
+use std::error::Error;
+use std::process::ExitCode;
 
-use mpsoc_bench::{json_arg, render_table, write_json};
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
 use mpsoc_kernels::{Daxpy, Kernel};
 use mpsoc_offload::{ClusterMask, JobId, OffloadStrategy, Offloader, SessionStep};
 use mpsoc_sim::rng::SplitMix64;
@@ -265,8 +269,17 @@ fn mape(rows: &[(Vec<f64>, f64)], c: &[f64]) -> f64 {
     100.0 * total / rows.len() as f64
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+const STUDY: Study = Study {
+    artifact: "interference",
+    extra: &[],
+};
+
+fn main() -> ExitCode {
+    study::main(&STUDY, run)
+}
+
+fn run(run: &Run) -> Result<Output<InterferenceReport>, Box<dyn Error>> {
+    let smoke = run.smoke;
 
     let clusters = if smoke { 16 } else { 32 };
     let mut config = SocConfig::with_clusters(clusters);
@@ -499,18 +512,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(fit)
     };
 
-    if let Some(path) = json_arg() {
-        let report = InterferenceReport {
-            clusters,
-            mem_words_per_cycle: MEM_WORDS_PER_CYCLE,
-            host_prep_words_per_cycle: HOST_PREP_WORDS_PER_CYCLE,
-            seed: SEED,
-            smoke,
-            rows,
-            fit,
-        };
-        write_json(&path, &report)?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
+    Ok(Output::new(InterferenceReport {
+        clusters,
+        mem_words_per_cycle: MEM_WORDS_PER_CYCLE,
+        host_prep_words_per_cycle: HOST_PREP_WORDS_PER_CYCLE,
+        seed: SEED,
+        smoke,
+        rows,
+        fit,
+    }))
 }

@@ -2,26 +2,28 @@
 //! kernel, every per-core slice over a size sweep, plus the checked-in
 //! JSON program fixtures and the descriptor-level tile-race check.
 //!
-//! Exits non-zero on any lint *error*; with `--deny-warnings`, warnings
-//! fail the run too (this is how CI runs it).
+//! Any lint finding, warning or error, fails the run (exit 1) after the
+//! report is written, so the failing rows can be read.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin lint_kernels \
-//!     [-- --deny-warnings] [-- --smoke] [-- --json out.json]
+//! cargo run --release -p mpsoc-bench --bin lint_kernels -- \
+//!     [--smoke] [--json out.json | --replay recorded.json]
 //! ```
 //!
-//! `--smoke` shrinks the size sweep for CI determinism gating (two runs
-//! must serialize byte-identically), matching the other study binaries.
+//! `--smoke` shrinks the size sweep. The command line and the report's
+//! life cycle are [`mpsoc_bench::study`]'s: a full run writes
+//! `results/lint_kernels.json` by default, and `--replay` re-runs and
+//! byte-compares.
 
+use std::error::Error;
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
-use mpsoc_bench::{json_arg, render_table, write_json};
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
 use mpsoc_isa::Program;
-use mpsoc_kernels::{
-    Axpby, Daxpy, DaxpySsr, Dot, Gemv, Kernel, Memset, Scale, Stencil3, Sum, VecAdd,
-};
+use mpsoc_kernels::zoo;
 use mpsoc_lint::descriptor::{lint_core_tiles, reference_slices};
 use mpsoc_lint::{lint_program, LintContext};
 use serde::Serialize;
@@ -38,25 +40,17 @@ struct LintRow {
     errors: usize,
 }
 
-fn zoo() -> Vec<Box<dyn Kernel>> {
-    vec![
-        Box::new(Daxpy::new(2.0)),
-        Box::new(DaxpySsr::new(2.0)),
-        Box::new(Axpby::new(1.5, -0.5)),
-        Box::new(Scale::new(3.0)),
-        Box::new(VecAdd::new()),
-        Box::new(Memset::new(7.0)),
-        Box::new(Dot::new()),
-        Box::new(Sum::new()),
-        Box::new(Gemv::new(vec![1.0, 2.0, 3.0])),
-        Box::new(Stencil3::new(0.25, 0.5, 0.25)),
-    ]
-}
+const STUDY: Study = Study {
+    artifact: "lint_kernels",
+    extra: &[],
+};
 
 fn main() -> ExitCode {
-    let deny_warnings = std::env::args().any(|a| a == "--deny-warnings");
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sizes: &[u64] = if smoke { &[1, 64, 250] } else { &SIZES };
+    study::main(&STUDY, run)
+}
+
+fn run(run: &Run) -> Result<Output<Vec<LintRow>>, Box<dyn Error>> {
+    let sizes: &[u64] = if run.smoke { &[1, 64, 250] } else { &SIZES };
     let cx = LintContext::manticore();
     let mut rows: Vec<LintRow> = Vec::new();
     let mut failures = String::new();
@@ -116,47 +110,49 @@ fn main() -> ExitCode {
     // The checked-in fixture programs: CI tampering with these (or a
     // codegen change that invalidates them) must fail here as well.
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../lint/fixtures");
-    if let Ok(entries) = fs::read_dir(&fixtures) {
-        let mut paths: Vec<_> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "json"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let name = path.file_stem().unwrap_or_default().to_string_lossy();
-            let mut row = LintRow {
-                target: format!("fixture:{name}"),
-                programs: 0,
-                ops: 0,
-                warnings: 0,
-                errors: 0,
-            };
-            let parsed: Result<Program, _> = fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()));
-            match parsed {
-                Ok(program) => {
-                    row.programs = 1;
-                    row.ops = program.ops().len();
-                    let report = lint_program(&program, &cx);
-                    row.warnings += report.warning_count();
-                    row.errors += report.error_count();
-                    if !report.is_clean() {
-                        failures.push_str(&format!(
-                            "{}:\n{}\n",
-                            path.display(),
-                            report.annotate(&program)
-                        ));
-                    }
-                }
-                Err(e) => {
-                    row.errors += 1;
-                    failures.push_str(&format!("{}: unreadable: {e}\n", path.display()));
+    let mut paths = Vec::new();
+    for entry in fs::read_dir(&fixtures)
+        .map_err(|e| format!("fixture directory {}: {e}", fixtures.display()))?
+    {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "json") {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    for path in paths {
+        let name = path.file_stem().unwrap_or_default().to_string_lossy();
+        let mut row = LintRow {
+            target: format!("fixture:{name}"),
+            programs: 0,
+            ops: 0,
+            warnings: 0,
+            errors: 0,
+        };
+        let parsed: Result<Program, _> = fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()));
+        match parsed {
+            Ok(program) => {
+                row.programs = 1;
+                row.ops = program.ops().len();
+                let report = lint_program(&program, &cx);
+                row.warnings += report.warning_count();
+                row.errors += report.error_count();
+                if !report.is_clean() {
+                    failures.push_str(&format!(
+                        "{}:\n{}\n",
+                        path.display(),
+                        report.annotate(&program)
+                    ));
                 }
             }
-            rows.push(row);
+            Err(e) => {
+                row.errors += 1;
+                failures.push_str(&format!("{}: unreadable: {e}\n", path.display()));
+            }
         }
+        rows.push(row);
     }
 
     println!("mpsoc-lint — static verification of the kernel zoo\n");
@@ -183,20 +179,5 @@ fn main() -> ExitCode {
         println!("findings:\n{failures}");
     }
     println!("total: {warnings} warning(s), {errors} error(s)");
-
-    if let Some(path) = json_arg() {
-        if let Err(e) = write_json(&path, &rows) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
-    }
-
-    if errors > 0 || (deny_warnings && warnings > 0) {
-        println!("FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("ok");
-        ExitCode::SUCCESS
-    }
+    Ok(Output::new(rows).passed(warnings == 0 && errors == 0))
 }

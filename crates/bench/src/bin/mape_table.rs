@@ -9,9 +9,10 @@
 //! cargo run --release -p mpsoc-bench --bin mape_table [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness};
+use mpsoc_bench::{render_table, study, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let (model, rows) = harness.mape_table()?;
 
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let all_below_one = rows.iter().all(|r| r.mape_pct < 1.0);
     println!("MAPE consistently below 1%: {all_below_one} (paper: true)");
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

@@ -6,9 +6,10 @@
 //! cargo run --release -p mpsoc-bench --bin model_fit [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, write_json, Harness};
+use mpsoc_bench::{study, write_json, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut harness = Harness::new()?;
     let fit = harness.model_fit()?;
 
@@ -34,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fit.fitted.c_comp
     );
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &fit)?;
         println!("\nwrote {}", path.display());
     }

@@ -20,7 +20,7 @@
 
 use std::path::PathBuf;
 
-use mpsoc_bench::write_json;
+use mpsoc_bench::{study, write_json};
 use mpsoc_kernels::{Axpby, Daxpy, Dot, Kernel, Memset, Scale, Sum, VecAdd};
 use mpsoc_offload::{OffloadStrategy, Offloader};
 use mpsoc_sim::rng::SplitMix64;
@@ -41,55 +41,6 @@ struct Profile {
     trace_spans: usize,
 }
 
-struct Args {
-    kernel: String,
-    n: u64,
-    m: usize,
-    clusters: usize,
-    seed: u64,
-    trace: PathBuf,
-    json: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        kernel: "daxpy".to_owned(),
-        n: 1024,
-        m: 8,
-        clusters: 32,
-        seed: 0xC0FFEE,
-        trace: PathBuf::from("target/offload_profile.trace.json"),
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--kernel" => args.kernel = value("--kernel")?,
-            "--n" => args.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--m" => args.m = value("--m")?.parse().map_err(|e| format!("--m: {e}"))?,
-            "--clusters" => {
-                args.clusters = value("--clusters")?
-                    .parse()
-                    .map_err(|e| format!("--clusters: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--trace" => args.trace = value("--trace")?.into(),
-            "--json" => args.json = Some(value("--json")?.into()),
-            other => {
-                return Err(format!(
-                    "unknown flag '{other}' (see the bin's doc comment)"
-                ))
-            }
-        }
-    }
-    Ok(args)
-}
-
 fn kernel_by_name(name: &str) -> Result<Box<dyn Kernel>, String> {
     Ok(match name {
         "daxpy" => Box::new(Daxpy::new(2.0)),
@@ -104,28 +55,43 @@ fn kernel_by_name(name: &str) -> Result<Box<dyn Kernel>, String> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args().map_err(|e| format!("argument error: {e}"))?;
-    let kernel = kernel_by_name(&args.kernel)?;
+    let flags = study::flags(
+        &[
+            "--kernel",
+            "--n",
+            "--m",
+            "--clusters",
+            "--seed",
+            "--trace",
+            "--json",
+        ],
+        &[],
+    );
+    let kernel = kernel_by_name(flags.value("--kernel").unwrap_or("daxpy"))?;
+    let n: u64 = flags.parsed("--n", 1024)?;
+    let m: usize = flags.parsed("--m", 8)?;
+    let clusters: usize = flags.parsed("--clusters", 32)?;
+    let seed: u64 = flags.parsed("--seed", 0xC0FFEE)?;
+    let trace = flags
+        .path("--trace")
+        .unwrap_or_else(|| PathBuf::from("target/offload_profile.trace.json"));
 
-    let mut rng = SplitMix64::new(args.seed);
-    let mut x = vec![0.0; (args.n * kernel.x_words_per_elem()) as usize];
-    let mut y = vec![0.0; args.n as usize];
+    let mut rng = SplitMix64::new(seed);
+    let mut x = vec![0.0; (n * kernel.x_words_per_elem()) as usize];
+    let mut y = vec![0.0; n as usize];
     rng.fill_f64(&mut x, -4.0, 4.0);
     rng.fill_f64(&mut y, -4.0, 4.0);
 
-    let mut offloader = Offloader::new(SocConfig::with_clusters(args.clusters))?;
+    let mut offloader = Offloader::new(SocConfig::with_clusters(clusters))?;
     offloader.soc_mut().enable_telemetry(1 << 16);
-    let run = offloader.offload(kernel.as_ref(), &x, &y, args.m, OffloadStrategy::extended())?;
+    let run = offloader.offload(kernel.as_ref(), &x, &y, m, OffloadStrategy::extended())?;
     let verify = run.verify(kernel.as_ref(), &x, &y);
 
     let pb = run.outcome.phase_breakdown;
     let total = run.cycles();
     println!(
-        "{} | N={} M={} | {} cycles end-to-end",
-        kernel.name(),
-        args.n,
-        args.m,
-        total
+        "{} | N={n} M={m} | {total} cycles end-to-end",
+        kernel.name()
     );
     println!(
         "phases  : dispatch {} | dma-in {} | compute {} | dma-out {} | sync {} (sum {})",
@@ -144,16 +110,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    let audit = ResidualAudit::new(&pb, args.n, args.m as u64, &ModelTerms::paper());
+    let audit = ResidualAudit::new(&pb, n, m as u64, &ModelTerms::paper());
     print!("{}", audit.render());
 
     // Export the Chrome trace and schema-check what was written.
     let json = chrome_trace_json(offloader.soc().telemetry());
-    if let Some(parent) = args.trace.parent() {
+    if let Some(parent) = trace.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(&args.trace, &json)?;
-    let written = std::fs::read_to_string(&args.trace)?;
+    std::fs::write(&trace, &json)?;
+    let written = std::fs::read_to_string(&trace)?;
     let summary = validate_chrome_trace(&written)
         .map_err(|e| format!("emitted trace fails schema validation: {e}"))?;
     println!(
@@ -161,22 +127,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         summary.events,
         summary.spans,
         summary.tracks,
-        args.trace.display()
+        trace.display()
     );
     println!("verify  : {verify}");
 
-    if let Some(path) = &args.json {
+    if let Some(path) = flags.path("--json") {
         let profile = Profile {
             kernel: kernel.name().to_owned(),
-            n: args.n,
-            m: args.m,
+            n,
+            m,
             total_cycles: total,
             phase_breakdown: pb,
             residuals: audit,
             trace_events: summary.events,
             trace_spans: summary.spans,
         };
-        write_json(path, &profile)?;
+        write_json(&path, &profile)?;
         println!("json    : {}", path.display());
     }
     if !verify.passed() {

@@ -8,7 +8,7 @@
 //! cargo run --release -p mpsoc-bench --bin pipeline [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json};
+use mpsoc_bench::{render_table, study, write_json};
 use mpsoc_kernels::Daxpy;
 use mpsoc_offload::{OffloadStrategy, Offloader};
 use mpsoc_sim::rng::SplitMix64;
@@ -26,6 +26,7 @@ struct Row {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut off = Offloader::new(SocConfig::manticore())?;
     let kernel = Daxpy::new(2.0);
     let mut rows = Vec::new();
@@ -96,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows.iter().map(|r| r.best_speedup).fold(0.0f64, f64::max)
     );
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

@@ -12,77 +12,13 @@
 //! estimate and (optionally) the per-cluster timeline; `--host` also
 //! executes the kernel on the CVA6-class host core for comparison.
 
+use mpsoc_bench::study;
 use mpsoc_kernels::{
     Axpby, Daxpy, DaxpySsr, Dot, Gemv, Kernel, Memset, Scale, Stencil3, Sum, VecAdd,
 };
 use mpsoc_offload::{OffloadStrategy, Offloader};
 use mpsoc_sim::rng::SplitMix64;
 use mpsoc_soc::SocConfig;
-
-struct Args {
-    kernel: String,
-    n: u64,
-    m: usize,
-    strategy: OffloadStrategy,
-    stages: usize,
-    clusters: usize,
-    timeline: bool,
-    host: bool,
-    seed: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        kernel: "daxpy".to_owned(),
-        n: 1024,
-        m: 8,
-        strategy: OffloadStrategy::extended(),
-        stages: 1,
-        clusters: 32,
-        timeline: false,
-        host: false,
-        seed: 0xC0FFEE,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--kernel" => args.kernel = value("--kernel")?,
-            "--n" => args.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--m" => args.m = value("--m")?.parse().map_err(|e| format!("--m: {e}"))?,
-            "--stages" => {
-                args.stages = value("--stages")?
-                    .parse()
-                    .map_err(|e| format!("--stages: {e}"))?
-            }
-            "--clusters" => {
-                args.clusters = value("--clusters")?
-                    .parse()
-                    .map_err(|e| format!("--clusters: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--strategy" => {
-                args.strategy = match value("--strategy")?.as_str() {
-                    "baseline" => OffloadStrategy::baseline(),
-                    "extended" => OffloadStrategy::extended(),
-                    other => return Err(format!("unknown strategy '{other}'")),
-                }
-            }
-            "--timeline" => args.timeline = true,
-            "--host" => args.host = true,
-            other => {
-                return Err(format!(
-                    "unknown flag '{other}' (see the bin's doc comment)"
-                ))
-            }
-        }
-    }
-    Ok(args)
-}
 
 fn kernel_by_name(name: &str) -> Result<Box<dyn Kernel>, String> {
     Ok(match name {
@@ -101,28 +37,41 @@ fn kernel_by_name(name: &str) -> Result<Box<dyn Kernel>, String> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args().map_err(|e| format!("argument error: {e}"))?;
-    let kernel = kernel_by_name(&args.kernel)?;
+    let flags = study::flags(
+        &[
+            "--kernel",
+            "--n",
+            "--m",
+            "--strategy",
+            "--stages",
+            "--clusters",
+            "--seed",
+        ],
+        &["--timeline", "--host"],
+    );
+    let kernel = kernel_by_name(flags.value("--kernel").unwrap_or("daxpy"))?;
+    let n: u64 = flags.parsed("--n", 1024)?;
+    let m: usize = flags.parsed("--m", 8)?;
+    let stages: usize = flags.parsed("--stages", 1)?;
+    let clusters: usize = flags.parsed("--clusters", 32)?;
+    let seed: u64 = flags.parsed("--seed", 0xC0FFEE)?;
+    let strategy = match flags.value("--strategy").unwrap_or("extended") {
+        "baseline" => OffloadStrategy::baseline(),
+        "extended" => OffloadStrategy::extended(),
+        other => return Err(format!("unknown strategy '{other}'").into()),
+    };
 
-    let mut rng = SplitMix64::new(args.seed);
-    let mut x = vec![0.0; (args.n * kernel.x_words_per_elem()) as usize];
-    let mut y = vec![0.0; args.n as usize];
+    let mut rng = SplitMix64::new(seed);
+    let mut x = vec![0.0; (n * kernel.x_words_per_elem()) as usize];
+    let mut y = vec![0.0; n as usize];
     rng.fill_f64(&mut x, -4.0, 4.0);
     rng.fill_f64(&mut y, -4.0, 4.0);
 
-    let mut offloader = Offloader::new(SocConfig::with_clusters(args.clusters))?;
-    let run =
-        offloader.offload_pipelined(kernel.as_ref(), &x, &y, args.m, args.strategy, args.stages)?;
+    let mut offloader = Offloader::new(SocConfig::with_clusters(clusters))?;
+    let run = offloader.offload_pipelined(kernel.as_ref(), &x, &y, m, strategy, stages)?;
     let verify = run.verify(kernel.as_ref(), &x, &y);
 
-    println!(
-        "{} | N={} M={} {} stages={}",
-        kernel.name(),
-        args.n,
-        args.m,
-        args.strategy,
-        args.stages
-    );
+    println!("{} | N={n} M={m} {strategy} stages={stages}", kernel.name());
     println!("runtime : {} cycles (== ns @ 1 GHz)", run.cycles());
     let p = run.outcome.phases;
     println!(
@@ -140,10 +89,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.outcome.total_core_ops()
     );
     println!("verify  : {verify}");
-    if args.timeline {
+    if flags.switch("--timeline") {
         println!("\n{}", run.outcome.render_timeline(100));
     }
-    if args.host {
+    if flags.switch("--host") {
         let (host_cycles, _) = offloader.run_on_host(kernel.as_ref(), &x, &y)?;
         let speedup = host_cycles as f64 / run.cycles() as f64;
         println!("host    : {host_cycles} cycles (offload speedup {speedup:.2}x)");

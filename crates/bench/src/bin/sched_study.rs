@@ -16,23 +16,30 @@
 //! solo-run premise hides.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin sched_study [-- --smoke] [-- --json out.json]
+//! cargo run --release -p mpsoc-bench --bin sched_study -- \
+//!     [--smoke] [--json out.json | --replay recorded.json]
 //! ```
 //!
 //! `--smoke` shrinks the sweep (one machine, two loads, fewer jobs) for
 //! CI determinism gating; the statistical thesis assertions only run on
-//! the full sweep, where the sample sizes make them meaningful.
+//! the full sweep, where the sample sizes make them meaningful. The
+//! command line and the report's life cycle are
+//! [`mpsoc_bench::study`]'s.
 
-use mpsoc_bench::{json_arg, render_table, write_json};
+use std::error::Error;
+use std::process::ExitCode;
+
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     all_policies, calibrate, ArrivalPattern, CalibrationGrid, Engine, ServiceBackend, Workload,
 };
 use mpsoc_soc::SocConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One `(machine, load, policy)` cell of the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct SchedStudyRow {
     clusters: usize,
     offered_load: f64,
@@ -55,8 +62,17 @@ struct SchedStudyRow {
 
 const SEED: u64 = 0x5EED_DA7E;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+const STUDY: Study = Study {
+    artifact: "sched_study",
+    extra: &[],
+};
+
+fn main() -> ExitCode {
+    study::main(&STUDY, run)
+}
+
+fn run(run: &Run) -> Result<Output<Vec<SchedStudyRow>>, Box<dyn Error>> {
+    let smoke = run.smoke;
     let (jobs_per_cell, loads, machines): (usize, &[f64], &[usize]) = if smoke {
         (40, &[0.5, 2.5], &[8])
     } else {
@@ -222,10 +238,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          (invisible to the measured backend)",
         peak.clusters, peak.offered_load, peak.policy, peak.mean_contention_cycles
     );
-
-    if let Some(path) = json_arg() {
-        write_json(&path, &rows)?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
+    Ok(Output::new(rows))
 }

@@ -10,7 +10,7 @@
 //! cargo run --release -p mpsoc-bench --bin sensitivity [-- --json out.json]
 //! ```
 
-use mpsoc_bench::{json_arg, render_table, write_json, Harness, PAPER_M};
+use mpsoc_bench::{render_table, study, write_json, Harness, PAPER_M};
 use mpsoc_offload::{RuntimeModel, Sample};
 use mpsoc_soc::SocConfig;
 use serde::Serialize;
@@ -49,6 +49,7 @@ fn fit_variant(name: &str, config: SocConfig) -> Result<Row, Box<dyn std::error:
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let json = study::json_flag();
     let mut rows = Vec::new();
 
     rows.push(fit_variant(
@@ -126,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows.iter().all(|r| r.r_squared > 0.9999)
     );
 
-    if let Some(path) = json_arg() {
+    if let Some(path) = json {
         write_json(&path, &rows)?;
         println!("\nwrote {}", path.display());
     }

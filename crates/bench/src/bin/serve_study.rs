@@ -23,26 +23,35 @@
 //! on fleet p99 for every shard count; (3) backpressure cells reject
 //! with `QueueFull`; (4) an in-process replay of one cell is exactly
 //! reproducible. Wall-clock throughput goes **only** into
-//! `BENCH_serve.json`; the `--json` artifact is a pure function of the
-//! seed, so CI runs the study twice and requires byte-identical output.
+//! `BENCH_serve.json` (full runs); the report is a pure function of the
+//! seed, so CI replays the study against its own artifact and requires
+//! byte-identical output.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin serve_study [-- --smoke] [-- --json out.json]
+//! cargo run --release -p mpsoc-bench --bin serve_study -- \
+//!     [--smoke] [--json out.json | --replay recorded.json]
 //! ```
+//!
+//! The command line and the report's life cycle are
+//! [`mpsoc_bench::study`]'s: a full run writes
+//! `results/serve_study.json` by default.
 
+use std::error::Error;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::{json_arg, render_table, write_bench_sidecar, write_json};
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     AdmissionController, AdmissionDecision, ArrivalPattern, ModelTable, ServiceBackend, Workload,
 };
 use mpsoc_serve::{Fleet, FleetConfig, FleetSlo, PlacementPolicy, ALL_PLACEMENTS};
 use mpsoc_soc::{FaultPlan, SiteSpec, SocConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One `(backend, load, shards, policy)` cell of the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct ServeStudyRow {
     backend: String,
     offered_load: f64,
@@ -76,7 +85,7 @@ fn fmt_p(p: Option<u64>) -> String {
 }
 
 /// The deterministic artifact: every cell, plus the run shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct ServeStudyReport {
     smoke: bool,
     total_jobs: u64,
@@ -207,8 +216,17 @@ fn run_cell(
     Ok((row, slo))
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+const STUDY: Study = Study {
+    artifact: "serve_study",
+    extra: &[],
+};
+
+fn main() -> ExitCode {
+    study::main(&STUDY, run)
+}
+
+fn run(run: &Run) -> Result<Output<ServeStudyReport, Vec<BenchCell>>, Box<dyn Error>> {
+    let smoke = run.smoke;
     let (loads, shard_counts, jobs_per_cell, witness_jobs): (&[f64], &[usize], usize, usize) =
         if smoke {
             (&[0.6, 2.5], &[2, 4], 400, 24)
@@ -417,37 +435,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    println!(
+        "\n{total_jobs} jobs in {wall:.2}s ({:.0} jobs/sec)",
+        total_jobs as f64 / wall
+    );
+    let cells: Vec<BenchCell> = rows
+        .iter()
+        .filter(|r| r.backend == "analytic" && r.steal)
+        .map(|r| BenchCell {
+            offered_load: r.offered_load,
+            shards: r.shards,
+            placement: r.placement.clone(),
+            attainment: r.attainment,
+            p99: r.p99,
+        })
+        .collect();
     let report = ServeStudyReport {
         smoke,
         total_jobs,
         rows,
     };
-    let path = json_arg().unwrap_or_else(|| "results/serve_study.json".into());
-    write_json(&path, &report)?;
-    println!(
-        "\n{total_jobs} jobs in {wall:.2}s — wrote {}",
-        path.display()
-    );
-
-    if !smoke {
-        let cells: Vec<BenchCell> = report
-            .rows
-            .iter()
-            .filter(|r| r.backend == "analytic" && r.steal)
-            .map(|r| BenchCell {
-                offered_load: r.offered_load,
-                shards: r.shards,
-                placement: r.placement.clone(),
-                attainment: r.attainment,
-                p99: r.p99,
-            })
-            .collect();
-        let path = write_bench_sidecar("serve", wall, total_jobs, cells)?;
-        println!(
-            "{:.0} jobs/sec — wrote {}",
-            total_jobs as f64 / wall,
-            path.display()
-        );
-    }
-    Ok(())
+    Ok(Output::new(report).sidecar("serve", wall, total_jobs, cells))
 }

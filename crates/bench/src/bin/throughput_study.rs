@@ -10,7 +10,7 @@
 //!
 //! - the **cycle-domain report** (`results/throughput.json`) is a pure
 //!   function of the seed: per-cell job accounting, makespan, p95 —
-//!   CI runs the study twice and byte-compares;
+//!   CI replays the study against its own artifact and byte-compares;
 //! - the **wall-clock sidecar** (`BENCH_throughput.json`, full runs
 //!   only) carries simulated-cycles-per-wall-second per backend and the
 //!   hottest profile sites — never byte-compared.
@@ -29,19 +29,23 @@
 //!    field for field — to a direct [`FleetSlo`] summary of its fleet.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin throughput_study \
-//!     [-- --smoke] [-- --json out.json] \
-//!     [-- --flamegraph out.folded] [-- --chrome out.trace.json]
+//! cargo run --release -p mpsoc-bench --bin throughput_study -- \
+//!     [--smoke] [--json out.json | --replay recorded.json] \
+//!     [--flamegraph out.folded] [--chrome out.trace.json]
 //! ```
 //!
 //! `--flamegraph` writes collapsed stacks (`inferno` / `flamegraph.pl`
 //! compatible); `--chrome` writes a `chrome://tracing` view of the
-//! profile tree.
+//! profile tree. Both name output files, so neither goes with
+//! `--replay`. The rest of the command line and the report's life
+//! cycle are [`mpsoc_bench::study`]'s.
 
-use std::path::PathBuf;
+use std::error::Error;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::{json_arg, render_table, write_bench_sidecar, write_json};
+use mpsoc_bench::render_table;
+use mpsoc_bench::study::{self, Output, Run, Study};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     ArrivalPattern, Engine, FifoFirstFit, KernelId, ModelTable, ServiceBackend, Workload,
@@ -51,11 +55,11 @@ use mpsoc_serve::{
 };
 use mpsoc_soc::SocConfig;
 use mpsoc_telemetry::{profile, profile_chrome_trace_json, SiteTotal, ThroughputMeter};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One deterministic `(backend, scale)` cell: cycle-domain accounting
 /// only — nothing here may depend on wall time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct CycleRow {
     backend: String,
     jobs: u64,
@@ -68,7 +72,7 @@ struct CycleRow {
 }
 
 /// The deterministic artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct ThroughputReport {
     smoke: bool,
     rows: Vec<CycleRow>,
@@ -85,17 +89,6 @@ struct ThroughputDetail {
 
 const SEED: u64 = 0x7410_0C75;
 const CLUSTERS: usize = 8;
-
-/// `--flag <value>` CLI lookup.
-fn arg_value(flag: &str) -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
 
 /// Runs one cell and returns its deterministic row plus the makespan
 /// (the simulated-cycle count the throughput meter charges).
@@ -218,8 +211,17 @@ fn assert_daemon_stats_exact() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+const STUDY: Study = Study {
+    artifact: "throughput",
+    extra: &["--flamegraph", "--chrome"],
+};
+
+fn main() -> ExitCode {
+    study::main(&STUDY, run)
+}
+
+fn run(run: &Run) -> Result<Output<ThroughputReport, ThroughputDetail>, Box<dyn Error>> {
+    let smoke = run.smoke;
     let cells: Vec<(&str, Vec<usize>)> = if smoke {
         vec![
             ("analytic", vec![300, 900]),
@@ -337,30 +339,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Claim 5: live daemon stats.
     assert_daemon_stats_exact()?;
 
-    // Artifacts. The deterministic report first.
-    let report = ThroughputReport { smoke, rows };
-    let path = json_arg().unwrap_or_else(|| "results/throughput.json".into());
-    write_json(&path, &report)?;
-    println!("\nwrote {}", path.display());
-
-    if !smoke {
-        let total_jobs: u64 = report.rows.iter().map(|r| r.jobs).sum();
-        let detail = ThroughputDetail {
-            rates,
-            hot_sites: sites.into_iter().take(10).collect(),
-        };
-        let bench = write_bench_sidecar("throughput", wall.as_secs_f64(), total_jobs, detail)?;
-        println!("wrote {}", bench.display());
-    }
-
     // Optional profile exports.
-    if let Some(flame) = arg_value("--flamegraph") {
+    if let Some(flame) = run.path("--flamegraph") {
         std::fs::write(&flame, prof.collapsed())?;
         println!("wrote {} (collapsed stacks)", flame.display());
     }
-    if let Some(chrome) = arg_value("--chrome") {
+    if let Some(chrome) = run.path("--chrome") {
         std::fs::write(&chrome, profile_chrome_trace_json(&prof))?;
         println!("wrote {} (chrome trace)", chrome.display());
     }
-    Ok(())
+
+    let total_jobs: u64 = rows.iter().map(|r| r.jobs).sum();
+    let detail = ThroughputDetail {
+        rates,
+        hot_sites: sites.into_iter().take(10).collect(),
+    };
+    Ok(Output::new(ThroughputReport { smoke, rows }).sidecar(
+        "throughput",
+        wall.as_secs_f64(),
+        total_jobs,
+        detail,
+    ))
 }

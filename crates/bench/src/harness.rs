@@ -158,11 +158,7 @@ impl Harness {
     /// # Errors
     ///
     /// Propagates offload failures.
-    pub fn collect_samples(
-        &mut self,
-        ns: &[u64],
-        ms: &[usize],
-    ) -> Result<Vec<Sample>, OffloadError> {
+    fn collect_samples(&mut self, ns: &[u64], ms: &[usize]) -> Result<Vec<Sample>, OffloadError> {
         let mut samples = Vec::with_capacity(ns.len() * ms.len());
         for &n in ns {
             for &m in ms {

@@ -10,6 +10,17 @@
 //!   printing the paper-style rows and optionally writing JSON,
 //! - a Criterion bench target (`cargo bench -p mpsoc-bench`).
 //!
+//! Every binary parses its command line through [`study`], strictly:
+//! an unknown or repeated flag, or a value flag without its value,
+//! exits 2 before anything runs. The self-asserting studies
+//! (`sched_study`, `interference`, `fault_sweep`, `serve_study`,
+//! `cost_study`, `chaos_study`, `throughput_study`, `lint_kernels`) also
+//! share [`study::main`]: `--smoke` selects the reduced grid, a full run
+//! writes `results/<artifact>.json` unless `--json <path>` points
+//! elsewhere (a smoke run writes only to `--json`), and `--replay
+//! <path>` re-runs the study, writes nothing and requires the report to
+//! match the file byte for byte.
+//!
 //! | Experiment | Paper artifact | Runner |
 //! |---|---|---|
 //! | `fig1_left` | Fig. 1 (left): DAXPY-1024 runtime vs clusters, baseline vs extended | [`Harness::fig1_left`] |
@@ -30,14 +41,15 @@ mod harness;
 mod report;
 mod results;
 mod sidecar;
+pub mod study;
 
 pub use harness::Harness;
-pub use report::{json_arg, render_table, write_csv, write_json};
+pub use report::{render_table, write_csv, write_json};
 pub use results::{
     AblationRow, BreakEvenRow, DecisionRow, EnergyRow, Fig1LeftRow, Fig1RightRow, Headline,
     KernelSweepRow, MapeRow, ModelFitResult,
 };
-pub use sidecar::{write_bench_sidecar, BenchMetadata, BenchSidecar};
+pub use sidecar::{BenchMetadata, BenchSidecar};
 
 /// The cluster counts the paper sweeps: powers of two up to 32.
 pub const PAPER_M: [usize; 6] = [1, 2, 4, 8, 16, 32];

@@ -106,18 +106,6 @@ pub fn write_csv(
     Ok(())
 }
 
-/// Parses the common CLI arguments of the experiment binaries:
-/// `--json <path>` selects a JSON artifact destination.
-pub fn json_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,5 @@
-//! Wall-clock sidecar artifacts: the shared `BENCH_<name>.json` writer.
+//! Wall-clock sidecar artifacts: the shared `BENCH_<name>.json` schema,
+//! which [`crate::study`] writes on full study runs.
 //!
 //! The repo's determinism discipline splits every study's output in
 //! two: the `results/*.json` artifact is a pure function of the seed
@@ -27,8 +28,6 @@
 use std::path::PathBuf;
 
 use serde::Serialize;
-
-use crate::report::write_json;
 
 /// Run provenance that is safe to embed in a non-reproducible artifact:
 /// no VCS state, no clock, no host identity.
@@ -105,24 +104,6 @@ impl<T: Serialize> BenchSidecar<T> {
             detail,
         }
     }
-}
-
-/// Writes `BENCH_<name>.json` into the working directory and returns
-/// the path. Throughput is derived from `jobs` and `wall_seconds`.
-///
-/// # Errors
-///
-/// I/O and serialization failures.
-pub fn write_bench_sidecar<T: Serialize>(
-    name: &str,
-    wall_seconds: f64,
-    jobs: u64,
-    detail: T,
-) -> Result<PathBuf, Box<dyn std::error::Error>> {
-    let sidecar = BenchSidecar::new(name, wall_seconds, jobs, detail);
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
-    write_json(&path, &sidecar)?;
-    Ok(path)
 }
 
 #[cfg(test)]

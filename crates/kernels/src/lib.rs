@@ -60,3 +60,21 @@ pub use gemv::Gemv;
 pub use kernel::{ByteRange, CoreSlice, GoldenOutput, Kernel, KernelKind};
 pub use stencil::Stencil3;
 pub use zoo::{Axpby, Dot, Memset, Scale, Sum, VecAdd};
+
+/// The whole kernel zoo, one instance of each kernel with fixed
+/// coefficients: the set the static-analysis gates (`lint_kernels`,
+/// `cost_study`, the linter's zoo test) sweep.
+pub fn zoo() -> Vec<Box<dyn Kernel>> {
+    vec![
+        Box::new(Daxpy::new(2.0)),
+        Box::new(DaxpySsr::new(2.0)),
+        Box::new(Axpby::new(1.5, -0.5)),
+        Box::new(Scale::new(3.0)),
+        Box::new(VecAdd::new()),
+        Box::new(Memset::new(7.0)),
+        Box::new(Dot::new()),
+        Box::new(Sum::new()),
+        Box::new(Gemv::new(vec![1.0, 2.0, 3.0])),
+        Box::new(Stencil3::new(0.25, 0.5, 0.25)),
+    ]
+}

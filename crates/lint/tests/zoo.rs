@@ -2,29 +2,12 @@
 //! kernel, every per-core slice, across sizes that exercise remainder
 //! handling, software-pipeline prologues and halo geometry.
 
-use mpsoc_kernels::{
-    Axpby, Daxpy, DaxpySsr, Dot, Gemv, Kernel, Memset, Scale, Stencil3, Sum, VecAdd,
-};
+use mpsoc_kernels::zoo;
 use mpsoc_lint::descriptor::{lint_core_tiles, reference_slices};
 use mpsoc_lint::{lint_program, LintContext};
 
 const SIZES: [u64; 5] = [1, 7, 10, 64, 250];
 const CORES: usize = 8;
-
-fn zoo() -> Vec<Box<dyn Kernel>> {
-    vec![
-        Box::new(Daxpy::new(2.0)),
-        Box::new(DaxpySsr::new(2.0)),
-        Box::new(Axpby::new(1.5, -0.5)),
-        Box::new(Scale::new(3.0)),
-        Box::new(VecAdd::new()),
-        Box::new(Memset::new(7.0)),
-        Box::new(Dot::new()),
-        Box::new(Sum::new()),
-        Box::new(Gemv::new(vec![1.0, 2.0, 3.0])),
-        Box::new(Stencil3::new(0.25, 0.5, 0.25)),
-    ]
-}
 
 #[test]
 fn every_zoo_kernel_lints_clean_on_every_slice() {

@@ -267,7 +267,8 @@ impl Fleet {
     }
 
     /// Per-shard statistics registries, indexed by shard.
-    pub fn shard_stats(&self) -> &[StatsRegistry] {
+    #[cfg(test)]
+    fn shard_stats(&self) -> &[StatsRegistry] {
         &self.stats
     }
 

@@ -49,12 +49,14 @@ impl Duplex {
     }
 
     /// Bytes currently queued toward the server.
-    pub fn pending_to_server(&self) -> usize {
+    #[cfg(test)]
+    fn pending_to_server(&self) -> usize {
         self.to_server.len()
     }
 
     /// Bytes currently queued toward the client.
-    pub fn pending_to_client(&self) -> usize {
+    #[cfg(test)]
+    fn pending_to_client(&self) -> usize {
         self.to_client.len()
     }
 }

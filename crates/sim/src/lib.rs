@@ -9,7 +9,9 @@
 //!
 //! - [`Cycle`]: a strongly-typed simulation timestamp (1 cycle == 1 ns at
 //!   the paper's 1 GHz testbench clock),
-//! - [`EventQueue`] and [`Engine`]: a total-order, FIFO-stable event loop,
+//! - [`EventQueue`] and [`Scheduler`]: a total-order, FIFO-stable event
+//!   queue, and the handle an event handler schedules follow-up events
+//!   through; a model pumps its own queue (the SoC does),
 //! - timed hardware resource primitives ([`UnitResource`],
 //!   [`ThroughputResource`], [`BankedResource`]) shared by the memory and
 //!   interconnect models,
@@ -17,41 +19,38 @@
 //! - [`profile`]: a wall-clock scoped self-profiler (RAII guards into a
 //!   per-site call tree) for measuring the simulator itself,
 //! - [`rng::SplitMix64`]: a tiny deterministic RNG for reproducible
-//!   stochastic workloads,
-//! - [`trace`]: an optional event trace for debugging and timeline dumps.
+//!   stochastic workloads.
 //!
 //! # Example
 //!
 //! ```
-//! use mpsoc_sim::{Cycle, Engine, Scheduler, Simulate};
+//! use mpsoc_sim::{Cycle, EventQueue, Scheduler};
 //!
-//! /// A counter that re-schedules itself three times.
-//! struct Ticker {
-//!     ticks: u32,
-//! }
-//!
-//! impl Simulate for Ticker {
-//!     type Event = ();
-//!
-//!     fn handle(&mut self, sched: &mut Scheduler<()>, _now: Cycle, _ev: ()) {
-//!         self.ticks += 1;
-//!         if self.ticks < 3 {
-//!             sched.schedule_in(Cycle::new(10), ());
-//!         }
+//! /// A counter that re-schedules itself until it has ticked three times.
+//! fn tick(ticks: &mut u32, sched: &mut Scheduler<()>) {
+//!     *ticks += 1;
+//!     if *ticks < 3 {
+//!         sched.schedule_in(Cycle::new(10), ());
 //!     }
 //! }
 //!
-//! let mut engine = Engine::new(Ticker { ticks: 0 });
-//! engine.schedule_at(Cycle::ZERO, ());
-//! engine.run_to_completion();
-//! assert_eq!(engine.state().ticks, 3);
-//! assert_eq!(engine.now(), Cycle::new(20));
+//! let mut queue = EventQueue::new();
+//! queue.push(Cycle::ZERO, ());
+//! let (mut ticks, mut now) = (0, Cycle::ZERO);
+//! // The event loop: deliver the earliest event, let its handler
+//! // schedule more through a `Scheduler` at the event's time.
+//! while let Some(event) = queue.pop() {
+//!     let (time, ()) = event.into_parts();
+//!     now = time;
+//!     tick(&mut ticks, &mut Scheduler::attach(&mut queue, now));
+//! }
+//! assert_eq!(ticks, 3);
+//! assert_eq!(now, Cycle::new(20));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 mod queue;
 mod resource;
 mod time;
@@ -59,9 +58,7 @@ mod time;
 pub mod profile;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
-pub use engine::{Engine, RunResult, Scheduler, Simulate, StepBudget};
-pub use queue::{EventQueue, ScheduledEvent};
+pub use queue::{EventQueue, ScheduledEvent, Scheduler};
 pub use resource::{BankedResource, ThroughputResource, UnitResource};
 pub use time::Cycle;

@@ -1,4 +1,5 @@
-//! Total-order, insertion-stable event queue.
+//! Total-order, insertion-stable event queue, and the [`Scheduler`]
+//! handle through which an event handler schedules follow-up events.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -135,7 +136,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
+    #[cfg(test)]
+    fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
 
@@ -149,6 +151,63 @@ impl<E> EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
+    }
+}
+
+/// Handle through which an event handler schedules future events on a
+/// queue it does not own, at the simulation time `now` of the event
+/// being delivered.
+///
+/// Scheduling into the past is a logic error; see
+/// [`Scheduler::schedule_at`].
+#[derive(Debug)]
+pub struct Scheduler<'a, E> {
+    queue: &'a mut EventQueue<E>,
+    now: Cycle,
+}
+
+impl<'a, E> Scheduler<'a, E> {
+    /// Wraps `queue` at simulation time `now`.
+    ///
+    /// A model that pumps its own event queue takes the queue out,
+    /// attaches a scheduler for one event delivery, then puts the queue
+    /// back. Determinism is unaffected: the queue keeps its
+    /// `(time, seq)` order across attachments.
+    pub fn attach(queue: &'a mut EventQueue<E>, now: Cycle) -> Self {
+        Scheduler { queue, now }
+    }
+
+    /// The current simulation time.
+    pub fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Schedules `event` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time: the clock only
+    /// moves forward, and an event in the past would silently corrupt
+    /// causality.
+    pub fn schedule_at(&mut self, at: Cycle, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now={}, requested={}",
+            self.now,
+            at
+        );
+        self.queue.push(at, event);
+    }
+
+    /// Schedules `event` to fire `delay` cycles from now.
+    pub fn schedule_in(&mut self, delay: Cycle, event: E) {
+        self.queue.push(self.now + delay, event);
+    }
+
+    /// Schedules `event` to fire this very cycle, after all events already
+    /// queued for this cycle (FIFO order).
+    pub fn schedule_now(&mut self, event: E) {
+        self.queue.push(self.now, event);
     }
 }
 
@@ -209,6 +268,30 @@ mod tests {
         assert_eq!(q.scheduled_total(), 2);
         q.push(Cycle::new(1), 2);
         assert_eq!(q.scheduled_total(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduling_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        Scheduler::attach(&mut q, Cycle::new(10)).schedule_at(Cycle::new(5), 2);
+    }
+
+    #[test]
+    fn schedule_now_runs_after_current_cycle_fifo() {
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(3), 0);
+        q.push(Cycle::new(3), 2);
+        let mut seen = Vec::new();
+        while let Some(ev) = q.pop() {
+            let (now, ev) = ev.into_parts();
+            seen.push(ev);
+            if ev == 0 {
+                Scheduler::attach(&mut q, now).schedule_now(1);
+            }
+        }
+        // Event 1 was scheduled during delivery of 0, so it fires after 2.
+        assert_eq!(seen, vec![0, 2, 1]);
     }
 
     #[test]

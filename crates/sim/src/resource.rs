@@ -52,12 +52,14 @@ impl UnitResource {
     }
 
     /// Like [`UnitResource::acquire`] but returns the *completion* cycle.
-    pub fn acquire_until(&mut self, at: Cycle, duration: Cycle) -> Cycle {
+    #[cfg(test)]
+    fn acquire_until(&mut self, at: Cycle, duration: Cycle) -> Cycle {
         self.acquire(at, duration) + duration
     }
 
     /// The cycle at which the resource next becomes free.
-    pub fn free_at(&self) -> Cycle {
+    #[cfg(test)]
+    fn free_at(&self) -> Cycle {
         self.free_at
     }
 

@@ -26,8 +26,7 @@ use mpsoc_isa::{Interpreter, MemoryPort, PortError};
 use mpsoc_mem::{Addr, BankMode, ClusterReg, MainMemory, MemoryMap, Tcdm};
 use mpsoc_noc::{ClusterMask, Interconnect};
 use mpsoc_sim::stats::StatsRegistry;
-use mpsoc_sim::trace::Tracer;
-use mpsoc_sim::{Cycle, EventQueue, Scheduler, Simulate};
+use mpsoc_sim::{Cycle, EventQueue, Scheduler};
 use mpsoc_telemetry::{EventKind, EventTrace, PhaseBreakdown, Unit};
 
 use crate::cluster::ClusterState;
@@ -293,7 +292,6 @@ pub struct Soc {
     session_tcdm_conflicts: u64,
     stats_folded: bool,
     stats: StatsRegistry,
-    tracer: Tracer,
     telemetry: EventTrace,
     faults: FaultInjector,
     fatal: Option<SocError>,
@@ -344,7 +342,6 @@ impl Soc {
             session_tcdm_conflicts: 0,
             stats_folded: false,
             stats: StatsRegistry::new(),
-            tracer: Tracer::disabled(),
             telemetry: EventTrace::disabled(),
             faults: FaultInjector::noop(),
             fatal: None,
@@ -374,16 +371,6 @@ impl Soc {
     /// Collected statistics of the last offload.
     pub fn stats(&self) -> &StatsRegistry {
         &self.stats
-    }
-
-    /// Enables event tracing with the given record capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Tracer::enabled(capacity);
-    }
-
-    /// The trace collected during the last offload.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Enables typed-event telemetry with the given event capacity.
@@ -512,10 +499,6 @@ impl Soc {
                 .config
                 .descriptor_words
                 .div_ceil(self.config.mem_words_per_cycle)
-    }
-
-    fn trace(&mut self, at: Cycle, unit: &str, msg: impl Into<String>) {
-        self.tracer.record(at, unit, msg);
     }
 
     fn fail(&mut self, error: SocError) {
@@ -1194,9 +1177,9 @@ impl Soc {
     }
 }
 
-impl Simulate for Soc {
-    type Event = SocEvent;
-
+impl Soc {
+    /// Handles one event at simulation time `now`; follow-up events go
+    /// through `sched`.
     fn handle(&mut self, sched: &mut Scheduler<SocEvent>, now: Cycle, event: SocEvent) {
         if self.fatal.is_some() {
             return;
@@ -1235,62 +1218,53 @@ impl Simulate for Soc {
                 cluster,
                 reg,
                 value,
-            } => {
-                if self.tracer.is_enabled() {
-                    self.trace(
-                        now,
-                        "noc",
-                        format!("mailbox[{cluster}].{reg:?} <- {value:#x}"),
-                    );
+            } => match reg {
+                ClusterReg::JobPtr => {
+                    self.clusters[cluster].mailbox_job_ptr = value;
                 }
-                match reg {
-                    ClusterReg::JobPtr => {
-                        self.clusters[cluster].mailbox_job_ptr = value;
+                ClusterReg::Wakeup => {
+                    if let Some(slot) = self.owner_of(cluster) {
+                        let phases = &mut self.jobs[slot].phases;
+                        phases.last_dispatch = phases.last_dispatch.max(now);
                     }
-                    ClusterReg::Wakeup => {
-                        if let Some(slot) = self.owner_of(cluster) {
-                            let phases = &mut self.jobs[slot].phases;
-                            phases.last_dispatch = phases.last_dispatch.max(now);
+                    self.telemetry.instant(
+                        now,
+                        Unit::Cluster(cluster as u32),
+                        EventKind::DispatchEnd,
+                        0,
+                    );
+                    if self.clusters[cluster].phase == ClusterPhase::Idle {
+                        if self.clusters[cluster].job.is_none() {
+                            self.fail(SocError::MissingJob { cluster });
+                            return;
                         }
-                        self.telemetry.instant(
+                        if self.faults.cluster_is_dead(cluster) {
+                            // A permanently dead core: the doorbell
+                            // rings into silence, the cluster stays
+                            // Idle and never completes.
+                            self.note_fault(now, FaultKind::DeadCluster, cluster);
+                            return;
+                        }
+                        self.clusters[cluster].phase = ClusterPhase::Waking;
+                        self.clusters[cluster].timing.woken_at = now;
+                        self.clusters[cluster].wake_span = self.telemetry.begin(
                             now,
                             Unit::Cluster(cluster as u32),
-                            EventKind::DispatchEnd,
-                            0,
+                            EventKind::Wake,
                         );
-                        if self.clusters[cluster].phase == ClusterPhase::Idle {
-                            if self.clusters[cluster].job.is_none() {
-                                self.fail(SocError::MissingJob { cluster });
-                                return;
-                            }
-                            if self.faults.cluster_is_dead(cluster) {
-                                // A permanently dead core: the doorbell
-                                // rings into silence, the cluster stays
-                                // Idle and never completes.
-                                self.note_fault(now, FaultKind::DeadCluster, cluster);
-                                return;
-                            }
-                            self.clusters[cluster].phase = ClusterPhase::Waking;
-                            self.clusters[cluster].timing.woken_at = now;
-                            self.clusters[cluster].wake_span = self.telemetry.begin(
-                                now,
-                                Unit::Cluster(cluster as u32),
-                                EventKind::Wake,
-                            );
-                            if self.fault_strikes(now, FaultKind::WakeLoss, cluster) {
-                                // The doorbell latched but the wake-up
-                                // sequencer glitched: the controller
-                                // never comes out of reset this time.
-                                return;
-                            }
-                            sched.schedule_at(
-                                now + Cycle::new(self.config.cluster_wake_cycles),
-                                SocEvent::ClusterWake { cluster },
-                            );
+                        if self.fault_strikes(now, FaultKind::WakeLoss, cluster) {
+                            // The doorbell latched but the wake-up
+                            // sequencer glitched: the controller
+                            // never comes out of reset this time.
+                            return;
                         }
+                        sched.schedule_at(
+                            now + Cycle::new(self.config.cluster_wake_cycles),
+                            SocEvent::ClusterWake { cluster },
+                        );
                     }
                 }
-            }
+            },
             SocEvent::ClusterWake { cluster } => {
                 self.clusters[cluster].phase = ClusterPhase::Fetching;
                 let wake = std::mem::take(&mut self.clusters[cluster].wake_span);

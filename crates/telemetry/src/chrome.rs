@@ -42,7 +42,7 @@ fn process_name(pid: u64) -> &'static str {
 
 /// Builds the Chrome trace-event JSON document for `trace` as a
 /// [`Value`] tree (see [`chrome_trace_json`] for the serialized form).
-pub fn chrome_trace_value(trace: &EventTrace) -> Value {
+fn chrome_trace_value(trace: &EventTrace) -> Value {
     let mut records: Vec<Value> = Vec::new();
 
     // One named track per unit that actually emitted events; BTreeSet

@@ -3,12 +3,10 @@
 //! Eq. 1 terms, and a Chrome trace-event JSON exporter loadable in
 //! Perfetto or `chrome://tracing`.
 //!
-//! The free-form [`mpsoc_sim::trace::Tracer`] remains for human-readable
-//! logs; this crate is the machine-readable layer on top of the same
-//! hardware models. An [`EventTrace`] collects [`TraceEvent`]s — each
-//! carrying a hardware [`Unit`], an [`EventKind`], a [`Mark`]
-//! (begin/end/instant) and a span ID — with the same single-branch
-//! zero-cost-when-disabled discipline as `Tracer`.
+//! An [`EventTrace`] is the simulator's one trace: it collects
+//! [`TraceEvent`]s — each carrying a hardware [`Unit`], an
+//! [`EventKind`], a [`Mark`] (begin/end/instant) and a span ID — and
+//! when disabled costs a single branch per recording site.
 //!
 //! # Example
 //!

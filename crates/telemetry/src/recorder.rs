@@ -11,11 +11,11 @@ use crate::Unit;
 /// A bounded ring buffer of [`TraceEvent`]s plus a deterministic span-ID
 /// allocator.
 ///
-/// Like [`mpsoc_sim::trace::Tracer`], the disabled path is a single
-/// branch and every hot-path helper returns immediately, so hardware
-/// models can call these hooks unconditionally. Span IDs start at 1 and
-/// increase in allocation order (0 means "no span"), so traces of equal
-/// runs are identical event-for-event.
+/// The disabled path is a single branch and every hot-path helper
+/// returns immediately, so hardware models can call these hooks
+/// unconditionally. Span IDs start at 1 and increase in allocation order
+/// (0 means "no span"), so traces of equal runs are identical
+/// event-for-event.
 ///
 /// # Example
 ///
@@ -73,7 +73,8 @@ impl EventTrace {
     }
 
     /// The ambient job ID in effect (zero when untagged).
-    pub fn current_job(&self) -> u64 {
+    #[cfg(test)]
+    fn current_job(&self) -> u64 {
         self.current_job
     }
 
