@@ -68,9 +68,12 @@ echo "==> committed artifacts (results/ must regenerate byte for byte)"
 # The contract that makes changes to the cycle-exact core safe: every
 # study artifact under results/ is a pure function of the code. Runs
 # all_experiments and every study at full scale, with no flags so each
-# writes its default results/ path, from a temporary directory (so
-# neither results/ nor the BENCH_*.json sidecars in the tree are
+# writes its default results/ path, and the four extension experiments
+# (pipelined offloads, SoC-config variants, codegen and banked-TCDM
+# ablations), which write only with --json, from a temporary directory
+# (so neither results/ nor the BENCH_*.json sidecars in the tree are
 # rewritten), and fails on any byte difference.
+extensions="pipeline sensitivity codegen_ablation bank_ablation"
 artifact_dir="$trace_dir/artifacts"
 mkdir -p "$artifact_dir"
 (
@@ -78,6 +81,9 @@ mkdir -p "$artifact_dir"
     "$bin_dir/all_experiments" > /dev/null
     for study in $studies; do
         "$bin_dir/$study" > /dev/null
+    done
+    for bin in $extensions; do
+        "$bin_dir/$bin" --json "results/$bin.json" > /dev/null
     done
 )
 diff -r results "$artifact_dir/results"

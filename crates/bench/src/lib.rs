@@ -7,8 +7,7 @@
 //! - a programmatic runner (this library) returning typed, serializable
 //!   results,
 //! - a CLI binary (`cargo run -p mpsoc-bench --bin <experiment>`)
-//!   printing the paper-style rows and optionally writing JSON,
-//! - a Criterion bench target (`cargo bench -p mpsoc-bench`).
+//!   printing the paper-style rows and optionally writing JSON.
 //!
 //! Every binary parses its command line through [`study`], strictly:
 //! an unknown or repeated flag, or a value flag without its value,

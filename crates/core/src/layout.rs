@@ -1,6 +1,6 @@
 //! Memory-layout planning for offloaded jobs.
 
-use mpsoc_kernels::partition::JobPartition;
+use mpsoc_kernels::partition::{split_even, Chunk};
 use mpsoc_kernels::{CoreSlice, Kernel};
 use mpsoc_mem::{Addr, MemoryMap, WORD_BYTES};
 
@@ -29,29 +29,19 @@ pub(crate) struct MainLayout {
 }
 
 impl MainLayout {
-    /// Plans the placement of a job with `x_words` of `x` operand,
-    /// `n` output elements and `partial_slots` reduction partials.
-    pub fn plan(
-        map: &MemoryMap,
-        x_words: u64,
-        n: u64,
-        partial_slots: u64,
-    ) -> Result<Self, OffloadError> {
-        Self::plan_at(map, 0, x_words, n, partial_slots)
-    }
-
     /// Words a job's main-memory region spans (control block + operands):
     /// the allocation unit of the concurrent-session region allocator.
     pub fn region_words(x_words: u64, n: u64) -> u64 {
         DATA_WORD + x_words + n
     }
 
-    /// Plans the same placement as [`MainLayout::plan`] but shifted
-    /// `region_word` words into main memory, so concurrent tenants get
-    /// fully disjoint control blocks (descriptor, barrier counter, zero
-    /// word, reduction partials) and operand vectors. `plan` is exactly
-    /// `plan_at` with `region_word == 0`.
-    pub fn plan_at(
+    /// Plans the placement of a job with `x_words` of `x` operand, `n`
+    /// output elements and `partial_slots` reduction partials in the
+    /// region starting `region_word` words into main memory. Blocking
+    /// offloads use word 0; concurrent tenants get disjoint regions, so
+    /// their control blocks (descriptor, barrier counter, zero word,
+    /// reduction partials) and operand vectors never alias.
+    pub fn plan(
         map: &MemoryMap,
         region_word: u64,
         x_words: u64,
@@ -78,6 +68,11 @@ impl MainLayout {
 }
 
 /// TCDM placement of one cluster's slice of the job.
+///
+/// The slice runs in one or more pipeline stages, each holding one
+/// sub-slice in a buffer of x and y words. One stage uses one buffer;
+/// more stages alternate between two, so stage `k+1`'s DMA-in can fill
+/// one while stage `k` computes on the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TcdmLayout {
     /// Local word of the x slice (present iff the kernel streams x).
@@ -85,6 +80,8 @@ pub(crate) struct TcdmLayout {
     /// Local word of the y slice (always present for map kernels — it is
     /// the output buffer — and absent for reductions that ignore y).
     pub y_word: u64,
+    /// Words of one stage buffer (its x and y slices).
+    pub buffer_words: u64,
     /// Local word of the per-core reduction partials (reduce kernels).
     pub out_word: u64,
     /// Local word of the scalar-argument area.
@@ -95,11 +92,12 @@ pub(crate) struct TcdmLayout {
 
 impl TcdmLayout {
     /// Plans a cluster-local layout for `elems` elements of `kernel` run
-    /// by `cores` worker cores.
+    /// by `cores` worker cores in `stages` pipeline stages.
     pub fn plan(
         kernel: &dyn Kernel,
         elems: u64,
         cores: u64,
+        stages: usize,
         capacity: u64,
     ) -> Result<Self, OffloadError> {
         let uses_x = kernel.uses_x();
@@ -107,12 +105,14 @@ impl TcdmLayout {
             mpsoc_kernels::KernelKind::Map => true,
             mpsoc_kernels::KernelKind::Reduce => kernel.uses_y(),
         };
+        // A buffer holds the largest sub-slice, the first of `split_even`.
+        let slice = elems.div_ceil(stages as u64);
         let x_words = if uses_x {
-            elems * kernel.x_words_per_elem() + 2 * kernel.x_halo()
+            slice * kernel.x_words_per_elem() + 2 * kernel.x_halo()
         } else {
             0
         };
-        let y_words = if needs_y_buffer { elems } else { 0 };
+        let y_words = if needs_y_buffer { slice } else { 0 };
         let out_words = match kernel.kind() {
             mpsoc_kernels::KernelKind::Map => 0,
             mpsoc_kernels::KernelKind::Reduce => cores,
@@ -120,7 +120,8 @@ impl TcdmLayout {
         let args_words = kernel.scalar_args().len() as u64 + 1; // + zero word
         let x_word = 0;
         let y_word = x_words;
-        let out_word = x_words + y_words;
+        let buffer_words = x_words + y_words;
+        let out_word = stages.min(2) as u64 * buffer_words;
         let args_word = out_word + out_words;
         let used_words = args_word + args_words;
         if used_words > capacity {
@@ -132,23 +133,28 @@ impl TcdmLayout {
         Ok(TcdmLayout {
             x_word,
             y_word,
+            buffer_words,
             out_word,
             args_word,
             used_words,
         })
     }
 
-    /// Builds the [`CoreSlice`] for worker `core` of a cluster whose
-    /// chunk starts at absolute element `cluster_start`, given the
-    /// absolute per-core chunk.
-    pub fn core_slice(
-        &self,
-        kernel: &dyn Kernel,
-        cluster_start: u64,
-        core: usize,
-        chunk: mpsoc_kernels::partition::Chunk,
-    ) -> CoreSlice {
-        let rel = chunk.start - cluster_start;
+    /// The layout pipeline stage `stage` works in: even stages use the
+    /// first buffer, odd stages the second.
+    pub fn buffer(&self, stage: usize) -> TcdmLayout {
+        let shift = (stage % 2) as u64 * self.buffer_words;
+        TcdmLayout {
+            x_word: self.x_word + shift,
+            y_word: self.y_word + shift,
+            ..*self
+        }
+    }
+
+    /// Builds the [`CoreSlice`] for worker `core`, given its chunk
+    /// relative to the start of the slice in this buffer.
+    pub fn core_slice(&self, kernel: &dyn Kernel, core: usize, chunk: Chunk) -> CoreSlice {
+        let rel = chunk.start;
         let out_base = match kernel.kind() {
             mpsoc_kernels::KernelKind::Map => (self.y_word + rel) * WORD_BYTES,
             mpsoc_kernels::KernelKind::Reduce => (self.out_word + core as u64) * WORD_BYTES,
@@ -164,11 +170,14 @@ impl TcdmLayout {
     }
 }
 
-/// The per-cluster geometry shared by job building: partition plus TCDM
-/// plan for each selected cluster.
+/// The per-cluster geometry shared by job building: each selected
+/// cluster's chunk of the job and its TCDM plan.
 pub(crate) struct JobGeometry {
-    pub partition: JobPartition,
+    /// One chunk per selected cluster, in mask order.
+    pub clusters: Vec<Chunk>,
     pub tcdm: Vec<TcdmLayout>,
+    /// Pipeline stages each cluster runs.
+    pub stages: usize,
 }
 
 impl JobGeometry {
@@ -177,15 +186,19 @@ impl JobGeometry {
         n: u64,
         clusters: usize,
         cores: usize,
+        stages: usize,
         tcdm_capacity: u64,
     ) -> Result<Self, OffloadError> {
-        let partition = JobPartition::new(n, clusters, cores);
-        let tcdm = partition
-            .clusters()
+        let clusters = split_even(n, clusters);
+        let tcdm = clusters
             .iter()
-            .map(|chunk| TcdmLayout::plan(kernel, chunk.count, cores as u64, tcdm_capacity))
+            .map(|chunk| TcdmLayout::plan(kernel, chunk.count, cores as u64, stages, tcdm_capacity))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(JobGeometry { partition, tcdm })
+        Ok(JobGeometry {
+            clusters,
+            tcdm,
+            stages,
+        })
     }
 }
 
@@ -197,7 +210,7 @@ mod tests {
     #[test]
     fn main_layout_places_disjoint_regions() {
         let map = MemoryMap::new(4, 1 << 20);
-        let l = MainLayout::plan(&map, 1024, 1024, 32).unwrap();
+        let l = MainLayout::plan(&map, 0, 1024, 1024, 32).unwrap();
         assert!(l.desc < l.barrier);
         assert!(l.barrier < l.partials);
         assert!(l.partials < l.x);
@@ -207,16 +220,15 @@ mod tests {
     #[test]
     fn plan_at_zero_matches_plan_and_offsets_shift_everything() {
         let map = MemoryMap::new(4, 1 << 20);
-        let a = MainLayout::plan(&map, 256, 256, 8).unwrap();
-        let b = MainLayout::plan_at(&map, 0, 256, 256, 8).unwrap();
-        assert_eq!(a, b);
+        let a = MainLayout::plan(&map, 0, 256, 256, 8).unwrap();
+        assert_eq!(a.desc, map.main_base());
         let span = MainLayout::region_words(256, 256);
-        let c = MainLayout::plan_at(&map, span, 256, 256, 8).unwrap();
+        let c = MainLayout::plan(&map, span, 256, 256, 8).unwrap();
         assert_eq!(c.desc, a.desc.add_words(span));
         assert_eq!(c.barrier, a.barrier.add_words(span));
         assert_eq!(c.y, a.y.add_words(span));
         assert!(matches!(
-            MainLayout::plan_at(&map, (1 << 20) - 10, 256, 256, 8),
+            MainLayout::plan(&map, (1 << 20) - 10, 256, 256, 8),
             Err(OffloadError::MainMemoryOverflow { .. })
         ));
     }
@@ -225,7 +237,7 @@ mod tests {
     fn main_layout_rejects_oversized_jobs() {
         let map = MemoryMap::new(4, 2048);
         assert!(matches!(
-            MainLayout::plan(&map, 4096, 4096, 8),
+            MainLayout::plan(&map, 0, 4096, 4096, 8),
             Err(OffloadError::MainMemoryOverflow { .. })
         ));
     }
@@ -233,7 +245,7 @@ mod tests {
     #[test]
     fn tcdm_layout_daxpy() {
         let k = Daxpy::new(2.0);
-        let l = TcdmLayout::plan(&k, 128, 8, 1 << 15).unwrap();
+        let l = TcdmLayout::plan(&k, 128, 8, 1, 1 << 15).unwrap();
         assert_eq!(l.x_word, 0);
         assert_eq!(l.y_word, 128);
         assert_eq!(l.args_word, 256);
@@ -241,10 +253,9 @@ mod tests {
 
         let slice = l.core_slice(
             &k,
-            1000,
             2,
-            mpsoc_kernels::partition::Chunk {
-                start: 1032,
+            Chunk {
+                start: 32,
                 count: 16,
             },
         );
@@ -258,17 +269,12 @@ mod tests {
     #[test]
     fn tcdm_layout_reduce_has_partial_slots() {
         let k = Dot::new();
-        let l = TcdmLayout::plan(&k, 64, 8, 1 << 15).unwrap();
+        let l = TcdmLayout::plan(&k, 64, 8, 1, 1 << 15).unwrap();
         // x 64 + y 64 + 8 partials + 1 zero word (no scalars).
         assert_eq!(l.out_word, 128);
         assert_eq!(l.args_word, 136);
         assert_eq!(l.used_words, 137);
-        let slice = l.core_slice(
-            &k,
-            0,
-            3,
-            mpsoc_kernels::partition::Chunk { start: 8, count: 8 },
-        );
+        let slice = l.core_slice(&k, 3, Chunk { start: 8, count: 8 });
         assert_eq!(slice.out_base, (128 + 3) * 8);
     }
 
@@ -276,7 +282,7 @@ mod tests {
     fn tcdm_overflow_detected() {
         let k = Daxpy::new(1.0);
         assert!(matches!(
-            TcdmLayout::plan(&k, 10_000, 8, 1024),
+            TcdmLayout::plan(&k, 10_000, 8, 1, 1024),
             Err(OffloadError::TcdmOverflow { .. })
         ));
     }
@@ -284,8 +290,8 @@ mod tests {
     #[test]
     fn geometry_plans_every_cluster() {
         let k = Daxpy::new(1.0);
-        let g = JobGeometry::plan(&k, 1000, 3, 8, 1 << 15).unwrap();
+        let g = JobGeometry::plan(&k, 1000, 3, 8, 1, 1 << 15).unwrap();
         assert_eq!(g.tcdm.len(), 3);
-        assert_eq!(g.partition.clusters().len(), 3);
+        assert_eq!(g.clusters.len(), 3);
     }
 }

@@ -1,13 +1,14 @@
-//! The offload runtime: builds host programs and cluster jobs, runs them
-//! on the SoC and extracts results.
+//! The offload runtime: stages host programs and cluster jobs on the
+//! SoC, runs them and extracts results.
 
+use mpsoc_kernels::partition::split_even;
 use mpsoc_kernels::{GoldenOutput, Kernel, KernelKind};
 use mpsoc_mem::ClusterReg;
 use mpsoc_noc::ClusterMask;
 use mpsoc_sim::Cycle;
 use mpsoc_soc::{
-    ClusterJob, CompletionSignal, ContentionReport, HostOp, HostProgram, JobId, OffloadOutcome,
-    SessionProgress, Soc, SocConfig, Transfer,
+    ClusterJob, CompletionSignal, ContentionReport, HostOp, HostProgram, JobId, JobStage,
+    OffloadOutcome, SessionProgress, Soc, SocConfig, Transfer,
 };
 use serde::{Deserialize, Serialize};
 
@@ -154,17 +155,49 @@ pub enum SessionStep {
     Idle,
 }
 
-/// Bookkeeping for a submitted-but-not-yet-collected tenant job.
+/// A job staged on the SoC: where its result is read back from once it
+/// finishes, and what its run reports.
 #[derive(Debug)]
-struct PendingJob {
-    job: JobId,
+struct StagedJob {
     layout: MainLayout,
     kind: KernelKind,
     n: u64,
     m: usize,
     partial_slots: u64,
     strategy: OffloadStrategy,
+}
+
+impl StagedJob {
+    /// Reads the finished job's result back from main memory (the output
+    /// vector of a map kernel, the summed partials of a reduction) and
+    /// pairs it with the SoC's measurement.
+    fn read_back(&self, soc: &Soc, outcome: OffloadOutcome) -> Result<OffloadRun, OffloadError> {
+        let store = soc.main().store();
+        let result = match self.kind {
+            KernelKind::Map => OffloadResult::Vector(store.read_f64_slice(self.layout.y, self.n)?),
+            KernelKind::Reduce => OffloadResult::Scalar(
+                store
+                    .read_f64_slice(self.layout.partials, self.partial_slots)?
+                    .iter()
+                    .sum(),
+            ),
+        };
+        Ok(OffloadRun {
+            outcome,
+            result,
+            n: self.n,
+            m: self.m,
+            strategy: self.strategy,
+        })
+    }
+}
+
+/// Bookkeeping for a submitted-but-not-yet-collected tenant job.
+#[derive(Debug)]
+struct PendingJob {
+    job: JobId,
     region_word: u64,
+    staged: StagedJob,
 }
 
 /// The offload runtime: owns a simulated SoC and runs kernels on it.
@@ -173,7 +206,6 @@ struct PendingJob {
 #[derive(Debug)]
 pub struct Offloader {
     soc: Soc,
-    costs: RuntimeCosts,
     /// In-flight session jobs awaiting completion.
     pending: Vec<PendingJob>,
     /// Live main-memory regions `(start_word, words)`, sorted by start:
@@ -197,24 +229,6 @@ impl Offloader {
         let clusters = config.clusters;
         Ok(Offloader {
             soc: Soc::new(config)?,
-            costs: RuntimeCosts::default(),
-            pending: Vec::new(),
-            regions: Vec::new(),
-            strikes: vec![0; clusters],
-            quarantined: ClusterMask::default(),
-        })
-    }
-
-    /// Builds an offloader with explicit host-runtime costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OffloadError::Soc`] for an invalid configuration.
-    pub fn with_costs(config: SocConfig, costs: RuntimeCosts) -> Result<Self, OffloadError> {
-        let clusters = config.clusters;
-        Ok(Offloader {
-            soc: Soc::new(config)?,
-            costs,
             pending: Vec::new(),
             regions: Vec::new(),
             strikes: vec![0; clusters],
@@ -225,11 +239,6 @@ impl Offloader {
     /// The SoC configuration in effect.
     pub fn config(&self) -> &SocConfig {
         self.soc.config()
-    }
-
-    /// The host-runtime costs in effect.
-    pub fn costs(&self) -> &RuntimeCosts {
-        &self.costs
     }
 
     /// The underlying SoC (inspection, tracing).
@@ -257,14 +266,7 @@ impl Offloader {
         m: usize,
         strategy: OffloadStrategy,
     ) -> Result<OffloadRun, OffloadError> {
-        let available = self.soc.config().clusters;
-        if m > available {
-            return Err(OffloadError::TooManyClusters {
-                requested: m,
-                available,
-            });
-        }
-        self.offload_to(kernel, x, y, ClusterMask::first(m), strategy)
+        self.offload_pipelined(kernel, x, y, m, strategy, 1)
     }
 
     /// Executes `kernel` entirely on the host core (no offload): the
@@ -341,13 +343,13 @@ impl Offloader {
     /// hides behind arithmetic. An extension beyond the paper's runtime
     /// (whose clusters execute DMA-in → compute → DMA-out sequentially).
     ///
-    /// With `stages == 1` this is identical to [`Offloader::offload`].
+    /// With `stages == 1` this is [`Offloader::offload`].
     ///
     /// # Errors
     ///
     /// [`OffloadError::PipelineUnsupported`] for reduce kernels (their
-    /// accumulator spans the whole slice), plus everything
-    /// [`Offloader::offload`] can return.
+    /// accumulator spans the whole slice) and halo kernels when
+    /// `stages > 1`, plus everything [`Offloader::offload`] can return.
     ///
     /// # Panics
     ///
@@ -362,166 +364,27 @@ impl Offloader {
         stages: usize,
     ) -> Result<OffloadRun, OffloadError> {
         assert!(stages > 0, "need at least one pipeline stage");
-        if stages == 1 {
-            return self.offload(kernel, x, y, m, strategy);
-        }
-        if kernel.kind() != KernelKind::Map || kernel.x_halo() != 0 {
+        if stages > 1 && (kernel.kind() != KernelKind::Map || kernel.x_halo() != 0) {
             return Err(OffloadError::PipelineUnsupported {
                 kernel: kernel.name().to_owned(),
             });
         }
         let available = self.soc.config().clusters;
-        if m == 0 {
-            return Err(OffloadError::NoClusters);
-        }
         if m > available {
             return Err(OffloadError::TooManyClusters {
                 requested: m,
                 available,
             });
         }
-        let n = y.len() as u64;
-        let wpe = kernel.x_words_per_elem();
-        let x_words = n * wpe;
-        if x.len() as u64 != x_words {
-            return Err(OffloadError::OperandMismatch {
-                x_len: x.len(),
-                y_len: y.len(),
-            });
-        }
-        let cores = self.soc.config().cores_per_cluster;
-        let layout = MainLayout::plan(self.soc.map(), x_words, n, 0)?;
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.x, x)?;
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.y, y)?;
-
-        let mask = ClusterMask::first(m);
-        let partition = mpsoc_kernels::partition::JobPartition::new(n, m, cores);
-        for (position, cluster) in mask.iter().enumerate() {
-            let job = self.build_pipelined_job(
-                kernel,
-                &layout,
-                partition.clusters()[position],
-                cores,
-                strategy,
-                stages,
-            )?;
-            self.soc.bind_job(cluster, job);
-        }
-
-        let program = self.build_host_program(kernel, &layout, n, mask, cores, strategy);
-        let outcome = self.soc.run_offload(program, mask)?;
-        let out = self.soc.main().store().read_f64_slice(layout.y, n)?;
-        Ok(OffloadRun {
-            outcome,
-            result: OffloadResult::Vector(out),
-            n,
-            m,
-            strategy,
-        })
-    }
-
-    fn build_pipelined_job(
-        &self,
-        kernel: &dyn Kernel,
-        layout: &MainLayout,
-        chunk: mpsoc_kernels::partition::Chunk,
-        cores: usize,
-        strategy: OffloadStrategy,
-        stages: usize,
-    ) -> Result<ClusterJob, OffloadError> {
-        use mpsoc_kernels::partition::split_even;
-        use mpsoc_soc::JobStage;
-
-        let wpe = kernel.x_words_per_elem();
-        let subs = split_even(chunk.count, stages);
-        let max_sub = subs.iter().map(|s| s.count).max().unwrap_or(0);
-        // Two alternating buffers, each holding one sub-slice.
-        let x_span = if kernel.uses_x() { max_sub * wpe } else { 0 };
-        let y_span = max_sub; // the output buffer (map kernels only)
-        let buf_span = x_span + y_span;
-        let args_word = 2 * buf_span;
-        let required = args_word + kernel.scalar_args().len() as u64 + 1;
-        let capacity = self.soc.config().tcdm_words;
-        if required > capacity {
-            return Err(OffloadError::TcdmOverflow { required, capacity });
-        }
-
-        let mut job_stages = Vec::with_capacity(stages);
-        for (k, sub) in subs.iter().enumerate() {
-            let parity = (k % 2) as u64;
-            let x_buf = parity * buf_span;
-            let y_buf = parity * buf_span + x_span;
-            let abs_start = chunk.start + sub.start;
-
-            let mut dma_in = Vec::new();
-            if kernel.uses_x() && sub.count > 0 {
-                dma_in.push(Transfer {
-                    main_addr: layout.x.add_words(abs_start * wpe),
-                    local_word: x_buf,
-                    words: sub.count * wpe,
-                });
-            }
-            if kernel.uses_y() && sub.count > 0 {
-                dma_in.push(Transfer {
-                    main_addr: layout.y.add_words(abs_start),
-                    local_word: y_buf,
-                    words: sub.count,
-                });
-            }
-            let mut dma_out = Vec::new();
-            if sub.count > 0 {
-                dma_out.push(Transfer {
-                    main_addr: layout.y.add_words(abs_start),
-                    local_word: y_buf,
-                    words: sub.count,
-                });
-            }
-
-            let programs = split_even(sub.count, cores)
-                .iter()
-                .enumerate()
-                .map(|(core, core_chunk)| {
-                    let slice = mpsoc_kernels::CoreSlice {
-                        elems: core_chunk.count,
-                        x_base: (x_buf + core_chunk.start * wpe) * mpsoc_mem::WORD_BYTES,
-                        y_base: (y_buf + core_chunk.start) * mpsoc_mem::WORD_BYTES,
-                        out_base: (y_buf + core_chunk.start) * mpsoc_mem::WORD_BYTES,
-                        args_base: args_word * mpsoc_mem::WORD_BYTES,
-                        core_index: core,
-                    };
-                    kernel.codegen(&slice)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-
-            job_stages.push(JobStage {
-                dma_in,
-                programs,
-                dma_out,
-            });
-        }
-
-        let completion = match strategy.sync {
-            SyncStrategy::CreditCounter => CompletionSignal::Credit,
-            SyncStrategy::SoftwareBarrier => CompletionSignal::Barrier {
-                addr: layout.barrier,
-            },
-        };
-        Ok(ClusterJob {
-            stages: job_stages,
-            args: kernel.scalar_args(),
-            args_local_word: args_word,
-            completion,
-        })
+        self.offload_blocking(kernel, x, y, ClusterMask::first(m), strategy, stages)
     }
 
     /// Offloads to an arbitrary set of clusters (e.g. the upper half of
     /// the machine while the lower half runs another tenant's job).
+    ///
+    /// Every blocking offload runs alone in a fresh SoC session, so it
+    /// ends any session opened with [`Offloader::begin_jobs`]: jobs still
+    /// in flight there are dropped and never complete.
     ///
     /// # Errors
     ///
@@ -534,81 +397,26 @@ impl Offloader {
         mask: ClusterMask,
         strategy: OffloadStrategy,
     ) -> Result<OffloadRun, OffloadError> {
-        let m = mask.count();
-        if m == 0 {
-            return Err(OffloadError::NoClusters);
-        }
-        let available = self.soc.config().clusters;
-        if mask.highest().expect("non-empty") >= available {
-            return Err(OffloadError::TooManyClusters {
-                requested: mask.highest().expect("non-empty") + 1,
-                available,
-            });
-        }
-        // The job size is the output length; `x` must hold
-        // `x_words_per_elem` words per element (1 for vector kernels,
-        // `K` for matrix kernels like GEMV).
-        let n = y.len() as u64;
-        let x_words = n * kernel.x_words_per_elem();
-        if x.len() as u64 != x_words {
-            return Err(OffloadError::OperandMismatch {
-                x_len: x.len(),
-                y_len: y.len(),
-            });
-        }
-        let cores = self.soc.config().cores_per_cluster;
-        let partial_slots = (m * cores) as u64;
+        self.offload_blocking(kernel, x, y, mask, strategy, 1)
+    }
 
-        let layout = MainLayout::plan(self.soc.map(), x_words, n, partial_slots)?;
-        let geometry = JobGeometry::plan(kernel, n, m, cores, self.soc.config().tcdm_words)?;
-
-        // Load operands (zero-time test-bench initialization, as the
-        // paper's measurements also exclude input generation).
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.x, x)?;
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.y, y)?;
-
-        // The reserved zero word feeds halo zero-fills at job edges.
-        self.soc.main_mut().store_mut().write_u64(layout.zero, 0)?;
-
-        // Bind one job per selected cluster; the job geometry is indexed
-        // by *position* within the mask, not by cluster id.
-        for (position, cluster) in mask.iter().enumerate() {
-            let job =
-                self.build_cluster_job(kernel, &geometry, &layout, position, n, cores, strategy)?;
-            self.soc.bind_job(cluster, job);
-        }
-
-        let program = self.build_host_program(kernel, &layout, n, mask, cores, strategy);
+    /// The blocking offload: stages the job at the start of main memory,
+    /// runs it alone on the SoC and reads its result back.
+    fn offload_blocking(
+        &mut self,
+        kernel: &dyn Kernel,
+        x: &[f64],
+        y: &[f64],
+        mask: ClusterMask,
+        strategy: OffloadStrategy,
+        stages: usize,
+    ) -> Result<OffloadRun, OffloadError> {
+        let (program, staged) = self.stage(kernel, x, y, mask, strategy, 0, stages)?;
+        // `run_offload` opens a fresh SoC session: any open one ends here.
+        self.pending.clear();
+        self.regions.clear();
         let outcome = self.soc.run_offload(program, mask)?;
-
-        let result = match kernel.kind() {
-            KernelKind::Map => {
-                let out = self.soc.main().store().read_f64_slice(layout.y, n)?;
-                OffloadResult::Vector(out)
-            }
-            KernelKind::Reduce => {
-                let partials = self
-                    .soc
-                    .main()
-                    .store()
-                    .read_f64_slice(layout.partials, partial_slots)?;
-                OffloadResult::Scalar(partials.iter().sum())
-            }
-        };
-
-        Ok(OffloadRun {
-            outcome,
-            result,
-            n,
-            m,
-            strategy,
-        })
+        staged.read_back(&self.soc, outcome)
     }
 
     /// Opens a concurrent-job session: resets the SoC's virtual time,
@@ -644,67 +452,22 @@ impl Offloader {
         strategy: OffloadStrategy,
         at: Cycle,
     ) -> Result<JobId, OffloadError> {
-        let m = mask.count();
-        if m == 0 {
-            return Err(OffloadError::NoClusters);
-        }
-        let available = self.soc.config().clusters;
-        if mask.highest().expect("non-empty") >= available {
-            return Err(OffloadError::TooManyClusters {
-                requested: mask.highest().expect("non-empty") + 1,
-                available,
-            });
-        }
-        let n = y.len() as u64;
-        let x_words = n * kernel.x_words_per_elem();
-        if x.len() as u64 != x_words {
-            return Err(OffloadError::OperandMismatch {
-                x_len: x.len(),
-                y_len: y.len(),
-            });
-        }
-        let cores = self.soc.config().cores_per_cluster;
-        let partial_slots = (m * cores) as u64;
-
-        let span = MainLayout::region_words(x_words, n);
-        let region_word = self.alloc_region(span)?;
-        let submitted = (|| {
-            let layout =
-                MainLayout::plan_at(self.soc.map(), region_word, x_words, n, partial_slots)?;
-            let geometry = JobGeometry::plan(kernel, n, m, cores, self.soc.config().tcdm_words)?;
-
-            self.soc
-                .main_mut()
-                .store_mut()
-                .write_f64_slice(layout.x, x)?;
-            self.soc
-                .main_mut()
-                .store_mut()
-                .write_f64_slice(layout.y, y)?;
-            self.soc.main_mut().store_mut().write_u64(layout.zero, 0)?;
-
-            for (position, cluster) in mask.iter().enumerate() {
-                let job = self
-                    .build_cluster_job(kernel, &geometry, &layout, position, n, cores, strategy)?;
-                self.soc.bind_job(cluster, job);
-            }
-
-            let program = self.build_host_program(kernel, &layout, n, mask, cores, strategy);
-            let job = self.soc.submit_job(program, mask, at)?;
-            Ok::<_, OffloadError>((job, layout))
-        })();
-        match submitted {
-            Ok((job, layout)) => {
-                self.pending.push(PendingJob {
+        let region_word =
+            self.alloc_region(MainLayout::region_words(x.len() as u64, y.len() as u64))?;
+        let submitted = self
+            .stage(kernel, x, y, mask, strategy, region_word, 1)
+            .and_then(|(program, staged)| {
+                let job = self.soc.submit_job(program, mask, at)?;
+                Ok(PendingJob {
                     job,
-                    layout,
-                    kind: kernel.kind(),
-                    n,
-                    m,
-                    partial_slots,
-                    strategy,
                     region_word,
-                });
+                    staged,
+                })
+            });
+        match submitted {
+            Ok(pending) => {
+                let job = pending.job;
+                self.pending.push(pending);
                 Ok(job)
             }
             Err(e) => {
@@ -732,19 +495,7 @@ impl Offloader {
                     .expect("completion for a job this runtime never submitted");
                 let p = self.pending.remove(at);
                 self.free_region(p.region_word);
-                let result = match p.kind {
-                    KernelKind::Map => OffloadResult::Vector(
-                        self.soc.main().store().read_f64_slice(p.layout.y, p.n)?,
-                    ),
-                    KernelKind::Reduce => {
-                        let partials = self
-                            .soc
-                            .main()
-                            .store()
-                            .read_f64_slice(p.layout.partials, p.partial_slots)?;
-                        OffloadResult::Scalar(partials.iter().sum())
-                    }
-                };
+                let run = p.staged.read_back(&self.soc, c.outcome)?;
                 Ok(SessionStep::Completed(Box::new(TenantRun {
                     job: c.job,
                     submitted_at: c.submitted_at,
@@ -753,13 +504,7 @@ impl Offloader {
                     contention: c.contention,
                     corrupt_clusters: c.corrupt_clusters,
                     faults_injected: c.faults_injected,
-                    run: OffloadRun {
-                        outcome: c.outcome,
-                        result,
-                        n: p.n,
-                        m: p.m,
-                        strategy: p.strategy,
-                    },
+                    run,
                 })))
             }
             SessionProgress::Horizon => Ok(SessionStep::Horizon),
@@ -807,108 +552,79 @@ impl Offloader {
         self.regions.retain(|&(s, _)| s != start);
     }
 
-    #[allow(clippy::too_many_arguments)] // internal builder mirroring the job's natural parameters
-    fn build_cluster_job(
-        &self,
+    /// Stages one job on the SoC, ready to run: checks the mask and the
+    /// operands, plans the job's main-memory region at `region_word` and
+    /// its TCDM geometry for `stages` pipeline stages, writes the
+    /// operands, binds one cluster job per cluster of `mask` and builds
+    /// the host program. Every offload path stages through here.
+    #[allow(clippy::too_many_arguments)] // the job's natural parameters
+    fn stage(
+        &mut self,
         kernel: &dyn Kernel,
-        geometry: &JobGeometry,
-        layout: &MainLayout,
-        position: usize,
-        n: u64,
-        cores: usize,
+        x: &[f64],
+        y: &[f64],
+        mask: ClusterMask,
         strategy: OffloadStrategy,
-    ) -> Result<ClusterJob, OffloadError> {
-        let chunk = geometry.partition.clusters()[position];
-        let tcdm = &geometry.tcdm[position];
-
-        let mut dma_in = Vec::new();
-        if kernel.uses_x() && chunk.count > 0 {
-            let wpe = kernel.x_words_per_elem();
-            let halo = kernel.x_halo();
-            debug_assert!(
-                halo == 0 || wpe == 1,
-                "halos are only supported for one-word-per-element kernels"
-            );
-            // Fetch the slice plus as much halo as exists in the job;
-            // job-edge halo slots are zero-filled from the reserved word.
-            let fetch_start = chunk.start.saturating_sub(halo);
-            let fetch_end = (chunk.end() + halo).min(n);
-            let left_missing = halo - (chunk.start - fetch_start);
-            let right_missing = halo - (fetch_end - chunk.end());
-            for i in 0..left_missing {
-                dma_in.push(Transfer {
-                    main_addr: layout.zero,
-                    local_word: tcdm.x_word + i,
-                    words: 1,
-                });
-            }
-            dma_in.push(Transfer {
-                main_addr: layout.x.add_words(fetch_start * wpe),
-                local_word: tcdm.x_word + left_missing,
-                words: (fetch_end - fetch_start) * wpe,
-            });
-            for i in 0..right_missing {
-                dma_in.push(Transfer {
-                    main_addr: layout.zero,
-                    local_word: tcdm.x_word + left_missing + (fetch_end - fetch_start) + i,
-                    words: 1,
-                });
-            }
+        region_word: u64,
+        stages: usize,
+    ) -> Result<(HostProgram, StagedJob), OffloadError> {
+        let m = mask.count();
+        if m == 0 {
+            return Err(OffloadError::NoClusters);
         }
-        if kernel.uses_y() && chunk.count > 0 {
-            dma_in.push(Transfer {
-                main_addr: layout.y.add_words(chunk.start),
-                local_word: tcdm.y_word,
-                words: chunk.count,
+        let available = self.soc.config().clusters;
+        if mask.highest().expect("non-empty") >= available {
+            return Err(OffloadError::TooManyClusters {
+                requested: mask.highest().expect("non-empty") + 1,
+                available,
             });
         }
-
-        let mut dma_out = Vec::new();
-        match kernel.kind() {
-            KernelKind::Map => {
-                if chunk.count > 0 {
-                    dma_out.push(Transfer {
-                        main_addr: layout.y.add_words(chunk.start),
-                        local_word: tcdm.y_word,
-                        words: chunk.count,
-                    });
-                }
-            }
-            KernelKind::Reduce => {
-                dma_out.push(Transfer {
-                    main_addr: layout.partials.add_words((position * cores) as u64),
-                    local_word: tcdm.out_word,
-                    words: cores as u64,
-                });
-            }
+        // The job size is the output length; `x` must hold
+        // `x_words_per_elem` words per element (1 for vector kernels,
+        // `K` for matrix kernels like GEMV).
+        let n = y.len() as u64;
+        let x_words = n * kernel.x_words_per_elem();
+        if x.len() as u64 != x_words {
+            return Err(OffloadError::OperandMismatch {
+                x_len: x.len(),
+                y_len: y.len(),
+            });
         }
-
-        let programs = geometry
-            .partition
-            .cores(position)
-            .iter()
-            .enumerate()
-            .map(|(core, &core_chunk)| {
-                let slice = tcdm.core_slice(kernel, chunk.start, core, core_chunk);
-                kernel.codegen(&slice)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let completion = match strategy.sync {
-            SyncStrategy::CreditCounter => CompletionSignal::Credit,
-            SyncStrategy::SoftwareBarrier => CompletionSignal::Barrier {
-                addr: layout.barrier,
-            },
+        let cores = self.soc.config().cores_per_cluster;
+        // Only reductions leave per-core partials in main memory.
+        let partial_slots = match kernel.kind() {
+            KernelKind::Map => 0,
+            KernelKind::Reduce => (m * cores) as u64,
         };
+        let layout = MainLayout::plan(self.soc.map(), region_word, x_words, n, partial_slots)?;
+        let geometry =
+            JobGeometry::plan(kernel, n, m, cores, stages, self.soc.config().tcdm_words)?;
 
-        Ok(ClusterJob::single(
-            programs,
-            dma_in,
-            dma_out,
-            kernel.scalar_args(),
-            tcdm.args_word,
-            completion,
-        ))
+        // Load operands (zero-time test-bench initialization, as the
+        // paper's measurements also exclude input generation). The
+        // reserved zero word feeds halo zero-fills at job edges.
+        let store = self.soc.main_mut().store_mut();
+        store.write_f64_slice(layout.x, x)?;
+        store.write_f64_slice(layout.y, y)?;
+        store.write_u64(layout.zero, 0)?;
+
+        // Bind one job per selected cluster; the job geometry is indexed
+        // by *position* within the mask, not by cluster id.
+        for (position, cluster) in mask.iter().enumerate() {
+            let job = cluster_job(kernel, &geometry, position, &layout, n, cores, strategy)?;
+            self.soc.bind_job(cluster, job);
+        }
+
+        let program = self.build_host_program(kernel, &layout, n, mask, cores, strategy);
+        let staged = StagedJob {
+            layout,
+            kind: kernel.kind(),
+            n,
+            m,
+            partial_slots,
+            strategy,
+        };
+        Ok((program, staged))
     }
 
     fn build_host_program(
@@ -920,7 +636,7 @@ impl Offloader {
         cores: usize,
         strategy: OffloadStrategy,
     ) -> HostProgram {
-        let costs = &self.costs;
+        let costs = RuntimeCosts::default();
         let m = mask.count();
         let mut ops = Vec::new();
 
@@ -1026,6 +742,117 @@ impl Offloader {
         ops.push(HostOp::End);
         HostProgram::new(ops)
     }
+}
+
+/// Builds the job of the cluster at `position` in the mask. Its chunk
+/// splits into `geometry.stages` sub-slices that alternate between the
+/// TCDM buffers; each stage fetches its sub-slice in, runs one
+/// `split_even` slice of it per worker core and writes the result back.
+/// One stage is the paper's DMA-in → compute → DMA-out; with more, stage
+/// `k+1`'s DMA-in overlaps stage `k`'s compute. Halo zero-fills and
+/// reduction partials only occur in one-stage jobs.
+fn cluster_job(
+    kernel: &dyn Kernel,
+    geometry: &JobGeometry,
+    position: usize,
+    layout: &MainLayout,
+    n: u64,
+    cores: usize,
+    strategy: OffloadStrategy,
+) -> Result<ClusterJob, OffloadError> {
+    let chunk = geometry.clusters[position];
+    let tcdm = &geometry.tcdm[position];
+    let wpe = kernel.x_words_per_elem();
+    let halo = kernel.x_halo();
+    debug_assert!(
+        halo == 0 || wpe == 1,
+        "halos are only supported for one-word-per-element kernels"
+    );
+
+    let mut stages = Vec::with_capacity(geometry.stages);
+    for (k, sub) in split_even(chunk.count, geometry.stages)
+        .into_iter()
+        .enumerate()
+    {
+        let buffer = tcdm.buffer(k);
+        let start = chunk.start + sub.start;
+        let end = start + sub.count;
+
+        let mut dma_in = Vec::new();
+        if kernel.uses_x() && sub.count > 0 {
+            // Fetch the slice plus as much halo as exists in the job;
+            // job-edge halo slots are zero-filled from the reserved word.
+            let fetch_start = start.saturating_sub(halo);
+            let fetch_end = (end + halo).min(n);
+            let left_missing = halo - (start - fetch_start);
+            let right_missing = halo - (fetch_end - end);
+            let right_word = buffer.x_word + left_missing + (fetch_end - fetch_start);
+            let zero_fill = |local_word| Transfer {
+                main_addr: layout.zero,
+                local_word,
+                words: 1,
+            };
+            dma_in.extend((0..left_missing).map(|i| zero_fill(buffer.x_word + i)));
+            dma_in.push(Transfer {
+                main_addr: layout.x.add_words(fetch_start * wpe),
+                local_word: buffer.x_word + left_missing,
+                words: (fetch_end - fetch_start) * wpe,
+            });
+            dma_in.extend((0..right_missing).map(|i| zero_fill(right_word + i)));
+        }
+        if kernel.uses_y() && sub.count > 0 {
+            dma_in.push(Transfer {
+                main_addr: layout.y.add_words(start),
+                local_word: buffer.y_word,
+                words: sub.count,
+            });
+        }
+
+        let mut dma_out = Vec::new();
+        match kernel.kind() {
+            KernelKind::Map => {
+                if sub.count > 0 {
+                    dma_out.push(Transfer {
+                        main_addr: layout.y.add_words(start),
+                        local_word: buffer.y_word,
+                        words: sub.count,
+                    });
+                }
+            }
+            KernelKind::Reduce => {
+                dma_out.push(Transfer {
+                    main_addr: layout.partials.add_words((position * cores) as u64),
+                    local_word: buffer.out_word,
+                    words: cores as u64,
+                });
+            }
+        }
+
+        let programs = split_even(sub.count, cores)
+            .into_iter()
+            .enumerate()
+            .map(|(core, slice)| kernel.codegen(&buffer.core_slice(kernel, core, slice)))
+            .collect::<Result<Vec<_>, _>>()?;
+
+        stages.push(JobStage {
+            dma_in,
+            programs,
+            dma_out,
+        });
+    }
+
+    let completion = match strategy.sync {
+        SyncStrategy::CreditCounter => CompletionSignal::Credit,
+        SyncStrategy::SoftwareBarrier => CompletionSignal::Barrier {
+            addr: layout.barrier,
+        },
+    };
+    Ok(ClusterJob {
+        stages,
+        args: kernel.scalar_args(),
+        args_local_word: tcdm.args_word,
+        completion,
+    })
 }
 
 #[cfg(test)]
@@ -1328,6 +1155,56 @@ mod tests {
         )
         .unwrap();
         assert_eq!(off.regions[0].0, 0, "freed head region is reused first");
+    }
+
+    #[test]
+    fn blocking_offload_ends_the_open_session() {
+        let daxpy = Daxpy::new(1.5);
+        let mut off = offloader(4);
+        off.begin_jobs();
+        let (xa, ya) = ramp(300);
+        let a = off
+            .submit_at(
+                &daxpy,
+                &xa,
+                &ya,
+                ClusterMask::first(2),
+                OffloadStrategy::extended(),
+                Cycle::ZERO,
+            )
+            .unwrap();
+        let (xd, yd) = ramp(200);
+        let dot = off
+            .offload(&Dot::new(), &xd, &yd, 4, OffloadStrategy::extended())
+            .unwrap();
+        assert!(dot.verify(&Dot::new(), &xd, &yd).passed());
+        // The blocking offload dropped job `a`; the next submission opens
+        // on a clean slate and is the only job that completes.
+        let x: Vec<f64> = (0..128).map(|i| i as f64 * 0.5 - 7.0).collect();
+        let y: Vec<f64> = (0..128).map(|i| 3.0 - i as f64).collect();
+        let c = off
+            .submit_at(
+                &daxpy,
+                &x,
+                &y,
+                ClusterMask::first(2),
+                OffloadStrategy::extended(),
+                Cycle::ZERO,
+            )
+            .unwrap();
+        let done = match off.advance_jobs(Cycle::MAX).unwrap() {
+            SessionStep::Completed(t) => t,
+            other => panic!("expected completion, got {other:?}"),
+        };
+        assert_eq!((a, c), (1, 1), "the blocking offload restarted job ids");
+        assert_eq!(done.job, c);
+        assert_eq!(done.run.n, 128);
+        let report = done.run.verify(&daxpy, &x, &y);
+        assert!(report.passed(), "{report}");
+        assert!(matches!(
+            off.advance_jobs(Cycle::MAX).unwrap(),
+            SessionStep::Idle
+        ));
     }
 
     #[test]

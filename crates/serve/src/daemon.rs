@@ -1,13 +1,13 @@
 //! The serving daemon: one event loop multiplexing many client sessions
-//! over in-process duplex pipes onto the shard fleet.
+//! onto the shard fleet, entirely in process.
 //!
 //! A client is a *script* — a list of `(virtual time, Request)` sends,
 //! non-decreasing in time — because determinism is the contract: the
 //! same scripts against the same fleet seed must produce byte-identical
 //! response streams. The loop merges all clients' sends into one global
-//! time order (ties broken by session index, then send order), moves the
-//! encoded bytes through each session's [`Duplex`], decodes frames
-//! incrementally, and drives the fleet:
+//! time order (ties broken by session index, then send order), pushes
+//! each encoded frame into its session's incremental decoder, and drives
+//! the fleet:
 //!
 //! - `SubmitJob` → [`Fleet::submit`] at the send's virtual time; the
 //!   verdict returns immediately as `JobAccepted` / `JobRejected`.
@@ -29,7 +29,6 @@ use mpsoc_sched::{JobOutcome, SchedError, ShardDecision};
 use crate::fleet::Fleet;
 use crate::proto::{Request, Response, StatsReport};
 use crate::slo::FleetSlo;
-use crate::transport::Duplex;
 use crate::wire::{encode_into, DecodeError, Decoder};
 
 /// One scripted client session: timed protocol sends.
@@ -163,7 +162,7 @@ impl From<SchedError> for ServeError {
     }
 }
 
-/// The serving daemon: fleet + per-session transports.
+/// The serving daemon: a fleet behind scripted client sessions.
 pub struct Daemon {
     fleet: Fleet,
 }
@@ -207,7 +206,6 @@ impl Daemon {
         // (time, session, index) is unique, so the unstable sort is exact.
         events.sort_unstable();
 
-        let mut pipes: Vec<Duplex> = scripts.iter().map(|_| Duplex::new()).collect();
         let mut decoders: Vec<Decoder> = scripts.iter().map(|_| Decoder::new()).collect();
         // The daemon's private mapping from fleet identity to wire
         // identity: fleet job ids are sequential, so the job with id
@@ -220,14 +218,12 @@ impl Daemon {
         let mut frame = Vec::new();
 
         for (t, session, idx) in events {
-            // The "wire": the client's encoded frame crosses its pipe
-            // now; the daemon drains and decodes incrementally.
+            // The "wire": the client's encoded frame arrives now and the
+            // daemon decodes it incrementally.
             let (_, request) = scripts[session].sends[idx];
             frame.clear();
             encode_into(&mut frame, &request);
-            pipes[session].client_send(&frame);
-            let inbound = pipes[session].server_drain();
-            decoders[session].push(&inbound);
+            decoders[session].push(&frame);
             loop {
                 let decoded = decoders[session]
                     .next_message::<Request>()
@@ -279,13 +275,7 @@ impl Daemon {
 
         self.fleet.drain()?;
         Self::collect_completions(&self.fleet, &mut collected, first_job, &origin, &mut outbox);
-        outbox.deliver(&mut pipes);
-        Ok(pipes
-            .into_iter()
-            .map(|mut p| SessionLog {
-                outbound: p.client_drain(),
-            })
-            .collect())
+        Ok(outbox.deliver(scripts.len()))
     }
 
     /// A [`StatsReport`] snapshot of the fleet as it stands, stamped
@@ -380,15 +370,18 @@ impl Outbox {
             .push((time, seq, session, start..self.arena.len()));
     }
 
-    /// Copies every frame into its session's pipe, ordered by (virtual
-    /// time, emit sequence). The pair is unique, so the unstable sort
-    /// yields the one order a stable sort by time would.
-    fn deliver(mut self, pipes: &mut [Duplex]) {
+    /// Appends every frame to its session's outbound stream, ordered by
+    /// (virtual time, emit sequence), and returns the `sessions` logs.
+    /// The pair is unique, so the unstable sort yields the one order a
+    /// stable sort by time would.
+    fn deliver(mut self, sessions: usize) -> Vec<SessionLog> {
         self.keys
             .sort_unstable_by_key(|&(time, seq, ..)| (time, seq));
+        let mut logs = vec![SessionLog::default(); sessions];
         for (_, _, session, frame) in self.keys {
-            pipes[session].server_send(&self.arena[frame]);
+            logs[session].outbound.extend_from_slice(&self.arena[frame]);
         }
+        logs
     }
 }
 

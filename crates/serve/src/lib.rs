@@ -15,20 +15,19 @@
 //!    version + u32 length + JSON payload) with an incremental
 //!    [`Decoder`] and typed [`DecodeError`]s for truncated, oversized,
 //!    bad-magic and bad-version streams.
-//! 3. **Transport** ([`transport`]) — deterministic in-process duplex
-//!    pipes (CI needs no sockets).
-//! 4. **Fleet** ([`fleet`]) — independent [`ShardSim`] machines behind a
+//! 3. **Fleet** ([`fleet`]) — independent [`ShardSim`] machines behind a
 //!    balancer with pluggable placement (round-robin, least-loaded,
 //!    model-guided on Eq. 1 backlog), queue-depth backpressure, work
 //!    stealing of queued-but-unstarted jobs, and self-healing: shard
 //!    health states ([`fleet::ShardState`]) driven by auto-quarantine,
 //!    failover of a dead shard's queue to survivors, and bounded
 //!    redirect of backpressure-rejected jobs.
-//! 5. **Daemon** ([`daemon`]) — the event loop tying scripts → frames →
-//!    fleet → time-ordered response streams, deterministically.
-//! 6. **SLO** ([`slo`]) — fleet p50/p99 from exact per-shard histogram
+//! 4. **Daemon** ([`daemon`]) — the event loop tying scripts → frames →
+//!    fleet → time-ordered response streams, deterministically and in
+//!    process (CI needs no sockets).
+//! 5. **SLO** ([`slo`]) — fleet p50/p99 from exact per-shard histogram
 //!    merges, attainment, utilization, steal/reject accounting.
-//! 7. **Metrics** ([`metrics`]) — the live [`StatsReport`] rendered as
+//! 6. **Metrics** ([`metrics`]) — the live [`StatsReport`] rendered as
 //!    canonical JSON or Prometheus-style text for scrapers, with
 //!    per-shard counters folded into `{shard=…}` labels.
 //!
@@ -79,7 +78,6 @@ pub mod fleet;
 pub mod metrics;
 pub mod proto;
 pub mod slo;
-pub mod transport;
 pub mod wire;
 
 pub use daemon::{ClientScript, Daemon, ServeError, SessionLog};
@@ -87,5 +85,4 @@ pub use fleet::{Fleet, FleetConfig, FleetRecord, PlacementPolicy, ShardState, AL
 pub use metrics::{prometheus_text, stats_json};
 pub use proto::{Request, Response, StatsReport, PROTOCOL_VERSION};
 pub use slo::{FleetSlo, ShardSlo};
-pub use transport::Duplex;
 pub use wire::{encode, DecodeError, Decoder};

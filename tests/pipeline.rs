@@ -2,7 +2,7 @@
 //! extension: correctness under overlap and the expected performance
 //! shape.
 
-use mpsoc::kernels::{Daxpy, Dot, Gemv, Scale};
+use mpsoc::kernels::{zoo, Daxpy, Dot, Gemv, Kernel, Scale, Stencil3};
 use mpsoc::offload::{OffloadError, OffloadStrategy, Offloader};
 use mpsoc::sim::rng::SplitMix64;
 use mpsoc::soc::SocConfig;
@@ -70,15 +70,26 @@ fn pipelining_hides_data_movement_at_scale() {
 #[test]
 fn one_stage_is_exactly_the_classic_offload() {
     let mut off = Offloader::new(SocConfig::with_clusters(8)).expect("soc");
-    let kernel = Daxpy::new(0.5);
-    let (x, y) = operands(1024, 4);
-    let classic = off
-        .offload(&kernel, &x, &y, 8, OffloadStrategy::extended())
-        .expect("offload");
-    let staged = off
-        .offload_pipelined(&kernel, &x, &y, 8, OffloadStrategy::extended(), 1)
-        .expect("offload");
-    assert_eq!(classic.cycles(), staged.cycles());
+    let n = 1024;
+    for kernel in zoo() {
+        let (x, _) = operands(n * kernel.x_words_per_elem() as usize, 4);
+        let (_, y) = operands(n, 4);
+        for strategy in OffloadStrategy::all() {
+            let tag = format!("{} {strategy}", kernel.name());
+            let classic = off
+                .offload(kernel.as_ref(), &x, &y, 8, strategy)
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let staged = off
+                .offload_pipelined(kernel.as_ref(), &x, &y, 8, strategy, 1)
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(classic.cycles(), staged.cycles(), "cycles: {tag}");
+            assert_eq!(
+                classic.outcome.phases, staged.outcome.phases,
+                "phases: {tag}"
+            );
+            assert_eq!(classic.result, staged.result, "result: {tag}");
+        }
+    }
 }
 
 #[test]
@@ -98,11 +109,41 @@ fn gemv_pipelines_too() {
 fn reductions_reject_pipelining() {
     let mut off = Offloader::new(SocConfig::with_clusters(2)).expect("soc");
     let (x, y) = operands(128, 5);
-    let err = off
-        .offload_pipelined(&Dot::new(), &x, &y, 2, OffloadStrategy::extended(), 2)
-        .unwrap_err();
-    assert!(matches!(err, OffloadError::PipelineUnsupported { .. }));
-    assert!(err.to_string().contains("dot"));
+    let stencil = Stencil3::new(0.25, 0.5, 0.25);
+    for kernel in [&Dot::new() as &dyn Kernel, &stencil] {
+        let err = off
+            .offload_pipelined(kernel, &x, &y, 2, OffloadStrategy::extended(), 2)
+            .unwrap_err();
+        assert!(matches!(err, OffloadError::PipelineUnsupported { .. }));
+        assert!(err.to_string().contains(kernel.name()));
+    }
+}
+
+#[test]
+fn stages_bound_the_tcdm_footprint_per_buffer() {
+    // DAXPY over 65,536 elements on one cluster: the TCDM (32,768 words)
+    // holds two buffers of one sub-slice each at 16 stages, but not the
+    // whole slice at one stage, nor two 8,192-element buffers at 8.
+    let mut off = Offloader::new(SocConfig::with_clusters(1)).expect("soc");
+    let kernel = Daxpy::new(2.0);
+    let (x, y) = operands(65_536, 12);
+    let run = off
+        .offload_pipelined(&kernel, &x, &y, 1, OffloadStrategy::extended(), 16)
+        .expect("16 stages fit");
+    assert_eq!(run.cycles(), 39_043);
+    assert!(run.verify(&kernel, &x, &y).passed());
+    for (stages, want) in [(1usize, 131_074u64), (8, 32_770)] {
+        let err = off
+            .offload_pipelined(&kernel, &x, &y, 1, OffloadStrategy::extended(), stages)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                OffloadError::TcdmOverflow { required, capacity: 32_768 } if required == want
+            ),
+            "stages={stages}: {err}"
+        );
+    }
 }
 
 #[test]

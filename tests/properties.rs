@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mpsoc::kernels::{Axpby, Daxpy, Dot, Kernel, Memset, Scale, Sum, VecAdd};
+use mpsoc::kernels::{Axpby, Daxpy, Dot, Kernel, Scale, Sum, VecAdd};
 use mpsoc::noc::ClusterMask;
 use mpsoc::offload::decision::{max_problem_size, min_clusters};
 use mpsoc::offload::{OffloadStrategy, Offloader, RuntimeModel, Sample, SessionStep};
@@ -40,17 +40,10 @@ fn kernel_by_index(i: u8) -> Box<dyn Kernel> {
 /// multi-tenant substrate.
 #[test]
 fn session_path_is_cycle_identical_to_blocking_path_for_the_zoo() {
-    let kernels: Vec<Box<dyn Kernel>> = vec![
-        Box::new(Daxpy::new(1.75)),
-        Box::new(Axpby::new(-0.25, 2.0)),
-        Box::new(Scale::new(3.5)),
-        Box::new(VecAdd::new()),
-        Box::new(Memset::new(7.5)),
-        Box::new(Dot::new()),
-        Box::new(Sum::new()),
-    ];
-    let (x, y) = operands(257, 0xC0FFEE);
-    for kernel in &kernels {
+    let n = 257;
+    for kernel in mpsoc::kernels::zoo() {
+        let (x, _) = operands(n * kernel.x_words_per_elem() as usize, 0xC0FFEE);
+        let (_, y) = operands(n, 0xC0FFEE);
         for strategy in OffloadStrategy::all() {
             let mut legacy = Offloader::new(SocConfig::with_clusters(4)).expect("soc");
             let want = legacy
