@@ -443,6 +443,13 @@ impl Offloader {
     /// [`OffloadError::Soc`]) when `mask` intersects a tenant still in
     /// flight, and [`OffloadError::MainMemoryOverflow`] when no region
     /// fits between the live tenants.
+    ///
+    /// The overlap is checked first: a submit that overlaps a live
+    /// tenant and is also invalid in another way (an empty or
+    /// out-of-range mask, mismatched operands, a slice too large for
+    /// TCDM, no free region) returns `PartitionOverlap`. A rejected
+    /// submit writes, binds and allocates nothing, so the tenants in
+    /// flight run on undisturbed.
     pub fn submit_at(
         &mut self,
         kernel: &dyn Kernel,
@@ -452,6 +459,9 @@ impl Offloader {
         strategy: OffloadStrategy,
         at: Cycle,
     ) -> Result<JobId, OffloadError> {
+        // Staging binds a job to every cluster of `mask`, which would
+        // replace a live tenant's job before the SoC could refuse it.
+        self.soc.check_partition(mask)?;
         let region_word =
             self.alloc_region(MainLayout::region_words(x.len() as u64, y.len() as u64))?;
         let submitted = self
@@ -1059,47 +1069,95 @@ mod tests {
     fn session_rejects_overlapping_partitions_and_recovers() {
         let kernel = Daxpy::new(1.0);
         let (x, y) = ramp(128);
-        let mut off = offloader(4);
-        off.begin_jobs();
-        off.submit_at(
-            &kernel,
-            &x,
-            &y,
-            ClusterMask::first(2),
-            OffloadStrategy::extended(),
-            Cycle::ZERO,
-        )
-        .unwrap();
-        let err = off
-            .submit_at(
+        // Both sync mechanisms: a rebound credit-counter tenant completes
+        // with a wrong result, a rebound barrier tenant never completes.
+        for strategy in [OffloadStrategy::baseline(), OffloadStrategy::extended()] {
+            let mut off = offloader(4);
+            off.begin_jobs();
+            let first = off
+                .submit_at(
+                    &kernel,
+                    &x,
+                    &y,
+                    ClusterMask::first(2),
+                    strategy,
+                    Cycle::ZERO,
+                )
+                .unwrap();
+            let err = off
+                .submit_at(
+                    &kernel,
+                    &x,
+                    &y,
+                    ClusterMask::first(4),
+                    strategy,
+                    Cycle::ZERO,
+                )
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                OffloadError::Soc(mpsoc_soc::SocError::PartitionOverlap { cluster: 0 })
+            ));
+            // The overlap is reported ahead of every staging error.
+            let err = off
+                .submit_at(
+                    &kernel,
+                    &x[1..],
+                    &y,
+                    ClusterMask::range(1, 8),
+                    strategy,
+                    Cycle::ZERO,
+                )
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                OffloadError::Soc(mpsoc_soc::SocError::PartitionOverlap { cluster: 1 })
+            ));
+            // The failed submissions released their regions: a disjoint
+            // tenant still fits and the session drains cleanly.
+            off.submit_at(
                 &kernel,
                 &x,
                 &y,
-                ClusterMask::first(4),
-                OffloadStrategy::extended(),
+                ClusterMask::range(2, 2),
+                strategy,
                 Cycle::ZERO,
             )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            OffloadError::Soc(mpsoc_soc::SocError::PartitionOverlap { .. })
-        ));
-        // The failed submission released its region: a disjoint tenant
-        // still fits and the session drains cleanly.
-        off.submit_at(
-            &kernel,
-            &x,
-            &y,
-            ClusterMask::range(2, 2),
-            OffloadStrategy::extended(),
-            Cycle::ZERO,
-        )
-        .unwrap();
-        let mut completions = 0;
-        while let SessionStep::Completed(_) = off.advance_jobs(Cycle::MAX).unwrap() {
-            completions += 1;
+            .unwrap();
+            let mut done = Vec::new();
+            while let SessionStep::Completed(t) = off.advance_jobs(Cycle::new(2_000_000)).unwrap() {
+                done.push(*t);
+            }
+            assert_eq!(done.len(), 2, "{strategy:?}");
+            assert_eq!(off.jobs_in_flight(), 0);
+            assert!(done.iter().any(|t| t.job == first), "{strategy:?}");
+            for t in &done {
+                assert!(
+                    t.run.verify(&kernel, &x, &y).passed(),
+                    "{strategy:?}: job {} (first tenant {first})",
+                    t.job
+                );
+            }
         }
-        assert_eq!(completions, 2);
+    }
+
+    /// A DMA chain with nothing else due before its next burst runs that
+    /// burst inline; concurrent chains interleave cycle by cycle, so
+    /// every one of their bursts still goes through the event queue.
+    #[test]
+    fn solo_dma_chains_run_their_bursts_inline() {
+        let kernel = Daxpy::new(2.0);
+        let (x, y) = ramp(1024);
+        let mut off = offloader(8);
+        let counts = |off: &mut Offloader, m: usize| {
+            let run = off
+                .offload(&kernel, &x, &y, m, OffloadStrategy::extended())
+                .unwrap();
+            assert!(run.verify(&kernel, &x, &y).passed());
+            (run.outcome.events_delivered, off.soc().events_popped())
+        };
+        assert_eq!(counts(&mut off, 1), (210, 20));
+        assert_eq!(counts(&mut off, 8), (266, 266));
     }
 
     #[test]

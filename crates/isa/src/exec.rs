@@ -508,8 +508,9 @@ struct Stream {
 }
 
 /// The architectural state of a core: what a program computes, as
-/// opposed to when. The timed step and the loop replay both change it
-/// only through [`Core::execute`], so they cannot disagree on results.
+/// opposed to when. Every data op changes it through [`Core::step`], on
+/// the timed path and in the loop replay alike, so the two cannot
+/// disagree on what an op does.
 #[derive(Debug, Default)]
 struct Core {
     int: [i64; INT_REGS as usize],
@@ -549,32 +550,41 @@ impl Core {
         Ok(addr)
     }
 
-    fn read(&mut self, r: FpReg, port: &mut impl MemoryPort) -> Result<f64, ExecError> {
+    /// Where reads and writes of `r` go right now.
+    fn operand(&self, r: FpReg) -> Fp {
         if self.is_stream(r) {
-            let addr = self.next_element(r.index())?;
-            Ok(port.load(addr)?)
+            Fp::Stream(r.index() as u8)
         } else {
-            Ok(self.fp[r.index()])
+            Fp::Reg(r.index() as u8)
         }
     }
 
-    fn write(&mut self, r: FpReg, value: f64, port: &mut impl MemoryPort) -> Result<(), ExecError> {
-        if self.is_stream(r) {
-            let addr = self.next_element(r.index())?;
-            port.store(addr, value)?;
-        } else {
-            self.fp[r.index()] = value;
+    #[inline(always)]
+    fn get(&mut self, r: Fp, port: &mut impl MemoryPort) -> Result<f64, ExecError> {
+        match r {
+            Fp::Reg(i) => Ok(self.fp[i as usize]),
+            Fp::Stream(i) => {
+                let addr = self.next_element(i as usize)?;
+                Ok(port.load(addr)?)
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn put(&mut self, r: Fp, value: f64, port: &mut impl MemoryPort) -> Result<(), ExecError> {
+        match r {
+            Fp::Reg(i) => self.fp[i as usize] = value,
+            Fp::Stream(i) => {
+                let addr = self.next_element(i as usize)?;
+                port.store(addr, value)?;
+            }
         }
         Ok(())
     }
 
-    /// Applies the op at `pc`: registers, SSR streams, memory, the
-    /// hardware loop and `report`'s op counters.
-    ///
-    /// Always inlined: as an out-of-line call, every replayed op pays
-    /// the call and a round trip of its `Result` through memory, which
-    /// made replay about twice as slow on an x86-64 host.
-    #[inline(always)]
+    /// Applies the op at `pc` on the timed path: its data op through
+    /// [`Core::step`], or its control op (branch, SSR setup, hardware
+    /// loop, halt), and `report`'s op counters.
     fn execute<P: MemoryPort>(
         &mut self,
         ops: &[MicroOp],
@@ -584,57 +594,6 @@ impl Core {
     ) -> Result<Flow, ExecError> {
         let op = ops[pc];
         match op {
-            MicroOp::Li { rd, imm } => {
-                self.int[rd.index()] = imm;
-                report.int_ops += 1;
-            }
-            MicroOp::Addi { rd, rs, imm } => {
-                self.int[rd.index()] = self.int[rs.index()].wrapping_add(imm);
-                report.int_ops += 1;
-            }
-            MicroOp::Add { rd, rs1, rs2 } => {
-                self.int[rd.index()] = self.int[rs1.index()].wrapping_add(self.int[rs2.index()]);
-                report.int_ops += 1;
-            }
-            MicroOp::Fld { fd, rs, offset } => {
-                self.fp[fd.index()] = port.load(self.addr(rs, offset))?;
-                report.mem_ops += 1;
-            }
-            // Plain stores read the register file even while `fs`
-            // streams.
-            MicroOp::Fsd { fs, rs, offset } => {
-                port.store(self.addr(rs, offset), self.fp[fs.index()])?;
-                report.mem_ops += 1;
-            }
-            MicroOp::FsdPair {
-                fs1,
-                fs2,
-                rs,
-                offset,
-            } => {
-                let addr = self.addr(rs, offset);
-                port.store(addr, self.fp[fs1.index()])?;
-                port.store(addr + 8, self.fp[fs2.index()])?;
-                report.mem_ops += 1;
-            }
-            MicroOp::Fmadd { fd, fa, fb, fc } => {
-                let a = self.read(fa, port)?;
-                let b = self.read(fb, port)?;
-                let c = self.read(fc, port)?;
-                self.write(fd, a.mul_add(b, c), port)?;
-                report.fp_ops += 1;
-            }
-            MicroOp::Fadd { fd, fa, fb } | MicroOp::Fmul { fd, fa, fb } => {
-                let a = self.read(fa, port)?;
-                let b = self.read(fb, port)?;
-                let result = if matches!(op, MicroOp::Fmul { .. }) {
-                    a * b
-                } else {
-                    a + b
-                };
-                self.write(fd, result, port)?;
-                report.fp_ops += 1;
-            }
             MicroOp::Bnez { rs, target } => {
                 report.branches += 1;
                 if self.int[rs.index()] != 0 {
@@ -672,6 +631,11 @@ impl Core {
                 report.branches += 1;
             }
             MicroOp::Halt => return Ok(Flow::Halt),
+            _ => {
+                let step = Step::of(op, self).expect("every other op is a data op");
+                self.step(step, port)?;
+                count_data_op(report, op);
+            }
         }
         Ok(Flow::Next)
     }
@@ -698,10 +662,68 @@ impl Core {
         }
     }
 
+    /// Applies one data op: registers, SSR streams and memory. The one
+    /// executor of data ops, on the timed path and in the loop replay;
+    /// the op counters are left to the caller.
+    ///
+    /// Always inlined: as an out-of-line call, every replayed op pays
+    /// the call and a round trip of its `Result` through memory.
+    #[inline(always)]
+    fn step<P: MemoryPort>(&mut self, step: Step, port: &mut P) -> Result<(), ExecError> {
+        match step {
+            Step::Li { rd, imm } => self.int[rd.index()] = imm,
+            Step::Addi { rd, rs, imm } => {
+                self.int[rd.index()] = self.int[rs.index()].wrapping_add(imm);
+            }
+            Step::Add { rd, rs1, rs2 } => {
+                self.int[rd.index()] = self.int[rs1.index()].wrapping_add(self.int[rs2.index()]);
+            }
+            Step::Fld { fd, rs, offset } => {
+                self.fp[fd.index()] = port.load(self.addr(rs, offset))?;
+            }
+            // Plain stores read the register file even while `fs`
+            // streams.
+            Step::Fsd { fs, rs, offset } => {
+                port.store(self.addr(rs, offset), self.fp[fs.index()])?;
+            }
+            Step::FsdPair {
+                fs1,
+                fs2,
+                rs,
+                offset,
+            } => {
+                let addr = self.addr(rs, offset);
+                port.store(addr, self.fp[fs1.index()])?;
+                port.store(addr + 8, self.fp[fs2.index()])?;
+            }
+            Step::Fmadd { fd, fa, fb, fc } => {
+                let a = self.get(fa, port)?;
+                let b = self.get(fb, port)?;
+                let c = self.get(fc, port)?;
+                self.put(fd, a.mul_add(b, c), port)?;
+            }
+            Step::Fadd { fd, fa, fb } => {
+                let a = self.get(fa, port)?;
+                let b = self.get(fb, port)?;
+                self.put(fd, a + b, port)?;
+            }
+            Step::Fmul { fd, fa, fb } => {
+                let a = self.get(fa, port)?;
+                let b = self.get(fb, port)?;
+                self.put(fd, a * b, port)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Runs the loop closed by the taken branch at `branch` functionally,
     /// without timing, until that branch falls through, and returns the
     /// trips run. Fuel, port faults and stream exhaustion surface at the
     /// same op as on the timed path.
+    ///
+    /// The body is decoded once. When it has a closed form that reaches
+    /// the loop's end within the fuel, only its memory and FP ops run
+    /// per trip; otherwise every decoded op does.
     fn replay<P: MemoryPort>(
         &mut self,
         ops: &[MicroOp],
@@ -713,28 +735,265 @@ impl Core {
         let MicroOp::Bnez { rs, target } = ops[branch] else {
             unreachable!("a replay starts at its loop's closing branch");
         };
-        let body_len = (branch - target) as u64;
+        let counter = rs.index();
+        let mut body = Body::decode(&ops[target..branch], self);
+        let len = body.steps.len() as u64;
+        let closed = body
+            .increments()
+            .and_then(|sums| Some((sums, trips_to_zero(self.int[counter], sums[counter])?)));
+        if let Some((sums, trips)) = closed {
+            let fits = trips
+                .checked_mul(1 + len)
+                .and_then(|ops| ops.checked_add(report.retired))
+                .is_some_and(|retired| retired <= timing.max_steps);
+            if fits {
+                body.close();
+                for _ in 0..trips {
+                    for &step in &body.steps {
+                        self.step(step, port)?;
+                    }
+                    for (value, sum) in self.int.iter_mut().zip(sums) {
+                        *value = value.wrapping_add(sum);
+                    }
+                }
+                report.retired += trips * (1 + len);
+                body.count(trips, report);
+                // The counter is zero: the branch falls through.
+                fuel(report, timing)?;
+                return Ok(trips);
+            }
+        }
         let mut trips = 0;
         loop {
             fuel(report, timing)?;
-            if self.int[rs.index()] == 0 {
+            if self.int[counter] == 0 {
                 return Ok(trips);
             }
             // The branch is taken: retire it, then run one trip of the
             // body, checking fuel per op only when it may run out.
-            self.execute(ops, branch, port, report)?;
             report.retired += 1;
-            trips += 1;
-            let checked = report.retired + body_len > timing.max_steps;
-            for pc in target..branch {
-                if checked {
+            if report.retired + len > timing.max_steps {
+                for &step in &body.steps {
                     fuel(report, timing)?;
+                    self.step(step, port)?;
+                    report.retired += 1;
                 }
-                self.execute(ops, pc, port, report)?;
-                report.retired += 1;
+            } else {
+                for &step in &body.steps {
+                    self.step(step, port)?;
+                }
+                report.retired += len;
             }
+            body.count(1, report);
+            trips += 1;
         }
     }
+}
+
+/// An FP operand of a data op: a register, or the stream it aliases.
+#[derive(Debug, Clone, Copy)]
+enum Fp {
+    Reg(u8),
+    Stream(u8),
+}
+
+/// A data op, as [`Core::step`] runs it: FP operands resolved to
+/// registers or streams. Resolved once, it holds for a whole loop
+/// replay, because a straight-line body holds no SSR op that could
+/// change which registers stream.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Li {
+        rd: IntReg,
+        imm: i64,
+    },
+    Addi {
+        rd: IntReg,
+        rs: IntReg,
+        imm: i64,
+    },
+    Add {
+        rd: IntReg,
+        rs1: IntReg,
+        rs2: IntReg,
+    },
+    Fld {
+        fd: FpReg,
+        rs: IntReg,
+        offset: i64,
+    },
+    Fsd {
+        fs: FpReg,
+        rs: IntReg,
+        offset: i64,
+    },
+    FsdPair {
+        fs1: FpReg,
+        fs2: FpReg,
+        rs: IntReg,
+        offset: i64,
+    },
+    Fmadd {
+        fd: Fp,
+        fa: Fp,
+        fb: Fp,
+        fc: Fp,
+    },
+    Fadd {
+        fd: Fp,
+        fa: Fp,
+        fb: Fp,
+    },
+    Fmul {
+        fd: Fp,
+        fa: Fp,
+        fb: Fp,
+    },
+}
+
+impl Step {
+    /// `op` as a data op of `core`; `None` for a control op.
+    fn of(op: MicroOp, core: &Core) -> Option<Step> {
+        let fp = |r: FpReg| core.operand(r);
+        Some(match op {
+            MicroOp::Li { rd, imm } => Step::Li { rd, imm },
+            MicroOp::Addi { rd, rs, imm } => Step::Addi { rd, rs, imm },
+            MicroOp::Add { rd, rs1, rs2 } => Step::Add { rd, rs1, rs2 },
+            MicroOp::Fld { fd, rs, offset } => Step::Fld { fd, rs, offset },
+            MicroOp::Fsd { fs, rs, offset } => Step::Fsd { fs, rs, offset },
+            MicroOp::FsdPair {
+                fs1,
+                fs2,
+                rs,
+                offset,
+            } => Step::FsdPair {
+                fs1,
+                fs2,
+                rs,
+                offset,
+            },
+            MicroOp::Fmadd { fd, fa, fb, fc } => Step::Fmadd {
+                fd: fp(fd),
+                fa: fp(fa),
+                fb: fp(fb),
+                fc: fp(fc),
+            },
+            MicroOp::Fadd { fd, fa, fb } => Step::Fadd {
+                fd: fp(fd),
+                fa: fp(fa),
+                fb: fp(fb),
+            },
+            MicroOp::Fmul { fd, fa, fb } => Step::Fmul {
+                fd: fp(fd),
+                fa: fp(fa),
+                fb: fp(fb),
+            },
+            MicroOp::Bnez { .. }
+            | MicroOp::Frep { .. }
+            | MicroOp::Halt
+            | MicroOp::SsrCfg { .. }
+            | MicroOp::SsrEnable
+            | MicroOp::SsrDisable => return None,
+        })
+    }
+}
+
+/// Counts the retired data op `op` in `report`.
+fn count_data_op(report: &mut ExecReport, op: MicroOp) {
+    match op.pipe() {
+        PipeClass::Int => report.int_ops += 1,
+        PipeClass::Mem => report.mem_ops += 1,
+        PipeClass::Fp => report.fp_ops += 1,
+        PipeClass::Ctrl => unreachable!("a data op issues on a data pipe"),
+    }
+}
+
+/// A straight-line loop body decoded for replay, with its per-trip op
+/// counts.
+struct Body {
+    steps: Vec<Step>,
+    /// Op counts of one trip, closing branch included.
+    trip: ExecReport,
+}
+
+impl Body {
+    /// Decodes `ops`, which the loop watch found straight-line, against
+    /// `core`'s streaming state.
+    fn decode(ops: &[MicroOp], core: &Core) -> Body {
+        let mut trip = ExecReport {
+            branches: 1,
+            ..ExecReport::default()
+        };
+        let steps = ops
+            .iter()
+            .map(|&op| {
+                let step = Step::of(op, core).expect("a replayed body is straight-line");
+                count_data_op(&mut trip, op);
+                step
+            })
+            .collect();
+        Body { steps, trip }
+    }
+
+    /// Adds `trips` trips' op counts to `report`, all but `retired`,
+    /// which fuel checks need per op.
+    fn count(&self, trips: u64, report: &mut ExecReport) {
+        report.branches += trips * self.trip.branches;
+        report.int_ops += trips * self.trip.int_ops;
+        report.mem_ops += trips * self.trip.mem_ops;
+        report.fp_ops += trips * self.trip.fp_ops;
+    }
+
+    /// Each register's increment per trip, when every integer op of the
+    /// body adds an immediate to its own register; `None` otherwise.
+    fn increments(&self) -> Option<[i64; INT_REGS as usize]> {
+        let mut sums = [0i64; INT_REGS as usize];
+        for &step in &self.steps {
+            match step {
+                Step::Addi { rd, rs, imm } if rd == rs => {
+                    sums[rd.index()] = sums[rd.index()].wrapping_add(imm);
+                }
+                Step::Li { .. } | Step::Addi { .. } | Step::Add { .. } => return None,
+                _ => {}
+            }
+        }
+        Some(sums)
+    }
+
+    /// Turns a body of [`Body::increments`] into its closed form: only
+    /// the memory and FP ops stay, and each memory op's offset absorbs
+    /// the increments its base register took before it in the body. One
+    /// trip of the result, followed by adding the per-trip increments to
+    /// the registers, does what one trip of the body did.
+    fn close(&mut self) {
+        let mut sums = [0i64; INT_REGS as usize];
+        self.steps.retain_mut(|step| {
+            let (rs, offset) = match step {
+                Step::Addi { rd, imm, .. } => {
+                    sums[rd.index()] = sums[rd.index()].wrapping_add(*imm);
+                    return false;
+                }
+                Step::Fld { rs, offset, .. }
+                | Step::Fsd { rs, offset, .. }
+                | Step::FsdPair { rs, offset, .. } => (*rs, offset),
+                _ => return true,
+            };
+            *offset = offset.wrapping_add(sums[rs.index()]);
+            true
+        });
+    }
+}
+
+/// Trips until a counter at `value`, moved by `step` per trip, reads zero
+/// at a trip's end: `−value / step` when that is a whole positive
+/// number. The counter then moves monotonically to zero and never wraps,
+/// so no earlier trip ends the loop.
+fn trips_to_zero(value: i64, step: i64) -> Option<u64> {
+    if value.checked_rem(step)? != 0 {
+        return None;
+    }
+    let trips = value.checked_div(step)?.checked_neg()?;
+    u64::try_from(trips).ok().filter(|&trips| trips > 0)
 }
 
 /// What one more trip of a steady-state loop adds.

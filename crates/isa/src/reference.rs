@@ -493,14 +493,23 @@ mod tests {
     }
 
     /// Emits one random straight-line op. `counter` is the enclosing
-    /// loop's counter, which a rare op disturbs so that some loops never
-    /// end.
-    fn random_op(b: &mut ProgramBuilder, g: &mut Genes, counter: IntReg) {
+    /// loop's counter, which a rare op disturbs by `unit` so that some
+    /// loops never end. With `closed` every integer op is a
+    /// self-increment; with a `unit` of 8 the counter counts bytes and
+    /// may be a load or store base.
+    fn random_op(b: &mut ProgramBuilder, g: &mut Genes, counter: IntReg, closed: bool, unit: i64) {
         let (p1, p2) = (IntReg::new(1), IntReg::new(2));
+        let base = |g: &mut Genes| {
+            if unit == 8 && g.below(3) == 0 {
+                counter
+            } else {
+                g.base()
+            }
+        };
         match g.below(40) {
-            0..=5 => b.fld(g.fp(), g.base(), g.offset()),
-            6..=9 => b.fsd(g.fp(), g.base(), g.offset()),
-            10..=12 => b.fsd_pair(g.fp(), g.fp(), g.base(), g.offset()),
+            0..=5 => b.fld(g.fp(), base(g), g.offset()),
+            6..=9 => b.fsd(g.fp(), base(g), g.offset()),
+            10..=12 => b.fsd_pair(g.fp(), g.fp(), base(g), g.offset()),
             13..=17 => b.fmadd(g.fp(), g.fp(), g.fp(), g.fp()),
             18..=21 => b.fadd(g.fp(), g.fp(), g.fp()),
             22..=24 => b.fmul(g.fp(), g.fp(), g.fp()),
@@ -508,9 +517,14 @@ mod tests {
                 let r = [p1, p2, g.scratch()][g.below(3) as usize];
                 b.addi(r, r, [8, 8, 16, 0, -8][g.below(5) as usize]);
             }
-            31..=34 => b.add(g.scratch(), g.base(), g.scratch()),
+            31..=38 if closed => {
+                let r = g.scratch();
+                b.addi(r, r, 8 * g.below(3) as i64 - 8);
+            }
+            31..=32 => b.add(g.scratch(), g.base(), g.scratch()),
+            33..=34 => b.addi(g.scratch(), g.base(), g.offset()),
             35..=38 => b.li(g.scratch(), 8 * g.below(64) as i64),
-            _ => b.addi(counter, counter, g.below(3) as i64 - 1),
+            _ => b.addi(counter, counter, unit * (g.below(3) as i64 - 1)),
         }
     }
 
@@ -519,6 +533,13 @@ mod tests {
     /// ops; some loops run with SSR streams enabled, a rare body holds a
     /// nested hardware loop or an SSR toggle (and is never fast-forwarded),
     /// and a hardware loop may trail.
+    ///
+    /// Counters step down by 1, 2 or 3; some counts do not divide, and
+    /// those loops end only when the fuel runs out. Some counters count
+    /// bytes, serve as load/store bases and take a pointer bump
+    /// mid-body. Half the bodies hold no integer op but self-increments,
+    /// the shape the replay runs in closed form, with or without
+    /// streams.
     fn random_program(g: &mut Genes) -> Program {
         let mut b = ProgramBuilder::new();
         let (p1, p2) = (IntReg::new(1), IntReg::new(2));
@@ -528,7 +549,7 @@ mod tests {
         for l in 0..1 + g.below(3) {
             let counter = IntReg::new(10 + l as u8);
             for _ in 0..g.below(3) {
-                random_op(&mut b, g, counter);
+                random_op(&mut b, g, counter, false, 1);
             }
             let ssr = g.below(3) == 0;
             if ssr {
@@ -538,14 +559,30 @@ mod tests {
                 b.ssr_cfg(2, p2, 16, count, true);
                 b.ssr_enable();
             }
-            b.li(counter, 1 + g.below(40) as i64);
+            let closed = g.below(2) == 0;
+            let unit = [1, 8][g.below(2) as usize];
+            let step = 1 + g.below(3);
+            let rest = if g.below(4) == 0 { g.below(step) } else { 0 };
+            b.li(counter, unit * (step * (1 + g.below(40)) + rest) as i64);
             let top = b.label();
             b.bind(top);
             let body = 1 + g.below(10);
             let countdown = g.below(body);
+            // A byte counter may take a pointer bump before its
+            // countdown, which then takes the bump back.
+            let bump = if unit == 8 && countdown > 0 && g.below(2) == 0 {
+                8 * (1 + g.below(4) as i64)
+            } else {
+                0
+            };
+            let bump_at = g.below(countdown.max(1));
             for k in 0..body {
                 if k == countdown {
-                    b.addi(counter, counter, -1);
+                    b.addi(counter, counter, -unit * step as i64 - bump);
+                    continue;
+                }
+                if bump != 0 && k == bump_at {
+                    b.addi(counter, counter, bump);
                     continue;
                 }
                 match g.below(60) {
@@ -555,7 +592,7 @@ mod tests {
                     }
                     1 => b.ssr_enable(),
                     2 => b.ssr_disable(),
-                    _ => random_op(&mut b, g, counter),
+                    _ => random_op(&mut b, g, counter, closed, unit),
                 }
             }
             b.bnez(counter, top);

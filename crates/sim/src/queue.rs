@@ -182,6 +182,12 @@ impl<'a, E> Scheduler<'a, E> {
         self.now
     }
 
+    /// The firing time of the earliest pending event, counting the ones
+    /// scheduled earlier in this delivery; `None` if nothing is pending.
+    pub fn peek_time(&self) -> Option<Cycle> {
+        self.queue.peek_time()
+    }
+
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -292,6 +298,18 @@ mod tests {
         }
         // Event 1 was scheduled during delivery of 0, so it fires after 2.
         assert_eq!(seen, vec![0, 2, 1]);
+    }
+
+    #[test]
+    fn scheduler_peeks_events_scheduled_in_this_delivery() {
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(9), 0);
+        let mut sched = Scheduler::attach(&mut q, Cycle::new(2));
+        assert_eq!(sched.peek_time(), Some(Cycle::new(9)));
+        sched.schedule_in(Cycle::new(4), 1);
+        assert_eq!(sched.peek_time(), Some(Cycle::new(6)));
+        q.clear();
+        assert_eq!(Scheduler::attach(&mut q, Cycle::new(2)).peek_time(), None);
     }
 
     #[test]

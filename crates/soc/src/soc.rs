@@ -167,6 +167,14 @@ struct DmaChain {
     resume_slot: u64,
 }
 
+/// How far one delivery may run a DMA chain inline: no burst later than
+/// `horizon`, and none past the session's `events`-th delivered event.
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    horizon: Cycle,
+    events: u64,
+}
+
 /// Shared-resource interference charged to one job: the cycles this
 /// job's own requests spent queued behind *other* traffic on the NoC
 /// injection port, the HBM bandwidth queue and the memory atomic unit.
@@ -283,6 +291,13 @@ pub struct Soc {
     queue: EventQueue<SocEvent>,
     session_now: Cycle,
     events_delivered: u64,
+    /// Events popped from `queue`: `events_delivered` less the DMA
+    /// bursts run inline.
+    events_popped: u64,
+    /// Test-only switch to the per-burst oracle: every DMA burst goes
+    /// through the queue.
+    #[cfg(test)]
+    per_burst: bool,
     jobs: Vec<JobSlot>,
     cluster_owner: Vec<Option<usize>>,
     host_active: Option<usize>,
@@ -333,6 +348,9 @@ impl Soc {
             queue: EventQueue::new(),
             session_now: Cycle::ZERO,
             events_delivered: 0,
+            events_popped: 0,
+            #[cfg(test)]
+            per_burst: false,
             jobs: Vec::new(),
             cluster_owner,
             host_active: None,
@@ -612,57 +630,91 @@ impl Soc {
         Ok(())
     }
 
-    fn handle_dma_burst(&mut self, sched: &mut Scheduler<SocEvent>, now: Cycle, cluster: usize) {
+    /// Reserves HBM bandwidth for `cluster`'s next DMA burst at `now`
+    /// and schedules what follows it.
+    ///
+    /// While words are left, the next burst runs right here, without a
+    /// trip through the queue, when it falls strictly before every
+    /// queued event and within `reach`: the queue would deliver it next
+    /// anyway, because nothing else is due before it, anything a burst
+    /// schedules is due no earlier than that burst, and a tie goes to the
+    /// event already queued. An inline burst is delivered like any other
+    /// event (same reservation, attribution, telemetry, clock and count).
+    fn handle_dma_burst(
+        &mut self,
+        sched: &mut Scheduler<SocEvent>,
+        mut now: Cycle,
+        cluster: usize,
+        reach: Reach,
+    ) {
         let Some(mut chain) = self.dma[cluster] else {
             return;
         };
         let width = self.config.dma_words_per_cycle;
-        let burst = chain.remaining.min(width);
-        let min_slot = if chain.resume_slot == 0 {
-            self.main.bandwidth_slot_of(now)
-        } else {
-            chain.resume_slot.max(self.main.bandwidth_slot_of(now))
+        let done = loop {
+            let burst = chain.remaining.min(width);
+            let min_slot = if chain.resume_slot == 0 {
+                self.main.bandwidth_slot_of(now)
+            } else {
+                chain.resume_slot.max(self.main.bandwidth_slot_of(now))
+            };
+            // Attribute the queueing this burst is about to pay (behind
+            // any other job's reserved bandwidth) to the cluster's owner.
+            let queued = self.hbm_queue_delay_from(min_slot);
+            if queued > 0.0 {
+                if let Some(slot) = self.owner_of(cluster) {
+                    self.jobs[slot].contention.hbm_queue_cycles += queued;
+                }
+                self.telemetry.instant(
+                    now,
+                    Unit::MainMem,
+                    EventKind::HbmQueue,
+                    queued.round() as u64,
+                );
+            }
+            let (end_slot, done) = self.main.acquire_bandwidth_slots(min_slot, burst);
+            chain.resume_slot = end_slot;
+            chain.remaining -= burst;
+            if chain.remaining == 0 {
+                break done;
+            }
+            let next = done.max(now + Cycle::new(1));
+            if !self.runs_inline(sched, next, reach) {
+                self.dma[cluster] = Some(chain);
+                sched.schedule_at(next, SocEvent::DmaBurst { cluster });
+                return;
+            }
+            now = next;
+            self.session_now = now;
+            self.events_delivered += 1;
         };
-        // Attribute the queueing this burst is about to pay (behind any
-        // other job's reserved bandwidth) to the cluster's owner.
-        let queued = self.hbm_queue_delay_from(min_slot);
-        if queued > 0.0 {
-            if let Some(slot) = self.owner_of(cluster) {
-                self.jobs[slot].contention.hbm_queue_cycles += queued;
-            }
-            self.telemetry.instant(
-                now,
-                Unit::MainMem,
-                EventKind::HbmQueue,
-                queued.round() as u64,
-            );
+        self.dma[cluster] = None;
+        let mut finish = done + Cycle::new(self.config.mem_latency);
+        if self.fault_strikes(now, FaultKind::DmaStall, cluster) {
+            // The engine wedged mid-burst and needed its internal
+            // timeout to recover: the task completes late but intact.
+            finish += Cycle::new(self.faults.dma_stall_cycles());
         }
-        let (end_slot, done) = self.main.acquire_bandwidth_slots(min_slot, burst);
-        chain.resume_slot = end_slot;
-        chain.remaining -= burst;
-        if chain.remaining > 0 {
-            self.dma[cluster] = Some(chain);
-            sched.schedule_at(
-                done.max(now + Cycle::new(1)),
-                SocEvent::DmaBurst { cluster },
-            );
-        } else {
-            self.dma[cluster] = None;
-            let mut finish = done + Cycle::new(self.config.mem_latency);
-            if self.fault_strikes(now, FaultKind::DmaStall, cluster) {
-                // The engine wedged mid-burst and needed its internal
-                // timeout to recover: the task completes late but intact.
-                finish += Cycle::new(self.faults.dma_stall_cycles());
-            }
-            sched.schedule_at(
-                finish,
-                SocEvent::ClusterDmaTaskDone {
-                    cluster,
-                    stage: chain.stage,
-                    dir: chain.dir,
-                },
-            );
+        sched.schedule_at(
+            finish,
+            SocEvent::ClusterDmaTaskDone {
+                cluster,
+                stage: chain.stage,
+                dir: chain.dir,
+            },
+        );
+    }
+
+    /// Whether a DMA burst due at `next` may run inline (see
+    /// [`Soc::handle_dma_burst`]).
+    fn runs_inline(&self, sched: &Scheduler<SocEvent>, next: Cycle, reach: Reach) -> bool {
+        #[cfg(test)]
+        if self.per_burst {
+            return false;
         }
+        next <= reach.horizon
+            && self.events_delivered < reach.events
+            && sched.peek_time().map_or(true, |queued| next < queued)
     }
 
     /// Runs every worker core of `cluster` over `stage`'s programs from
@@ -1179,8 +1231,14 @@ impl Soc {
 
 impl Soc {
     /// Handles one event at simulation time `now`; follow-up events go
-    /// through `sched`.
-    fn handle(&mut self, sched: &mut Scheduler<SocEvent>, now: Cycle, event: SocEvent) {
+    /// through `sched`, except DMA bursts run inline within `reach`.
+    fn handle(
+        &mut self,
+        sched: &mut Scheduler<SocEvent>,
+        now: Cycle,
+        event: SocEvent,
+        reach: Reach,
+    ) {
         if self.fatal.is_some() {
             return;
         }
@@ -1291,31 +1349,32 @@ impl Soc {
                 self.clusters[cluster].phase = ClusterPhase::DmaIn;
                 // Stage scalar args (plus the trailing zero word of the
                 // kernel ABI) into the TCDM argument area.
-                let Some(job) = self.clusters[cluster].job.clone() else {
+                let Some(job) = self.clusters[cluster].job.as_ref() else {
                     self.fail(SocError::MissingJob { cluster });
                     return;
                 };
-                let base = job.args_local_word;
-                for (i, arg) in job.args.iter().enumerate() {
-                    if let Err(e) = self.tcdms[cluster].write_f64(base + i as u64, *arg) {
-                        self.fail(e.into());
-                        return;
-                    }
-                }
-                if let Err(e) = self.tcdms[cluster].write_f64(base + job.args.len() as u64, 0.0) {
+                let (base, stage_count) = (job.args_local_word, job.stages.len());
+                let tcdm = &mut self.tcdms[cluster];
+                let staged = job
+                    .args
+                    .iter()
+                    .chain([&0.0])
+                    .enumerate()
+                    .try_for_each(|(i, arg)| tcdm.write_f64(base + i as u64, *arg));
+                if let Err(e) = staged {
                     self.fail(e.into());
                     return;
                 }
                 // Arm the pipeline and kick off the first stage.
                 self.clusters[cluster].stages =
-                    vec![crate::cluster::StageProgress::default(); job.stages.len()];
+                    vec![crate::cluster::StageProgress::default(); stage_count];
                 self.clusters[cluster].dma_busy = false;
                 self.clusters[cluster].compute_busy = false;
                 self.clusters[cluster].completed = false;
                 let t0 = now + Cycle::new(self.config.cluster_setup_cycles);
                 self.cluster_dispatch(sched, t0, cluster);
             }
-            SocEvent::DmaBurst { cluster } => self.handle_dma_burst(sched, now, cluster),
+            SocEvent::DmaBurst { cluster } => self.handle_dma_burst(sched, now, cluster, reach),
             SocEvent::ClusterDmaTaskDone {
                 cluster,
                 stage,
@@ -1466,6 +1525,7 @@ impl Soc {
         self.queue.clear();
         self.session_now = Cycle::ZERO;
         self.events_delivered = 0;
+        self.events_popped = 0;
         self.jobs.clear();
         self.cluster_owner.fill(None);
         self.host_active = None;
@@ -1533,11 +1593,7 @@ impl Soc {
         at: Cycle,
     ) -> Result<(), SocError> {
         self.validate_bindings(mask)?;
-        for cluster in mask.iter() {
-            if self.cluster_owner[cluster].is_some() {
-                return Err(SocError::PartitionOverlap { cluster });
-            }
-        }
+        self.check_partition(mask)?;
         let at = at.max(self.session_now);
         let slot = self.jobs.len();
         let conflict_base = mask.iter().map(|c| self.tcdms[c].conflicts()).collect();
@@ -1586,18 +1642,41 @@ impl Soc {
         Ok(())
     }
 
-    /// Delivers the next scheduled event; returns its time, or `None`
-    /// when the queue has drained.
-    fn pump_one(&mut self) -> Option<Cycle> {
+    /// Checks that no cluster of `mask` belongs to a job still in flight
+    /// in the open session. Clusters past the end of the machine are left
+    /// to the caller's range checks.
+    ///
+    /// A runtime that binds jobs before [`Soc::submit_job`] must call
+    /// this first: [`Soc::bind_job`] on a live tenant's cluster replaces
+    /// that tenant's job.
+    ///
+    /// # Errors
+    ///
+    /// [`SocError::PartitionOverlap`] naming the lowest such cluster.
+    pub fn check_partition(&self, mask: ClusterMask) -> Result<(), SocError> {
+        match mask
+            .iter()
+            .find(|&cluster| matches!(self.cluster_owner.get(cluster), Some(Some(_))))
+        {
+            Some(cluster) => Err(SocError::PartitionOverlap { cluster }),
+            None => Ok(()),
+        }
+    }
+
+    /// Delivers the next scheduled event, plus the DMA bursts its chain
+    /// runs inline within `reach`; returns the popped event's time, or
+    /// `None` when the queue has drained.
+    fn pump_one(&mut self, reach: Reach) -> Option<Cycle> {
         let scheduled = self.queue.pop()?;
         let (time, event) = scheduled.into_parts();
         self.session_now = time;
         self.events_delivered += 1;
+        self.events_popped += 1;
         // Detach the queue so the handler can borrow `self` mutably; new
         // events land in the same queue object, preserving FIFO order.
         let mut queue = std::mem::replace(&mut self.queue, EventQueue::new());
         let mut sched = Scheduler::attach(&mut queue, time);
-        self.handle(&mut sched, time, event);
+        self.handle(&mut sched, time, event, reach);
         debug_assert!(self.queue.is_empty());
         self.queue = queue;
         Some(time)
@@ -1626,7 +1705,12 @@ impl Soc {
                 None => return Ok(SessionProgress::Idle),
                 Some(t) if t > horizon => return Ok(SessionProgress::Horizon),
                 Some(_) => {
-                    self.pump_one();
+                    // A burst never completes a job or fails one, so
+                    // this loop would pump each inline burst anyway.
+                    self.pump_one(Reach {
+                        horizon,
+                        events: u64::MAX,
+                    });
                 }
             }
         }
@@ -1636,6 +1720,13 @@ impl Soc {
     /// event.
     pub fn session_now(&self) -> Cycle {
         self.session_now
+    }
+
+    /// Events of the current session that went through the event queue.
+    /// The rest of the events delivered are DMA bursts that a chain ran
+    /// inline, because nothing else was due before them.
+    pub fn events_popped(&self) -> u64 {
+        self.events_popped
     }
 
     /// Jobs submitted this session that have not yet completed.
@@ -1709,12 +1800,13 @@ impl Soc {
         self.begin_jobs();
         self.submit_with_id(0, program, mask, Cycle::ZERO)
             .expect("bindings validated and no job in flight");
-        // 50M events is far beyond any legitimate offload in this study;
-        // hitting it means a stuck polling loop.
-        let mut budget = 50_000_000u64;
-        while budget > 0 && self.pump_one().is_some() {
-            budget -= 1;
-        }
+        // 50M delivered events is far beyond any legitimate offload in
+        // this study; hitting it means a stuck polling loop.
+        let reach = Reach {
+            horizon: Cycle::MAX,
+            events: 50_000_000,
+        };
+        while self.events_delivered < reach.events && self.pump_one(reach).is_some() {}
         if let Some(error) = self.fatal.take() {
             return Err(error);
         }
@@ -2612,5 +2704,211 @@ mod tests {
             clean.total + Cycle::new(500),
             "the stall shifts completion by exactly the timeout"
         );
+    }
+
+    /// Runs one random session, its DMA bursts inline or each through
+    /// the queue, then one blocking offload, and logs everything
+    /// observable: every submit's and every `advance_jobs`' result
+    /// (completions in full), with the events delivered and the session
+    /// time after it, the offload's outcome, and after each the
+    /// telemetry, stats, fault stats and the main-memory words the
+    /// tenants touch. Tenants overlap in time on random partitions of a
+    /// 4-cluster SoC whose HBM is sometimes narrower than a DMA burst,
+    /// so chains queue behind each other and behind host transfers.
+    fn random_session(seed: u64, per_burst: bool) -> Vec<String> {
+        let mut rng = proptest::TestRng::from_name(&seed.to_string());
+        let mut cfg = SocConfig::with_clusters(4);
+        cfg.cores_per_cluster = 1 + rng.below(2) as usize;
+        cfg.mem_words_per_cycle = [4, 16, 64, 512][rng.below(4) as usize];
+        cfg.dma_words_per_cycle = [4, 16, 32][rng.below(3) as usize];
+        let mut soc = Soc::new(cfg).unwrap();
+        soc.per_burst = per_burst;
+        if rng.below(2) == 0 {
+            soc.enable_telemetry(1 << 14);
+        }
+        let mut plan = FaultPlan::with_seed(rng.next_u64());
+        match rng.below(4) {
+            0 => plan = FaultPlan::none(),
+            1 => {
+                plan.dma_stall = crate::SiteSpec::rate(0.3);
+                plan.dma_stall_cycles = rng.below(300);
+            }
+            2 => plan.dma_corrupt = crate::SiteSpec::rate(0.3),
+            _ => {
+                plan.flaky_clusters = rng.below(16);
+                plan.flaky_corrupt_rate = 0.5;
+            }
+        }
+        soc.install_faults(plan);
+        let base = soc.map().main_base();
+        let words: Vec<f64> = (0..4096).map(|_| rng.unit_f64()).collect();
+        soc.main_mut()
+            .store_mut()
+            .write_f64_slice(base, &words)
+            .unwrap();
+        let snapshot = |soc: &mut Soc, log: &mut Vec<String>| {
+            soc.fold_session_stats();
+            log.push(mpsoc_telemetry::chrome_trace_json(soc.telemetry()));
+            log.push(format!("{:?}", soc.stats()));
+            log.push(format!("{:?}", soc.fault_stats()));
+            log.push(format!("{:?}", soc.faults().records()));
+            let memory = soc.main().store().read_f64_slice(base, 4096 + 64).unwrap();
+            log.push(format!("{:?}", bits(&memory)));
+        };
+
+        let mut log = Vec::new();
+        let mut tenants = 0;
+        soc.begin_jobs();
+        for _ in 0..2 + rng.below(10) {
+            if rng.below(2) == 0 {
+                tenants += 1;
+                let (mask, program) = random_tenant(&mut soc, &mut rng, tenants);
+                let at = soc.session_now() + Cycle::new(rng.below(2000));
+                let submitted = soc.submit_job(program, mask, at);
+                log.push(format!("submit {mask:?} at {at}: {submitted:?}"));
+            } else {
+                let horizon = soc.session_now() + Cycle::new(rng.below(4000));
+                let progress = soc.advance_jobs(horizon);
+                log.push(format!(
+                    "advance to {horizon}: {progress:?}, {} events, now {}",
+                    soc.events_delivered,
+                    soc.session_now()
+                ));
+            }
+        }
+        for _ in 0..32 {
+            let progress = soc.advance_jobs(soc.session_now() + Cycle::new(100_000));
+            let end = !matches!(progress, Ok(SessionProgress::Completed(_)));
+            log.push(format!(
+                "drain: {progress:?}, {} events, now {}",
+                soc.events_delivered,
+                soc.session_now()
+            ));
+            if end {
+                break;
+            }
+        }
+        snapshot(&mut soc, &mut log);
+        let (mask, program) = random_tenant(&mut soc, &mut rng, tenants + 1);
+        let outcome = soc.run_offload(program, mask);
+        log.push(format!("offload {mask:?}: {outcome:?}"));
+        snapshot(&mut soc, &mut log);
+        log
+    }
+
+    /// Binds random jobs to a random partition, unless a job still in
+    /// flight holds part of it, and returns the partition and a host
+    /// program that marshals operands and then dispatches and awaits the
+    /// jobs by credit counter or software barrier.
+    fn random_tenant(
+        soc: &mut Soc,
+        rng: &mut proptest::TestRng,
+        tenant: u64,
+    ) -> (ClusterMask, HostProgram) {
+        let mask = ClusterMask::from_bits(1 + rng.below(15));
+        let main = soc.map().main_base();
+        let completion = if rng.below(2) == 0 {
+            CompletionSignal::Credit
+        } else {
+            CompletionSignal::Barrier {
+                addr: main.add_words(4000 + tenant),
+            }
+        };
+        if soc.check_partition(mask).is_ok() {
+            let cores = soc.config().cores_per_cluster;
+            for cluster in mask.iter() {
+                soc.bind_job(cluster, random_job(rng, cores, main, completion));
+            }
+        }
+        let mut ops = vec![HostOp::PrepareOperands {
+            words: rng.below(400),
+        }];
+        match completion {
+            CompletionSignal::Credit => ops.extend([
+                HostOp::CreditArm {
+                    threshold: mask.count() as u64,
+                },
+                HostOp::MulticastMailbox {
+                    mask,
+                    reg: ClusterReg::Wakeup,
+                    value: 1,
+                },
+                HostOp::WaitIrq,
+            ]),
+            CompletionSignal::Barrier { addr } => {
+                ops.push(HostOp::StoreUncachedMain { addr, value: 0 });
+                ops.extend(mask.iter().map(|cluster| HostOp::StoreMailbox {
+                    cluster,
+                    reg: ClusterReg::Wakeup,
+                    value: 1,
+                }));
+                ops.push(HostOp::PollUntilEq {
+                    addr,
+                    value: mask.count() as u64,
+                    spin_cycles: 4,
+                });
+            }
+        }
+        ops.push(HostOp::End);
+        (mask, HostProgram::new(ops))
+    }
+
+    fn bits(words: &[f64]) -> Vec<u64> {
+        words.iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// A cluster job of 1-2 stages, each moving up to a few hundred words
+    /// in and out and running a short counted loop on every core.
+    fn random_job(
+        rng: &mut proptest::TestRng,
+        cores: usize,
+        main: Addr,
+        completion: CompletionSignal,
+    ) -> ClusterJob {
+        let transfer = |rng: &mut proptest::TestRng| Transfer {
+            main_addr: main.add_words(rng.below(3500)),
+            local_word: 64 + rng.below(4000),
+            words: rng.below(300),
+        };
+        let stages = (0..1 + rng.below(2))
+            .map(|_| {
+                let mut b = ProgramBuilder::new();
+                let counter = IntReg::new(1);
+                b.li(counter, 1 + rng.below(30) as i64);
+                let top = b.label();
+                b.bind(top);
+                b.addi(counter, counter, -1);
+                b.bnez(counter, top);
+                b.halt();
+                let program = b.build().unwrap();
+                crate::JobStage {
+                    dma_in: (0..rng.below(3)).map(|_| transfer(rng)).collect(),
+                    programs: vec![program; cores],
+                    dma_out: (0..rng.below(2)).map(|_| transfer(rng)).collect(),
+                }
+            })
+            .collect();
+        ClusterJob {
+            stages,
+            args: vec![rng.unit_f64()],
+            args_local_word: 8,
+            completion,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Running a DMA chain's bursts inline never changes what a
+        /// session or a blocking offload does: completions, telemetry,
+        /// stats, faults, memory, the events delivered and the session
+        /// time after every `advance_jobs`, whatever the horizons,
+        /// tenants and faults.
+        #[test]
+        fn inline_bursts_match_the_per_burst_oracle(seed in proptest::any::<u64>()) {
+            let inline = random_session(seed, false);
+            let oracle = random_session(seed, true);
+            proptest::prop_assert_eq!(inline, oracle);
+        }
     }
 }
