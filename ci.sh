@@ -20,8 +20,8 @@ for lib in crates/*/src/lib.rs; do
         || { echo "missing #![forbid(unsafe_code)] in $lib"; exit 1; }
 done
 
-echo "==> rustdoc -D warnings (mpsoc-lint, serde shims, mpsoc-sched and mpsoc-serve API docs must stay clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc -q -p mpsoc-lint -p serde -p serde_json -p mpsoc-sched -p mpsoc-serve --no-deps
+echo "==> rustdoc -D warnings (every workspace crate's API docs must stay clean)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (tests, examples and benches too)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -303,7 +303,7 @@ impl Interpreter {
         let ops = program.ops();
         let fast_forward = port.conflict_free();
         let mut core = Core::default();
-        let mut clocks: Clocks = [start.as_u64(); CLOCKS];
+        let mut clocks = Clocks::at(start.as_u64());
         let mut watch = LoopWatch::default();
         let mut report = ExecReport::default();
         let mut pc = 0usize;
@@ -329,22 +329,20 @@ impl Interpreter {
                     // initiation interval. The branch now falls through:
                     // go round again to retire it on the timed path.
                     let trips = core.replay(ops, pc, t, port, &mut report)?;
-                    for clock in &mut clocks {
-                        *clock += trips * trip.interval;
-                    }
+                    clocks.shift(trips * trip.interval);
                     report.stall_cycles += trips * trip.stall;
                     continue;
                 }
             }
 
-            let d = Decoded::of(op, &core, t);
-            let pipe = PIPE_FREE + if t.single_issue { 0 } else { d.pipe };
+            let d = OpTiming::of(op, core.streaming, t);
             // In-order multi-issue: an op may share a cycle with the
             // previous op (different pipe) but never issue earlier.
-            let base = clocks[FETCH].max(clocks[pipe]);
-            let mut issue = d.srcs.iter().fold(base, |at, &s| at.max(clocks[s]));
-            if let Some(addr) = d.addr {
-                let granted = port.grant(addr, Cycle::new(issue)).as_u64();
+            let (base, mut issue) = clocks.ready(&d);
+            if let Some((rs, offset)) = d.access() {
+                let granted = port
+                    .grant(core.addr(rs, offset), Cycle::new(issue))
+                    .as_u64();
                 debug_assert!(
                     !fast_forward || granted == issue,
                     "a conflict-free port delayed an access"
@@ -357,24 +355,13 @@ impl Interpreter {
             report.retired += 1;
             let next = match flow {
                 Flow::Halt => {
-                    report.finish = Cycle::new(clocks[HIGH_WATER].max(issue));
+                    report.finish = Cycle::new(clocks.finish(issue));
                     return Ok(report);
                 }
-                Flow::Next => {
-                    clocks[FETCH] = clocks[FETCH].max(issue);
-                    pc + 1
-                }
-                Flow::Taken(target) => {
-                    // Taken branch: fetch bubble.
-                    clocks[FETCH] = issue + 1 + t.branch_taken_penalty;
-                    target
-                }
+                Flow::Next => pc + 1,
+                Flow::Taken(target) => target,
             };
-            if let Some((slot, latency)) = d.dst {
-                clocks[slot] = issue + latency;
-            }
-            clocks[HIGH_WATER] = clocks[HIGH_WATER].max(issue + d.done);
-            clocks[pipe] = issue + 1;
+            clocks.retire(&d, issue, matches!(flow, Flow::Taken(_)));
             pc = core.wrap(pc, next);
         }
     }
@@ -401,15 +388,74 @@ const INT_READY: usize = PIPE_FREE + 4;
 const FP_READY: usize = INT_READY + INT_REGS as usize;
 const CLOCKS: usize = FP_READY + FP_REGS as usize;
 
-type Clocks = [u64; CLOCKS];
+/// The timing state of a core: when the next op may be fetched, when
+/// each pipe and each register is next free, and when the last result
+/// completes. The issue rule reads it through [`Clocks::ready`] and
+/// advances it through [`Clocks::retire`].
+///
+/// Clock arithmetic saturates at `u64::MAX`, so a state shifted past
+/// the end of time stays there instead of wrapping.
+#[derive(Debug, Clone)]
+pub struct Clocks([u64; CLOCKS]);
 
-/// Loop iterations sampled for a repeating timing state before the
-/// interpreter stops watching that loop.
-const WATCH_LIMIT: u32 = 8;
+impl Clocks {
+    /// The state of a core whose first op may issue at `start`.
+    pub fn at(start: u64) -> Self {
+        Clocks([start; CLOCKS])
+    }
 
-/// What the issue model needs to know about one op.
-struct Decoded {
-    /// Pipe index, in [`PipeClass`] order: Mem, Fp, Int, Ctrl.
+    /// When the op `d` may issue on a port that grants at once, as
+    /// `(base, ready)`: `base` is when fetch and its pipe let it issue,
+    /// `ready` also waits for its operands. `ready - base` cycles are
+    /// operand stalls.
+    #[inline]
+    pub fn ready(&self, d: &OpTiming) -> (u64, u64) {
+        let base = self.0[FETCH].max(self.0[d.pipe]);
+        let ready = d.srcs.iter().fold(base, |at, &s| at.max(self.0[s]));
+        (base, ready)
+    }
+
+    /// Retires the op `d` issued at `issue`: its pipe is busy for that
+    /// cycle, its result is ready its latency later, the high-water mark
+    /// covers its completion, and the next op is fetched no earlier than
+    /// `issue`, or, past a `taken` branch, after the branch bubble.
+    #[inline]
+    pub fn retire(&mut self, d: &OpTiming, issue: u64, taken: bool) {
+        let c = &mut self.0;
+        c[FETCH] = if taken {
+            issue.saturating_add(d.refetch)
+        } else {
+            c[FETCH].max(issue)
+        };
+        if let Some((slot, latency)) = d.dst {
+            c[slot] = issue.saturating_add(latency);
+        }
+        c[HIGH_WATER] = c[HIGH_WATER].max(issue.saturating_add(d.done));
+        c[d.pipe] = issue.saturating_add(1);
+    }
+
+    /// When a program whose `halt` issues at `issue` finishes: at the
+    /// later of the halt and the last result's completion.
+    pub fn finish(&self, issue: u64) -> u64 {
+        self.0[HIGH_WATER].max(issue)
+    }
+
+    /// Moves every clock `cycles` on: what a run of loop trips in a
+    /// steady state does to the state (see [`SteadyState`]).
+    pub fn shift(&mut self, cycles: u64) {
+        for clock in &mut self.0 {
+            *clock = clock.saturating_add(cycles);
+        }
+    }
+}
+
+/// The issue rule's view of one op: the pipe it issues on, the clocks
+/// its operands wait on, the clock its result makes ready, and when it
+/// completes. [`Clocks`] applies it; the interpreter and the static
+/// bound analyzer both time every op through it.
+#[derive(Debug, Clone, Copy)]
+pub struct OpTiming {
+    /// The clock slot of the pipe the op issues on.
     pipe: usize,
     /// Clock slots the operands wait on. Unused entries name `FETCH`,
     /// which never delays issue.
@@ -418,55 +464,63 @@ struct Decoded {
     dst: Option<(usize, u64)>,
     /// Cycles from issue until the op completes.
     done: u64,
-    /// The local byte address a load or store accesses.
-    addr: Option<u64>,
+    /// Cycles from issue until the next fetch, if the op is a taken
+    /// branch.
+    refetch: u64,
+    /// The base register and offset of a load's or store's address.
+    access: Option<(IntReg, i64)>,
 }
 
-impl Decoded {
-    fn of(op: MicroOp, core: &Core, t: &CoreTiming) -> Self {
+impl OpTiming {
+    /// The timing of `op` on a core with `timing`, while the FP registers
+    /// set in `streaming` (bit `i` for `f{i}`) alias SSR streams.
+    #[inline]
+    pub fn of(op: MicroOp, streaming: u32, timing: &CoreTiming) -> Self {
+        let is_stream = |r: FpReg| streaming & (1 << r.index()) != 0;
         let int = |r: IntReg| INT_READY + r.index();
         // Enabled streams are prefetched by dedicated SSR ports: no
         // register-file dependency, and stream writes free no register.
         let fp = |r: FpReg| {
-            if core.is_stream(r) {
+            if is_stream(r) {
                 FETCH
             } else {
                 FP_READY + r.index()
             }
         };
-        let fp_result = |r: FpReg| (!core.is_stream(r)).then_some((fp(r), t.fp_latency));
+        let fp_result = |r: FpReg| (!is_stream(r)).then_some((fp(r), timing.fp_latency));
         // Stores complete one cycle after issue; results at their latency.
         let (pipe, done) = match op.pipe() {
             PipeClass::Mem => (0, 1),
-            PipeClass::Fp => (1, t.fp_latency),
-            PipeClass::Int => (2, t.int_latency),
+            PipeClass::Fp => (1, timing.fp_latency),
+            PipeClass::Int => (2, timing.int_latency),
             PipeClass::Ctrl => (3, 1),
         };
-        let mut d = Decoded {
-            pipe,
+        let mut d = OpTiming {
+            pipe: PIPE_FREE + if timing.single_issue { 0 } else { pipe },
             srcs: [FETCH; 3],
             dst: None,
             done,
-            addr: None,
+            refetch: timing.branch_taken_penalty.saturating_add(1),
+            access: None,
         };
         match op {
-            MicroOp::Li { rd, .. } => d.dst = Some((int(rd), t.int_latency)),
+            MicroOp::Li { rd, .. } => d.dst = Some((int(rd), timing.int_latency)),
             MicroOp::Addi { rd, rs, .. } => {
                 d.srcs[0] = int(rs);
-                d.dst = Some((int(rd), t.int_latency));
+                d.dst = Some((int(rd), timing.int_latency));
             }
             MicroOp::Add { rd, rs1, rs2 } => {
                 d.srcs = [int(rs1), int(rs2), FETCH];
-                d.dst = Some((int(rd), t.int_latency));
+                d.dst = Some((int(rd), timing.int_latency));
             }
             MicroOp::Fld { fd, rs, offset } => {
                 d.srcs[0] = int(rs);
-                d.dst = Some((FP_READY + fd.index(), t.load_latency));
-                d.addr = Some(core.addr(rs, offset));
+                d.dst = Some((FP_READY + fd.index(), timing.load_latency));
+                d.access = Some((rs, offset));
             }
             MicroOp::Fsd { fs, rs, offset } => {
                 d.srcs = [fp(fs), int(rs), FETCH];
-                d.addr = Some(core.addr(rs, offset));
+                d.access = Some((rs, offset));
             }
             MicroOp::FsdPair {
                 fs1,
@@ -475,7 +529,7 @@ impl Decoded {
                 offset,
             } => {
                 d.srcs = [fp(fs1), fp(fs2), int(rs)];
-                d.addr = Some(core.addr(rs, offset));
+                d.access = Some((rs, offset));
             }
             MicroOp::Fmadd { fd, fa, fb, fc } => {
                 d.srcs = [fp(fa), fp(fb), fp(fc)];
@@ -489,6 +543,13 @@ impl Decoded {
             MicroOp::SsrEnable | MicroOp::SsrDisable | MicroOp::Frep { .. } | MicroOp::Halt => {}
         }
         d
+    }
+
+    /// The base register and offset a load or store addresses the TCDM
+    /// through, which the port arbitrates; `None` for every other op,
+    /// stream accesses included.
+    pub fn access(&self) -> Option<(IntReg, i64)> {
+        self.access
     }
 }
 
@@ -1004,37 +1065,64 @@ struct Trip {
     stall: u64,
 }
 
-/// Watches the innermost loop for a steady state. Before each taken
-/// closing branch it samples the timing state relative to fetch, each
-/// clock as `max(c - fetch, 0)`: no op issues before fetch, and fetch
-/// never moves back, so a clock behind fetch cannot affect the future.
-/// Two equal consecutive samples mean every later trip repeats the last
-/// one, shifted by its initiation interval.
+/// Watches a loop's timing state for a steady state. Each sample takes
+/// the clocks relative to fetch, each as `max(c - fetch, 0)`: no op
+/// issues before fetch, and fetch never moves back, so a clock behind
+/// fetch cannot affect the future. The timing of a stretch of ops with
+/// fixed control flow is a function of that relative state and of the
+/// SSR state (streaming on or off, the streams configured). So when two
+/// consecutive samples, one loop trip apart and with the same SSR state,
+/// are equal, every later trip repeats the last one, shifted by the
+/// cycles fetch moved between them.
+#[derive(Debug, Clone, Default)]
+pub struct SteadyState {
+    /// The kept sample: the clocks relative to fetch, and fetch.
+    last: Option<([u64; CLOCKS], u64)>,
+}
+
+impl SteadyState {
+    /// Forgets the last sample: the next one cannot repeat it.
+    pub fn reset(&mut self) {
+        self.last = None;
+    }
+
+    /// Samples `clocks`. When the sample equals the previous one
+    /// relative to fetch, returns the initiation interval, the cycles
+    /// fetch moved between the two, and keeps the previous sample;
+    /// otherwise keeps this one and returns `None`.
+    pub fn sample(&mut self, clocks: &Clocks) -> Option<u64> {
+        let fetch = clocks.0[FETCH];
+        let relative = clocks.0.map(|c| c.saturating_sub(fetch));
+        if let Some((last, at)) = &self.last {
+            if *last == relative {
+                return Some(fetch - at);
+            }
+        }
+        self.last = Some((relative, fetch));
+        None
+    }
+}
+
+/// Loop iterations sampled for a repeating timing state before the
+/// interpreter stops watching that loop.
+const WATCH_LIMIT: u32 = 8;
+
+/// Watches the innermost loop for a steady state, sampling the clocks
+/// before each taken closing branch.
 ///
 /// Two consecutive samples at one branch are always exactly one trip
 /// apart: after the branch falls through, control can only come back
 /// through a taken backward branch elsewhere, which moves the watch, or
 /// while a hardware loop is active, which the caller never samples.
+#[derive(Default)]
 struct LoopWatch {
-    /// The closing branch watched, `usize::MAX` for none.
-    branch: usize,
+    /// The closing branch watched, `None` before the first.
+    branch: Option<usize>,
     /// Samples taken; at [`WATCH_LIMIT`] the loop is no longer watched.
     samples: u32,
-    relative: Clocks,
-    fetch: u64,
+    steady: SteadyState,
+    /// The stall count at the kept sample.
     stall: u64,
-}
-
-impl Default for LoopWatch {
-    fn default() -> Self {
-        LoopWatch {
-            branch: usize::MAX,
-            samples: 0,
-            relative: [0; CLOCKS],
-            fetch: 0,
-            stall: 0,
-        }
-    }
 }
 
 impl LoopWatch {
@@ -1048,7 +1136,7 @@ impl LoopWatch {
         clocks: &Clocks,
         stall: u64,
     ) -> Option<Trip> {
-        if self.branch != branch {
+        if self.branch != Some(branch) {
             // Only a straight-line body repeats one timing pattern: none
             // of its ops may redirect control or change which registers
             // stream.
@@ -1063,23 +1151,20 @@ impl LoopWatch {
                         | MicroOp::SsrDisable
                 )
             });
-            self.branch = branch;
+            self.branch = Some(branch);
             self.samples = if straight { 0 } else { WATCH_LIMIT };
+            self.steady.reset();
         }
         if self.samples >= WATCH_LIMIT {
             return None;
         }
-        let fetch = clocks[FETCH];
-        let relative = clocks.map(|c| c.saturating_sub(fetch));
-        if self.samples > 0 && relative == self.relative {
+        if let Some(interval) = self.steady.sample(clocks) {
             return Some(Trip {
-                interval: fetch - self.fetch,
+                interval,
                 stall: stall - self.stall,
             });
         }
         self.samples += 1;
-        self.relative = relative;
-        self.fetch = fetch;
         self.stall = stall;
         None
     }

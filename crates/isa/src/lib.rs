@@ -19,6 +19,13 @@
 //! iterations functionally and extrapolates their timing, exactly, on any
 //! port that declares itself [conflict-free](MemoryPort::conflict_free).
 //!
+//! The timing model is public so that a static analysis can run it
+//! without data: [`OpTiming`] is the issue rule's view of one op,
+//! [`Clocks`] the core's timing state it reads and advances, and
+//! [`SteadyState`] the watch that finds a loop whose trips repeat. The
+//! interpreter times every op through them, and so does the static
+//! cycle-bound analyzer in `mpsoc-lint`.
+//!
 //! # Example
 //!
 //! ```
@@ -54,6 +61,9 @@ mod program;
 #[cfg(test)]
 mod reference;
 
-pub use exec::{CoreTiming, ExecError, ExecReport, Interpreter, MemoryPort, PortError, VecPort};
+pub use exec::{
+    Clocks, CoreTiming, ExecError, ExecReport, Interpreter, MemoryPort, OpTiming, PortError,
+    SteadyState, VecPort,
+};
 pub use op::{FpReg, IntReg, MicroOp, PipeClass, FP_REGS, INT_REGS};
 pub use program::{BuildError, Label, ListingNote, Program, ProgramBuilder};

@@ -3,19 +3,17 @@
 //!
 //! Three layers, each feeding the next:
 //!
-//! 1. **Program bounds** ([`bound_program`]) — an *abstract clock
-//!    executor* mirrors the interpreter's timing recurrence exactly
-//!    (fetch/pipe/register ready clocks, SSR dependency skipping, FREP
-//!    zero-overhead wraparound) over a *loop-structured* view of the
-//!    program recovered by [`loop_structure`]. Counted loops (a single
-//!    `li C` / `addi -d` / `bnez` countdown, or FREP geometry) execute
-//!    exactly up to a cap and are then *extrapolated*: after warm-up
-//!    passes reach a steady state, the per-pass clock delta is applied
-//!    closed-form to the remaining trips — the maximum delta for the
-//!    upper bound (unconditionally sound in a max-plus system), the
-//!    minimum delta for the lower bound (sound once the fetch clock
-//!    dominates every loop-constant clock — certified at run time).
-//!    Control flow the analysis cannot reduce is diagnosed as
+//! 1. **Program bounds** ([`bound_program`]) — the interpreter's own
+//!    timing model ([`OpTiming`], [`Clocks`], [`SteadyState`]), run
+//!    without data over a *loop-structured* view of the program
+//!    recovered by [`loop_structure`]. Counted loops (a single `li C` /
+//!    `addi -d` / `bnez` countdown, or FREP geometry) run pass by pass
+//!    until a pass starts in the state the one before it started in,
+//!    relative to fetch; every clock then moves on by that interval
+//!    times the passes left. The bounds are exact: on an ideal TCDM
+//!    `best == worst ==` the interpreter's finish, and the widened worst
+//!    side is its finish on a port that delays every access by the
+//!    widening. Control flow the analysis cannot reduce is diagnosed as
 //!    [`DiagCode::UnstructuredFlow`] (L021); loops whose trip count it
 //!    cannot infer as [`DiagCode::UnboundableLoop`] (L020).
 //! 2. **Offload bounds** ([`bound_offload`]) — closed-form best/worst
@@ -35,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use mpsoc_isa::{BuildError, CoreTiming, FpReg, IntReg, MicroOp, PipeClass, Program};
+use mpsoc_isa::{BuildError, Clocks, CoreTiming, IntReg, MicroOp, OpTiming, Program, SteadyState};
 use mpsoc_kernels::partition::split_even;
 use mpsoc_kernels::{Kernel, KernelKind};
 use mpsoc_offload::{DispatchStrategy, OffloadStrategy, RuntimeCosts, SyncStrategy};
@@ -46,15 +44,8 @@ use crate::descriptor::reference_slices;
 use crate::diag::{DiagCode, Diagnostic, LintReport};
 use crate::{Lint, LintContext};
 
-/// Loops at or below this trip count execute pass-by-pass; above it the
-/// analyzer warms up and extrapolates.
-const EXACT_CAP: u64 = 64;
-/// Warm-up passes before the first extrapolation probe.
-const WARMUP_PASSES: u64 = 4;
-/// Probe rounds (two passes each) before giving up on extrapolation.
-const PROBE_ROUNDS: u32 = 4;
-/// Abstract-execution fuel: retired abstract ops before the analysis
-/// aborts with L020 (guards pathological exact fallbacks).
+/// Abstract-execution fuel: ops timed before the analysis aborts with
+/// L020 (guards loops whose passes never settle into a steady state).
 const FUEL: u64 = 50_000_000;
 
 /// A sound `[best, worst]` cycle interval.
@@ -217,9 +208,11 @@ fn seg_writes_int(seg: &Seg, ops: &[MicroOp], reg: IntReg) -> bool {
 /// FREP bodies free of control flow, and backward `bnez` do-while loops
 /// whose counter is initialized by a reaching `li C` (`C > 0`) and
 /// decremented by a single top-level `addi counter, counter, -d` with
-/// `d | C` (trip count `C / d`). Anything else earns L020 (trip count
-/// not inferable) or L021 (flow not reducible) and the analysis refuses
-/// to produce bounds rather than guess.
+/// `d | C` (trip count `C / d`). A nested `bnez` loop's counter must be
+/// set by a top-level op of the enclosing body before it, so that every
+/// pass restarts the count. Anything else earns L020 (trip count not
+/// inferable) or L021 (flow not reducible) and the analysis refuses to
+/// produce bounds rather than guess.
 ///
 /// # Errors
 ///
@@ -293,6 +286,33 @@ pub fn loop_structure(ops: &[MicroOp]) -> Result<Vec<Seg>, Vec<Diagnostic>> {
                         }
                     }
                 };
+                // A nested countdown restarts on every pass only when
+                // this body sets its counter before it; otherwise the
+                // second pass starts it where the first left it.
+                for (k, seg) in body_segs.iter().enumerate() {
+                    let Seg::Loop {
+                        bnez_op: Some(inner),
+                        ..
+                    } = seg
+                    else {
+                        continue;
+                    };
+                    let MicroOp::Bnez { rs: counter, .. } = ops[*inner] else {
+                        unreachable!("a bnez loop closes with its bnez");
+                    };
+                    let set = body_segs[..k]
+                        .iter()
+                        .any(|s| matches!(s, Seg::Op(i) if int_dest(ops[*i]) == Some(counter)));
+                    if !set {
+                        return Err(vec![Diagnostic::at(
+                            DiagCode::UnboundableLoop,
+                            *inner,
+                            format!(
+                                "nested loop counter {counter} is not set before it in each pass"
+                            ),
+                        )]);
+                    }
+                }
                 // Trip-count inference: exactly one top-level countdown
                 // of the branch counter inside the body.
                 let mut decrement: Option<u64> = None;
@@ -398,235 +418,58 @@ pub fn loop_structure(ops: &[MicroOp]) -> Result<Vec<Seg>, Vec<Diagnostic>> {
 }
 
 // ---------------------------------------------------------------------------
-// Abstract clock executor
+// Abstract execution
 // ---------------------------------------------------------------------------
 
-// Clock vector layout: the exact state of the interpreter's timing
-// recurrence (functional register *values* are not tracked — trip
-// counts already came from the structure pass).
-const NCLK: usize = 54;
-const CLK_FETCH: usize = 0;
-const CLK_PIPE0: usize = 1; // 4 pipes: Mem, Fp, Int, Ctrl
-const CLK_INT0: usize = 5; // 16 integer registers
-const CLK_FP0: usize = 21; // 32 fp registers
-const CLK_HIGH: usize = 53; // completion high-water mark
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Lower bound: ideal memory, minimum per-pass delta.
-    Lo,
-    /// Upper bound: widened memory, maximum per-pass delta.
-    Hi,
-}
-
-/// Write-set / constant-read recorder for one probe pass.
-struct Probe {
-    written: [bool; NCLK],
-    /// The write set of the previous probe pass; reads of clocks outside
-    /// it contribute to `const_max`.
-    frozen: Option<[bool; NCLK]>,
-    const_max: u64,
-}
-
+/// Runs a loop-structured program on the interpreter's own timing model
+/// ([`OpTiming`], [`Clocks`], [`SteadyState`]) without data: trip counts
+/// come from [`loop_structure`], and a loop fast-forwards once a pass
+/// repeats the one before it relative to fetch.
 struct AbsCore<'a> {
     ops: &'a [MicroOp],
     timing: &'a CoreTiming,
-    mode: Mode,
-    /// Extra cycles added to every explicit TCDM access (Hi mode only):
-    /// the banked-TCDM widening.
+    /// Extra cycles every explicit TCDM access waits for its grant: the
+    /// banked-TCDM widening of the worst side, zero for the best side.
     mem_extra: u64,
-    clocks: [u64; NCLK],
-    ssr_enabled: bool,
-    configured: [bool; 3],
+    clocks: Clocks,
+    /// Whether SSR streaming is enabled, and a bit per configured stream.
+    ssr: (bool, u32),
     finish: Option<u64>,
-    last_issue: u64,
     retired: u64,
     mem_accesses: u64,
     fuel: u64,
-    probe: Option<Probe>,
 }
 
-struct Overrun;
-
-impl<'a> AbsCore<'a> {
-    fn new(ops: &'a [MicroOp], timing: &'a CoreTiming, mode: Mode, mem_extra: u64) -> Self {
-        AbsCore {
-            ops,
-            timing,
-            mode,
-            mem_extra,
-            clocks: [0; NCLK],
-            ssr_enabled: false,
-            configured: [false; 3],
-            finish: None,
-            last_issue: 0,
-            retired: 0,
-            mem_accesses: 0,
-            fuel: FUEL,
-            probe: None,
-        }
-    }
-
-    fn read_clk(&mut self, i: usize) -> u64 {
-        if let Some(p) = self.probe.as_mut() {
-            if let Some(frozen) = p.frozen {
-                if !frozen[i] {
-                    p.const_max = p.const_max.max(self.clocks[i]);
-                }
-            }
-        }
-        self.clocks[i]
-    }
-
-    fn write_clk(&mut self, i: usize, v: u64) {
-        if let Some(p) = self.probe.as_mut() {
-            p.written[i] = true;
-        }
-        self.clocks[i] = v;
-    }
-
-    fn ready_int(&mut self, r: IntReg, operand_ready: &mut u64) {
-        let v = self.read_clk(CLK_INT0 + r.index());
-        *operand_ready = (*operand_ready).max(v);
-    }
-
-    fn ready_fp(&mut self, r: FpReg, operand_ready: &mut u64) {
-        // Enabled streams are prefetched by dedicated SSR ports: no
-        // register-file dependency (mirrors the interpreter exactly).
-        if self.ssr_enabled && r.index() < 3 && self.configured[r.index()] {
-            return;
-        }
-        let v = self.read_clk(CLK_FP0 + r.index());
-        *operand_ready = (*operand_ready).max(v);
-    }
-
-    fn fp_write(&mut self, fd: FpReg, ready: u64) {
-        // Stream-mapped destinations push to memory: the register file
-        // is untouched.
-        if self.ssr_enabled && fd.index() < 3 && self.configured[fd.index()] {
-            return;
-        }
-        self.write_clk(CLK_FP0 + fd.index(), ready);
-    }
-
-    /// Mirrors one step of `Interpreter::run_from` on the clock vector.
-    fn exec_op(&mut self, idx: usize, taken: bool) -> Result<(), Overrun> {
-        if self.fuel == 0 {
-            return Err(Overrun);
-        }
-        self.fuel -= 1;
+impl AbsCore<'_> {
+    /// Times the op at `idx`; `taken` says a `bnez` branches back.
+    fn exec_op(&mut self, idx: usize, taken: bool) -> Result<(), CostError> {
+        self.fuel = self.fuel.checked_sub(1).ok_or_else(CostError::fuel)?;
+        self.retired = self.retired.saturating_add(1);
         let op = self.ops[idx];
-        let t = self.timing;
-        let pipe = if t.single_issue {
-            0
-        } else {
-            match op.pipe() {
-                PipeClass::Mem => 0,
-                PipeClass::Fp => 1,
-                PipeClass::Int => 2,
-                PipeClass::Ctrl => 3,
-            }
-        };
-        let fetch = self.read_clk(CLK_FETCH);
-        let pipe_clk = self.read_clk(CLK_PIPE0 + pipe);
-        let base = fetch.max(pipe_clk);
-        let mut issue = base;
-        match op {
-            MicroOp::Li { .. }
-            | MicroOp::SsrEnable
-            | MicroOp::SsrDisable
-            | MicroOp::Frep { .. }
-            | MicroOp::Halt => {}
-            MicroOp::Addi { rs, .. } | MicroOp::Fld { rs, .. } | MicroOp::Bnez { rs, .. } => {
-                self.ready_int(rs, &mut issue);
-            }
-            MicroOp::Add { rs1, rs2, .. } => {
-                self.ready_int(rs1, &mut issue);
-                self.ready_int(rs2, &mut issue);
-            }
-            MicroOp::Fsd { fs, rs, .. } => {
-                self.ready_fp(fs, &mut issue);
-                self.ready_int(rs, &mut issue);
-            }
-            MicroOp::FsdPair { fs1, fs2, rs, .. } => {
-                self.ready_fp(fs1, &mut issue);
-                self.ready_fp(fs2, &mut issue);
-                self.ready_int(rs, &mut issue);
-            }
-            MicroOp::Fmadd { fa, fb, fc, .. } => {
-                self.ready_fp(fa, &mut issue);
-                self.ready_fp(fb, &mut issue);
-                self.ready_fp(fc, &mut issue);
-            }
-            MicroOp::Fadd { fa, fb, .. } | MicroOp::Fmul { fa, fb, .. } => {
-                self.ready_fp(fa, &mut issue);
-                self.ready_fp(fb, &mut issue);
-            }
-            MicroOp::SsrCfg { base: b, .. } => self.ready_int(b, &mut issue),
+        let (enabled, configured) = self.ssr;
+        let d = OpTiming::of(op, if enabled { configured } else { 0 }, self.timing);
+        let (_, mut issue) = self.clocks.ready(&d);
+        if d.access().is_some() {
+            // Where the interpreter asks the TCDM arbiter for a grant.
+            self.mem_accesses = self.mem_accesses.saturating_add(1);
+            issue = issue.saturating_add(self.mem_extra);
         }
-        if op.is_mem() {
-            // The interpreter consults the TCDM bank arbiter here. The
-            // lower bound uses the ideal grant (never later than any
-            // arbiter); the upper bound widens each access by the
-            // configured conflict allowance.
-            self.mem_accesses += 1;
-            if self.mode == Mode::Hi {
-                issue = issue.saturating_add(self.mem_extra);
-            }
-        }
-        // Destinations.
         match op {
-            MicroOp::Li { rd, .. } | MicroOp::Addi { rd, .. } | MicroOp::Add { rd, .. } => {
-                self.write_clk(CLK_INT0 + rd.index(), issue.saturating_add(t.int_latency));
-            }
-            MicroOp::Fld { fd, .. } => {
-                self.write_clk(CLK_FP0 + fd.index(), issue.saturating_add(t.load_latency));
-            }
-            MicroOp::Fmadd { fd, .. } | MicroOp::Fadd { fd, .. } | MicroOp::Fmul { fd, .. } => {
-                self.fp_write(fd, issue.saturating_add(t.fp_latency));
-            }
-            MicroOp::SsrCfg { stream, .. } => {
-                if (stream as usize) < 3 {
-                    self.configured[stream as usize] = true;
-                }
-            }
-            MicroOp::SsrEnable => self.ssr_enabled = true,
-            MicroOp::SsrDisable => self.ssr_enabled = false,
             MicroOp::Halt => {
-                let hw = self.read_clk(CLK_HIGH);
-                self.finish = Some(hw.max(issue));
-                self.retired += 1;
+                self.finish = Some(self.clocks.finish(issue));
                 return Ok(());
             }
-            MicroOp::Fsd { .. }
-            | MicroOp::FsdPair { .. }
-            | MicroOp::Bnez { .. }
-            | MicroOp::Frep { .. } => {}
+            MicroOp::SsrCfg { stream, .. } if stream < 3 => self.ssr.1 |= 1 << stream,
+            MicroOp::SsrEnable => self.ssr.0 = true,
+            MicroOp::SsrDisable => self.ssr.0 = false,
+            _ => {}
         }
-        let completion = match op.pipe() {
-            PipeClass::Mem | PipeClass::Ctrl => issue.saturating_add(1),
-            PipeClass::Fp => issue.saturating_add(t.fp_latency),
-            PipeClass::Int => issue.saturating_add(t.int_latency),
-        };
-        let hw = self.read_clk(CLK_HIGH).max(completion);
-        self.write_clk(CLK_HIGH, hw);
-        self.write_clk(CLK_PIPE0 + pipe, issue.saturating_add(1));
-        if matches!(op, MicroOp::Bnez { .. }) && taken {
-            self.write_clk(CLK_FETCH, issue.saturating_add(1 + t.branch_taken_penalty));
-        } else {
-            let f = self.read_clk(CLK_FETCH).max(issue);
-            self.write_clk(CLK_FETCH, f);
-        }
-        self.last_issue = issue;
-        self.retired += 1;
+        self.clocks.retire(&d, issue, taken);
         Ok(())
     }
 
-    fn exec_segs(&mut self, segs: &[Seg], allow_extra: bool) -> Result<(), Overrun> {
+    fn exec_segs(&mut self, segs: &[Seg]) -> Result<(), CostError> {
         for seg in segs {
-            if self.finish.is_some() {
-                return Ok(());
-            }
             match seg {
                 Seg::Op(i) => self.exec_op(*i, false)?,
                 Seg::Loop {
@@ -634,7 +477,7 @@ impl<'a> AbsCore<'a> {
                     bnez_op,
                     body,
                     trips,
-                } => self.exec_loop(*frep_op, *bnez_op, body, *trips, allow_extra)?,
+                } => self.exec_loop(*frep_op, *bnez_op, body, *trips)?,
             }
         }
         Ok(())
@@ -647,15 +490,12 @@ impl<'a> AbsCore<'a> {
         body: &[Seg],
         bnez_op: Option<usize>,
         taken: bool,
-        allow_extra: bool,
-    ) -> Result<(), Overrun> {
-        self.exec_segs(body, allow_extra)?;
-        if let Some(b) = bnez_op {
-            if self.finish.is_none() {
-                self.exec_op(b, taken)?;
-            }
+    ) -> Result<(), CostError> {
+        self.exec_segs(body)?;
+        match bnez_op {
+            Some(b) => self.exec_op(b, taken),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn exec_loop(
@@ -664,8 +504,7 @@ impl<'a> AbsCore<'a> {
         bnez_op: Option<usize>,
         body: &[Seg],
         trips: u64,
-        allow_extra: bool,
-    ) -> Result<(), Overrun> {
+    ) -> Result<(), CostError> {
         if let Some(f) = frep_op {
             self.exec_op(f, false)?;
         }
@@ -675,129 +514,73 @@ impl<'a> AbsCore<'a> {
             Some(_) => (trips.saturating_sub(1), true),
             None => (trips, false),
         };
-        let extrapolate = allow_extra && uniform > EXACT_CAP;
-        if extrapolate {
-            // Warm up into the steady state, then certify and apply the
-            // per-pass delta closed-form. All probe passes run with
-            // extrapolation disabled in nested loops so each pass is the
-            // *exact* one-pass transfer function.
-            let mut done = 0u64;
-            while done < WARMUP_PASSES.min(uniform) {
-                self.run_pass(body, bnez_op, true, false)?;
-                done += 1;
+        // A pass is a function of the clocks relative to fetch and of
+        // the SSR state: once a pass starts in the state the one before
+        // it started in, every later pass repeats it, shifted by the
+        // same interval.
+        let mut steady = SteadyState::default();
+        let mut ssr = self.ssr;
+        let mut before = (self.retired, self.mem_accesses);
+        for done in 0..uniform {
+            if self.ssr != ssr {
+                steady.reset();
+                ssr = self.ssr;
             }
-            let mut rounds = 0u32;
-            while done + 2 <= uniform && rounds < PROBE_ROUNDS {
-                rounds += 1;
-                let flags_before = (self.ssr_enabled, self.configured);
-                // Pass A: record the write set.
-                self.probe = Some(Probe {
-                    written: [false; NCLK],
-                    frozen: None,
-                    const_max: 0,
-                });
-                self.run_pass(body, bnez_op, true, false)?;
-                let written = self.probe.take().map_or([false; NCLK], |p| p.written);
-                done += 1;
-                // Pass B: record constant reads + deltas against A's set.
-                let start = self.clocks;
-                let retired0 = self.retired;
-                let mem0 = self.mem_accesses;
-                self.probe = Some(Probe {
-                    written: [false; NCLK],
-                    frozen: Some(written),
-                    const_max: 0,
-                });
-                self.run_pass(body, bnez_op, true, false)?;
-                let probe = self.probe.take().expect("probe survives the pass");
-                done += 1;
-                let per_retired = self.retired - retired0;
-                let per_mem = self.mem_accesses - mem0;
-                let stable = probe.written == written
-                    && (self.ssr_enabled, self.configured) == flags_before
-                    && self.finish.is_none()
-                    // Dominance certificate: once the fetch clock has
-                    // passed every loop-constant clock, constants can
-                    // never again decide a max, so the one-pass map is
-                    // a pure max-plus shift on the written set.
-                    && self.clocks[CLK_FETCH] >= probe.const_max;
-                if !stable {
-                    continue;
-                }
-                let mut d_min = u64::MAX;
-                let mut d_max = 0u64;
-                let mut any = false;
-                for i in 0..NCLK {
-                    if written[i] {
-                        any = true;
-                        let d = self.clocks[i] - start[i];
-                        d_min = d_min.min(d);
-                        d_max = d_max.max(d);
-                    }
-                }
-                let delta = match self.mode {
-                    Mode::Lo => {
-                        if any {
-                            d_min
-                        } else {
-                            0
-                        }
-                    }
-                    Mode::Hi => d_max,
-                };
-                let remaining = uniform - done;
-                let shift = delta.saturating_mul(remaining);
-                for (clk, &w) in written.iter().enumerate() {
-                    if w {
-                        self.clocks[clk] = self.clocks[clk].saturating_add(shift);
-                    }
-                }
-                self.retired = self
-                    .retired
-                    .saturating_add(per_retired.saturating_mul(remaining));
+            if let Some(interval) = steady.sample(&self.clocks) {
+                let left = uniform - done;
+                self.clocks.shift(interval.saturating_mul(left));
+                let per_pass = (self.retired - before.0, self.mem_accesses - before.1);
+                self.retired = self.retired.saturating_add(per_pass.0.saturating_mul(left));
                 self.mem_accesses = self
                     .mem_accesses
-                    .saturating_add(per_mem.saturating_mul(remaining));
-                done = uniform;
+                    .saturating_add(per_pass.1.saturating_mul(left));
+                break;
             }
-            while done < uniform {
-                self.run_pass(body, bnez_op, true, false)?;
-                done += 1;
-            }
-        } else {
-            for _ in 0..uniform {
-                self.run_pass(body, bnez_op, true, allow_extra)?;
-            }
+            before = (self.retired, self.mem_accesses);
+            self.run_pass(body, bnez_op, true)?;
         }
-        if has_final && self.finish.is_none() {
-            self.run_pass(body, bnez_op, false, allow_extra && !extrapolate)?;
+        if has_final {
+            self.run_pass(body, bnez_op, false)?;
         }
         Ok(())
     }
-
-    fn finish_cycles(&self) -> u64 {
-        self.finish
-            .unwrap_or_else(|| self.clocks[CLK_HIGH].max(self.last_issue))
-    }
 }
 
+/// Times `segs` with every explicit TCDM access delayed `mem_extra`
+/// cycles.
 fn run_abs(
     ops: &[MicroOp],
     segs: &[Seg],
     timing: &CoreTiming,
-    mode: Mode,
     mem_extra: u64,
-) -> Result<(u64, u64, u64), CostError> {
-    let mut core = AbsCore::new(ops, timing, mode, mem_extra);
-    core.exec_segs(segs, true)
-        .map_err(|Overrun| CostError::fuel())?;
-    Ok((core.finish_cycles(), core.retired, core.mem_accesses))
+) -> Result<ProgramCost, CostError> {
+    let mut core = AbsCore {
+        ops,
+        timing,
+        mem_extra,
+        clocks: Clocks::at(0),
+        ssr: (false, 0),
+        finish: None,
+        retired: 0,
+        mem_accesses: 0,
+        fuel: FUEL,
+    };
+    core.exec_segs(segs)?;
+    // A program that runs off its end without a halt finishes when its
+    // last result does.
+    let finish = core.finish.unwrap_or_else(|| core.clocks.finish(0));
+    Ok(ProgramCost {
+        cycles: CycleBounds::point(finish),
+        retired: core.retired,
+        mem_accesses: core.mem_accesses,
+    })
 }
 
-/// Sound completion-cycle bounds for `program` under `timing`, assuming
-/// an ideal (conflict-free) memory port. For solo execution on an ideal
-/// TCDM the bounds are *exact* whenever every loop runs pass-by-pass
-/// (`best == worst`); extrapolated loops may open a small interval.
+/// Completion-cycle bounds for `program` under `timing` on an ideal
+/// (conflict-free) memory port. They are exact: `best == worst ==` the
+/// interpreter's `finish`, because the analyzer times every op with the
+/// interpreter's own issue rule and fast-forwards a loop only once its
+/// passes repeat exactly.
 ///
 /// # Errors
 ///
@@ -809,7 +592,10 @@ pub fn bound_program(program: &Program, timing: &CoreTiming) -> Result<ProgramCo
 
 /// Like [`bound_program`], but widens every explicit TCDM access on the
 /// worst side by `mem_extra` cycles — the (coarse, sound) banked-TCDM
-/// conflict allowance. The best side always uses the ideal port.
+/// conflict allowance. The best side always uses the ideal port. The
+/// worst side is exactly the interpreter's `finish` on a port that
+/// delays every grant by `mem_extra`; no arbiter that delays each grant
+/// by at most that finishes later (max-plus monotonicity).
 ///
 /// # Errors
 ///
@@ -821,16 +607,11 @@ pub fn bound_program_widened(
 ) -> Result<ProgramCost, CostError> {
     let ops = program.ops();
     let segs = loop_structure(ops).map_err(CostError::new)?;
-    let (lo, _, _) = run_abs(ops, &segs, timing, Mode::Lo, 0)?;
-    let (hi, retired, mem_accesses) = run_abs(ops, &segs, timing, Mode::Hi, mem_extra)?;
-    Ok(ProgramCost {
-        cycles: CycleBounds {
-            best: lo,
-            worst: hi.max(lo),
-        },
-        retired,
-        mem_accesses,
-    })
+    let mut cost = run_abs(ops, &segs, timing, 0)?;
+    if mem_extra > 0 {
+        cost.cycles.worst = run_abs(ops, &segs, timing, mem_extra)?.cycles.worst;
+    }
+    Ok(cost)
 }
 
 // ---------------------------------------------------------------------------
@@ -1271,7 +1052,7 @@ impl Lint for CostLint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsoc_isa::{Interpreter, ProgramBuilder, VecPort};
+    use mpsoc_isa::{FpReg, Interpreter, ProgramBuilder, VecPort};
     use mpsoc_kernels::{Axpby, Daxpy, DaxpySsr, Dot, Gemv, Memset, Scale, Stencil3, Sum, VecAdd};
     use mpsoc_offload::Offloader;
     use proptest::prelude::*;
@@ -1356,16 +1137,34 @@ mod tests {
             let timing = CoreTiming::snitch();
             let cost = bound_program(&program, &timing).expect("boundable");
             let actual = measure(&program, &timing);
-            assert!(
-                cost.cycles.contains(actual),
-                "trips={trips}: {actual} outside [{}, {}]",
-                cost.cycles.best,
-                cost.cycles.worst
+            assert_eq!(
+                cost.cycles,
+                CycleBounds::point(actual),
+                "trips={trips}: exact at every trip count"
             );
-            if trips <= EXACT_CAP {
-                assert_eq!(cost.cycles.best, cost.cycles.worst, "exact below the cap");
-            }
         }
+    }
+
+    #[test]
+    fn op_counters_saturate_past_an_extrapolated_loop() {
+        // 2^63 - 1 trips of three loads: the clocks and both op counts
+        // run past u64::MAX.
+        let mut b = ProgramBuilder::new();
+        b.li(x(1), 0);
+        b.li(x(2), i64::MAX);
+        let top = b.label();
+        b.bind(top);
+        for k in 0..3 {
+            b.fld(f(4 + k), x(1), 8 * i64::from(k));
+        }
+        b.addi(x(2), x(2), -1);
+        b.bnez(x(2), top);
+        b.halt();
+        let program = b.build().expect("valid");
+        let cost = bound_program(&program, &CoreTiming::snitch()).expect("boundable");
+        assert_eq!(cost.cycles, CycleBounds::point(u64::MAX));
+        assert_eq!(cost.retired, u64::MAX);
+        assert_eq!(cost.mem_accesses, u64::MAX);
     }
 
     #[test]
@@ -1460,6 +1259,26 @@ mod tests {
         ]);
         let err = bound_program(&spin, &CoreTiming::snitch()).expect_err("spin");
         assert_eq!(err.report.diagnostics[0].code, DiagCode::UnboundableLoop);
+        // A nested countdown whose counter is set only before the outer
+        // loop: its second outer pass starts the count at zero, so the
+        // program never ends.
+        let mut b = ProgramBuilder::new();
+        b.li(x(1), 0);
+        b.li(x(10), 4);
+        b.li(x(11), 3);
+        let top = b.label();
+        b.bind(top);
+        b.fld(f(4), x(1), 0);
+        b.addi(x(10), x(10), -1);
+        b.bnez(x(10), top);
+        b.addi(x(11), x(11), -1);
+        b.bnez(x(11), top);
+        b.halt();
+        let stale = b.build().expect("valid");
+        let err = bound_program(&stale, &CoreTiming::snitch()).expect_err("stale counter");
+        let diag = &err.report.diagnostics[0];
+        assert_eq!(diag.code, DiagCode::UnboundableLoop);
+        assert_eq!(diag.op, Some(5), "reported at the nested branch");
     }
 
     #[test]
