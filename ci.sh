@@ -14,6 +14,12 @@ cargo build --release
 echo "==> cargo test -q (every workspace member: default-members in Cargo.toml)"
 cargo test -q
 
+echo "==> cargo test --release (the interpreter and SoC fast-path oracles on optimized code)"
+# The benchmark and results/ run release builds, so the proptests that
+# hold the loop replay and the inline DMA bursts to their per-op and
+# per-burst oracles run on release code too.
+cargo test --release -q -p mpsoc-isa -p mpsoc-soc
+
 echo "==> forbid(unsafe_code) gate (every workspace crate must carry the attribute)"
 for lib in crates/*/src/lib.rs; do
     grep -q '^#!\[forbid(unsafe_code)\]' "$lib" \

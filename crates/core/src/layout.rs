@@ -31,8 +31,9 @@ pub(crate) struct MainLayout {
 impl MainLayout {
     /// Words a job's main-memory region spans (control block + operands):
     /// the allocation unit of the concurrent-session region allocator.
+    /// Saturates at `u64::MAX`, which no main memory holds.
     pub fn region_words(x_words: u64, n: u64) -> u64 {
-        DATA_WORD + x_words + n
+        DATA_WORD.saturating_add(x_words).saturating_add(n)
     }
 
     /// Plans the placement of a job with `x_words` of `x` operand, `n`

@@ -192,6 +192,16 @@ impl StagedJob {
     }
 }
 
+/// A job that passed every check staging makes before it writes
+/// anything: where its operands and control block go in main memory,
+/// and how its clusters lay it out in TCDM.
+struct Plan {
+    layout: MainLayout,
+    geometry: JobGeometry,
+    /// Reduction partials the host combines (0 for map kernels).
+    partial_slots: u64,
+}
+
 /// Bookkeeping for a submitted-but-not-yet-collected tenant job.
 #[derive(Debug)]
 struct PendingJob {
@@ -411,7 +421,8 @@ impl Offloader {
         strategy: OffloadStrategy,
         stages: usize,
     ) -> Result<OffloadRun, OffloadError> {
-        let (program, staged) = self.stage(kernel, x, y, mask, strategy, 0, stages)?;
+        let plan = self.plan(kernel, x.len() as u64, y.len() as u64, mask, 0, stages)?;
+        let (program, staged) = self.stage(kernel, x, y, mask, strategy, plan)?;
         // `run_offload` opens a fresh SoC session: any open one ends here.
         self.pending.clear();
         self.regions.clear();
@@ -449,7 +460,8 @@ impl Offloader {
     /// out-of-range mask, mismatched operands, a slice too large for
     /// TCDM, no free region) returns `PartitionOverlap`. A rejected
     /// submit writes, binds and allocates nothing, so the tenants in
-    /// flight run on undisturbed.
+    /// flight run on undisturbed. [`Offloader::check_submit`] runs the
+    /// same checks, in the same order, without the operands.
     pub fn submit_at(
         &mut self,
         kernel: &dyn Kernel,
@@ -459,21 +471,19 @@ impl Offloader {
         strategy: OffloadStrategy,
         at: Cycle,
     ) -> Result<JobId, OffloadError> {
-        // Staging binds a job to every cluster of `mask`, which would
-        // replace a live tenant's job before the SoC could refuse it.
-        self.soc.check_partition(mask)?;
-        let region_word =
-            self.alloc_region(MainLayout::region_words(x.len() as u64, y.len() as u64))?;
-        let submitted = self
-            .stage(kernel, x, y, mask, strategy, region_word, 1)
-            .and_then(|(program, staged)| {
-                let job = self.soc.submit_job(program, mask, at)?;
-                Ok(PendingJob {
-                    job,
-                    region_word,
-                    staged,
-                })
-            });
+        let (x_len, y_len) = (x.len() as u64, y.len() as u64);
+        let (region_word, plan) = self.plan_submit(kernel, x_len, y_len, mask)?;
+        self.alloc_region(region_word, MainLayout::region_words(x_len, y_len));
+        let submitted =
+            self.stage(kernel, x, y, mask, strategy, plan)
+                .and_then(|(program, staged)| {
+                    let job = self.soc.submit_job(program, mask, at)?;
+                    Ok(PendingJob {
+                        job,
+                        region_word,
+                        staged,
+                    })
+                });
         match submitted {
             Ok(pending) => {
                 let job = pending.job;
@@ -532,52 +542,92 @@ impl Offloader {
         self.soc.jobs_in_flight()
     }
 
-    /// First-fit region allocation over the live-region list (kept
-    /// sorted by start word), deterministic across runs.
-    fn alloc_region(&mut self, words: u64) -> Result<u64, OffloadError> {
+    /// Checks a session submission of `kernel` over `x_len` words of `x`
+    /// and `y_len` of `y` to `mask`, as [`Offloader::submit_at`] would
+    /// check it, without the operands and without changing anything:
+    /// the partition against the tenants in flight, then a main-memory
+    /// region, then the partition and the operands against the job, then
+    /// the job's TCDM geometry. A caller that still has to build the
+    /// operands can refuse a job here first, however large it is.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`Offloader::submit_at`] would return before it
+    /// writes the operands.
+    pub fn check_submit(
+        &self,
+        kernel: &dyn Kernel,
+        x_len: u64,
+        y_len: u64,
+        mask: ClusterMask,
+    ) -> Result<(), OffloadError> {
+        self.plan_submit(kernel, x_len, y_len, mask).map(drop)
+    }
+
+    /// The checks of [`Offloader::check_submit`]; on success, the region
+    /// word first-fit places the job at, and its plan there.
+    fn plan_submit(
+        &self,
+        kernel: &dyn Kernel,
+        x_len: u64,
+        y_len: u64,
+        mask: ClusterMask,
+    ) -> Result<(u64, Plan), OffloadError> {
+        // Staging binds a job to every cluster of `mask`, which would
+        // replace a live tenant's job before the SoC could refuse it.
+        self.soc.check_partition(mask)?;
+        let region_word = self.first_fit(MainLayout::region_words(x_len, y_len))?;
+        let plan = self.plan(kernel, x_len, y_len, mask, region_word, 1)?;
+        Ok((region_word, plan))
+    }
+
+    /// Where first-fit over the live-region list (kept sorted by start
+    /// word) places a region of `words`, deterministically.
+    fn first_fit(&self, words: u64) -> Result<u64, OffloadError> {
         let capacity = self.soc.map().main_words();
         let mut start = 0u64;
         for &(live_start, live_words) in &self.regions {
-            if start + words <= live_start {
+            if start.saturating_add(words) <= live_start {
                 break;
             }
             start = live_start + live_words;
         }
-        if start + words > capacity {
-            return Err(OffloadError::MainMemoryOverflow {
-                required: start + words,
-                capacity,
-            });
+        let required = start.saturating_add(words);
+        if required > capacity {
+            return Err(OffloadError::MainMemoryOverflow { required, capacity });
         }
+        Ok(start)
+    }
+
+    /// Claims the region of `words` at `start` that
+    /// [`Offloader::first_fit`] found.
+    fn alloc_region(&mut self, start: u64, words: u64) {
         let at = self
             .regions
             .iter()
             .position(|&(s, _)| s > start)
             .unwrap_or(self.regions.len());
         self.regions.insert(at, (start, words));
-        Ok(start)
     }
 
     fn free_region(&mut self, start: u64) {
         self.regions.retain(|&(s, _)| s != start);
     }
 
-    /// Stages one job on the SoC, ready to run: checks the mask and the
-    /// operands, plans the job's main-memory region at `region_word` and
-    /// its TCDM geometry for `stages` pipeline stages, writes the
-    /// operands, binds one cluster job per cluster of `mask` and builds
-    /// the host program. Every offload path stages through here.
-    #[allow(clippy::too_many_arguments)] // the job's natural parameters
-    fn stage(
-        &mut self,
+    /// Plans a job of `kernel` over `x_len` words of `x` and `y_len` of
+    /// `y` on `mask`: checks the mask and the operand lengths, and plans
+    /// the job's main-memory region at `region_word` and its TCDM
+    /// geometry for `stages` pipeline stages. Every offload path plans
+    /// through here before it writes anything.
+    fn plan(
+        &self,
         kernel: &dyn Kernel,
-        x: &[f64],
-        y: &[f64],
+        x_len: u64,
+        y_len: u64,
         mask: ClusterMask,
-        strategy: OffloadStrategy,
         region_word: u64,
         stages: usize,
-    ) -> Result<(HostProgram, StagedJob), OffloadError> {
+    ) -> Result<Plan, OffloadError> {
         let m = mask.count();
         if m == 0 {
             return Err(OffloadError::NoClusters);
@@ -592,12 +642,12 @@ impl Offloader {
         // The job size is the output length; `x` must hold
         // `x_words_per_elem` words per element (1 for vector kernels,
         // `K` for matrix kernels like GEMV).
-        let n = y.len() as u64;
+        let n = y_len;
         let x_words = n * kernel.x_words_per_elem();
-        if x.len() as u64 != x_words {
+        if x_len != x_words {
             return Err(OffloadError::OperandMismatch {
-                x_len: x.len(),
-                y_len: y.len(),
+                x_len: x_len as usize,
+                y_len: y_len as usize,
             });
         }
         let cores = self.soc.config().cores_per_cluster;
@@ -609,6 +659,32 @@ impl Offloader {
         let layout = MainLayout::plan(self.soc.map(), region_word, x_words, n, partial_slots)?;
         let geometry =
             JobGeometry::plan(kernel, n, m, cores, stages, self.soc.config().tcdm_words)?;
+        Ok(Plan {
+            layout,
+            geometry,
+            partial_slots,
+        })
+    }
+
+    /// Stages one planned job on the SoC, ready to run: writes the
+    /// operands, binds one cluster job per cluster of `mask` and builds
+    /// the host program. Every offload path stages through here.
+    fn stage(
+        &mut self,
+        kernel: &dyn Kernel,
+        x: &[f64],
+        y: &[f64],
+        mask: ClusterMask,
+        strategy: OffloadStrategy,
+        plan: Plan,
+    ) -> Result<(HostProgram, StagedJob), OffloadError> {
+        let Plan {
+            layout,
+            geometry,
+            partial_slots,
+        } = plan;
+        let n = y.len() as u64;
+        let cores = self.soc.config().cores_per_cluster;
 
         // Load operands (zero-time test-bench initialization, as the
         // paper's measurements also exclude input generation). The
@@ -630,7 +706,7 @@ impl Offloader {
             layout,
             kind: kernel.kind(),
             n,
-            m,
+            m: mask.count(),
             partial_slots,
             strategy,
         };
@@ -1063,6 +1139,60 @@ mod tests {
         assert!(b_run.host_wait_cycles > 0);
         assert!(b_run.run.cycles() > solo_run.cycles());
         assert!(a_run.run.cycles() >= solo_run.cycles());
+    }
+
+    /// `check_submit` runs `submit_at`'s own checks in its order: on
+    /// every submit it returns what `submit_at` returns, error for error,
+    /// and it changes nothing, so the region first-fit picks and the
+    /// live tenant are the same after it.
+    #[test]
+    fn check_submit_answers_as_submit_at_does() {
+        let kernel = Daxpy::new(1.0);
+        let (x, y) = ramp(128);
+        let tcdm_words = SocConfig::with_clusters(4).tcdm_words as usize;
+        let (big_x, big_y) = ramp(tcdm_words);
+        let strategy = OffloadStrategy::extended();
+        let mut off = offloader(4);
+        off.begin_jobs();
+        off.submit_at(
+            &kernel,
+            &x,
+            &y,
+            ClusterMask::first(1),
+            strategy,
+            Cycle::ZERO,
+        )
+        .unwrap();
+        let cases: [(&[f64], &[f64], ClusterMask); 7] = [
+            (&x, &y, ClusterMask::first(2)),
+            (&x[1..], &y, ClusterMask::range(1, 8)),
+            (&x, &y, ClusterMask::EMPTY),
+            (&x, &y, ClusterMask::range(2, 4)),
+            (&x[1..], &y, ClusterMask::range(1, 2)),
+            (&big_x, &big_y, ClusterMask::range(1, 1)),
+            (&x, &y, ClusterMask::range(1, 3)),
+        ];
+        for (x, y, mask) in cases {
+            let checked = off.check_submit(&kernel, x.len() as u64, y.len() as u64, mask);
+            let submitted = off
+                .submit_at(&kernel, x, y, mask, strategy, Cycle::ZERO)
+                .map(drop);
+            assert_eq!(format!("{checked:?}"), format!("{submitted:?}"), "{mask:?}");
+        }
+        // Sizes no operand vector could have are refused, not overflowed.
+        let (capacity, mask) = (off.soc().map().main_words(), ClusterMask::range(1, 3));
+        off.begin_jobs();
+        for (len, required) in [(1u64 << 40, 1024 + (2u64 << 40)), (u64::MAX, u64::MAX)] {
+            let err = off.check_submit(&kernel, len, len, mask).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    OffloadError::MainMemoryOverflow { required: r, capacity: c }
+                        if (r, c) == (required, capacity)
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

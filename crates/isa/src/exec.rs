@@ -32,7 +32,10 @@ impl Error for PortError {}
 ///
 /// A port that never delays an access should say so through
 /// [`MemoryPort::conflict_free`]: the interpreter then fast-forwards
-/// counted loops whose timing has reached a steady state.
+/// counted loops whose timing has reached a steady state. A port whose
+/// loads and stores are plain word accesses should also lend its words
+/// through [`MemoryPort::words`], so fast-forwarded trips run on them
+/// directly.
 pub trait MemoryPort {
     /// Reads the 64-bit word at `addr` as a double.
     ///
@@ -61,6 +64,48 @@ pub trait MemoryPort {
     fn conflict_free(&self) -> bool {
         false
     }
+
+    /// Lends the port's backing words. Only a
+    /// [conflict-free](MemoryPort::conflict_free) port whose loads and
+    /// stores are plain word accesses may lend: at an address `a` with
+    /// `a % 8 == 0` and `a / 8` below the number of words, they read or
+    /// write word `a / 8` and nothing else, and at every other address
+    /// they fail with `PortError { addr: a }`. The interpreter checks a
+    /// fast-forwarded loop's loads and stores once, against the words,
+    /// and then runs the loop's trips on them. Defaults to `None`, which
+    /// keeps every access on [`MemoryPort::load`] and
+    /// [`MemoryPort::store`].
+    fn words(&mut self) -> Option<Words<'_>> {
+        None
+    }
+}
+
+/// The backing words a [`MemoryPort`] lends: word `i` holds the double
+/// at local byte address `8·i`.
+#[derive(Debug)]
+pub enum Words<'a> {
+    /// The doubles themselves.
+    F64(&'a mut [f64]),
+    /// The doubles' raw bits.
+    Bits(&'a mut [u64]),
+}
+
+impl Words<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Words::F64(words) => words.len(),
+            Words::Bits(words) => words.len(),
+        }
+    }
+}
+
+/// The word at local byte address `addr` among `len` words, or the
+/// fault an unaligned or out-of-range address raises.
+fn word_index(addr: u64, len: usize) -> Result<usize, PortError> {
+    if addr % 8 != 0 || addr / 8 >= len as u64 {
+        return Err(PortError { addr });
+    }
+    Ok((addr / 8) as usize)
 }
 
 /// A plain `Vec<f64>`-backed [`MemoryPort`] with no contention; handy for
@@ -85,33 +130,71 @@ impl VecPort {
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    fn index(&self, addr: u64) -> Result<usize, PortError> {
-        if addr % 8 != 0 {
-            return Err(PortError { addr });
-        }
-        let i = (addr / 8) as usize;
-        if i >= self.data.len() {
-            return Err(PortError { addr });
-        }
-        Ok(i)
-    }
 }
 
 impl MemoryPort for VecPort {
     fn load(&mut self, addr: u64) -> Result<f64, PortError> {
-        let i = self.index(addr)?;
-        Ok(self.data[i])
+        Ok(self.data[word_index(addr, self.data.len())?])
     }
 
     fn store(&mut self, addr: u64, value: f64) -> Result<(), PortError> {
-        let i = self.index(addr)?;
+        let i = word_index(addr, self.data.len())?;
         self.data[i] = value;
         Ok(())
     }
 
     fn conflict_free(&self) -> bool {
         true
+    }
+
+    fn words(&mut self) -> Option<Words<'_>> {
+        Some(Words::F64(&mut self.data))
+    }
+}
+
+/// A lent word: a double, or its raw bits.
+trait Word: Copy {
+    fn get(self) -> f64;
+    fn of(value: f64) -> Self;
+}
+
+impl Word for f64 {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn of(value: f64) -> Self {
+        value
+    }
+}
+
+impl Word for u64 {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        f64::from_bits(self)
+    }
+
+    #[inline(always)]
+    fn of(value: f64) -> Self {
+        value.to_bits()
+    }
+}
+
+/// Lent words as a port that checks every access as the lending port
+/// does: what the FP ops of a loop run on lent words stream through.
+struct Lent<'a, W>(&'a mut [W]);
+
+impl<W: Word> MemoryPort for Lent<'_, W> {
+    fn load(&mut self, addr: u64) -> Result<f64, PortError> {
+        Ok(self.0[word_index(addr, self.0.len())?].get())
+    }
+
+    fn store(&mut self, addr: u64, value: f64) -> Result<(), PortError> {
+        let i = word_index(addr, self.0.len())?;
+        self.0[i] = W::of(value);
+        Ok(())
     }
 }
 
@@ -784,7 +867,8 @@ impl Core {
     ///
     /// The body is decoded once. When it has a closed form that reaches
     /// the loop's end within the fuel, only its memory and FP ops run
-    /// per trip; otherwise every decoded op does.
+    /// per trip, on the port's lent words when every load and store of
+    /// every trip lies inside them; otherwise every decoded op does.
     fn replay<P: MemoryPort>(
         &mut self,
         ops: &[MicroOp],
@@ -809,12 +893,26 @@ impl Core {
                 .is_some_and(|retired| retired <= timing.max_steps);
             if fits {
                 body.close();
-                for _ in 0..trips {
-                    for &step in &body.steps {
-                        self.step(step, port)?;
+                let lent = port.words().and_then(|words| {
+                    let ops = body.lend(&self.int, &sums, trips, words.len())?;
+                    Some((ops, words))
+                });
+                match lent {
+                    Some((mut ops, Words::F64(words))) => {
+                        self.run_lent(&mut ops, words, trips, &sums)?;
                     }
-                    for (value, sum) in self.int.iter_mut().zip(sums) {
-                        *value = value.wrapping_add(sum);
+                    Some((mut ops, Words::Bits(words))) => {
+                        self.run_lent(&mut ops, words, trips, &sums)?;
+                    }
+                    None => {
+                        for _ in 0..trips {
+                            for &step in &body.steps {
+                                self.step(step, port)?;
+                            }
+                            for (value, sum) in self.int.iter_mut().zip(sums) {
+                                *value = value.wrapping_add(sum);
+                            }
+                        }
                     }
                 }
                 report.retired += trips * (1 + len);
@@ -848,6 +946,39 @@ impl Core {
             body.count(1, report);
             trips += 1;
         }
+    }
+
+    /// Runs `trips` trips of a closed-form body on lent words: each load
+    /// and store at its cursor, every other op through [`Core::step`],
+    /// in body order. Then moves each register by its per-trip sum times
+    /// `trips`, which wraps to the same value as adding the sum once per
+    /// trip.
+    fn run_lent<W: Word>(
+        &mut self,
+        ops: &mut [(Step, Cursor)],
+        words: &mut [W],
+        trips: u64,
+        sums: &[i64; INT_REGS as usize],
+    ) -> Result<(), ExecError> {
+        let mut port = Lent(words);
+        for _ in 0..trips {
+            for (step, at) in ops.iter_mut() {
+                match *step {
+                    Step::Fld { fd, .. } => self.fp[fd.index()] = port.0[at.next()].get(),
+                    Step::Fsd { fs, .. } => port.0[at.next()] = W::of(self.fp[fs.index()]),
+                    Step::FsdPair { fs1, fs2, .. } => {
+                        let word = at.next();
+                        port.0[word] = W::of(self.fp[fs1.index()]);
+                        port.0[word + 1] = W::of(self.fp[fs2.index()]);
+                    }
+                    step => self.step(step, &mut port)?,
+                }
+            }
+        }
+        for (value, sum) in self.int.iter_mut().zip(sums) {
+            *value = value.wrapping_add(sum.wrapping_mul(trips as i64));
+        }
+        Ok(())
     }
 }
 
@@ -1042,6 +1173,75 @@ impl Body {
             *offset = offset.wrapping_add(sums[rs.index()]);
             true
         });
+    }
+
+    /// The closed body's ops on `len` lent words for `trips` trips that
+    /// start from the registers `int` and move them by `sums` per trip,
+    /// each load and store with its cursor (every other op's is unused):
+    /// `None` unless every load and store of every trip is aligned and
+    /// inside the words.
+    fn lend(
+        &self,
+        int: &[i64; INT_REGS as usize],
+        sums: &[i64; INT_REGS as usize],
+        trips: u64,
+        len: usize,
+    ) -> Option<Vec<(Step, Cursor)>> {
+        let at = |rs: IntReg, offset: i64, width: i128| {
+            let first = i128::from(int[rs.index()]) + i128::from(offset);
+            Cursor::of(first, i128::from(sums[rs.index()]), trips, width, len)
+        };
+        let mut ops = Vec::with_capacity(self.steps.len());
+        for &step in &self.steps {
+            let cursor = match step {
+                Step::Fld { rs, offset, .. } | Step::Fsd { rs, offset, .. } => at(rs, offset, 1)?,
+                Step::FsdPair { rs, offset, .. } => at(rs, offset, 2)?,
+                _ => Cursor::default(),
+            };
+            ops.push((step, cursor));
+        }
+        Some(ops)
+    }
+}
+
+/// Where a load or store of a closed-form body is in the lent words:
+/// the word its next trip accesses, and the words it moves per trip.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    word: usize,
+    stride: isize,
+}
+
+impl Cursor {
+    /// The cursor of an access `width` words wide at byte address
+    /// `first` on its first trip that moves `stride` bytes per trip, when
+    /// the accesses of all `trips` trips are aligned and inside `len`
+    /// words; `None` otherwise. The address is affine in the trip, so the
+    /// first and the last trip bound every trip between them. The
+    /// arithmetic is exact, so an address that wraps on the way fails.
+    fn of(first: i128, stride: i128, trips: u64, width: i128, len: usize) -> Option<Cursor> {
+        if first % 8 != 0 || stride % 8 != 0 {
+            return None;
+        }
+        let last = stride
+            .checked_mul(i128::from(trips - 1))?
+            .checked_add(first)?;
+        let end = 8 * i128::try_from(len).ok()?;
+        if first.min(last) < 0 || first.max(last) > end - 8 * width {
+            return None;
+        }
+        Some(Cursor {
+            word: usize::try_from(first / 8).ok()?,
+            stride: isize::try_from(stride / 8).ok()?,
+        })
+    }
+
+    /// The word this trip accesses; moves on to the next trip's.
+    #[inline(always)]
+    fn next(&mut self) -> usize {
+        let word = self.word;
+        self.word = word.wrapping_add_signed(self.stride);
+        word
     }
 }
 
@@ -1484,6 +1684,36 @@ mod tests {
         let mut port = VecPort::new(vec![]);
         let err = Interpreter::new().run(&p, &mut port).unwrap_err();
         assert!(matches!(err, ExecError::PcOutOfRange { .. }));
+    }
+
+    /// The lent-words check passes an access only when every trip's
+    /// words lie inside the lent ones: here 4 trips over 8 words.
+    #[test]
+    fn cursors_cover_only_accesses_inside_the_lent_words() {
+        let at = |first, stride, width| {
+            Cursor::of(first, stride, 4, width, 8).map(|c| (c.word, c.stride))
+        };
+        assert_eq!(at(0, 16, 1), Some((0, 2)), "words 0, 2, 4, 6");
+        assert_eq!(at(56, -16, 1), Some((7, -2)), "words 7, 5, 3, 1");
+        assert_eq!(at(32, 8, 1), Some((4, 1)), "words 4 to 7");
+        assert_eq!(at(24, 8, 2), Some((3, 1)), "pairs 3-4 to 6-7");
+        assert_eq!(at(64, -8, 1), None, "the first trip is past the end");
+        assert_eq!(at(-8, 8, 1), None, "the first trip is below the words");
+        assert_eq!(at(40, 8, 1), None, "only the last trip is past the end");
+        assert_eq!(at(16, -8, 1), None, "only the last trip is below the words");
+        assert_eq!(at(0, 4, 1), None, "a stride that is not a multiple of 8");
+        assert_eq!(at(4, 8, 1), None, "a misaligned first address");
+        assert_eq!(
+            at(32, 8, 2),
+            None,
+            "the last pair's second word is past the end"
+        );
+        // One trip needs no stride; exact arithmetic fails what would wrap.
+        assert_eq!(
+            Cursor::of(8, i128::from(i64::MIN), 1, 1, 8).map(|c| c.word),
+            Some(1)
+        );
+        assert!(Cursor::of(0, i128::from(i64::MIN), u64::MAX, 1, 8).is_none());
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod reference;
 
 pub use exec::{
     Clocks, CoreTiming, ExecError, ExecReport, Interpreter, MemoryPort, OpTiming, PortError,
-    SteadyState, VecPort,
+    SteadyState, VecPort, Words,
 };
 pub use op::{FpReg, IntReg, MicroOp, PipeClass, FP_REGS, INT_REGS};
 pub use program::{BuildError, Label, ListingNote, Program, ProgramBuilder};

@@ -435,8 +435,10 @@ mod tests {
     }
 
     /// Compares the two interpreters with each core timing, on a
-    /// conflict-free `VecPort` and on a port that delays grants. Returns
-    /// the number of runs compared.
+    /// conflict-free `VecPort`, which lends its words, on a conflict-free
+    /// port that lends none, so closed-form trips take the checked path,
+    /// and on a port that delays grants. Returns the number of runs
+    /// compared.
     fn check(
         program: &Program,
         words: &[f64],
@@ -448,14 +450,16 @@ mod tests {
             timing.max_steps = max_steps;
             let vec_port = VecPort::new(words.to_vec());
             same(program, &timing, start, vec_port, |p| bits(p.data()))?;
-            let delayed = Port {
-                words: words.to_vec(),
-                delay: 2,
-                grants: 0,
-            };
-            same(program, &timing, start, delayed, |p| bits(&p.words))?;
+            for delay in [0, 2] {
+                let port = Port {
+                    words: words.to_vec(),
+                    delay,
+                    grants: 0,
+                };
+                same(program, &timing, start, port, |p| bits(&p.words))?;
+            }
         }
-        Ok(2 * timings.len() as u64)
+        Ok(3 * timings.len() as u64)
     }
 
     /// Draws bounded values from a fixed list of random words.
@@ -528,6 +532,40 @@ mod tests {
         }
     }
 
+    /// Words of the test memory.
+    const WORDS: u64 = 512;
+
+    /// The register an edge access walks memory through; no other op
+    /// touches it.
+    const EDGE: IntReg = IntReg::new(8);
+
+    /// Plans an access through [`EDGE`] in a closed loop of `trips`
+    /// trips that leaves memory, so the lent-words check fails: where
+    /// [`EDGE`] starts, the bytes it moves per trip, and whether the
+    /// access is a paired store. The access leaves past the end or below
+    /// zero at its first trip that is out of range, one of the first
+    /// few (where a replay starts) or the last; or its stride is not a
+    /// multiple of 8; or only the second word of the pair leaves.
+    fn plan_edge(g: &mut Genes, trips: u64) -> (i64, i64, bool) {
+        let end = 8 * WORDS as i64;
+        let out = if g.below(2) == 0 {
+            2 + g.below(3)
+        } else {
+            trips - 1
+        } as i64;
+        let stride = 8 * (1 + g.below(2) as i64);
+        match g.below(4) {
+            0 => (end - out * stride, stride, false),
+            1 => (out * stride - 8, -stride, false),
+            2 => (
+                8 * g.below(WORDS) as i64,
+                [4, 12, -4][g.below(3) as usize],
+                false,
+            ),
+            _ => (end - 8 - out * stride, stride, true),
+        }
+    }
+
     /// A random program of 1-3 counted loops of 1-40 trips. Each loop
     /// follows a few random ops and has a body of 1-10 straight-line
     /// ops; some loops run with SSR streams enabled, a rare body holds a
@@ -539,7 +577,7 @@ mod tests {
     /// bytes, serve as load/store bases and take a pointer bump
     /// mid-body. Half the bodies hold no integer op but self-increments,
     /// the shape the replay runs in closed form, with or without
-    /// streams.
+    /// streams; a quarter of those also hold a [`plan_edge`] access.
     fn random_program(g: &mut Genes) -> Program {
         let mut b = ProgramBuilder::new();
         let (p1, p2) = (IntReg::new(1), IntReg::new(2));
@@ -563,11 +601,17 @@ mod tests {
             let unit = [1, 8][g.below(2) as usize];
             let step = 1 + g.below(3);
             let rest = if g.below(4) == 0 { g.below(step) } else { 0 };
-            b.li(counter, unit * (step * (1 + g.below(40)) + rest) as i64);
+            let trips = 1 + g.below(40);
+            let edge = (closed && rest == 0 && g.below(4) == 0).then(|| plan_edge(g, trips));
+            if let Some((start, _, _)) = edge {
+                b.li(EDGE, start);
+            }
+            b.li(counter, unit * (step * trips + rest) as i64);
             let top = b.label();
             b.bind(top);
             let body = 1 + g.below(10);
             let countdown = g.below(body);
+            let edge_at = g.below(body);
             // A byte counter may take a pointer bump before its
             // countdown, which then takes the bump back.
             let bump = if unit == 8 && countdown > 0 && g.below(2) == 0 {
@@ -577,6 +621,14 @@ mod tests {
             };
             let bump_at = g.below(countdown.max(1));
             for k in 0..body {
+                if let Some((_, stride, pair)) = edge.filter(|_| k == edge_at) {
+                    match (pair, g.below(2)) {
+                        (true, _) => b.fsd_pair(g.fp(), g.fp(), EDGE, 0),
+                        (false, 0) => b.fld(g.fp(), EDGE, 0),
+                        (false, _) => b.fsd(g.fp(), EDGE, 0),
+                    }
+                    b.addi(EDGE, EDGE, stride);
+                }
                 if k == countdown {
                     b.addi(counter, counter, -unit * step as i64 - bump);
                     continue;
@@ -617,7 +669,9 @@ mod tests {
         /// Fast-forwarding never changes what a program computes, when it
         /// finishes, what it counts, or where it faults: random loop
         /// nests, fuel limits that run out mid-loop, non-zero start
-        /// cycles, both cores and both kinds of port.
+        /// cycles, accesses that leave memory inside a replayed loop,
+        /// both cores, and ports that lend their words, lend none, or
+        /// delay grants.
         #[test]
         fn fast_forward_matches_the_per_op_interpreter(
             genes in prop::collection::vec(any::<u64>(), 48..160),
@@ -627,7 +681,7 @@ mod tests {
         ) {
             let program = random_program(&mut Genes { words: &genes, at: 0 });
             let mut rng = TestRng::from_name(&seed.to_string());
-            let words = memory(512, &mut rng);
+            let words = memory(WORDS as usize, &mut rng);
             // Small limits run out inside replayed loops; the largest
             // bounds the loops a disturbed counter never ends.
             let max_steps = [1 + seed % 64, 64 + seed % 1024, 1 + seed % 4096, 20_000][fuel as usize];
@@ -694,7 +748,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{} elems={elems}: {e}", kernel.name()));
             }
         }
-        assert_eq!(runs, 10 * 13 * 4);
+        assert_eq!(runs, 10 * 13 * 6);
     }
 
     /// The completion high-water mark is part of the sampled state: here

@@ -14,7 +14,7 @@ pub enum KernelKind {
 /// The parameters a single worker core needs to run its share of a job.
 ///
 /// All addresses are byte offsets local to the executing cluster's TCDM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreSlice {
     /// Number of elements this core processes.
     pub elems: u64,

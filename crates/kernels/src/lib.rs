@@ -50,6 +50,7 @@ mod daxpy;
 mod daxpy_ssr;
 mod gemv;
 mod kernel;
+mod memo;
 pub mod partition;
 mod stencil;
 mod zoo;
@@ -58,6 +59,7 @@ pub use daxpy::Daxpy;
 pub use daxpy_ssr::DaxpySsr;
 pub use gemv::Gemv;
 pub use kernel::{ByteRange, CoreSlice, GoldenOutput, Kernel, KernelKind};
+pub use memo::ProgramMemo;
 pub use stencil::Stencil3;
 pub use zoo::{Axpby, Dot, Memset, Scale, Sum, VecAdd};
 

@@ -222,6 +222,11 @@ impl WordStore {
         Ok(())
     }
 
+    /// The raw words, word `i` at `base + 8·i`.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Zeroes the entire store.
     pub fn clear(&mut self) {
         self.words.fill(0);

@@ -148,6 +148,18 @@ impl Tcdm {
         self.data.write_u64(Addr::new(0).add_words(word), value)
     }
 
+    /// The raw words, indexed by local word, lent only in
+    /// [`BankMode::Ideal`]: there no access waits on arbitration, so an
+    /// access that skips [`Tcdm::access`] changes no timing. In
+    /// [`BankMode::Banked`] every access must be arbitrated, and this
+    /// returns `None`.
+    pub fn ideal_words(&mut self) -> Option<&mut [u64]> {
+        match self.mode {
+            BankMode::Ideal => Some(self.data.words_mut()),
+            BankMode::Banked => None,
+        }
+    }
+
     /// Bulk-copies `count` doubles from a main-memory store into local
     /// words starting at `dst_word` (the data half of a DMA-in).
     ///
@@ -213,6 +225,7 @@ mod tests {
         assert_eq!(t.access(35, Cycle::ZERO), Cycle::new(1)); // 35 % 32 == 3
         assert_eq!(t.access(4, Cycle::ZERO), Cycle::ZERO); // different bank
         assert_eq!(t.conflicts(), 1);
+        assert!(t.ideal_words().is_none(), "a banked TCDM lends nothing");
     }
 
     #[test]
@@ -231,6 +244,13 @@ mod tests {
         assert_eq!(t.read_f64(7).unwrap(), 1.5);
         t.write_u64(0, 42).unwrap();
         assert_eq!(t.read_u64(0).unwrap(), 42);
+        let words = t.ideal_words().expect("an ideal TCDM lends its words");
+        assert_eq!(
+            (words.len(), words[0], f64::from_bits(words[7])),
+            (8, 42, 1.5)
+        );
+        words[1] = 2.5f64.to_bits();
+        assert_eq!(t.read_f64(1).unwrap(), 2.5);
         assert!(t.read_f64(8).is_err());
         assert!(t.write_f64(8, 0.0).is_err());
         assert_eq!(t.len_words(), 8);

@@ -55,7 +55,7 @@ impl KernelId {
 
     /// Instantiates the kernel with fixed, representative scalar
     /// arguments (the argument values do not affect timing).
-    pub fn instantiate(self) -> Box<dyn Kernel> {
+    pub fn instantiate(self) -> Box<dyn Kernel + Send> {
         match self {
             KernelId::Daxpy => Box::new(Daxpy::new(2.0)),
             KernelId::Axpby => Box::new(Axpby::new(2.0, 0.5)),

@@ -26,8 +26,10 @@
 //!   *emerges* from the co-simulation instead of being charged from a
 //!   cache.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
+use mpsoc_kernels::ProgramMemo;
 use mpsoc_noc::ClusterMask;
 use mpsoc_offload::{JobId, OffloadStrategy, Offloader};
 use mpsoc_sim::Cycle;
@@ -78,6 +80,10 @@ pub enum ServiceBackend {
         /// of that size; like `host_cache`, the memo grows with the
         /// number of distinct sizes.
         operand_cache: BTreeMap<u64, (Vec<f64>, Vec<f64>)>,
+        /// One instance of every kernel, built once, each building a
+        /// core slice's program once: staging asks for the same slices
+        /// job after job.
+        kernels: BTreeMap<KernelId, ProgramMemo>,
     },
 }
 
@@ -108,6 +114,10 @@ impl ServiceBackend {
             strategy: OffloadStrategy::extended(),
             host_cache: BTreeMap::new(),
             operand_cache: BTreeMap::new(),
+            kernels: KernelId::ALL
+                .into_iter()
+                .map(|kernel| (kernel, ProgramMemo::new(kernel.instantiate())))
+                .collect(),
         }
     }
 
@@ -129,7 +139,9 @@ impl ServiceBackend {
     /// # Errors
     ///
     /// Offload failures from the session (e.g. a partition too small
-    /// for the job's TCDM footprint).
+    /// for the job's TCDM footprint). A job the session would refuse
+    /// before writing its operands is refused before they are built, so
+    /// a size past main memory is an error, not an allocation.
     ///
     /// # Panics
     ///
@@ -146,15 +158,22 @@ impl ServiceBackend {
             seed,
             strategy,
             operand_cache,
+            kernels,
             ..
         } = self
         else {
             unreachable!("only the co-simulated backend runs a shared session");
         };
-        let (x, y) = operand_cache
-            .entry(n)
-            .or_insert_with(|| operands(n, *seed ^ n));
-        Ok(offloader.submit_at(kernel.instantiate().as_ref(), x, y, mask, *strategy, at)?)
+        let kernel = &kernels[&kernel];
+        // Every schedulable kernel reads one `x` word per element.
+        let (x, y) = match operand_cache.entry(n) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => {
+                offloader.check_submit(kernel, n, n, mask)?;
+                slot.insert(operands(n, *seed ^ n))
+            }
+        };
+        Ok(offloader.submit_at(kernel, x, y, mask, *strategy, at)?)
     }
 
     /// Drops memoized solo-run offload measurements.
@@ -252,6 +271,8 @@ impl ServiceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpsoc_kernels::Kernel;
+    use mpsoc_offload::{OffloadError, SessionStep};
     use mpsoc_soc::SocConfig;
 
     #[test]
@@ -303,6 +324,101 @@ mod tests {
         let high = measure(ClusterMask::range(6, 2));
         assert_eq!(low, scattered);
         assert_eq!(low, high);
+    }
+
+    fn co_simulated() -> ServiceBackend {
+        let offloader = Offloader::new(SocConfig::with_clusters(8)).expect("soc");
+        let mut backend = ServiceBackend::co_simulated(offloader, 0xBEEF);
+        backend.session().begin_jobs();
+        backend
+    }
+
+    /// Submits one job to a co-simulated backend, runs it to completion
+    /// and checks its result against the kernel's golden reference.
+    fn submit_and_verify(backend: &mut ServiceBackend, kernel: KernelId, n: u64, m: usize) {
+        let job = backend
+            .submit_at(kernel, n, ClusterMask::first(m), Cycle::ZERO)
+            .expect("submit");
+        let SessionStep::Completed(done) = backend
+            .session()
+            .advance_jobs(Cycle::new(u64::MAX))
+            .expect("advance")
+        else {
+            panic!("{kernel} n={n} m={m} did not complete");
+        };
+        assert_eq!(done.job, job);
+        let (x, y) = operands(n, 0xBEEF ^ n);
+        let report = done.run.verify(kernel.instantiate().as_ref(), &x, &y);
+        assert!(report.passed(), "{kernel} n={n} m={m}: {report}");
+    }
+
+    /// Staging builds each (kernel, core slice) program once: every
+    /// memoized program equals a fresh build for its slice, and a second
+    /// identical submit builds no new program.
+    #[test]
+    fn co_simulated_staging_builds_each_program_once() {
+        let mut backend = co_simulated();
+        for kernel in KernelId::ALL {
+            for n in [1, 7, 256, 4096] {
+                for m in [1, 3, 8] {
+                    submit_and_verify(&mut backend, kernel, n, m);
+                    let ServiceBackend::CoSimulated { kernels, .. } = &backend else {
+                        unreachable!("a co-simulated backend");
+                    };
+                    let built = kernels[&kernel].programs();
+                    assert!(built > 0, "{kernel} n={n} m={m}");
+                    submit_and_verify(&mut backend, kernel, n, m);
+                    let ServiceBackend::CoSimulated { kernels, .. } = &backend else {
+                        unreachable!("a co-simulated backend");
+                    };
+                    assert_eq!(kernels[&kernel].programs(), built, "{kernel} n={n} m={m}");
+                }
+            }
+            let ServiceBackend::CoSimulated { kernels, .. } = &backend else {
+                unreachable!("a co-simulated backend");
+            };
+            let (memo, fresh) = (&kernels[&kernel], kernel.instantiate());
+            let slices = memo.slices();
+            for slice in &slices {
+                assert_eq!(
+                    memo.codegen(slice).expect("memoized"),
+                    fresh.codegen(slice).expect("fresh"),
+                    "{kernel} {slice:?}"
+                );
+            }
+            assert_eq!(memo.programs(), slices.len());
+        }
+    }
+
+    /// A job far past main memory gets the typed main-memory error
+    /// before its operands are built: at n = 2^40 they would be two
+    /// 8 TiB vectors.
+    #[test]
+    fn co_simulated_submit_refuses_a_job_past_main_memory_before_its_operands() {
+        let mut backend = co_simulated();
+        let n = 1u64 << 40;
+        let err = backend
+            .submit_at(KernelId::Daxpy, n, ClusterMask::first(1), Cycle::ZERO)
+            .expect_err("a job past main memory");
+        let ServiceBackend::CoSimulated {
+            offloader,
+            operand_cache,
+            ..
+        } = &backend
+        else {
+            unreachable!("a co-simulated backend");
+        };
+        let capacity = offloader.soc().map().main_words();
+        match err {
+            SchedError::Offload(OffloadError::MainMemoryOverflow {
+                required,
+                capacity: reported,
+            }) => {
+                assert_eq!((required, reported), (1024 + 2 * n, capacity));
+            }
+            other => panic!("expected a main-memory error, got {other:?}"),
+        }
+        assert!(operand_cache.is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use mpsoc_faults::{FaultInjector, FaultKind, FaultPlan, FaultStats};
-use mpsoc_isa::{Interpreter, MemoryPort, PortError};
+use mpsoc_isa::{Interpreter, MemoryPort, PortError, Words};
 use mpsoc_mem::{Addr, BankMode, ClusterReg, MainMemory, MemoryMap, Tcdm};
 use mpsoc_noc::{ClusterMask, Interconnect};
 use mpsoc_sim::stats::StatsRegistry;
@@ -146,6 +146,10 @@ impl MemoryPort for TcdmPort<'_> {
 
     fn conflict_free(&self) -> bool {
         self.tcdm.mode() == BankMode::Ideal
+    }
+
+    fn words(&mut self) -> Option<Words<'_>> {
+        self.tcdm.ideal_words().map(Words::Bits)
     }
 }
 
@@ -1850,6 +1854,47 @@ mod tests {
         let mut cfg = SocConfig::with_clusters(clusters);
         cfg.cores_per_cluster = 2;
         Soc::new(cfg).unwrap()
+    }
+
+    /// Only an ideal TCDM lends its words to the interpreter. A banked
+    /// one lends none, so a loop that an ideal TCDM would run on lent
+    /// words runs op by op there, every access arbitrated: a second core
+    /// streaming over the same banks from the same cycle conflicts, and
+    /// the conflict is counted.
+    #[test]
+    fn a_banked_tcdm_port_lends_nothing_and_counts_conflicts() {
+        let (p, n) = (IntReg::new(1), IntReg::new(2));
+        let mut b = ProgramBuilder::new();
+        b.li(p, 0);
+        b.li(n, 32);
+        let top = b.label();
+        b.bind(top);
+        b.fld(FpReg::new(0), p, 0);
+        b.fsd(FpReg::new(0), p, 256);
+        b.addi(p, p, 8);
+        b.addi(n, n, -1);
+        b.bnez(n, top);
+        b.halt();
+        let program = b.build().unwrap();
+        let interpreter = Interpreter::new();
+        for mode in [BankMode::Ideal, BankMode::Banked] {
+            let mut tcdm = Tcdm::new(128, 32, mode);
+            let mut port = TcdmPort { tcdm: &mut tcdm };
+            assert_eq!(port.words().is_some(), mode == BankMode::Ideal);
+            let first = interpreter.run(&program, &mut port).unwrap();
+            let second = interpreter.run(&program, &mut port).unwrap();
+            assert_eq!(first.mem_ops, 64);
+            match mode {
+                BankMode::Ideal => {
+                    assert_eq!(second.finish, first.finish);
+                    assert_eq!(tcdm.conflicts(), 0);
+                }
+                BankMode::Banked => {
+                    assert!(second.finish > first.finish, "{second:?} vs {first:?}");
+                    assert!(tcdm.conflicts() > 0);
+                }
+            }
+        }
     }
 
     #[test]
