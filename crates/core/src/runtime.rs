@@ -288,20 +288,16 @@ impl Offloader {
     ///
     /// # Errors
     ///
-    /// Operand mismatches and core faults.
+    /// Operand mismatches, an image past main memory (see
+    /// [`Offloader::check_host`]) and core faults.
     pub fn run_on_host(
         &mut self,
         kernel: &dyn Kernel,
         x: &[f64],
         y: &[f64],
     ) -> Result<(u64, OffloadResult), OffloadError> {
+        self.check_host(kernel, x.len() as u64, y.len() as u64)?;
         let n = y.len() as u64;
-        if x.len() as u64 != n * kernel.x_words_per_elem() {
-            return Err(OffloadError::OperandMismatch {
-                x_len: x.len(),
-                y_len: y.len(),
-            });
-        }
         // Flat image: [left halo] x [right halo], y, out slot
         // (reductions), args + zero word. Halo slots stay zero — the
         // job-boundary semantics of stencil kernels.
@@ -344,6 +340,44 @@ impl Offloader {
             KernelKind::Reduce => OffloadResult::Scalar(port.data()[out_word]),
         };
         Ok((report.finish.as_u64(), result))
+    }
+
+    /// Checks a host run of `kernel` over `x_len` words of `x` and
+    /// `y_len` of `y`, as [`Offloader::run_on_host`] checks it, without
+    /// the operands: the operand lengths, then that the run's flat image
+    /// (`x` with its halos, `y`, the out slot, the scalar arguments and
+    /// the zero word) fits in [`SocConfig::main_words`]. A caller that
+    /// still has to build the operands can refuse a run here first,
+    /// however large it is.
+    ///
+    /// [`SocConfig::main_words`]: mpsoc_soc::SocConfig::main_words
+    ///
+    /// # Errors
+    ///
+    /// [`OffloadError::OperandMismatch`], then
+    /// [`OffloadError::MainMemoryOverflow`].
+    pub fn check_host(
+        &self,
+        kernel: &dyn Kernel,
+        x_len: u64,
+        y_len: u64,
+    ) -> Result<(), OffloadError> {
+        if y_len.checked_mul(kernel.x_words_per_elem()) != Some(x_len) {
+            return Err(OffloadError::OperandMismatch {
+                x_len: x_len as usize,
+                y_len: y_len as usize,
+            });
+        }
+        let required = x_len
+            .saturating_add(kernel.x_halo().saturating_mul(2))
+            .saturating_add(y_len)
+            .saturating_add(1)
+            .saturating_add(kernel.scalar_args().len() as u64 + 1);
+        let capacity = self.soc.config().main_words;
+        if required > capacity {
+            return Err(OffloadError::MainMemoryOverflow { required, capacity });
+        }
+        Ok(())
     }
 
     /// Offloads a *map* kernel with a software-pipelined (double-buffered)
@@ -408,6 +442,28 @@ impl Offloader {
         strategy: OffloadStrategy,
     ) -> Result<OffloadRun, OffloadError> {
         self.offload_blocking(kernel, x, y, mask, strategy, 1)
+    }
+
+    /// Checks a blocking offload of `kernel` over `x_len` words of `x`
+    /// and `y_len` of `y` to `mask`, as [`Offloader::offload_to`] plans
+    /// it, without the operands and without changing anything: the
+    /// partition and the operands against the job, its main-memory
+    /// layout at the start of main memory, and its TCDM geometry. A
+    /// caller that still has to build the operands can refuse a job here
+    /// first, however large it is.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`Offloader::offload_to`] would return before it
+    /// writes the operands.
+    pub fn check_offload(
+        &self,
+        kernel: &dyn Kernel,
+        x_len: u64,
+        y_len: u64,
+        mask: ClusterMask,
+    ) -> Result<(), OffloadError> {
+        self.plan(kernel, x_len, y_len, mask, 0, 1).map(drop)
     }
 
     /// The blocking offload: stages the job at the start of main memory,

@@ -8,6 +8,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::{FpReg, IntReg, MicroOp, PipeClass, Program, FP_REGS, INT_REGS};
 
+mod compiled;
+
+pub(crate) use compiled::Compiled;
+use compiled::Recorder;
+
 /// A memory access fault raised by a [`MemoryPort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortError {
@@ -334,6 +339,10 @@ impl From<PortError> for ExecError {
 /// iterations run functionally and their timing is extrapolated. The
 /// result is exact to the cycle; every other loop runs op by op.
 ///
+/// On such a port that also lends its [words](MemoryPort::words), a
+/// program's first successful run compiles it, and later runs execute
+/// only its data flow (see [`Interpreter::run_from`]).
+///
 /// See the crate-level example for usage.
 #[derive(Debug, Clone, Default)]
 pub struct Interpreter {
@@ -372,6 +381,22 @@ impl Interpreter {
     /// Runs `program` to completion, with the first op eligible to issue
     /// at `start` (the cluster controller's go signal).
     ///
+    /// No op moves memory or FP data into an integer register or the pc,
+    /// so on a [conflict-free](MemoryPort::conflict_free) port a run's
+    /// control flow, addresses, faults, op counts and timing depend only
+    /// on the program, the timing, the number of words the port lends and
+    /// the start, and its timing moves one for one with the start. The
+    /// first successful run of a program on a port that lends its
+    /// [words](MemoryPort::words) therefore keeps a compiled form of it,
+    /// which the program's clones share: the run's report relative to
+    /// its start, and a plan of its loads, stores and FP ops over the
+    /// lent words. A later run with the same timing, on a conflict-free
+    /// port that lends as many words, from a start at which no clock can
+    /// saturate, executes only the plan and returns the report shifted to
+    /// its start. Its result is the same to the bit and to the cycle.
+    /// Programs that use SSR streams or `frep`, and plans past a size
+    /// cap, are not compiled; every other run takes the timed path.
+    ///
     /// # Errors
     ///
     /// See [`ExecError`].
@@ -382,6 +407,37 @@ impl Interpreter {
         port: &mut P,
     ) -> Result<ExecReport, ExecError> {
         let _prof = mpsoc_sim::profile::scope("isa.interpret");
+        if !port.conflict_free() {
+            return self.timed(program, start, port, None);
+        }
+        let cell = program.compiled();
+        if let Some(compiled) = cell.get() {
+            if let Some(report) = compiled.run(&self.timing, start, port)? {
+                return Ok(report);
+            }
+            return self.timed(program, start, port, None);
+        }
+        let Some(words) = port.words().map(|words| words.len()) else {
+            return self.timed(program, start, port, None);
+        };
+        let mut recorder = Recorder::of(program);
+        let report = self.timed(program, start, port, recorder.as_mut())?;
+        let form = recorder.and_then(|recorder| recorder.compile(&report, start, &self.timing));
+        // Another clone may have compiled the program meanwhile; its form
+        // is as good as this one.
+        let _ = cell.set(Compiled::new(self.timing, words, form));
+        Ok(report)
+    }
+
+    /// Runs `program` op by op through the issue model, fast-forwarding
+    /// steady-state loops, and records its data flow into `rec`.
+    fn timed<P: MemoryPort>(
+        &self,
+        program: &Program,
+        start: Cycle,
+        port: &mut P,
+        mut rec: Option<&mut Recorder>,
+    ) -> Result<ExecReport, ExecError> {
         let t = &self.timing;
         let ops = program.ops();
         let fast_forward = port.conflict_free();
@@ -411,9 +467,11 @@ impl Interpreter {
                     // the branch; every replayed trip shifts it by one
                     // initiation interval. The branch now falls through:
                     // go round again to retire it on the timed path.
-                    let trips = core.replay(ops, pc, t, port, &mut report)?;
-                    clocks.shift(trips * trip.interval);
-                    report.stall_cycles += trips * trip.stall;
+                    let trips = core.replay(ops, pc, t, port, &mut report, rec.as_deref_mut())?;
+                    clocks.shift(trips.saturating_mul(trip.interval));
+                    report.stall_cycles = report
+                        .stall_cycles
+                        .saturating_add(trips.saturating_mul(trip.stall));
                     continue;
                 }
             }
@@ -434,7 +492,7 @@ impl Interpreter {
             }
             report.stall_cycles += issue - base;
 
-            let flow = core.execute(ops, pc, port, &mut report)?;
+            let flow = core.execute(ops, pc, port, &mut report, rec.as_deref_mut())?;
             report.retired += 1;
             let next = match flow {
                 Flow::Halt => {
@@ -727,14 +785,15 @@ impl Core {
     }
 
     /// Applies the op at `pc` on the timed path: its data op through
-    /// [`Core::step`], or its control op (branch, SSR setup, hardware
-    /// loop, halt), and `report`'s op counters.
+    /// [`Core::step`], recorded into `rec`, or its control op (branch,
+    /// SSR setup, hardware loop, halt), and `report`'s op counters.
     fn execute<P: MemoryPort>(
         &mut self,
         ops: &[MicroOp],
         pc: usize,
         port: &mut P,
         report: &mut ExecReport,
+        rec: Option<&mut Recorder>,
     ) -> Result<Flow, ExecError> {
         let op = ops[pc];
         match op {
@@ -777,6 +836,9 @@ impl Core {
             MicroOp::Halt => return Ok(Flow::Halt),
             _ => {
                 let step = Step::of(op, self).expect("every other op is a data op");
+                if let Some(rec) = rec {
+                    rec.step(step, self);
+                }
                 self.step(step, port)?;
                 count_data_op(report, op);
             }
@@ -869,6 +931,7 @@ impl Core {
     /// the loop's end within the fuel, only its memory and FP ops run
     /// per trip, on the port's lent words when every load and store of
     /// every trip lies inside them; otherwise every decoded op does.
+    /// `rec` records the closed form's cursors, or every data op run.
     fn replay<P: MemoryPort>(
         &mut self,
         ops: &[MicroOp],
@@ -876,6 +939,7 @@ impl Core {
         timing: &CoreTiming,
         port: &mut P,
         report: &mut ExecReport,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<u64, ExecError> {
         let MicroOp::Bnez { rs, target } = ops[branch] else {
             unreachable!("a replay starts at its loop's closing branch");
@@ -898,13 +962,24 @@ impl Core {
                     Some((ops, words))
                 });
                 match lent {
-                    Some((mut ops, Words::F64(words))) => {
-                        self.run_lent(&mut ops, words, trips, &sums)?;
-                    }
-                    Some((mut ops, Words::Bits(words))) => {
-                        self.run_lent(&mut ops, words, trips, &sums)?;
+                    Some((ops, words)) => {
+                        if let Some(rec) = rec {
+                            rec.lent(&ops, trips);
+                        }
+                        match words {
+                            Words::F64(words) => self.run_lent(&ops, words, trips)?,
+                            Words::Bits(words) => self.run_lent(&ops, words, trips)?,
+                        }
+                        // Adding `sum × trips` once wraps to the same value
+                        // as adding `sum` once per trip.
+                        for (value, sum) in self.int.iter_mut().zip(sums) {
+                            *value = value.wrapping_add(sum.wrapping_mul(trips as i64));
+                        }
                     }
                     None => {
+                        if let Some(rec) = rec {
+                            rec.fail();
+                        }
                         for _ in 0..trips {
                             for &step in &body.steps {
                                 self.step(step, port)?;
@@ -934,11 +1009,17 @@ impl Core {
             if report.retired + len > timing.max_steps {
                 for &step in &body.steps {
                     fuel(report, timing)?;
+                    if let Some(rec) = rec.as_deref_mut() {
+                        rec.step(step, self);
+                    }
                     self.step(step, port)?;
                     report.retired += 1;
                 }
             } else {
                 for &step in &body.steps {
+                    if let Some(rec) = rec.as_deref_mut() {
+                        rec.step(step, self);
+                    }
                     self.step(step, port)?;
                 }
                 report.retired += len;
@@ -948,26 +1029,24 @@ impl Core {
         }
     }
 
-    /// Runs `trips` trips of a closed-form body on lent words: each load
-    /// and store at its cursor, every other op through [`Core::step`],
-    /// in body order. Then moves each register by its per-trip sum times
-    /// `trips`, which wraps to the same value as adding the sum once per
-    /// trip.
+    /// Runs `trips` trips of `ops` on lent words, trip by trip: each
+    /// load and store at its cursor, every other op through
+    /// [`Core::step`], in order. A closed-form body leaves its integer
+    /// registers for the caller to move.
     fn run_lent<W: Word>(
         &mut self,
-        ops: &mut [(Step, Cursor)],
+        ops: &[(Step, Cursor)],
         words: &mut [W],
         trips: u64,
-        sums: &[i64; INT_REGS as usize],
     ) -> Result<(), ExecError> {
         let mut port = Lent(words);
-        for _ in 0..trips {
-            for (step, at) in ops.iter_mut() {
-                match *step {
-                    Step::Fld { fd, .. } => self.fp[fd.index()] = port.0[at.next()].get(),
-                    Step::Fsd { fs, .. } => port.0[at.next()] = W::of(self.fp[fs.index()]),
+        for trip in 0..trips {
+            for &(step, at) in ops {
+                match step {
+                    Step::Fld { fd, .. } => self.fp[fd.index()] = port.0[at.at(trip)].get(),
+                    Step::Fsd { fs, .. } => port.0[at.at(trip)] = W::of(self.fp[fs.index()]),
                     Step::FsdPair { fs1, fs2, .. } => {
-                        let word = at.next();
+                        let word = at.at(trip);
                         port.0[word] = W::of(self.fp[fs1.index()]);
                         port.0[word + 1] = W::of(self.fp[fs2.index()]);
                     }
@@ -975,15 +1054,12 @@ impl Core {
                 }
             }
         }
-        for (value, sum) in self.int.iter_mut().zip(sums) {
-            *value = value.wrapping_add(sum.wrapping_mul(trips as i64));
-        }
         Ok(())
     }
 }
 
 /// An FP operand of a data op: a register, or the stream it aliases.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Fp {
     Reg(u8),
     Stream(u8),
@@ -993,7 +1069,7 @@ enum Fp {
 /// registers or streams. Resolved once, it holds for a whole loop
 /// replay, because a straight-line body holds no SSR op that could
 /// change which registers stream.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Step {
     Li {
         rd: IntReg,
@@ -1205,7 +1281,7 @@ impl Body {
 }
 
 /// Where a load or store of a closed-form body is in the lent words:
-/// the word its next trip accesses, and the words it moves per trip.
+/// the word its first trip accesses, and the words it moves per trip.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
     word: usize,
@@ -1236,12 +1312,11 @@ impl Cursor {
         })
     }
 
-    /// The word this trip accesses; moves on to the next trip's.
+    /// The word trip `trip` accesses.
     #[inline(always)]
-    fn next(&mut self) -> usize {
-        let word = self.word;
-        self.word = word.wrapping_add_signed(self.stride);
-        word
+    fn at(self, trip: u64) -> usize {
+        self.word
+            .wrapping_add_signed(self.stride.wrapping_mul(trip as isize))
     }
 }
 
@@ -1684,6 +1759,32 @@ mod tests {
         let mut port = VecPort::new(vec![]);
         let err = Interpreter::new().run(&p, &mut port).unwrap_err();
         assert!(matches!(err, ExecError::PcOutOfRange { .. }));
+    }
+
+    /// A fast-forwarded loop's clock shift and stall sum saturate: 2^26
+    /// trips of a 2^40-cycle taken-branch bubble end past `u64::MAX`,
+    /// where the clocks stay.
+    #[test]
+    fn fast_forwarded_clocks_saturate() {
+        let mut b = ProgramBuilder::new();
+        b.li(x(1), 1 << 26);
+        let top = b.label();
+        b.bind(top);
+        b.addi(x(1), x(1), -1);
+        b.bnez(x(1), top);
+        b.halt();
+        let p = b.build().unwrap();
+        let timing = CoreTiming {
+            branch_taken_penalty: 1 << 40,
+            max_steps: u64::MAX,
+            ..CoreTiming::snitch()
+        };
+        let report = Interpreter::with_timing(timing)
+            .run(&p, &mut VecPort::new(vec![]))
+            .unwrap();
+        assert_eq!(report.finish, Cycle::new(u64::MAX));
+        assert_eq!(report.branches, 1 << 26);
+        assert!(!p.is_compiled(), "a run that reaches the end of time");
     }
 
     /// The lent-words check passes an access only when every trip's

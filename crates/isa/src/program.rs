@@ -2,9 +2,11 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
+use crate::exec::Compiled;
 use crate::{FpReg, IntReg, MicroOp};
 
 /// A forward-referenceable jump target handed out by
@@ -86,9 +88,48 @@ impl Error for BuildError {}
 ///
 /// Construct with [`ProgramBuilder`]; a `Program` always ends in
 /// [`MicroOp::Halt`] and all branch targets are resolved in-range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A program also holds the compiled form the
+/// [`Interpreter`](crate::Interpreter) keeps after its first successful
+/// run on a conflict-free port that lends its words. Clones share it,
+/// so every copy of a program finds the form the first run built; a
+/// newly built or parsed program starts without one. Equality, `Debug`
+/// and the JSON form see the ops alone.
+#[derive(Clone)]
 pub struct Program {
     ops: Vec<MicroOp>,
+    compiled: Arc<OnceLock<Compiled>>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops
+    }
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program").field("ops", &self.ops).finish()
+    }
+}
+
+impl Serialize for Program {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.field("ops", &self.ops);
+        w.end_object();
+    }
+}
+
+impl Deserialize for Program {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        /// A program's JSON form: its ops.
+        #[derive(Deserialize)]
+        struct Ops {
+            ops: Vec<MicroOp>,
+        }
+        Ok(Program::from_ops_unchecked(Ops::deserialize(r)?.ops))
+    }
 }
 
 /// One annotation attached to a [`Program::listing_annotated`] listing:
@@ -112,7 +153,23 @@ impl Program {
     /// [`ExecError`](crate::ExecError). Regular code should always go
     /// through [`ProgramBuilder`].
     pub fn from_ops_unchecked(ops: Vec<MicroOp>) -> Self {
-        Program { ops }
+        Program {
+            ops,
+            compiled: Arc::default(),
+        }
+    }
+
+    /// `true` once a run has compiled the program: a later run with the
+    /// same core timing, on a conflict-free port that lends as many
+    /// words, executes only the compiled run's data flow (see
+    /// [`Interpreter::run_from`](crate::Interpreter::run_from)).
+    pub fn is_compiled(&self) -> bool {
+        self.compiled.get().is_some_and(Compiled::has_plan)
+    }
+
+    /// The cell the program's clones share its compiled form in.
+    pub(crate) fn compiled(&self) -> &OnceLock<Compiled> {
+        &self.compiled
     }
 
     /// The ops in execution order.
@@ -393,7 +450,7 @@ impl ProgramBuilder {
                 });
             }
         }
-        Ok(Program { ops: self.ops })
+        Ok(Program::from_ops_unchecked(self.ops))
     }
 }
 

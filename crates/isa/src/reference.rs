@@ -343,8 +343,8 @@ mod tests {
     };
 
     use crate::{
-        CoreTiming, FpReg, IntReg, Interpreter, MemoryPort, PortError, Program, ProgramBuilder,
-        VecPort,
+        CoreTiming, ExecReport, FpReg, IntReg, Interpreter, MemoryPort, PortError, Program,
+        ProgramBuilder, VecPort, Words,
     };
     use mpsoc_sim::Cycle;
 
@@ -381,6 +381,31 @@ mod tests {
         }
     }
 
+    /// A conflict-free memory that lends its words as raw bits, as the
+    /// SoC's ideal TCDM does.
+    #[derive(Debug, Clone)]
+    struct BitsPort(Vec<u64>);
+
+    impl MemoryPort for BitsPort {
+        fn load(&mut self, addr: u64) -> Result<f64, PortError> {
+            Ok(f64::from_bits(self.0[word(addr, self.0.len())?]))
+        }
+
+        fn store(&mut self, addr: u64, value: f64) -> Result<(), PortError> {
+            let i = word(addr, self.0.len())?;
+            self.0[i] = value.to_bits();
+            Ok(())
+        }
+
+        fn conflict_free(&self) -> bool {
+            true
+        }
+
+        fn words(&mut self) -> Option<Words<'_>> {
+            Some(Words::Bits(&mut self.0))
+        }
+    }
+
     fn word(addr: u64, words: usize) -> Result<usize, PortError> {
         let i = (addr / 8) as usize;
         if addr % 8 != 0 || i >= words {
@@ -413,53 +438,99 @@ mod tests {
 
     /// Runs `program` from `start` through both interpreters, each on
     /// its own copy of `port`: they must return the same result and
-    /// leave memory bit-identical.
+    /// leave memory bit-identical. Returns the report of a run that
+    /// succeeded.
     fn same<P: MemoryPort + Clone>(
         program: &Program,
         timing: &CoreTiming,
         start: u64,
         port: P,
         memory: impl Fn(&P) -> Vec<u64>,
-    ) -> Result<(), TestCaseError> {
+    ) -> Result<Option<ExecReport>, TestCaseError> {
         let (mut fast, mut slow) = (port.clone(), port);
         let start = Cycle::new(start);
         let got = Interpreter::with_timing(*timing).run_from(program, start, &mut fast);
         let want = super::run_from(timing, program, start, &mut slow);
-        prop_assert_eq!(got, want, "{timing:?}\n{}", program.listing());
+        prop_assert_eq!(got, want, "{timing:?} from {start}\n{}", program.listing());
         prop_assert!(
             memory(&fast) == memory(&slow),
             "memory differs\n{}",
             program.listing()
         );
-        Ok(())
+        Ok(got.ok())
     }
 
-    /// Compares the two interpreters with each core timing, on a
-    /// conflict-free `VecPort`, which lends its words, on a conflict-free
-    /// port that lends none, so closed-form trips take the checked path,
-    /// and on a port that delays grants. Returns the number of runs
-    /// compared.
+    /// What [`check`] compared.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Tally {
+        /// Runs compared.
+        runs: u64,
+        /// Second runs of a program on a port that lends its words.
+        second: u64,
+        /// Those that ran the program's compiled form.
+        compiled: u64,
+        /// Closed-form loops in the compiled plans, and those of them
+        /// that run op-major.
+        loops: usize,
+        major: usize,
+    }
+
+    /// Compares the two interpreters with each core timing, on a copy of
+    /// `program` that no run has compiled: on a conflict-free `VecPort`,
+    /// which lends its words, so a successful run compiles the copy; on
+    /// a conflict-free port that lends none, so closed-form trips take
+    /// the checked path; and on a port that delays grants. Then runs the
+    /// copy again on fresh memory, on a `VecPort` and on a port that
+    /// lends bits, from a later start, where a compiled form runs, and
+    /// from a start within the first run's reach of the end of time,
+    /// where it must not.
     fn check(
         program: &Program,
         words: &[f64],
         start: u64,
         max_steps: u64,
         timings: &[CoreTiming],
-    ) -> Result<u64, TestCaseError> {
+    ) -> Result<Tally, TestCaseError> {
+        let mut tally = Tally::default();
         for &(mut timing) in timings {
             timing.max_steps = max_steps;
+            let program = Program::from_ops_unchecked(program.ops().to_vec());
             let vec_port = VecPort::new(words.to_vec());
-            same(program, &timing, start, vec_port, |p| bits(p.data()))?;
+            let first = same(&program, &timing, start, vec_port, |p| bits(p.data()))?;
             for delay in [0, 2] {
                 let port = Port {
                     words: words.to_vec(),
                     delay,
                     grants: 0,
                 };
-                same(program, &timing, start, port, |p| bits(&p.words))?;
+                same(&program, &timing, start, port, |p| bits(&p.words))?;
+            }
+            // The compiled form's reach: past its finish by at most the
+            // load latency or a cycle.
+            let near_end = match first {
+                Some(report) => {
+                    let span = report.finish.as_u64() - start;
+                    u64::MAX - span - timing.load_latency.max(1) + 1
+                }
+                None => u64::MAX / 2,
+            };
+            let fresh: Vec<f64> = words.iter().map(|w| 1.0 - 0.5 * w).collect();
+            for later in [start + 1 + start % 977, near_end] {
+                let vec_port = VecPort::new(fresh.clone());
+                same(&program, &timing, later, vec_port, |p| bits(p.data()))?;
+                let bits_port = BitsPort(bits(&fresh));
+                same(&program, &timing, later, bits_port, |p| p.0.clone())?;
+            }
+            tally.runs += 7;
+            tally.second += 4;
+            if let Some(compiled) = program.compiled().get().filter(|c| c.has_plan()) {
+                tally.compiled += 2;
+                let (loops, major) = compiled.loops();
+                tally.loops += loops;
+                tally.major += major;
             }
         }
-        Ok(3 * timings.len() as u64)
+        Ok(tally)
     }
 
     /// Draws bounded values from a fixed list of random words.
@@ -535,6 +606,93 @@ mod tests {
     /// Words of the test memory.
     const WORDS: u64 = 512;
 
+    /// How a shaped closed body fails the op-major conditions, if it
+    /// does.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Breaker {
+        /// It meets them all.
+        None,
+        /// A store writes the word the next trip loads.
+        StoreFeedsNextTrip,
+        /// A store's base does not move.
+        StrideZeroStore,
+        /// A pair store overlaps the next trip's pair.
+        PairOverlap,
+        /// An FP register is carried across trips through two ops.
+        CarriedThroughTwoOps,
+        /// A carried register is read by another op after its writer.
+        CarriedAndRead,
+    }
+
+    /// Emits a closed body of loads from `x1` and `x2`, FP ops on what
+    /// the trip loaded or computed, a one-op recurrence and stores to
+    /// `x2`, with both pointers moving by one stride and every store
+    /// inside the stride-wide window of the loads from `x2`: the shape
+    /// the compiled plan runs op-major. Then, unless `breaker` is
+    /// [`Breaker::None`], the ops that make the trips dependent. The
+    /// caller emits the counter's decrement.
+    fn shaped_body(b: &mut ProgramBuilder, g: &mut Genes, breaker: Breaker) {
+        fn pick(g: &mut Genes, ready: &[FpReg]) -> FpReg {
+            ready[g.below(ready.len() as u64) as usize]
+        }
+        let (x1, x2, x5) = (IntReg::new(1), IntReg::new(2), IntReg::new(5));
+        let f = FpReg::new;
+        let words = if breaker == Breaker::PairOverlap {
+            1
+        } else {
+            1 + g.below(3) as i64
+        };
+        let at = |g: &mut Genes| 8 * g.below(words as u64) as i64;
+        // The invariant f31, and the registers the trip has written.
+        let mut ready = vec![f(31)];
+        for r in 0..1 + g.below(4) as u8 {
+            let base = if g.below(2) == 0 { x1 } else { x2 };
+            b.fld(f(r), base, at(g));
+            ready.push(f(r));
+        }
+        for r in 4..4 + g.below(3) as u8 {
+            let (fa, fb, fc) = (pick(g, &ready), pick(g, &ready), pick(g, &ready));
+            match g.below(3) {
+                0 => b.fmadd(f(r), fa, fb, fc),
+                1 => b.fadd(f(r), fa, fb),
+                _ => b.fmul(f(r), fa, fb),
+            }
+            ready.push(f(r));
+        }
+        if g.below(2) == 0 {
+            b.fmadd(f(9), pick(g, &ready), pick(g, &ready), f(9));
+        }
+        for _ in 0..1 + g.below(2) {
+            let value = pick(g, &ready);
+            if words >= 2 && g.below(2) == 0 {
+                let offset = 8 * g.below(words as u64 - 1) as i64;
+                b.fsd_pair(value, pick(g, &ready), x2, offset);
+            } else {
+                b.fsd(value, x2, at(g));
+            }
+        }
+        match breaker {
+            Breaker::None => {}
+            Breaker::StoreFeedsNextTrip => {
+                b.fld(f(10), x1, 0);
+                b.fsd(pick(g, &ready), x1, 8 * words);
+            }
+            Breaker::StrideZeroStore => b.fsd(pick(g, &ready), x5, 0),
+            Breaker::PairOverlap => b.fsd_pair(pick(g, &ready), pick(g, &ready), x2, 0),
+            Breaker::CarriedThroughTwoOps => {
+                b.fadd(f(7), f(7), pick(g, &ready));
+                b.fmul(f(7), f(7), f(31));
+                b.fsd(f(7), x2, at(g));
+            }
+            Breaker::CarriedAndRead => {
+                b.fmadd(f(8), pick(g, &ready), pick(g, &ready), f(8));
+                b.fsd(f(8), x2, at(g));
+            }
+        }
+        b.addi(x1, x1, 8 * words);
+        b.addi(x2, x2, 8 * words);
+    }
+
     /// The register an edge access walks memory through; no other op
     /// touches it.
     const EDGE: IntReg = IntReg::new(8);
@@ -568,28 +726,33 @@ mod tests {
 
     /// A random program of 1-3 counted loops of 1-40 trips. Each loop
     /// follows a few random ops and has a body of 1-10 straight-line
-    /// ops; some loops run with SSR streams enabled, a rare body holds a
-    /// nested hardware loop or an SSR toggle (and is never fast-forwarded),
-    /// and a hardware loop may trail.
+    /// ops. Half the programs are plain, the kind a run compiles. In the
+    /// others some loops run with SSR streams enabled, a rare body holds
+    /// a nested hardware loop or an SSR toggle (and is never
+    /// fast-forwarded), and a hardware loop may trail.
     ///
     /// Counters step down by 1, 2 or 3; some counts do not divide, and
     /// those loops end only when the fuel runs out. Some counters count
     /// bytes, serve as load/store bases and take a pointer bump
     /// mid-body. Half the bodies hold no integer op but self-increments,
     /// the shape the replay runs in closed form, with or without
-    /// streams; a quarter of those also hold a [`plan_edge`] access.
+    /// streams; a quarter of those also hold a [`plan_edge`] access. Of
+    /// the closed bodies without streams, a third are
+    /// [shaped](shaped_body): half of those meet the op-major conditions
+    /// and half break one of them.
     fn random_program(g: &mut Genes) -> Program {
         let mut b = ProgramBuilder::new();
         let (p1, p2) = (IntReg::new(1), IntReg::new(2));
         b.li(p1, 8 * g.below(64) as i64);
         b.li(p2, 8 * g.below(64) as i64);
         b.li(IntReg::new(5), 8 * g.below(128) as i64);
+        let plain = g.below(2) == 0;
         for l in 0..1 + g.below(3) {
             let counter = IntReg::new(10 + l as u8);
             for _ in 0..g.below(3) {
                 random_op(&mut b, g, counter, false, 1);
             }
-            let ssr = g.below(3) == 0;
+            let ssr = !plain && g.below(3) == 0;
             if ssr {
                 let count = g.below(120);
                 b.ssr_cfg(0, p1, 8, count, false);
@@ -602,6 +765,33 @@ mod tests {
             let step = 1 + g.below(3);
             let rest = if g.below(4) == 0 { g.below(step) } else { 0 };
             let trips = 1 + g.below(40);
+            if closed && !ssr && g.below(3) == 0 {
+                let breaker = [
+                    Breaker::StoreFeedsNextTrip,
+                    Breaker::StrideZeroStore,
+                    Breaker::PairOverlap,
+                    Breaker::CarriedThroughTwoOps,
+                    Breaker::CarriedAndRead,
+                ]
+                .get(g.below(10) as usize)
+                .copied()
+                .unwrap_or(Breaker::None);
+                // Loads from words [0, 128) and stores to [256, 384):
+                // the two pointers' ranges stay apart.
+                b.li(p1, 8 * g.below(8) as i64);
+                b.li(p2, 8 * (256 + g.below(8)) as i64);
+                b.li(counter, (step * trips + rest) as i64);
+                let top = b.label();
+                b.bind(top);
+                shaped_body(&mut b, g, breaker);
+                b.addi(counter, counter, -(step as i64));
+                b.bnez(counter, top);
+                // What the loop leaves in the accumulator and in two
+                // registers it writes.
+                b.fsd(FpReg::new(9), p2, 0);
+                b.fsd_pair(FpReg::new(4), FpReg::new(0), p2, 8);
+                continue;
+            }
             let edge = (closed && rest == 0 && g.below(4) == 0).then(|| plan_edge(g, trips));
             if let Some((start, _, _)) = edge {
                 b.li(EDGE, start);
@@ -638,6 +828,7 @@ mod tests {
                     continue;
                 }
                 match g.below(60) {
+                    _ if plain => random_op(&mut b, g, counter, closed, unit),
                     0 => {
                         b.frep(1 + g.below(3), 1);
                         b.fadd(g.fp(), g.fp(), g.fp());
@@ -652,7 +843,7 @@ mod tests {
                 b.ssr_disable();
             }
         }
-        if g.below(2) == 0 {
+        if !plain && g.below(2) == 0 {
             let ops = 1 + g.below(3) as u8;
             b.frep(1 + g.below(5), ops);
             for _ in 0..ops {
@@ -663,15 +854,41 @@ mod tests {
         b.build().expect("well-formed by construction")
     }
 
+    /// One case of [`fast_forward_matches_the_per_op_interpreter`].
+    fn random_case(
+        genes: &[u64],
+        start: u64,
+        fuel: u64,
+        seed: u64,
+    ) -> Result<Tally, TestCaseError> {
+        let program = random_program(&mut Genes {
+            words: genes,
+            at: 0,
+        });
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let words = memory(WORDS as usize, &mut rng);
+        // Small limits run out inside replayed loops; the largest
+        // bounds the loops a disturbed counter never ends.
+        let max_steps = [1 + seed % 64, 64 + seed % 1024, 1 + seed % 4096, 20_000][fuel as usize];
+        let timings = [
+            CoreTiming::snitch(),
+            CoreTiming::cva6(),
+            random_timing(&mut rng),
+        ];
+        check(&program, &words, start, max_steps, &timings)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        /// Fast-forwarding never changes what a program computes, when it
-        /// finishes, what it counts, or where it faults: random loop
-        /// nests, fuel limits that run out mid-loop, non-zero start
-        /// cycles, accesses that leave memory inside a replayed loop,
-        /// both cores, and ports that lend their words, lend none, or
-        /// delay grants.
+        /// Fast-forwarding and compiled runs never change what a program
+        /// computes, when it finishes, what it counts, or where it
+        /// faults: random loop nests, fuel limits that run out mid-loop,
+        /// non-zero start cycles, accesses that leave memory inside a
+        /// replayed loop, closed bodies whose trips are or are not
+        /// independent, both cores, ports that lend their words as
+        /// doubles or as bits, lend none, or delay grants, and second
+        /// runs from starts near the end of time.
         #[test]
         fn fast_forward_matches_the_per_op_interpreter(
             genes in prop::collection::vec(any::<u64>(), 48..160),
@@ -679,15 +896,34 @@ mod tests {
             fuel in 0u64..4,
             seed in any::<u64>(),
         ) {
-            let program = random_program(&mut Genes { words: &genes, at: 0 });
-            let mut rng = TestRng::from_name(&seed.to_string());
-            let words = memory(WORDS as usize, &mut rng);
-            // Small limits run out inside replayed loops; the largest
-            // bounds the loops a disturbed counter never ends.
-            let max_steps = [1 + seed % 64, 64 + seed % 1024, 1 + seed % 4096, 20_000][fuel as usize];
-            let timings = [CoreTiming::snitch(), CoreTiming::cva6(), random_timing(&mut rng)];
-            check(&program, &words, start, max_steps, &timings)?;
+            random_case(&genes, start, fuel, seed)?;
         }
+    }
+
+    /// The property above reaches compiled forms, and both kinds of
+    /// closed-form loop in their plans: over 1,024 of its cases, a share
+    /// of the second runs runs a compiled form, and some of the plans'
+    /// loops run op-major and some trip by trip. (`--nocapture` prints
+    /// the shares.)
+    #[test]
+    fn second_runs_reach_compiled_forms() {
+        let mut rng = TestRng::from_name("second runs");
+        let mut tally = Tally::default();
+        for _ in 0..1024 {
+            let genes: Vec<u64> = (0..48 + rng.below(112)).map(|_| rng.next_u64()).collect();
+            let case = random_case(&genes, rng.below(1_000_000), rng.below(4), rng.next_u64())
+                .expect("equivalent");
+            tally.second += case.second;
+            tally.compiled += case.compiled;
+            tally.loops += case.loops;
+            tally.major += case.major;
+        }
+        eprintln!(
+            "{} of {} second runs compiled; {} of {} loops op-major",
+            tally.compiled, tally.second, tally.major, tally.loops
+        );
+        assert!(tally.compiled * 10 > tally.second, "{tally:?}");
+        assert!(tally.major > 0 && tally.major < tally.loops, "{tally:?}");
     }
 
     /// Every zoo kernel's code, at sizes around its unroll factors and
@@ -745,10 +981,11 @@ mod tests {
                     CoreTiming::snitch().max_steps,
                     &timings,
                 )
-                .unwrap_or_else(|e| panic!("{} elems={elems}: {e}", kernel.name()));
+                .unwrap_or_else(|e| panic!("{} elems={elems}: {e}", kernel.name()))
+                .runs;
             }
         }
-        assert_eq!(runs, 10 * 13 * 6);
+        assert_eq!(runs, 10 * 13 * 2 * 7);
     }
 
     /// The completion high-water mark is part of the sampled state: here

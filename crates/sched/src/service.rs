@@ -198,7 +198,9 @@ impl ServiceBackend {
     /// # Errors
     ///
     /// Offload failures from the measured backend (e.g. a partition too
-    /// small for the job's TCDM footprint).
+    /// small for the job's TCDM footprint). A job the offload would
+    /// refuse before writing its operands is refused before they are
+    /// built.
     pub fn offload_cycles(
         &mut self,
         kernel: KernelId,
@@ -217,9 +219,10 @@ impl ServiceBackend {
                 if let Some(&cycles) = offload_cache.get(&(kernel, n, m)) {
                     return Ok(cycles);
                 }
+                let kernel_impl = kernel.instantiate();
+                offloader.check_offload(kernel_impl.as_ref(), n, n, mask)?;
                 let (x, y) = operands(n, *seed ^ n);
-                let run =
-                    offloader.offload_to(kernel.instantiate().as_ref(), &x, &y, mask, *strategy)?;
+                let run = offloader.offload_to(kernel_impl.as_ref(), &x, &y, mask, *strategy)?;
                 let cycles = run.cycles();
                 offload_cache.insert((kernel, n, m), cycles);
                 Ok(cycles)
@@ -238,7 +241,9 @@ impl ServiceBackend {
     ///
     /// # Errors
     ///
-    /// Host-run failures from the measured backend.
+    /// Host-run failures from the measured and co-simulated backends. A
+    /// run whose image does not fit in main memory is refused before its
+    /// operands are built.
     pub fn host_cycles(&mut self, kernel: KernelId, n: u64) -> Result<u64, SchedError> {
         match self {
             ServiceBackend::Measured {
@@ -256,8 +261,10 @@ impl ServiceBackend {
                 if let Some(&cycles) = host_cache.get(&(kernel, n)) {
                     return Ok(cycles);
                 }
+                let kernel_impl = kernel.instantiate();
+                offloader.check_host(kernel_impl.as_ref(), n, n)?;
                 let (x, y) = operands(n, *seed ^ n);
-                let (cycles, _) = offloader.run_on_host(kernel.instantiate().as_ref(), &x, &y)?;
+                let (cycles, _) = offloader.run_on_host(kernel_impl.as_ref(), &x, &y)?;
                 host_cache.insert((kernel, n), cycles);
                 Ok(cycles)
             }
@@ -354,7 +361,9 @@ mod tests {
 
     /// Staging builds each (kernel, core slice) program once: every
     /// memoized program equals a fresh build for its slice, and a second
-    /// identical submit builds no new program.
+    /// identical submit builds no new program. After the first submit
+    /// every memoized program carries a compiled form, so the second
+    /// runs the compiled forms, and its result still verifies.
     #[test]
     fn co_simulated_staging_builds_each_program_once() {
         let mut backend = co_simulated();
@@ -365,8 +374,13 @@ mod tests {
                     let ServiceBackend::CoSimulated { kernels, .. } = &backend else {
                         unreachable!("a co-simulated backend");
                     };
-                    let built = kernels[&kernel].programs();
+                    let memo = &kernels[&kernel];
+                    let built = memo.programs();
                     assert!(built > 0, "{kernel} n={n} m={m}");
+                    for slice in memo.slices() {
+                        let program = memo.codegen(&slice).expect("memoized");
+                        assert!(program.is_compiled(), "{kernel} n={n} m={m} {slice:?}");
+                    }
                     submit_and_verify(&mut backend, kernel, n, m);
                     let ServiceBackend::CoSimulated { kernels, .. } = &backend else {
                         unreachable!("a co-simulated backend");
@@ -419,6 +433,57 @@ mod tests {
             other => panic!("expected a main-memory error, got {other:?}"),
         }
         assert!(operand_cache.is_empty());
+    }
+
+    /// A measured offload far past main memory gets the typed
+    /// main-memory error from the offload's own planning checks before
+    /// its operands are built: at n = 2^40 they would be two 8 TiB
+    /// vectors.
+    #[test]
+    fn measured_offload_refuses_a_job_past_main_memory_before_its_operands() {
+        let mut backend = ServiceBackend::measured(
+            Offloader::new(SocConfig::with_clusters(8)).expect("soc"),
+            0xBEEF,
+        );
+        let n = 1u64 << 40;
+        let err = backend
+            .offload_cycles(KernelId::Daxpy, n, ClusterMask::first(1))
+            .expect_err("a job past main memory");
+        match err {
+            SchedError::Offload(OffloadError::MainMemoryOverflow { required, capacity }) => {
+                assert_eq!((required, capacity), (1024 + 2 * n, 1 << 22));
+            }
+            other => panic!("expected a main-memory error, got {other:?}"),
+        }
+    }
+
+    /// A host run at n = 2^40 gets the typed main-memory error before
+    /// its operands are built: its image is x, y, the out slot, DAXPY's
+    /// scalar and the zero word.
+    fn host_run_past_main_memory(mut backend: ServiceBackend) {
+        let n = 1u64 << 40;
+        let err = backend
+            .host_cycles(KernelId::Daxpy, n)
+            .expect_err("a run past main memory");
+        match err {
+            SchedError::Offload(OffloadError::MainMemoryOverflow { required, capacity }) => {
+                assert_eq!((required, capacity), (2 * n + 3, 1 << 22));
+            }
+            other => panic!("expected a main-memory error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn measured_host_run_refuses_an_image_past_main_memory_before_its_operands() {
+        host_run_past_main_memory(ServiceBackend::measured(
+            Offloader::new(SocConfig::with_clusters(8)).expect("soc"),
+            0xBEEF,
+        ));
+    }
+
+    #[test]
+    fn co_simulated_host_run_refuses_an_image_past_main_memory_before_its_operands() {
+        host_run_past_main_memory(co_simulated());
     }
 
     #[test]

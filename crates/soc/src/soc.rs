@@ -2756,11 +2756,14 @@ mod tests {
     /// observable: every submit's and every `advance_jobs`' result
     /// (completions in full), with the events delivered and the session
     /// time after it, the offload's outcome, and after each the
-    /// telemetry, stats, fault stats and the main-memory words the
-    /// tenants touch. Tenants overlap in time on random partitions of a
-    /// 4-cluster SoC whose HBM is sometimes narrower than a DMA burst,
+    /// telemetry, stats, fault stats and the main-memory and TCDM words
+    /// the tenants touch. Tenants overlap in time on random partitions of
+    /// a 4-cluster SoC whose HBM is sometimes narrower than a DMA burst,
     /// so chains queue behind each other and behind host transfers.
-    fn random_session(seed: u64, per_burst: bool) -> Vec<String> {
+    /// Every core runs one of a few [random programs](random_program):
+    /// shared copies of it, which find the compiled form its first run
+    /// built, or with `fresh` a new program for every core.
+    fn random_session(seed: u64, per_burst: bool, fresh: bool) -> Vec<String> {
         let mut rng = proptest::TestRng::from_name(&seed.to_string());
         let mut cfg = SocConfig::with_clusters(4);
         cfg.cores_per_cluster = 1 + rng.below(2) as usize;
@@ -2785,6 +2788,8 @@ mod tests {
             }
         }
         soc.install_faults(plan);
+        let pool: Vec<Program> = (0..3).map(|_| random_program(&mut rng)).collect();
+        let programs = Programs { pool, fresh };
         let base = soc.map().main_base();
         let words: Vec<f64> = (0..4096).map(|_| rng.unit_f64()).collect();
         soc.main_mut()
@@ -2799,6 +2804,10 @@ mod tests {
             log.push(format!("{:?}", soc.faults().records()));
             let memory = soc.main().store().read_f64_slice(base, 4096 + 64).unwrap();
             log.push(format!("{:?}", bits(&memory)));
+            for tcdm in &soc.tcdms {
+                let words: Vec<u64> = (0..4400).map(|w| tcdm.read_u64(w).unwrap()).collect();
+                log.push(format!("{words:?}"));
+            }
         };
 
         let mut log = Vec::new();
@@ -2807,7 +2816,7 @@ mod tests {
         for _ in 0..2 + rng.below(10) {
             if rng.below(2) == 0 {
                 tenants += 1;
-                let (mask, program) = random_tenant(&mut soc, &mut rng, tenants);
+                let (mask, program) = random_tenant(&mut soc, &mut rng, &programs, tenants);
                 let at = soc.session_now() + Cycle::new(rng.below(2000));
                 let submitted = soc.submit_job(program, mask, at);
                 log.push(format!("submit {mask:?} at {at}: {submitted:?}"));
@@ -2834,7 +2843,7 @@ mod tests {
             }
         }
         snapshot(&mut soc, &mut log);
-        let (mask, program) = random_tenant(&mut soc, &mut rng, tenants + 1);
+        let (mask, program) = random_tenant(&mut soc, &mut rng, &programs, tenants + 1);
         let outcome = soc.run_offload(program, mask);
         log.push(format!("offload {mask:?}: {outcome:?}"));
         snapshot(&mut soc, &mut log);
@@ -2848,6 +2857,7 @@ mod tests {
     fn random_tenant(
         soc: &mut Soc,
         rng: &mut proptest::TestRng,
+        programs: &Programs,
         tenant: u64,
     ) -> (ClusterMask, HostProgram) {
         let mask = ClusterMask::from_bits(1 + rng.below(15));
@@ -2862,7 +2872,7 @@ mod tests {
         if soc.check_partition(mask).is_ok() {
             let cores = soc.config().cores_per_cluster;
             for cluster in mask.iter() {
-                soc.bind_job(cluster, random_job(rng, cores, main, completion));
+                soc.bind_job(cluster, random_job(rng, programs, cores, main, completion));
             }
         }
         let mut ops = vec![HostOp::PrepareOperands {
@@ -2902,10 +2912,78 @@ mod tests {
         words.iter().map(|w| w.to_bits()).collect()
     }
 
+    /// The programs a random session's cores run.
+    struct Programs {
+        pool: Vec<Program>,
+        /// Give every core a program of its own, built from the pool's
+        /// ops, which no run has compiled.
+        fresh: bool,
+    }
+
+    impl Programs {
+        /// `cores` copies of a random program of the pool.
+        fn draw(&self, rng: &mut proptest::TestRng, cores: usize) -> Vec<Program> {
+            let program = &self.pool[rng.below(self.pool.len() as u64) as usize];
+            if self.fresh {
+                let fresh = || Program::from_ops_unchecked(program.ops().to_vec());
+                (0..cores).map(|_| fresh()).collect()
+            } else {
+                vec![program.clone(); cores]
+            }
+        }
+    }
+
+    /// A core program: a countdown, or a loop of `y ← a·x + y` over up to
+    /// 40 elements of TCDM words the DMA transfers also touch, with `a`
+    /// the job's argument. Pointers move by one or two words per trip;
+    /// the store lands on the word the trip loaded, or on the one the
+    /// next trip loads, which makes the trips dependent.
+    fn random_program(rng: &mut proptest::TestRng) -> Program {
+        let mut b = ProgramBuilder::new();
+        let (x1, x2, x3, x4) = (
+            IntReg::new(1),
+            IntReg::new(2),
+            IntReg::new(3),
+            IntReg::new(4),
+        );
+        let (f0, f1, f2, a) = (FpReg::new(0), FpReg::new(1), FpReg::new(2), FpReg::new(31));
+        let trips = 1 + rng.below(40) as i64;
+        if rng.below(4) == 0 {
+            b.li(x3, trips);
+            let top = b.label();
+            b.bind(top);
+            b.addi(x3, x3, -1);
+            b.bnez(x3, top);
+            b.halt();
+            return b.build().unwrap();
+        }
+        let stride = 8 * (1 + rng.below(2) as i64);
+        let feeds_next = rng.below(3) == 0;
+        b.li(x1, 8 * (64 + rng.below(2000)) as i64);
+        b.li(x2, 8 * (2200 + rng.below(1800)) as i64);
+        b.li(x4, 64);
+        b.fld(a, x4, 0);
+        b.li(x3, trips);
+        let top = b.label();
+        b.bind(top);
+        b.fld(f0, x1, 0);
+        b.fld(f1, x2, 0);
+        b.fmadd(f2, a, f0, f1);
+        b.fsd(f2, x2, if feeds_next { stride } else { 0 });
+        b.addi(x1, x1, stride);
+        b.addi(x2, x2, stride);
+        b.addi(x3, x3, -1);
+        b.bnez(x3, top);
+        b.fsd(f2, x1, 0);
+        b.halt();
+        b.build().unwrap()
+    }
+
     /// A cluster job of 1-2 stages, each moving up to a few hundred words
-    /// in and out and running a short counted loop on every core.
+    /// in and out and running a random program on every core.
     fn random_job(
         rng: &mut proptest::TestRng,
+        programs: &Programs,
         cores: usize,
         main: Addr,
         completion: CompletionSignal,
@@ -2916,21 +2994,10 @@ mod tests {
             words: rng.below(300),
         };
         let stages = (0..1 + rng.below(2))
-            .map(|_| {
-                let mut b = ProgramBuilder::new();
-                let counter = IntReg::new(1);
-                b.li(counter, 1 + rng.below(30) as i64);
-                let top = b.label();
-                b.bind(top);
-                b.addi(counter, counter, -1);
-                b.bnez(counter, top);
-                b.halt();
-                let program = b.build().unwrap();
-                crate::JobStage {
-                    dma_in: (0..rng.below(3)).map(|_| transfer(rng)).collect(),
-                    programs: vec![program; cores],
-                    dma_out: (0..rng.below(2)).map(|_| transfer(rng)).collect(),
-                }
+            .map(|_| crate::JobStage {
+                dma_in: (0..rng.below(3)).map(|_| transfer(rng)).collect(),
+                programs: programs.draw(rng, cores),
+                dma_out: (0..rng.below(2)).map(|_| transfer(rng)).collect(),
             })
             .collect();
         ClusterJob {
@@ -2951,9 +3018,21 @@ mod tests {
         /// tenants and faults.
         #[test]
         fn inline_bursts_match_the_per_burst_oracle(seed in proptest::any::<u64>()) {
-            let inline = random_session(seed, false);
-            let oracle = random_session(seed, true);
+            let inline = random_session(seed, false, false);
+            let oracle = random_session(seed, true, false);
             proptest::prop_assert_eq!(inline, oracle);
+        }
+
+        /// Sharing programs among jobs, so that every run after a
+        /// program's first runs its compiled form, never changes what a
+        /// session or a blocking offload does: the same log as the same
+        /// session with a fresh program for every core, which compiles
+        /// each program on its one run.
+        #[test]
+        fn compiled_programs_match_fresh_programs(seed in proptest::any::<u64>()) {
+            let shared = random_session(seed, false, false);
+            let fresh = random_session(seed, false, true);
+            proptest::prop_assert_eq!(shared, fresh);
         }
     }
 }
