@@ -40,8 +40,22 @@ cargo fmt --check
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 
-# The eight self-asserting studies. Each checks its own claims and exits
-# non-zero when one fails (mpsoc_bench::study owns their command line):
+bin_dir="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
+
+echo "==> committed artifacts (results/ must regenerate byte for byte)"
+# The contract that makes changes to the cycle-exact core safe: every
+# artifact under results/ is a pure function of the code.
+# all_experiments walks the experiment registry (mpsoc_bench::study) at
+# full scale: the paper's figures and tables, the four extension sweeps
+# (pipelined offloads, SoC-config variants, codegen and banked-TCDM
+# ablations), one traced offload (offload_profile: two interleaved DMA
+# chains, so its Chrome trace pins the SoC's own telemetry, HBM queueing
+# instants included) and the eight studies. Every entry checks its own
+# claims, and a false one fails the run:
+# - the paper entries: Fig. 1's shapes and the >300-cycle gap at M=32,
+#   MAPE < 1%, every Eq. 3 decision confirmed, and the ablation,
+#   kernel-sweep, break-even and energy claims; the extensions likewise;
+# - offload_profile: a schema-valid trace whose phases sum to the run;
 # - sched_study: model-guided beating FIFO on miss rate, contention
 #   visible only to the co-simulated backend;
 # - interference: emergent co-resident slowdown, contention accounted;
@@ -61,59 +75,28 @@ trap 'rm -rf "$trace_dir"' EXIT
 #   nonzero per-backend rates, daemon GetStats == FleetSlo;
 # - lint_kernels: the whole kernel zoo and the JSON fixtures lint clean,
 #   warnings included.
-studies="sched_study interference fault_sweep serve_study cost_study chaos_study throughput_study lint_kernels"
-bin_dir="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
-
-echo "==> committed artifacts (results/ must regenerate byte for byte)"
-# The contract that makes changes to the cycle-exact core safe: every
-# study artifact under results/ is a pure function of the code. Runs
-# all_experiments and every study at full scale, with no flags so each
-# writes its default results/ path, and the four extension experiments
-# (pipelined offloads, SoC-config variants, codegen and banked-TCDM
-# ablations), which write only with --json, and one traced offload
-# (`offload_profile`: two interleaved DMA chains, so its Chrome trace
-# pins the SoC's own telemetry, HBM queueing instants included; the bin
-# also schema-validates that trace and checks the phase-sum invariant),
-# from a temporary directory (so neither results/ nor the BENCH_*.json
-# sidecars in the tree are rewritten), and fails on any byte difference.
-extensions="pipeline sensitivity codegen_ablation bank_ablation"
+# It runs from a temporary directory (so neither results/ nor the
+# BENCH_*.json sidecars in the tree are rewritten), and the diff fails
+# on any byte difference.
 artifact_dir="$trace_dir/artifacts"
 mkdir -p "$artifact_dir"
-(
-    cd "$artifact_dir"
-    "$bin_dir/all_experiments" > /dev/null
-    for study in $studies; do
-        "$bin_dir/$study" > /dev/null
-    done
-    for bin in $extensions; do
-        "$bin_dir/$bin" --json "results/$bin.json" > /dev/null
-    done
-    "$bin_dir/offload_profile" --n 256 --m 2 --clusters 4 \
-        --trace results/offload_profile.trace.json \
-        --json results/offload_profile.json > /dev/null
-)
+(cd "$artifact_dir" && "$bin_dir/all_experiments" > /dev/null)
 diff -r results "$artifact_dir/results"
 
-echo "==> study smoke tests (self-asserting, replayed with profiling off)"
-# Each study runs its smoke grid and writes the report, then replays it
-# with the self-profiler off: the replay re-runs the study and requires
-# the same bytes. That one run is the determinism gate (the shared SoC
-# session, fault injection, strikes, evacuation and the serving path's
-# wire frames are pure functions of the seed), the replay gate and the
-# profiling-off gate (a disabled profiler scope is a single branch and
-# must not leak into cycle-domain output).
-for study in $studies; do
-    echo "==> $study smoke test"
-    out="$trace_dir/$study.json"
-    exports=()
-    if [ "$study" = throughput_study ]; then
-        exports=(--flamegraph "$trace_dir/throughput.folded"
-            --chrome "$trace_dir/throughput.trace.json")
-    fi
-    "$bin_dir/$study" --smoke --json "$out" "${exports[@]}" > /dev/null
-    test -s "$out"
-    MPSOC_PROFILE=0 "$bin_dir/$study" --smoke --replay "$out" > /dev/null
-done
+echo "==> smoke run, replayed with profiling off"
+# Every entry runs its smoke grid (an entry without one runs as it is)
+# and writes its files, then the replay re-runs every entry with the
+# self-profiler off and requires the same bytes. That one replay is the
+# determinism gate (the shared SoC session, fault injection, strikes,
+# evacuation and the serving path's wire frames are pure functions of
+# the seed), the replay gate and the profiling-off gate (a disabled
+# profiler scope is a single branch and must not leak into cycle-domain
+# output).
+"$bin_dir/all_experiments" --smoke --out "$trace_dir/smoke" \
+    --flamegraph "$trace_dir/throughput.folded" \
+    --chrome "$trace_dir/throughput.trace.json" > /dev/null
+MPSOC_PROFILE=0 "$bin_dir/all_experiments" --smoke --replay "$trace_dir/smoke" > /dev/null
+test -z "$(find "$trace_dir/smoke" -type f -empty)"
 test -s "$trace_dir/throughput.folded"
 test -s "$trace_dir/throughput.trace.json"
 

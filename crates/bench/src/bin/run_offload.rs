@@ -5,12 +5,21 @@
 //! cargo run --release -p mpsoc-bench --bin run_offload -- \
 //!     [--kernel daxpy|daxpy-ssr|axpby|scale|vecadd|memset|dot|sum|gemv|stencil3] \
 //!     [--n 1024] [--m 8] [--strategy baseline|extended] [--stages 1] \
-//!     [--clusters 32] [--timeline] [--host] [--seed 42]
+//!     [--clusters 32] [--timeline] [--host] [--seed 42] [--trace out.trace.json]
 //! ```
 //!
 //! Prints the runtime, phase breakdown, verification verdict, energy
 //! estimate and (optionally) the per-cluster timeline; `--host` also
 //! executes the kernel on the CVA6-class host core for comparison.
+//!
+//! `--trace` turns on typed-event telemetry, prints the per-phase cycle
+//! attribution with its residuals against the paper's Eq. 1, and writes
+//! a Perfetto-loadable Chrome trace: one track per hardware unit — host,
+//! per-cluster DMA engines and worker cores, the credit unit — with
+//! dispatch, DMA, compute and synchronization spans in cycles. Open it
+//! in <https://ui.perfetto.dev> (or `chrome://tracing`). The run fails
+//! when the phases do not sum to the runtime or the written trace fails
+//! the Chrome trace-event schema check.
 
 use mpsoc_bench::study;
 use mpsoc_kernels::{
@@ -19,6 +28,7 @@ use mpsoc_kernels::{
 use mpsoc_offload::{OffloadStrategy, Offloader};
 use mpsoc_sim::rng::SplitMix64;
 use mpsoc_soc::SocConfig;
+use mpsoc_telemetry::{chrome_trace_json, validate_chrome_trace, ModelTerms, ResidualAudit};
 
 fn kernel_by_name(name: &str) -> Result<Box<dyn Kernel>, String> {
     Ok(match name {
@@ -46,6 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--stages",
             "--clusters",
             "--seed",
+            "--trace",
         ],
         &["--timeline", "--host"],
     );
@@ -67,7 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rng.fill_f64(&mut x, -4.0, 4.0);
     rng.fill_f64(&mut y, -4.0, 4.0);
 
+    let trace = flags.path("--trace");
     let mut offloader = Offloader::new(SocConfig::with_clusters(clusters))?;
+    if trace.is_some() {
+        offloader.soc_mut().enable_telemetry(1 << 16);
+    }
     let run = offloader.offload_pipelined(kernel.as_ref(), &x, &y, m, strategy, stages)?;
     let verify = run.verify(kernel.as_ref(), &x, &y);
 
@@ -88,6 +103,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.outcome.poll_iterations,
         run.outcome.total_core_ops()
     );
+    if let Some(path) = trace {
+        let pb = run.outcome.phase_breakdown;
+        let audit = ResidualAudit::new(&pb, n, m as u64, &ModelTerms::paper());
+        print!("{}", audit.render());
+        if pb.total() != run.cycles() {
+            return Err(format!(
+                "phase attribution lost cycles: phases sum to {} but the run took {}",
+                pb.total(),
+                run.cycles()
+            )
+            .into());
+        }
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(&path, chrome_trace_json(offloader.soc().telemetry()))?;
+        let summary = validate_chrome_trace(&std::fs::read_to_string(&path)?)
+            .map_err(|e| format!("emitted trace fails schema validation: {e}"))?;
+        println!(
+            "trace   : {} events, {} spans, {} tracks -> {}",
+            summary.events,
+            summary.spans,
+            summary.tracks,
+            path.display()
+        );
+    }
     println!("verify  : {verify}");
     if flags.switch("--timeline") {
         println!("\n{}", run.outcome.render_timeline(100));

@@ -4,12 +4,11 @@
 //! with cycle-accurate per-bank FCFS arbitration enabled
 //! ([`BankMode::Banked`]) to quantify what bank conflicts would cost an
 //! unoptimized layout, and to justify the `Ideal` default.
-//!
-//! ```text
-//! cargo run --release -p mpsoc-bench --bin bank_ablation [-- --json out.json]
-//! ```
 
-use mpsoc_bench::{render_table, study, write_json, Harness, PAPER_M};
+use std::error::Error;
+
+use crate::study::{Output, Run};
+use crate::{render_table, Harness, PAPER_M};
 use mpsoc_mem::BankMode;
 use mpsoc_offload::OffloadStrategy;
 use mpsoc_soc::SocConfig;
@@ -24,8 +23,7 @@ struct Row {
     slowdown: f64,
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let json = study::json_flag();
+pub(super) fn run(_: &Run) -> Result<Output, Box<dyn Error>> {
     let n = 1024;
     let mut ideal = Harness::new()?;
     let mut banked_cfg = SocConfig::manticore();
@@ -72,15 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{}",
         render_table(&["M", "ideal", "banked", "conflicts", "slowdown"], &table)
     );
-    println!(
-        "banked mode is never faster: {}",
-        rows.iter().all(|r| r.banked >= r.ideal)
-    );
+    let never_faster = rows.iter().all(|r| r.banked >= r.ideal);
+    println!("banked mode is never faster: {never_faster}");
     println!("results remain numerically correct under contention: true (asserted per run)");
-
-    if let Some(path) = json {
-        write_json(&path, &rows)?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
+    Ok(Output::json(&rows)?.passed(never_faster))
 }

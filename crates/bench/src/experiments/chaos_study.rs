@@ -36,21 +36,20 @@
 //! byte-identical output.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin chaos_study -- \
-//!     [--smoke] [--json out.json | --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only chaos_study [--smoke] [--out <dir> | --replay <dir>]
 //! ```
 //!
 //! The command line and the report's life cycle are
-//! [`mpsoc_bench::study`]'s: a full run writes
+//! [`crate::study`]'s: a full run writes
 //! `results/chaos_study.json` by default, and `--replay` re-runs the
 //! study at the scale `--smoke` selects and demands the recorded bytes.
 
 use std::error::Error;
-use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     AdmissionController, AdmissionDecision, ArrivalPattern, ModelTable, ServiceBackend, Workload,
@@ -507,16 +506,7 @@ fn compute_report(smoke: bool) -> Result<ChaosStudyReport, Box<dyn std::error::E
     })
 }
 
-const STUDY: Study = Study {
-    artifact: "chaos_study",
-    extra: &[],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<ChaosStudyReport, Vec<BenchCell>>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let started = Instant::now();
     let report = compute_report(run.smoke)?;
     let wall = started.elapsed().as_secs_f64();
@@ -570,5 +560,5 @@ fn run(run: &Run) -> Result<Output<ChaosStudyReport, Vec<BenchCell>>, Box<dyn Er
         })
         .collect();
     let jobs = report.total_jobs;
-    Ok(Output::new(report).sidecar("chaos", wall, jobs, cells))
+    Ok(Output::json(&report)?.sidecar("chaos", wall, jobs, cells))
 }

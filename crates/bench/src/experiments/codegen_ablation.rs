@@ -4,12 +4,11 @@
 //! both codegens through the identical offload machinery and refits the
 //! Eq. 1 model for each, showing how the compute share of the parallel
 //! coefficient drops from 2.6/8 to 1/8 while everything else stays put.
-//!
-//! ```text
-//! cargo run --release -p mpsoc-bench --bin codegen_ablation [-- --json out.json]
-//! ```
 
-use mpsoc_bench::{render_table, study, write_json, Harness, PAPER_M};
+use std::error::Error;
+
+use crate::study::{Output, Run};
+use crate::{render_table, Harness, PAPER_M};
 use mpsoc_kernels::{Daxpy, DaxpySsr, Kernel};
 use mpsoc_offload::{OffloadStrategy, RuntimeModel, Sample};
 use mpsoc_sim::rng::SplitMix64;
@@ -30,7 +29,7 @@ fn measure(
     kernel: &dyn Kernel,
     n: u64,
     m: usize,
-) -> Result<u64, Box<dyn std::error::Error>> {
+) -> Result<u64, Box<dyn Error>> {
     let mut rng = SplitMix64::new(n ^ (m as u64) << 40);
     let mut x = vec![0.0; n as usize];
     let mut y = vec![0.0; n as usize];
@@ -43,8 +42,7 @@ fn measure(
     Ok(run.cycles())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let json = study::json_flag();
+pub(super) fn run(_: &Run) -> Result<Output, Box<dyn Error>> {
     let mut harness = Harness::new()?;
     let kernels: Vec<(&str, Box<dyn Kernel>)> = vec![
         (
@@ -109,23 +107,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scalar = &rows[0];
     let ssr = &rows[1];
     // Expected drop: (2.6 - 1.0)/8 = 0.2 in c_comp.
+    let claims = [
+        ((scalar.c_comp - ssr.c_comp) - 0.2).abs() < 0.03,
+        (scalar.c0 - ssr.c0).abs() < 6.0 && (scalar.c_mem - ssr.c_mem).abs() < 0.005,
+        ssr.t_8192_4 < scalar.t_8192_4,
+    ];
     println!(
         "c_comp drop {:.4} (expected ~0.20 = (2.6-1.0)/8): {}",
         scalar.c_comp - ssr.c_comp,
-        ((scalar.c_comp - ssr.c_comp) - 0.2).abs() < 0.03
+        claims[0]
     );
     println!(
         "c0 and c_mem unchanged (|Δ| < 6 cyc / 0.005): {}",
-        (scalar.c0 - ssr.c0).abs() < 6.0 && (scalar.c_mem - ssr.c_mem).abs() < 0.005
+        claims[1]
     );
     println!(
         "SSR wins end-to-end at the compute-heavy corner t(8192,4): {}",
-        ssr.t_8192_4 < scalar.t_8192_4
+        claims[2]
     );
-
-    if let Some(path) = json {
-        write_json(&path, &rows)?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
+    Ok(Output::json(&rows)?.passed(claims.iter().all(|&c| c)))
 }

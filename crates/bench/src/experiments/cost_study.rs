@@ -4,11 +4,11 @@
 //! cycle-accurate simulator.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin cost_study -- \
-//!     [--smoke] [--json out.json | --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only cost_study [--smoke] [--out <dir> | --replay <dir>]
 //! ```
 //!
-//! The binary asserts its own headline claim — **soundness**: in every
+//! The study asserts its own headline claim — **soundness**: in every
 //! cell the simulator-measured total and all five phase milestones lie
 //! within the static `[best, worst]` bounds; the host path's measured
 //! cycles lie within `bound_host_run`; and a co-simulated two-tenant
@@ -18,7 +18,7 @@
 //! visible, not just bounded. Exits non-zero on any violation.
 //!
 //! The command line and the report's life cycle are
-//! [`mpsoc_bench::study`]'s: a full run writes `results/cost_study.json`
+//! [`crate::study`]'s: a full run writes `results/cost_study.json`
 //! by default and the wall-clock `BENCH_cost.json` sidecar, and a run
 //! with violations writes its report before it exits 1. `--replay`
 //! re-runs the grid and demands the recorded bytes; since the fresh run
@@ -29,11 +29,10 @@
 //! [`PhaseBreakdown`]: mpsoc_telemetry::PhaseBreakdown
 
 use std::error::Error;
-use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_kernels::{zoo, Daxpy, Kernel};
 use mpsoc_lint::{bound_host_run, bound_offload, ContentionEnvelope};
 use mpsoc_offload::{ClusterMask, OffloadStrategy, Offloader, RuntimeCosts, SessionStep};
@@ -113,16 +112,7 @@ fn operands(kernel: &dyn Kernel, n: u64) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-const STUDY: Study = Study {
-    artifact: "cost_study",
-    extra: &[],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<CostReport, f64>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let smoke = run.smoke;
     let started = Instant::now();
     let (sizes, machines): (&[u64], &[usize]) = if smoke {
@@ -360,7 +350,7 @@ fn run(run: &Run) -> Result<Output<CostReport, f64>, Box<dyn Error>> {
     let cells = (report.rows.len() + report.host_rows.len() + report.cosim.len()) as u64;
     let wall = started.elapsed().as_secs_f64();
     let (tightness, passed) = (report.mean_tightness, report.violations == 0);
-    Ok(Output::new(report)
+    Ok(Output::json(&report)?
         .sidecar("cost", wall, cells, tightness)
         .passed(passed))
 }

@@ -3,11 +3,11 @@
 //! against every fault site of the simulated MPSoC:
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin fault_sweep -- \
-//!     [--smoke] [--json out.json | --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only fault_sweep [--smoke] [--out <dir> | --replay <dir>]
 //! ```
 //!
-//! Four sections, each self-asserting (the binary exits non-zero when a
+//! Four sections, each self-asserting (the run exits non-zero when a
 //! robustness claim fails, so CI can gate on it):
 //!
 //! 1. **Single-transient matrix** — exactly one fault per kind, forced
@@ -29,13 +29,12 @@
 //!
 //! Deterministic: two seed-equal runs serialize byte-identically (CI
 //! replays `--smoke` against its own artifact). The command line and the
-//! report's life cycle are [`mpsoc_bench::study`]'s.
+//! report's life cycle are [`crate::study`]'s.
 
 use std::error::Error;
-use std::process::ExitCode;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_kernels::{Daxpy, Kernel};
 use mpsoc_offload::{
     AttemptOutcome, OffloadStrategy, Offloader, RecoveredResult, RecoveryPolicy, ResilientReport,
@@ -416,16 +415,7 @@ fn noop_byte_stability(n: usize, m: usize) -> bool {
     true
 }
 
-const STUDY: Study = Study {
-    artifact: "fault_sweep",
-    extra: &[],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<FaultSweepReport>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let smoke = run.smoke;
 
     let (n, m) = if smoke { (256, 4) } else { (1024, 8) };
@@ -536,12 +526,12 @@ fn run(run: &Run) -> Result<Output<FaultSweepReport>, Box<dyn Error>> {
     let noop_byte_stable = noop_byte_stability(n, m);
     println!("zero-fault plan byte-stability: ok");
 
-    Ok(Output::new(FaultSweepReport {
+    Ok(Output::json(&FaultSweepReport {
         seed: SEED,
         smoke,
         transient,
         rates: rate_rows,
         quarantine,
         noop_byte_stable,
-    }))
+    })?)
 }

@@ -3,8 +3,8 @@
 //! × offered load × problem size:
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin interference -- \
-//!     [--smoke] [--json out.json | --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only interference [--smoke] [--out <dir> | --replay <dir>]
 //! ```
 //!
 //! Every tenant runs a closed-loop stream of DAXPY offloads on its own
@@ -25,21 +25,20 @@
 //! and compares its MAPE against the contention-blind three-parameter
 //! fit on the same co-resident samples.
 //!
-//! The binary asserts its own headline claims — every result verifies
+//! The study asserts its own headline claims — every result verifies
 //! against the golden reference, at least one two-tenant configuration
 //! makes *every* co-resident measurably slower than solo with the
 //! slowdown accounted by the tagged contention counters, and (full
 //! sweep) `c_int > 0` with a strictly better MAPE — and exits non-zero
 //! otherwise, so CI can use `--smoke` as a determinism-checked smoke
 //! test. The command line and the report's life cycle are
-//! [`mpsoc_bench::study`]'s.
+//! [`crate::study`]'s.
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::process::ExitCode;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_kernels::{Daxpy, Kernel};
 use mpsoc_offload::{ClusterMask, JobId, OffloadStrategy, Offloader, SessionStep};
 use mpsoc_sim::rng::SplitMix64;
@@ -269,16 +268,7 @@ fn mape(rows: &[(Vec<f64>, f64)], c: &[f64]) -> f64 {
     100.0 * total / rows.len() as f64
 }
 
-const STUDY: Study = Study {
-    artifact: "interference",
-    extra: &[],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<InterferenceReport>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let smoke = run.smoke;
 
     let clusters = if smoke { 16 } else { 32 };
@@ -512,7 +502,7 @@ fn run(run: &Run) -> Result<Output<InterferenceReport>, Box<dyn Error>> {
         Some(fit)
     };
 
-    Ok(Output::new(InterferenceReport {
+    Ok(Output::json(&InterferenceReport {
         clusters,
         mem_words_per_cycle: MEM_WORDS_PER_CYCLE,
         host_prep_words_per_cycle: HOST_PREP_WORDS_PER_CYCLE,
@@ -520,5 +510,5 @@ fn run(run: &Run) -> Result<Output<InterferenceReport>, Box<dyn Error>> {
         smoke,
         rows,
         fit,
-    }))
+    })?)
 }

@@ -6,22 +6,21 @@
 //! report is written, so the failing rows can be read.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin lint_kernels -- \
-//!     [--smoke] [--json out.json | --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only lint_kernels [--smoke] [--out <dir> | --replay <dir>]
 //! ```
 //!
 //! `--smoke` shrinks the size sweep. The command line and the report's
-//! life cycle are [`mpsoc_bench::study`]'s: a full run writes
+//! life cycle are [`crate::study`]'s: a full run writes
 //! `results/lint_kernels.json` by default, and `--replay` re-runs and
 //! byte-compares.
 
 use std::error::Error;
 use std::fs;
 use std::path::Path;
-use std::process::ExitCode;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_isa::Program;
 use mpsoc_kernels::zoo;
 use mpsoc_lint::descriptor::{lint_core_tiles, reference_slices};
@@ -40,16 +39,7 @@ struct LintRow {
     errors: usize,
 }
 
-const STUDY: Study = Study {
-    artifact: "lint_kernels",
-    extra: &[],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<Vec<LintRow>>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let sizes: &[u64] = if run.smoke { &[1, 64, 250] } else { &SIZES };
     let cx = LintContext::manticore();
     let mut rows: Vec<LintRow> = Vec::new();
@@ -179,5 +169,5 @@ fn run(run: &Run) -> Result<Output<Vec<LintRow>>, Box<dyn Error>> {
         println!("findings:\n{failures}");
     }
     println!("total: {warnings} warning(s), {errors} error(s)");
-    Ok(Output::new(rows).passed(warnings == 0 && errors == 0))
+    Ok(Output::json(&rows)?.passed(warnings == 0 && errors == 0))
 }

@@ -3,12 +3,11 @@
 //! term of Eq. 1 from `(c_dma + c_compute)·N/M` toward
 //! `max(c_dma, c_compute)·N/M`. This sweep quantifies the win across
 //! problem sizes and stage counts on the extended runtime.
-//!
-//! ```text
-//! cargo run --release -p mpsoc-bench --bin pipeline [-- --json out.json]
-//! ```
 
-use mpsoc_bench::{render_table, study, write_json};
+use std::error::Error;
+
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_kernels::Daxpy;
 use mpsoc_offload::{OffloadStrategy, Offloader};
 use mpsoc_sim::rng::SplitMix64;
@@ -25,8 +24,7 @@ struct Row {
     best_speedup: f64,
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let json = study::json_flag();
+pub(super) fn run(_: &Run) -> Result<Output, Box<dyn Error>> {
     let mut off = Offloader::new(SocConfig::manticore())?;
     let kernel = Daxpy::new(2.0);
     let mut rows = Vec::new();
@@ -96,10 +94,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "largest win {:.3}×",
         rows.iter().map(|r| r.best_speedup).fold(0.0f64, f64::max)
     );
-
-    if let Some(path) = json {
-        write_json(&path, &rows)?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
+    Ok(Output::json(&rows)?.passed(coarse_wins && fine_loses))
 }

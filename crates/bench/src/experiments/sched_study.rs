@@ -16,21 +16,20 @@
 //! solo-run premise hides.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin sched_study -- \
-//!     [--smoke] [--json out.json | --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only sched_study [--smoke] [--out <dir> | --replay <dir>]
 //! ```
 //!
 //! `--smoke` shrinks the sweep (one machine, two loads, fewer jobs) for
 //! CI determinism gating; the statistical thesis assertions only run on
 //! the full sweep, where the sample sizes make them meaningful. The
 //! command line and the report's life cycle are
-//! [`mpsoc_bench::study`]'s.
+//! [`crate::study`]'s.
 
 use std::error::Error;
-use std::process::ExitCode;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     all_policies, calibrate, ArrivalPattern, CalibrationGrid, Engine, ServiceBackend, Workload,
@@ -62,16 +61,7 @@ struct SchedStudyRow {
 
 const SEED: u64 = 0x5EED_DA7E;
 
-const STUDY: Study = Study {
-    artifact: "sched_study",
-    extra: &[],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<Vec<SchedStudyRow>>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let smoke = run.smoke;
     let (jobs_per_cell, loads, machines): (usize, &[f64], &[usize]) = if smoke {
         (40, &[0.5, 2.5], &[8])
@@ -238,5 +228,5 @@ fn run(run: &Run) -> Result<Output<Vec<SchedStudyRow>>, Box<dyn Error>> {
          (invisible to the measured backend)",
         peak.clusters, peak.offered_load, peak.policy, peak.mean_contention_cycles
     );
-    Ok(Output::new(rows))
+    Ok(Output::json(&rows)?)
 }

@@ -5,12 +5,11 @@
 //! wake/ISR/setup latencies one-for-one, the serial term tracks the
 //! host's preparation throughput, and the parallel term tracks the DMA
 //! width — while the *form* of the model survives every variation.
-//!
-//! ```text
-//! cargo run --release -p mpsoc-bench --bin sensitivity [-- --json out.json]
-//! ```
 
-use mpsoc_bench::{render_table, study, write_json, Harness, PAPER_M};
+use std::error::Error;
+
+use crate::study::{Output, Run};
+use crate::{render_table, Harness, PAPER_M};
 use mpsoc_offload::{RuntimeModel, Sample};
 use mpsoc_soc::SocConfig;
 use serde::Serialize;
@@ -24,7 +23,7 @@ struct Row {
     r_squared: f64,
 }
 
-fn fit_variant(name: &str, config: SocConfig) -> Result<Row, Box<dyn std::error::Error>> {
+fn fit_variant(name: &str, config: SocConfig) -> Result<Row, Box<dyn Error>> {
     let mut harness = Harness::with_config(config)?;
     let ns = [384u64, 768, 1536, 3072];
     let mut samples = Vec::new();
@@ -48,8 +47,7 @@ fn fit_variant(name: &str, config: SocConfig) -> Result<Row, Box<dyn std::error:
     })
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let json = study::json_flag();
+pub(super) fn run(_: &Run) -> Result<Output, Box<dyn Error>> {
     let mut rows = Vec::new();
 
     rows.push(fit_variant(
@@ -100,23 +98,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prep = &rows[2];
     let dma = &rows[3];
     let irq = &rows[5];
+    let claims = [
+        (wake.c0 - base.c0) > 20.0 && (wake.c_mem - base.c_mem).abs() < 0.005,
+        (prep.c_mem - base.c_mem / 2.0).abs() < 0.02,
+        dma.c_comp < base.c_comp - 0.05 && (dma.c_mem - base.c_mem).abs() < 0.005,
+        rows.iter().all(|r| r.r_squared > 0.9999),
+    ];
     println!(
         "doubling wake latency moves only c0 (Δc0 = {:+.0}, Δc_mem = {:+.4}): {}",
         wake.c0 - base.c0,
         wake.c_mem - base.c_mem,
-        (wake.c0 - base.c0) > 20.0 && (wake.c_mem - base.c_mem).abs() < 0.005
+        claims[0]
     );
     println!(
         "doubling prep throughput halves c_mem ({:.4} -> {:.4}): {}",
-        base.c_mem,
-        prep.c_mem,
-        (prep.c_mem - base.c_mem / 2.0).abs() < 0.02
+        base.c_mem, prep.c_mem, claims[1]
     );
     println!(
         "doubling DMA width moves only c_comp ({:.4} -> {:.4}): {}",
-        base.c_comp,
-        dma.c_comp,
-        dma.c_comp < base.c_comp - 0.05 && (dma.c_mem - base.c_mem).abs() < 0.005
+        base.c_comp, dma.c_comp, claims[2]
     );
     println!(
         "+40 IRQ cycles adds ~40 to c0 (Δc0 = {:+.0})",
@@ -124,12 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "the Eq. 1 form survives every variant (r² > 0.9999): {}",
-        rows.iter().all(|r| r.r_squared > 0.9999)
+        claims[3]
     );
-
-    if let Some(path) = json {
-        write_json(&path, &rows)?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
+    Ok(Output::json(&rows)?.passed(claims.iter().all(|&c| c)))
 }

@@ -28,20 +28,19 @@
 //! byte-identical output.
 //!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin serve_study -- \
-//!     [--smoke] [--json out.json | --replay recorded.json]
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only serve_study [--smoke] [--out <dir> | --replay <dir>]
 //! ```
 //!
 //! The command line and the report's life cycle are
-//! [`mpsoc_bench::study`]'s: a full run writes
+//! [`crate::study`]'s: a full run writes
 //! `results/serve_study.json` by default.
 
 use std::error::Error;
-use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     AdmissionController, AdmissionDecision, ArrivalPattern, ModelTable, ServiceBackend, Workload,
@@ -216,16 +215,7 @@ fn run_cell(
     Ok((row, slo))
 }
 
-const STUDY: Study = Study {
-    artifact: "serve_study",
-    extra: &[],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<ServeStudyReport, Vec<BenchCell>>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let smoke = run.smoke;
     let (loads, shard_counts, jobs_per_cell, witness_jobs): (&[f64], &[usize], usize, usize) =
         if smoke {
@@ -455,5 +445,5 @@ fn run(run: &Run) -> Result<Output<ServeStudyReport, Vec<BenchCell>>, Box<dyn Er
         total_jobs,
         rows,
     };
-    Ok(Output::new(report).sidecar("serve", wall, total_jobs, cells))
+    Ok(Output::json(&report)?.sidecar("serve", wall, total_jobs, cells))
 }

@@ -28,9 +28,14 @@
 //! 5. a live daemon answers `GetStats` with SLO quantiles equal —
 //!    field for field — to a direct [`FleetSlo`] summary of its fleet.
 //!
+//! The study switches the process-wide profiler on for its profiled
+//! pass and off for claim 3, then sets it back to what it found, so the
+//! entries that run after it in one `all_experiments` process keep the
+//! process's profiling state (`MPSOC_PROFILE`).
+//!
 //! ```text
-//! cargo run --release -p mpsoc-bench --bin throughput_study -- \
-//!     [--smoke] [--json out.json | --replay recorded.json] \
+//! cargo run --release -p mpsoc-bench --bin all_experiments -- \
+//!     --only throughput_study [--smoke] [--out <dir> | --replay <dir>] \
 //!     [--flamegraph out.folded] [--chrome out.trace.json]
 //! ```
 //!
@@ -38,14 +43,13 @@
 //! compatible); `--chrome` writes a `chrome://tracing` view of the
 //! profile tree. Both name output files, so neither goes with
 //! `--replay`. The rest of the command line and the report's life
-//! cycle are [`mpsoc_bench::study`]'s.
+//! cycle are [`crate::study`]'s.
 
 use std::error::Error;
-use std::process::ExitCode;
 use std::time::Instant;
 
-use mpsoc_bench::render_table;
-use mpsoc_bench::study::{self, Output, Run, Study};
+use crate::render_table;
+use crate::study::{Output, Run};
 use mpsoc_offload::Offloader;
 use mpsoc_sched::{
     ArrivalPattern, Engine, FifoFirstFit, KernelId, ModelTable, ServiceBackend, Workload,
@@ -89,6 +93,17 @@ struct ThroughputDetail {
 
 const SEED: u64 = 0x7410_0C75;
 const CLUSTERS: usize = 8;
+
+/// Sets the profiler switch back to what it captured when dropped, so
+/// the entry leaves the process's profiling state as it found it on
+/// every exit path.
+struct RestoreProfiling(bool);
+
+impl Drop for RestoreProfiling {
+    fn drop(&mut self) {
+        profile::set_enabled(self.0);
+    }
+}
 
 /// Runs one cell and returns its deterministic row plus the makespan
 /// (the simulated-cycle count the throughput meter charges).
@@ -211,16 +226,7 @@ fn assert_daemon_stats_exact() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-const STUDY: Study = Study {
-    artifact: "throughput",
-    extra: &["--flamegraph", "--chrome"],
-};
-
-fn main() -> ExitCode {
-    study::main(&STUDY, run)
-}
-
-fn run(run: &Run) -> Result<Output<ThroughputReport, ThroughputDetail>, Box<dyn Error>> {
+pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
     let smoke = run.smoke;
     let cells: Vec<(&str, Vec<usize>)> = if smoke {
         vec![
@@ -239,6 +245,7 @@ fn run(run: &Run) -> Result<Output<ThroughputReport, ThroughputDetail>, Box<dyn 
 
     // Profiled pass: the deterministic sweep under the profiler, with
     // an independent wall-clock measure around the same region.
+    let restore = RestoreProfiling(profile::enabled());
     profile::set_enabled(true);
     profile::reset();
     let mut meter = ThroughputMeter::new();
@@ -305,7 +312,7 @@ fn run(run: &Run) -> Result<Output<ThroughputReport, ThroughputDetail>, Box<dyn 
         profile::snapshot().roots.is_empty(),
         "disabled profiler must record no samples"
     );
-    profile::set_enabled(true);
+    drop(restore);
     println!("profiling-off replay: byte-identical ✓");
 
     // Claim 4: every backend sustained a nonzero simulation rate.
@@ -354,7 +361,7 @@ fn run(run: &Run) -> Result<Output<ThroughputReport, ThroughputDetail>, Box<dyn 
         rates,
         hot_sites: sites.into_iter().take(10).collect(),
     };
-    Ok(Output::new(ThroughputReport { smoke, rows }).sidecar(
+    Ok(Output::json(&ThroughputReport { smoke, rows })?.sidecar(
         "throughput",
         wall.as_secs_f64(),
         total_jobs,

@@ -453,13 +453,14 @@ mod tests {
     use super::*;
 
     /// A small-geometry harness so unit tests stay fast; full-size runs
-    /// are exercised by the CLI binaries and integration tests.
+    /// are exercised by `all_experiments` and the integration tests.
     fn small() -> Harness {
         Harness::with_config(SocConfig::with_clusters(8)).unwrap()
     }
 
     #[test]
     fn measure_daxpy_is_deterministic() {
+        let _serial = crate::simulating();
         let mut h = small();
         let a = h
             .measure_daxpy(512, 8, OffloadStrategy::extended())
@@ -472,6 +473,7 @@ mod tests {
 
     #[test]
     fn collect_samples_covers_grid() {
+        let _serial = crate::simulating();
         let mut h = small();
         let samples = h.collect_samples(&[256, 512], &[1, 2, 4]).unwrap();
         assert_eq!(samples.len(), 6);

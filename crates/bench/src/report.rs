@@ -1,4 +1,4 @@
-//! Table rendering and JSON artifact emission.
+//! Table rendering, CSV text and JSON artifact emission.
 
 use std::fs;
 use std::path::Path;
@@ -67,21 +67,10 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), Box<dyn st
     Ok(())
 }
 
-/// Writes rows of cells as an RFC-4180-ish CSV file (quotes any cell
-/// containing a comma, quote or newline), creating parent directories as
-/// needed.
-///
-/// # Errors
-///
-/// I/O failures.
-pub fn write_csv(
-    path: &Path,
-    header: &[&str],
-    rows: &[Vec<String>],
-) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
+/// Renders rows of cells as RFC-4180-ish CSV text (quotes any cell
+/// containing a comma, quote or newline), one line per row after the
+/// header.
+pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
     let quote = |cell: &str| -> String {
         if cell.contains([',', '"', '\n']) {
             format!("\"{}\"", cell.replace('"', "\"\""))
@@ -102,8 +91,7 @@ pub fn write_csv(
         out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
         out.push('\n');
     }
-    fs::write(path, out)?;
-    Ok(())
+    out
 }
 
 #[cfg(test)]
@@ -130,19 +118,11 @@ mod tests {
 
     #[test]
     fn csv_quotes_only_when_needed() {
-        let dir = std::env::temp_dir().join("mpsoc-bench-csv-test");
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
+        let text = to_csv(
             &["a", "b,with,commas"],
             &[vec!["1".into(), "say \"hi\"".into()]],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("a,\"b,with,commas\""));
-        assert_eq!(lines.next(), Some("1,\"say \"\"hi\"\"\""));
-        std::fs::remove_dir_all(&dir).ok();
+        );
+        assert_eq!(text, "a,\"b,with,commas\"\n1,\"say \"\"hi\"\"\"\n");
     }
 
     #[test]

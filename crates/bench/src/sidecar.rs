@@ -1,5 +1,6 @@
 //! Wall-clock sidecar artifacts: the shared `BENCH_<name>.json` schema,
-//! which [`crate::study`] writes on full study runs.
+//! which [`crate::study`] writes on full runs of the studies that
+//! measure their own speed.
 //!
 //! The repo's determinism discipline splits every study's output in
 //! two: the `results/*.json` artifact is a pure function of the seed
@@ -22,10 +23,8 @@
 //! `metadata` is deliberately **git-describe-free**: no commit hashes,
 //! no timestamps, no hostnames — nothing that would tempt a reader to
 //! diff sidecars across machines or treat them as reproducible. The
-//! only metadata is what the run itself knew: which binary produced it
-//! and whether the self-profiler was on.
-
-use std::path::PathBuf;
+//! only metadata is what the run itself knew: which experiment produced
+//! it and whether the self-profiler was on.
 
 use serde::Serialize;
 
@@ -33,23 +32,18 @@ use serde::Serialize;
 /// no VCS state, no clock, no host identity.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BenchMetadata {
-    /// The producing binary's file stem (from `argv[0]`).
+    /// The producing experiment's registry name (`serve_study`, ...).
     pub bin: String,
     /// Whether the wall-clock self-profiler was enabled for the run.
     pub profiling: bool,
 }
 
 impl BenchMetadata {
-    /// Metadata for the current process: binary name from `argv[0]`,
-    /// profiling state from the live profiler switch.
-    pub fn current() -> Self {
-        let bin = std::env::args()
-            .next()
-            .map(PathBuf::from)
-            .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-            .unwrap_or_else(|| "unknown".to_owned());
+    /// Metadata for a run of the experiment `bin`, with the profiling
+    /// state from the live profiler switch.
+    pub fn new(bin: &str) -> Self {
         BenchMetadata {
-            bin,
+            bin: bin.to_owned(),
             profiling: mpsoc_sim::profile::enabled(),
         }
     }
@@ -88,9 +82,10 @@ impl<T: Serialize> Serialize for BenchSidecar<T> {
 }
 
 impl<T: Serialize> BenchSidecar<T> {
-    /// Builds a sidecar for the current process, deriving throughput
-    /// from `jobs` and `wall_seconds` (0 when no time elapsed).
-    pub fn new(name: &str, wall_seconds: f64, jobs: u64, detail: T) -> Self {
+    /// Builds a sidecar for a run of the experiment `bin`, deriving
+    /// throughput from `jobs` and `wall_seconds` (0 when no time
+    /// elapsed).
+    pub fn new(name: &str, bin: &str, wall_seconds: f64, jobs: u64, detail: T) -> Self {
         BenchSidecar {
             name: name.to_owned(),
             wall_seconds,
@@ -100,7 +95,7 @@ impl<T: Serialize> BenchSidecar<T> {
             } else {
                 0.0
             },
-            metadata: BenchMetadata::current(),
+            metadata: BenchMetadata::new(bin),
             detail,
         }
     }
@@ -112,24 +107,25 @@ mod tests {
 
     #[test]
     fn sidecar_derives_throughput_and_carries_detail() {
-        let sidecar = BenchSidecar::new("unit", 2.0, 10, vec![1u64, 2, 3]);
+        let sidecar = BenchSidecar::new("unit", "unit_study", 2.0, 10, vec![1u64, 2, 3]);
         assert_eq!(sidecar.throughput, 5.0);
         let text = serde_json::to_string_pretty(&sidecar).unwrap();
         assert!(text.contains("\"throughput\": 5"));
         assert!(text.contains("\"detail\""));
         assert!(text.contains("\"profiling\""));
+        assert!(text.contains("\"bin\": \"unit_study\""));
         assert!(!text.contains("commit"), "metadata must stay VCS-free");
     }
 
     #[test]
     fn zero_wall_time_reports_zero_throughput() {
         // A degenerate (instant) run must not divide by zero.
-        assert_eq!(BenchSidecar::new("z", 0.0, 5, 0u64).throughput, 0.0);
+        assert_eq!(BenchSidecar::new("z", "z", 0.0, 5, 0u64).throughput, 0.0);
     }
 
     #[test]
     fn metadata_never_embeds_vcs_state() {
-        let m = BenchMetadata::current();
+        let m = BenchMetadata::new("unit_study");
         let json = serde_json::to_string(&m).unwrap();
         for banned in ["commit", "describe", "branch", "host"] {
             assert!(!json.contains(banned), "{banned} leaked into metadata");

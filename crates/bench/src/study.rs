@@ -1,33 +1,42 @@
-//! The bench bins' one command line, and a study's life cycle.
+//! The bench bins' one command line, and the experiment driver.
 //!
-//! **Flags.** Every bin parses its arguments here, strictly: each bin
-//! declares the value flags (`--json <path>`, ...) and switches it
-//! accepts. Any other token, a repeated flag, or a value flag without
-//! its value is a [`Usage`] error: a message on stderr and exit code 2,
-//! with nothing run or written.
+//! **Flags.** Both bins parse their arguments here, strictly: each bin
+//! declares the value flags and switches it accepts. Any other token, a
+//! repeated flag, or a value flag without its value is a [`Usage`]
+//! error: a message on stderr and exit code 2, with nothing run or
+//! written.
 //!
-//! **Studies.** A study is a bin that asserts its own claims. [`main`]
-//! owns its life cycle:
+//! **The driver.** [`main`] is `all_experiments`:
 //!
-//! 1. parse `--smoke`, `--json <path>`, `--replay <path>` and the
-//!    study's declared value flags (`--json` and `--replay` together
-//!    are a usage error, and so is `--replay` with any other flag that
-//!    names an output file);
-//! 2. run the study at the scale `--smoke` selects; the run asserts its
-//!    claims;
-//! 3. then either
-//!    - write the report with [`write_json`]: to `--json`, else on a
-//!      full run to `results/<artifact>.json` (a smoke run writes only
-//!      where `--json` points), plus the study's wall-clock
-//!      `BENCH_<name>.json` sidecar on full runs; or
-//!    - **replay**: write nothing, serialize the report and compare it
-//!      byte for byte with the `--replay` file. A mismatch prints the
-//!      first differing line of each side.
+//! ```text
+//! all_experiments [--only <name>] [--smoke] [--out <dir> | --replay <dir>]
+//!                 [--flamegraph <path>] [--chrome <path>]
+//! ```
 //!
-//! Exit codes: 0 on success; 1 when a claim fails, the replay differs
-//! or the run errs; 2 on a usage error. A study whose claims fail
-//! through [`Output::passed`] still writes its report first, so the
-//! failing rows can be read.
+//! It walks the experiment registry, one entry per producer of a
+//! `results/` artifact, or runs only the entry `--only` names (an
+//! unknown name is a usage error that lists them all). Each entry runs
+//! at the scale `--smoke` selects (an entry without a reduced grid runs
+//! as it is), prints its table, checks its claims and hands back the
+//! bytes of the files it declares. Then either
+//!
+//! - the files are written under `--out`, which defaults to `results`
+//!   on a full run (a smoke run writes only where `--out` points), and
+//!   a full run also writes the entry's wall-clock `BENCH_<name>.json`
+//!   sidecar, if it has one, in the working directory; or
+//! - **replay** (`--replay <dir>`): nothing is written, and each file
+//!   is compared byte for byte with `<dir>/<file>`. A mismatch prints
+//!   the first differing line of each side; a missing file is a
+//!   failure. `--replay` takes no `--out`.
+//!
+//! `--flamegraph` and `--chrome` export `throughput_study`'s profile.
+//! They name output files, so neither goes with `--replay`, and each
+//! needs a selection that includes that entry.
+//!
+//! Every selected entry runs even after one fails. Exit codes: 0 on
+//! success; 1 when a claim failed, a replay differed or an entry erred;
+//! 2 on a usage error. A failing entry still writes its files first, so
+//! the failing rows can be read.
 
 use std::error::Error;
 use std::fmt;
@@ -36,8 +45,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
+use mpsoc_sim::profile;
 use serde::Serialize;
 
+use crate::experiments::{Experiment, EXPERIMENTS};
 use crate::{write_json, BenchSidecar};
 
 /// A command-line usage error.
@@ -155,117 +166,121 @@ pub fn flags(values: &[&'static str], switches: &[&'static str]) -> Flags {
     Flags::parse(values, switches, std::env::args().skip(1)).unwrap_or_else(|e| e.exit())
 }
 
-/// The `--json <path>` destination of a bin whose only flag it is.
-pub fn json_flag() -> Option<PathBuf> {
-    flags(&["--json"], &[]).path("--json")
-}
-
-/// What a study bin declares about itself.
-#[derive(Debug)]
-pub struct Study {
-    /// The report's name: a full run writes `results/<artifact>.json`.
-    pub artifact: &'static str,
-    /// Value flags the study accepts besides `--json` and `--replay`,
-    /// each naming an output file the study writes itself.
-    pub extra: &'static [&'static str],
-}
-
-/// What one study run sees of its command line.
-#[derive(Debug)]
-pub struct Run<'a> {
+/// What one experiment run sees of its command line.
+pub(crate) struct Run<'a> {
     /// `--smoke`: run the reduced grid CI gates on.
-    pub smoke: bool,
+    pub(crate) smoke: bool,
     flags: &'a Flags,
 }
 
 impl Run<'_> {
-    /// The path given for one of the study's extra flags.
-    pub fn path(&self, flag: &str) -> Option<PathBuf> {
+    /// The path given for one of the export flags.
+    pub(crate) fn path(&self, flag: &str) -> Option<PathBuf> {
         self.flags.path(flag)
     }
 }
 
-/// A study run's result: the deterministic report, an optional
-/// wall-clock sidecar, and whether its claims held.
-#[derive(Debug)]
-pub struct Output<R, D: Serialize = NoSidecar> {
-    report: R,
-    sidecar: Option<BenchSidecar<D>>,
+/// An experiment run's result: the bytes of each file its entry
+/// declares, in the declared order, an optional wall-clock sidecar, and
+/// whether its claims held.
+pub(crate) struct Output {
+    files: Vec<String>,
+    sidecar: Option<Sidecar>,
     passed: bool,
 }
 
-/// The sidecar detail type of a study that writes no sidecar.
-#[derive(Debug)]
-pub enum NoSidecar {}
-
-impl Serialize for NoSidecar {
-    fn serialize(&self, _: &mut serde::Writer<'_>) {
-        match *self {}
-    }
+/// What a run measured for its `BENCH_<name>.json` sidecar; the driver
+/// adds the provenance.
+struct Sidecar {
+    name: &'static str,
+    wall_seconds: f64,
+    jobs: u64,
+    detail: Box<dyn Serialize>,
 }
 
-impl<R> Output<R> {
-    /// A passing run with no sidecar.
-    pub fn new(report: R) -> Self {
+impl Output {
+    /// A passing run with no sidecar whose files hold `files`.
+    pub(crate) fn new(files: Vec<String>) -> Self {
         Output {
-            report,
+            files,
             sidecar: None,
             passed: true,
         }
     }
 
+    /// A passing run with no sidecar whose one file is `report` as
+    /// pretty-printed JSON.
+    pub(crate) fn json(report: &impl Serialize) -> Result<Self, serde_json::Error> {
+        Ok(Output::new(vec![serde_json::to_string_pretty(report)?]))
+    }
+
     /// Adds the `BENCH_<name>.json` sidecar a full run writes: the
-    /// study's wall time, its units of work and a study-specific detail.
-    pub fn sidecar<D: Serialize>(
-        self,
-        name: &str,
+    /// run's wall time, its units of work and an experiment-specific
+    /// detail.
+    pub(crate) fn sidecar(
+        mut self,
+        name: &'static str,
         wall_seconds: f64,
         jobs: u64,
-        detail: D,
-    ) -> Output<R, D> {
-        Output {
-            report: self.report,
-            sidecar: Some(BenchSidecar::new(name, wall_seconds, jobs, detail)),
-            passed: self.passed,
-        }
+        detail: impl Serialize + 'static,
+    ) -> Self {
+        self.sidecar = Some(Sidecar {
+            name,
+            wall_seconds,
+            jobs,
+            detail: Box::new(detail),
+        });
+        self
     }
-}
 
-impl<R, D: Serialize> Output<R, D> {
-    /// Records whether the study's claims held. A failed run still
-    /// writes its report, then exits 1.
-    pub fn passed(mut self, passed: bool) -> Self {
+    /// Records whether the run's claims held. A failed run still
+    /// writes its files, then the driver exits 1.
+    pub(crate) fn passed(mut self, passed: bool) -> Self {
         self.passed = passed;
         self
     }
 }
 
-/// Runs a study bin: parses its flags, runs it at the selected scale,
-/// then writes or replays its report (see the module docs).
-pub fn main<R, D, F>(study: &Study, run: F) -> ExitCode
-where
-    R: Serialize,
-    D: Serialize,
-    F: FnOnce(&Run<'_>) -> Result<Output<R, D>, Box<dyn Error>>,
-{
-    let flags = parse_study(study, std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
-    drive(study, &flags, run).unwrap_or_else(|e| {
-        eprintln!("{} failed: {e}", study.artifact);
+/// The entry whose profile `--flamegraph` and `--chrome` export.
+const PROFILED: &str = "throughput_study";
+const EXPORTS: [&str; 2] = ["--flamegraph", "--chrome"];
+
+/// Runs `all_experiments`: parses its command line, runs the selected
+/// entries, then writes or replays their files (see the module docs).
+pub fn main() -> ExitCode {
+    let (flags, selected) = parse(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
+    if drive(&flags, &selected) {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
-    })
+    }
 }
 
-/// Parses a study's command line.
-fn parse_study(study: &Study, args: impl IntoIterator<Item = String>) -> Result<Flags, Usage> {
-    let values: Vec<&'static str> = ["--json", "--replay"]
-        .into_iter()
-        .chain(study.extra.iter().copied())
-        .collect();
-    let flags = Flags::parse(&values, &["--smoke"], args)?;
+/// Parses `all_experiments`' command line and selects its entries.
+fn parse(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Flags, Vec<&'static Experiment>), Usage> {
+    let flags = Flags::parse(
+        &["--only", "--out", "--replay", EXPORTS[0], EXPORTS[1]],
+        &["--smoke"],
+        args,
+    )?;
+    let selected: Vec<&Experiment> = match flags.value("--only") {
+        None => EXPERIMENTS.iter().collect(),
+        Some(name) => {
+            let Some(entry) = EXPERIMENTS.iter().find(|e| e.name == name) else {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+                return Err(Usage(format!(
+                    "no experiment named '{name}' (experiments: {})",
+                    names.join(", ")
+                )));
+            };
+            vec![entry]
+        }
+    };
     if flags.value("--replay").is_some() {
-        if let Some(output) = values[..1]
-            .iter()
-            .chain(study.extra)
+        if let Some(output) = ["--out", EXPORTS[0], EXPORTS[1]]
+            .into_iter()
             .find(|f| flags.value(f).is_some())
         {
             return Err(Usage(format!(
@@ -273,51 +288,126 @@ fn parse_study(study: &Study, args: impl IntoIterator<Item = String>) -> Result<
             )));
         }
     }
-    Ok(flags)
+    if let Some(export) = EXPORTS.into_iter().find(|f| flags.value(f).is_some()) {
+        if !selected.iter().any(|e| e.name == PROFILED) {
+            return Err(Usage(format!(
+                "{export} exports {PROFILED}'s profile, which --only leaves out"
+            )));
+        }
+    }
+    Ok((flags, selected))
 }
 
-fn drive<R, D, F>(study: &Study, flags: &Flags, run: F) -> Result<ExitCode, Box<dyn Error>>
-where
-    R: Serialize,
-    D: Serialize,
-    F: FnOnce(&Run<'_>) -> Result<Output<R, D>, Box<dyn Error>>,
-{
-    let smoke = flags.switch("--smoke");
-    let output = run(&Run { smoke, flags })?;
-    if let Some(recorded) = flags.path("--replay") {
-        let text = fs::read_to_string(&recorded)
-            .map_err(|e| format!("cannot read {}: {e}", recorded.display()))?;
-        let fresh = serde_json::to_string_pretty(&output.report)?;
-        if let Some((line, was, now)) = first_difference(&text, &fresh) {
-            let show =
-                |side: Option<&str>| side.map_or("(end of file)".to_owned(), |l| format!("{l:?}"));
-            println!(
-                "replay: {} differs at line {line}\n  recorded: {}\n  fresh:    {}",
-                recorded.display(),
-                show(was),
-                show(now)
-            );
-            return Ok(ExitCode::FAILURE);
+/// Runs every selected entry, then writes or replays its files; returns
+/// whether all of them passed.
+fn drive(flags: &Flags, selected: &[&Experiment]) -> bool {
+    let run = Run {
+        smoke: flags.switch("--smoke"),
+        flags,
+    };
+    let replay = flags.path("--replay");
+    let out = flags
+        .path("--out")
+        .or_else(|| (!run.smoke && replay.is_none()).then(|| PathBuf::from("results")));
+    let profiling = profile::enabled();
+    let mut failed = Vec::new();
+    for entry in selected {
+        println!("==> {}", entry.name);
+        let passed = run_entry(entry, &run, profiling)
+            .and_then(|output| finish(entry, output, run.smoke, out.as_deref(), replay.as_deref()));
+        match passed {
+            Ok(true) => {}
+            Ok(false) => failed.push(entry.name),
+            Err(e) => {
+                eprintln!("{} failed: {e}", entry.name);
+                failed.push(entry.name);
+            }
         }
+    }
+    if !failed.is_empty() {
+        println!("FAILED: {}", failed.join(", "));
+    }
+    failed.is_empty()
+}
+
+/// Runs one entry, after checking that no earlier one left the profiler
+/// switched away from the process's starting state, which would change
+/// what a profiling-off replay covers.
+fn run_entry(entry: &Experiment, run: &Run, profiling: bool) -> Result<Output, Box<dyn Error>> {
+    assert_eq!(
+        profile::enabled(),
+        profiling,
+        "an experiment before {} left the profiler switched",
+        entry.name
+    );
+    (entry.run)(run)
+}
+
+/// Writes or replays one entry's files and writes its sidecar on a full
+/// run; returns whether its claims held and its replay matched.
+fn finish(
+    entry: &Experiment,
+    output: Output,
+    smoke: bool,
+    out: Option<&Path>,
+    replay: Option<&Path>,
+) -> Result<bool, Box<dyn Error>> {
+    assert_eq!(
+        output.files.len(),
+        entry.files.len(),
+        "{} returned a different number of files than it declares",
+        entry.name
+    );
+    if !output.passed {
+        println!("{}: a claim does not hold", entry.name);
+    }
+    let files = entry.files.iter().zip(&output.files);
+    if let Some(dir) = replay {
+        let mut passed = output.passed;
+        for (name, fresh) in files {
+            passed &= replays(&dir.join(name), fresh);
+        }
+        return Ok(passed);
+    }
+    if let Some(dir) = out {
+        fs::create_dir_all(dir)?;
+        for (name, bytes) in files {
+            let path = dir.join(name);
+            fs::write(&path, bytes)?;
+            println!("wrote {}", path.display());
+        }
+    }
+    if let (false, Some(s)) = (smoke, output.sidecar) {
+        let path = PathBuf::from(format!("BENCH_{}.json", s.name));
+        let sidecar = BenchSidecar::new(s.name, entry.name, s.wall_seconds, s.jobs, &*s.detail);
+        write_json(&path, &sidecar)?;
+        println!("wrote {}", path.display());
+    }
+    Ok(output.passed)
+}
+
+/// Whether `fresh` equals the `recorded` file byte for byte; prints the
+/// verdict, or the first differing line of each side.
+fn replays(recorded: &Path, fresh: &str) -> bool {
+    let text = match fs::read_to_string(recorded) {
+        Ok(text) => text,
+        Err(e) => {
+            println!("replay: cannot read {}: {e}", recorded.display());
+            return false;
+        }
+    };
+    let Some((line, was, now)) = first_difference(&text, fresh) else {
         println!("replay: {} reproduced byte for byte", recorded.display());
-    } else {
-        let default = || Path::new("results").join(format!("{}.json", study.artifact));
-        if let Some(path) = flags.path("--json").or_else(|| (!smoke).then(default)) {
-            write_json(&path, &output.report)?;
-            println!("wrote {}", path.display());
-        }
-        if let (false, Some(sidecar)) = (smoke, output.sidecar) {
-            let path = PathBuf::from(format!("BENCH_{}.json", sidecar.name));
-            write_json(&path, &sidecar)?;
-            println!("wrote {}", path.display());
-        }
-    }
-    if output.passed {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        println!("FAILED");
-        Ok(ExitCode::FAILURE)
-    }
+        return true;
+    };
+    let show = |side: Option<&str>| side.map_or("(end of file)".to_owned(), |l| format!("{l:?}"));
+    println!(
+        "replay: {} differs at line {line}\n  recorded: {}\n  fresh:    {}",
+        recorded.display(),
+        show(was),
+        show(now)
+    );
+    false
 }
 
 /// The first line (1-based) where `recorded` and `fresh` differ, with
@@ -348,49 +438,60 @@ mod tests {
         line.split_whitespace().map(str::to_owned).collect()
     }
 
-    const STUDY: Study = Study {
-        artifact: "unit",
-        extra: &["--flamegraph"],
-    };
+    fn parse_line(line: &str) -> Result<Flags, Usage> {
+        parse(args(line)).map(|(flags, _)| flags)
+    }
 
-    fn study(line: &str) -> Result<Flags, Usage> {
-        parse_study(&STUDY, args(line))
+    fn selected(line: &str) -> Vec<&'static str> {
+        parse(args(line))
+            .unwrap()
+            .1
+            .iter()
+            .map(|e| e.name)
+            .collect()
     }
 
     #[test]
     fn declared_flags_parse() {
-        let f = study("--smoke --json a.json --flamegraph f.folded").unwrap();
+        let f = parse_line("--smoke --out a --flamegraph f.folded").unwrap();
         assert!(f.switch("--smoke"));
-        assert_eq!(f.path("--json"), Some(PathBuf::from("a.json")));
+        assert_eq!(f.path("--out"), Some(PathBuf::from("a")));
         assert_eq!(f.value("--flamegraph"), Some("f.folded"));
         assert_eq!(f.value("--replay"), None);
-        let f = study("--replay r.json --smoke").unwrap();
-        assert_eq!(f.value("--replay"), Some("r.json"));
-        assert!(study("").is_ok());
+        let f = parse_line("--replay r --smoke").unwrap();
+        assert_eq!(f.value("--replay"), Some("r"));
+        assert!(parse_line("").is_ok());
     }
 
     #[test]
     fn unknown_flags_are_usage_errors() {
-        for line in ["--smok", "--smoke extra", "--dense", "--json a.json b.json"] {
-            let err = study(line).unwrap_err();
+        for line in [
+            "--smok",
+            "--smoke extra",
+            "--dense",
+            "--out a b",
+            "--json a.json",
+        ] {
+            let err = parse_line(line).unwrap_err();
             assert!(err.0.starts_with("unknown argument"), "{line}: {err}");
         }
-        // An extra flag belongs to the study that declares it.
-        assert!(Flags::parse(&["--json"], &[], args("--flamegraph f")).is_err());
-        let none = Flags::parse(&[], &[], args("--json a.json")).unwrap_err();
+        // A flag belongs to the bin that declares it.
+        assert!(Flags::parse(&["--out"], &[], args("--flamegraph f")).is_err());
+        let none = Flags::parse(&[], &[], args("--out a")).unwrap_err();
         assert!(none.0.contains("takes no arguments"), "{none}");
     }
 
     #[test]
     fn a_value_flag_needs_its_value() {
         for line in [
-            "--json",
-            "--smoke --json",
-            "--json --smoke",
+            "--out",
+            "--smoke --out",
+            "--out --smoke",
             "--replay",
             "--flamegraph",
+            "--only",
         ] {
-            let err = study(line).unwrap_err();
+            let err = parse_line(line).unwrap_err();
             assert!(err.0.contains("needs a value"), "{line}: {err}");
         }
     }
@@ -399,20 +500,39 @@ mod tests {
     fn repeated_flags_are_usage_errors() {
         for line in [
             "--smoke --smoke",
-            "--json a --json b",
+            "--out a --out b",
             "--replay a --replay a",
+            "--only headline --only headline",
         ] {
-            let err = study(line).unwrap_err();
+            let err = parse_line(line).unwrap_err();
             assert!(err.0.contains("given twice"), "{line}: {err}");
         }
     }
 
     #[test]
     fn replay_takes_no_output_flag() {
-        assert!(study("--json a.json --replay b.json").is_err());
-        assert!(study("--replay b.json --json a.json").is_err());
-        assert!(study("--replay b.json --flamegraph f").is_err());
-        assert!(study("--smoke --replay b.json").is_ok());
+        assert!(parse_line("--out a --replay b").is_err());
+        assert!(parse_line("--replay b --out a").is_err());
+        assert!(parse_line("--replay b --flamegraph f").is_err());
+        assert!(parse_line("--smoke --replay b").is_ok());
+    }
+
+    #[test]
+    fn only_selects_one_entry_by_name() {
+        assert_eq!(selected("").len(), EXPERIMENTS.len());
+        assert_eq!(selected("--only headline --smoke"), ["headline"]);
+        let err = parse_line("--only no_such_entry").unwrap_err();
+        for entry in &EXPERIMENTS {
+            assert!(err.0.contains(entry.name), "{err}");
+        }
+    }
+
+    #[test]
+    fn exports_need_the_profiled_entry() {
+        assert!(parse_line("--flamegraph f --chrome c").is_ok());
+        assert!(parse_line("--only throughput_study --chrome c").is_ok());
+        let err = parse_line("--only headline --flamegraph f").unwrap_err();
+        assert!(err.0.contains("leaves out"), "{err}");
     }
 
     #[test]
@@ -449,5 +569,30 @@ mod tests {
             Some((3, None, Some("]")))
         );
         assert_eq!(first_difference("[]\n", "[]"), Some((2, Some(""), None)));
+    }
+
+    #[test]
+    fn throughput_study_restores_the_profiler_switch() {
+        let _serial = crate::simulating();
+        let was = profile::enabled();
+        profile::set_enabled(false);
+        let flags = Flags::default();
+        let run = Run {
+            smoke: true,
+            flags: &flags,
+        };
+        let entry = |name: &str| EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
+        run_entry(entry("throughput_study"), &run, false).unwrap();
+        assert!(
+            !profile::enabled(),
+            "the throughput entry left profiling on"
+        );
+        profile::reset();
+        run_entry(entry("headline"), &run, false).unwrap();
+        assert!(
+            profile::snapshot().roots.is_empty(),
+            "an entry after the throughput entry recorded profile samples"
+        );
+        profile::set_enabled(was);
     }
 }

@@ -1,46 +1,13 @@
 //! The bench bins' command-line contract (`mpsoc_bench::study`), driven
 //! through the built binaries: strict flags, no writes on a usage error
-//! or a smoke run without `--json`, and a byte-comparing `--replay`.
+//! or a smoke run without `--out`, and a byte-comparing `--replay`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// Every bench bin, by name and built path.
-const BINS: [(&str, &str); 25] = [
-    ("ablation", env!("CARGO_BIN_EXE_ablation")),
-    ("all_experiments", env!("CARGO_BIN_EXE_all_experiments")),
-    ("bank_ablation", env!("CARGO_BIN_EXE_bank_ablation")),
-    ("breakeven", env!("CARGO_BIN_EXE_breakeven")),
-    ("chaos_study", env!("CARGO_BIN_EXE_chaos_study")),
-    ("codegen_ablation", env!("CARGO_BIN_EXE_codegen_ablation")),
-    ("cost_study", env!("CARGO_BIN_EXE_cost_study")),
-    ("decision", env!("CARGO_BIN_EXE_decision")),
-    ("energy", env!("CARGO_BIN_EXE_energy")),
-    ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep")),
-    ("fig1_left", env!("CARGO_BIN_EXE_fig1_left")),
-    ("fig1_right", env!("CARGO_BIN_EXE_fig1_right")),
-    ("headline", env!("CARGO_BIN_EXE_headline")),
-    ("interference", env!("CARGO_BIN_EXE_interference")),
-    ("kernel_sweep", env!("CARGO_BIN_EXE_kernel_sweep")),
-    ("lint_kernels", env!("CARGO_BIN_EXE_lint_kernels")),
-    ("mape_table", env!("CARGO_BIN_EXE_mape_table")),
-    ("model_fit", env!("CARGO_BIN_EXE_model_fit")),
-    ("offload_profile", env!("CARGO_BIN_EXE_offload_profile")),
-    ("pipeline", env!("CARGO_BIN_EXE_pipeline")),
-    ("run_offload", env!("CARGO_BIN_EXE_run_offload")),
-    ("sched_study", env!("CARGO_BIN_EXE_sched_study")),
-    ("sensitivity", env!("CARGO_BIN_EXE_sensitivity")),
-    ("serve_study", env!("CARGO_BIN_EXE_serve_study")),
-    ("throughput_study", env!("CARGO_BIN_EXE_throughput_study")),
-];
-
-fn bin(name: &str) -> &'static str {
-    BINS.iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, path)| *path)
-        .expect("a bench bin")
-}
+const ALL: &str = env!("CARGO_BIN_EXE_all_experiments");
+const RUN_OFFLOAD: &str = env!("CARGO_BIN_EXE_run_offload");
 
 /// A fresh, empty working directory for one test.
 fn empty_dir(test: &str) -> PathBuf {
@@ -52,14 +19,20 @@ fn empty_dir(test: &str) -> PathBuf {
     dir
 }
 
-/// Runs `path args...` in `dir` and returns its exit code.
-fn run_in(dir: &Path, path: &str, args: &[&str]) -> i32 {
-    let out = Command::new(path)
+fn output_in(dir: &Path, path: &str, args: &[&str]) -> Output {
+    Command::new(path)
         .args(args)
         .current_dir(dir)
         .output()
-        .expect("the bin starts");
-    out.status.code().expect("the bin exits with a code")
+        .expect("the bin starts")
+}
+
+/// Runs `path args...` in `dir` and returns its exit code.
+fn run_in(dir: &Path, path: &str, args: &[&str]) -> i32 {
+    output_in(dir, path, args)
+        .status
+        .code()
+        .expect("the bin exits with a code")
 }
 
 fn entries(dir: &Path) -> Vec<String> {
@@ -71,12 +44,23 @@ fn entries(dir: &Path) -> Vec<String> {
     names
 }
 
+/// `bytes` with its first digit changed.
+fn one_digit_changed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let at = bytes.iter().position(|b| b.is_ascii_digit()).unwrap();
+    bytes[at] = if bytes[at] == b'9' {
+        b'8'
+    } else {
+        bytes[at] + 1
+    };
+    bytes
+}
+
 #[test]
 fn every_bin_rejects_an_unknown_flag_and_writes_nothing() {
     let dir = empty_dir("unknown");
-    for (name, path) in BINS {
-        assert_eq!(run_in(&dir, path, &["--no-such-flag"]), 2, "{name}");
-        assert!(entries(&dir).is_empty(), "{name} wrote {:?}", entries(&dir));
+    for path in [ALL, RUN_OFFLOAD] {
+        assert_eq!(run_in(&dir, path, &["--no-such-flag"]), 2, "{path}");
+        assert!(entries(&dir).is_empty(), "{path} wrote {:?}", entries(&dir));
     }
     fs::remove_dir_all(&dir).ok();
 }
@@ -84,34 +68,54 @@ fn every_bin_rejects_an_unknown_flag_and_writes_nothing() {
 #[test]
 fn mistyped_and_incomplete_study_lines_are_usage_errors() {
     let dir = empty_dir("usage");
-    for (name, args) in [
-        // A typo no longer runs the full sweep.
-        ("sched_study", &["--smok"][..]),
-        // A forgotten path no longer falls back to results/.
-        ("serve_study", &["--smoke", "--json"]),
-        ("cost_study", &["--smoke", "--replay"]),
-        ("chaos_study", &["--replay", "--smoke"]),
+    for (path, args) in [
+        // A typo is an error, not a full sweep.
+        (ALL, &["--only", "sched_study", "--smok"][..]),
+        // A forgotten directory is an error, not a fall-back to results/.
+        (ALL, &["--only", "serve_study", "--smoke", "--out"]),
+        (ALL, &["--only", "cost_study", "--smoke", "--replay"]),
+        (ALL, &["--only", "chaos_study", "--replay", "--smoke"]),
+        (ALL, &["--only"]),
         // A replay writes nothing, so it takes no output path.
         (
-            "lint_kernels",
-            &["--smoke", "--json", "a.json", "--replay", "a.json"],
+            ALL,
+            &[
+                "--only",
+                "lint_kernels",
+                "--smoke",
+                "--out",
+                "a",
+                "--replay",
+                "a",
+            ],
         ),
         (
-            "throughput_study",
-            &["--replay", "a.json", "--flamegraph", "f"],
+            ALL,
+            &[
+                "--only",
+                "throughput_study",
+                "--replay",
+                "a",
+                "--flamegraph",
+                "f",
+            ],
         ),
-        ("interference", &["--smoke", "--smoke"]),
-        ("fig1_left", &["--dense"]),
-        ("lint_kernels", &["--deny-warnings"]),
-        ("headline", &["--json"]),
-        ("all_experiments", &["--json", "a.json"]),
-        ("run_offload", &["--n"]),
-        ("offload_profile", &["--json", "a.json", "--json", "b.json"]),
+        // An export needs the entry it exports.
+        (ALL, &["--only", "headline", "--chrome", "c.json"]),
+        (ALL, &["--only", "interference", "--smoke", "--smoke"]),
+        (ALL, &["--only", "headline", "--only", "fig1_left"]),
+        (ALL, &["--only", "fig1_left", "--dense"]),
+        (ALL, &["--only", "lint_kernels", "--deny-warnings"]),
+        (ALL, &["--only", "headline", "--out"]),
+        // Files go under --out; there is no --json.
+        (ALL, &["--json", "a.json"]),
+        (RUN_OFFLOAD, &["--n"]),
+        (RUN_OFFLOAD, &["--trace", "a.json", "--trace", "b.json"]),
     ] {
-        assert_eq!(run_in(&dir, bin(name), args), 2, "{name} {args:?}");
+        assert_eq!(run_in(&dir, path, args), 2, "{path} {args:?}");
         assert!(
             entries(&dir).is_empty(),
-            "{name} {args:?} wrote {:?}",
+            "{path} {args:?} wrote {:?}",
             entries(&dir)
         );
     }
@@ -119,25 +123,30 @@ fn mistyped_and_incomplete_study_lines_are_usage_errors() {
 }
 
 #[test]
-fn smoke_runs_write_nothing_without_json() {
-    let dir = empty_dir("smoke");
-    for name in [
-        "lint_kernels",
-        "serve_study",
-        "cost_study",
-        "chaos_study",
-        "throughput_study",
-    ] {
-        assert_eq!(run_in(&dir, bin(name), &["--smoke"]), 0, "{name}");
-        assert!(entries(&dir).is_empty(), "{name} wrote {:?}", entries(&dir));
+fn an_unknown_entry_is_a_usage_error_that_names_every_entry() {
+    let dir = empty_dir("no-entry");
+    let out = output_in(&dir, ALL, &["--only", "no_such_entry"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for name in ["fig1_left", "offload_profile", "pipeline", "lint_kernels"] {
+        assert!(stderr.contains(name), "{stderr}");
     }
+    assert!(entries(&dir).is_empty());
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn smoke_runs_write_nothing_without_out() {
+    let dir = empty_dir("smoke");
+    assert_eq!(run_in(&dir, ALL, &["--smoke"]), 0);
+    assert!(entries(&dir).is_empty(), "wrote {:?}", entries(&dir));
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_full_run_writes_its_default_artifact() {
     let dir = empty_dir("full");
-    assert_eq!(run_in(&dir, bin("lint_kernels"), &[]), 0);
+    assert_eq!(run_in(&dir, ALL, &["--only", "lint_kernels"]), 0);
     assert_eq!(entries(&dir), ["results"]);
     assert_eq!(entries(&dir.join("results")), ["lint_kernels.json"]);
     fs::remove_dir_all(&dir).ok();
@@ -146,29 +155,61 @@ fn a_full_run_writes_its_default_artifact() {
 #[test]
 fn replay_matches_its_own_artifact_and_catches_one_changed_byte() {
     let dir = empty_dir("replay");
-    let lint = bin("lint_kernels");
-    assert_eq!(run_in(&dir, lint, &["--smoke", "--json", "a.json"]), 0);
-    let recorded = fs::read(dir.join("a.json")).unwrap();
-    assert_eq!(run_in(&dir, lint, &["--smoke", "--replay", "a.json"]), 0);
-    assert_eq!(entries(&dir), ["a.json"], "a replay writes nothing");
+    let lint = ["--only", "lint_kernels"];
+    let with = |rest: &[&'static str]| [&lint[..], rest].concat();
+    assert_eq!(run_in(&dir, ALL, &with(&["--smoke", "--out", "a"])), 0);
+    let recorded = fs::read(dir.join("a/lint_kernels.json")).unwrap();
+    assert_eq!(run_in(&dir, ALL, &with(&["--smoke", "--replay", "a"])), 0);
+    assert_eq!(entries(&dir), ["a"], "a replay writes nothing");
+    assert_eq!(entries(&dir.join("a")), ["lint_kernels.json"]);
 
     // The full grid is a different report.
-    assert_eq!(run_in(&dir, lint, &["--replay", "a.json"]), 1);
+    assert_eq!(run_in(&dir, ALL, &with(&["--replay", "a"])), 1);
 
-    let mut changed = recorded.clone();
-    let at = changed.iter().position(|b| b.is_ascii_digit()).unwrap();
-    changed[at] = if changed[at] == b'9' {
-        b'8'
-    } else {
-        changed[at] + 1
-    };
-    fs::write(dir.join("a.json"), &changed).unwrap();
-    assert_eq!(run_in(&dir, lint, &["--smoke", "--replay", "a.json"]), 1);
+    fs::write(dir.join("a/lint_kernels.json"), one_digit_changed(recorded)).unwrap();
+    assert_eq!(run_in(&dir, ALL, &with(&["--smoke", "--replay", "a"])), 1);
 
     // A missing recording is an error, not a pass.
     assert_eq!(
-        run_in(&dir, lint, &["--smoke", "--replay", "missing.json"]),
+        run_in(&dir, ALL, &with(&["--smoke", "--replay", "missing"])),
         1
     );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_paper_artifact_replays_against_the_committed_results() {
+    let dir = empty_dir("paper");
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let committed = results.to_str().unwrap();
+    let headline = ["--only", "headline", "--replay"];
+    assert_eq!(
+        run_in(&dir, ALL, &[&headline[..], &[committed]].concat()),
+        0
+    );
+
+    let copy = dir.join("copy");
+    fs::create_dir(&copy).unwrap();
+    let bytes = fs::read(results.join("headline.json")).unwrap();
+    fs::write(copy.join("headline.json"), one_digit_changed(bytes)).unwrap();
+    assert_eq!(run_in(&dir, ALL, &[&headline[..], &["copy"]].concat()), 1);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn run_offload_trace_writes_only_the_trace() {
+    let dir = empty_dir("trace");
+    let args = [
+        "--n",
+        "64",
+        "--m",
+        "2",
+        "--clusters",
+        "4",
+        "--trace",
+        "t.json",
+    ];
+    assert_eq!(run_in(&dir, RUN_OFFLOAD, &args), 0);
+    assert_eq!(entries(&dir), ["t.json"]);
     fs::remove_dir_all(&dir).ok();
 }
