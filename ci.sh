@@ -14,13 +14,15 @@ cargo build --release
 echo "==> cargo test -q (every workspace member: default-members in Cargo.toml)"
 cargo test -q
 
-echo "==> cargo test --release (the interpreter, SoC and co-simulated backend oracles on optimized code)"
+echo "==> cargo test --release (the interpreter, SoC, offload runtime and co-simulated backend oracles on optimized code)"
 # The benchmark and results/ run release builds, so the proptests that
-# hold the loop replay, compiled programs and the inline DMA bursts to
-# their per-op, fresh-program and per-burst oracles run on release code
-# too, and so do the co-simulated backend's verified submits, the only
-# check of the data a compiled run computes in a co-simulated job.
-cargo test --release -q -p mpsoc-isa -p mpsoc-soc -p mpsoc-sched
+# hold the loop replay, compiled programs and the SoC event loop's fast
+# paths (inline events, closed-form bursts, lockstep folds) to their
+# per-op, fresh-program and per-event oracles run on release code too;
+# so do the offload runtime's pinned event and heap-pop counts and its
+# session tests, and the co-simulated backend's verified submits, the
+# only check of the data a compiled run computes in a co-simulated job.
+cargo test --release -q -p mpsoc-isa -p mpsoc-soc -p mpsoc-offload -p mpsoc-sched
 
 echo "==> forbid(unsafe_code) gate (every workspace crate must carry the attribute)"
 for lib in crates/*/src/lib.rs; do

@@ -1327,11 +1327,15 @@ mod tests {
         }
     }
 
-    /// A DMA chain with nothing else due before its next burst runs that
-    /// burst inline; concurrent chains interleave cycle by cycle, so
-    /// every one of their bursts still goes through the event queue.
+    /// Few of the events a DAXPY delivers come off the heap: host steps
+    /// and a chain with the HBM to itself run inline (the chain's bursts
+    /// booked in closed form), and chains due in the same cycles fold in
+    /// lockstep. Solo DAXPYs
+    /// (N = 1,024) on one cluster and on eight, then two one-cluster
+    /// tenants whose DMA-in chains overlap: the events delivered and the
+    /// completions are those of every event through the queue.
     #[test]
-    fn solo_dma_chains_run_their_bursts_inline() {
+    fn dma_chains_run_inline_and_in_lockstep() {
         let kernel = Daxpy::new(2.0);
         let (x, y) = ramp(1024);
         let mut off = offloader(8);
@@ -1342,8 +1346,47 @@ mod tests {
             assert!(run.verify(&kernel, &x, &y).passed());
             (run.outcome.events_delivered, off.soc().events_popped())
         };
-        assert_eq!(counts(&mut off, 1), (210, 20));
-        assert_eq!(counts(&mut off, 8), (266, 266));
+        assert_eq!(counts(&mut off, 1), (210, 13));
+        assert_eq!(counts(&mut off, 8), (266, 99));
+
+        // Tenant 1's 8,192-word DMA-in is still running when tenant 2's
+        // starts, after tenant 2 waited for the host.
+        let (xa, ya) = ramp(4096);
+        let mut off = offloader(2);
+        off.begin_jobs();
+        for (data, cluster, at) in [((&xa, &ya), 0, 0), ((&x, &y), 1, 5)] {
+            off.submit_at(
+                &kernel,
+                data.0,
+                data.1,
+                ClusterMask::single(cluster),
+                OffloadStrategy::extended(),
+                Cycle::new(at),
+            )
+            .unwrap();
+        }
+        let mut done = Vec::new();
+        while let SessionStep::Completed(t) = off.advance_jobs(Cycle::MAX).unwrap() {
+            let (x, y) = if t.job == 1 { (&xa, &ya) } else { (&x, &y) };
+            assert!(t.run.verify(&kernel, x, y).passed());
+            let dma_in_at = t.run.outcome.clusters[0].1.dma_in_at;
+            done.push((
+                t.job,
+                t.finished_at.as_u64(),
+                t.host_wait_cycles,
+                t.contention.hbm_queue_cycles,
+                (t.submitted_at + dma_in_at).as_u64(),
+                t.run.outcome.events_delivered,
+            ));
+        }
+        assert_eq!(
+            done,
+            [
+                (2, 2253, 1126, 0.0, 1748, 734),
+                (1, 3464, 0, 5.0, 1770, 996)
+            ]
+        );
+        assert_eq!(off.soc().events_popped(), 41);
     }
 
     #[test]

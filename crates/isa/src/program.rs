@@ -91,13 +91,14 @@ impl Error for BuildError {}
 ///
 /// A program also holds the compiled form the
 /// [`Interpreter`](crate::Interpreter) keeps after its first successful
-/// run on a conflict-free port that lends its words. Clones share it,
-/// so every copy of a program finds the form the first run built; a
-/// newly built or parsed program starts without one. Equality, `Debug`
-/// and the JSON form see the ops alone.
+/// run on a conflict-free port that lends its words. Clones share it
+/// and the ops, so a copy allocates nothing and every copy of a program
+/// finds the form the first run built; a newly built or parsed program
+/// starts without one. Equality, `Debug` and the JSON form see the ops
+/// alone.
 #[derive(Clone)]
 pub struct Program {
-    ops: Vec<MicroOp>,
+    ops: Arc<[MicroOp]>,
     compiled: Arc<OnceLock<Compiled>>,
 }
 
@@ -116,7 +117,7 @@ impl fmt::Debug for Program {
 impl Serialize for Program {
     fn serialize(&self, w: &mut serde::Writer<'_>) {
         w.begin_object();
-        w.field("ops", &self.ops);
+        w.field("ops", self.ops());
         w.end_object();
     }
 }
@@ -154,7 +155,7 @@ impl Program {
     /// through [`ProgramBuilder`].
     pub fn from_ops_unchecked(ops: Vec<MicroOp>) -> Self {
         Program {
-            ops,
+            ops: ops.into(),
             compiled: Arc::default(),
         }
     }

@@ -1,7 +1,7 @@
 //! The shared main-memory system (HBM-class).
 
 use mpsoc_faults::FaultSite;
-use mpsoc_sim::stats::StatsRegistry;
+use mpsoc_sim::stats::{Histogram, StatsRegistry, Summary};
 use mpsoc_sim::{Cycle, ThroughputResource, UnitResource};
 
 use crate::{Addr, MemoryError, WordStore};
@@ -44,6 +44,13 @@ pub struct MainMemory {
     atomic_service: Cycle,
     amo_faults: FaultSite,
     stats: StatsRegistry,
+    /// Bandwidth requests that queued behind reserved traffic, and their
+    /// delays in cycles: `contention.hbm.queue_events` and
+    /// `contention.hbm.queue_cycles` of [`MainMemory::stats`], kept in
+    /// fields because a busy HBM queues most bursts.
+    queue_events: u64,
+    queue_cycles: Summary,
+    queue_histogram: Histogram,
 }
 
 impl MainMemory {
@@ -72,6 +79,9 @@ impl MainMemory {
             atomic_service,
             amo_faults: FaultSite::off(),
             stats: StatsRegistry::new(),
+            queue_events: 0,
+            queue_cycles: Summary::new(),
+            queue_histogram: Histogram::new(),
         }
     }
 
@@ -90,8 +100,15 @@ impl MainMemory {
 
     /// Collected statistics: HBM queueing and atomic-unit contention
     /// under the stable `contention.*` prefix.
-    pub fn stats(&self) -> &StatsRegistry {
-        &self.stats
+    pub fn stats(&self) -> StatsRegistry {
+        let mut stats = self.stats.clone();
+        if self.queue_events > 0 {
+            let name = "contention.hbm.queue_cycles";
+            stats.add("contention.hbm.queue_events", self.queue_events);
+            stats.merge_summary_named(name, &self.queue_cycles);
+            stats.merge_histogram_named(name, &self.queue_histogram);
+        }
+        stats
     }
 
     // A bandwidth request whose start slot is already reserved queues
@@ -100,11 +117,11 @@ impl MainMemory {
     fn note_queueing(&mut self, min_slot: u64) {
         let free = self.bandwidth.next_free_slot();
         if free > min_slot {
-            self.stats.incr("contention.hbm.queue_events");
-            self.stats.observe(
-                "contention.hbm.queue_cycles",
-                (free - min_slot) as f64 / self.bandwidth.rate() as f64,
-            );
+            // What `StatsRegistry::observe` records, without its lookups.
+            let cycles = (free - min_slot) as f64 / self.bandwidth.rate() as f64;
+            self.queue_events += 1;
+            self.queue_cycles.record(cycles);
+            self.queue_histogram.record(cycles.round() as u64);
         }
     }
 
@@ -175,6 +192,23 @@ impl MainMemory {
         self.bandwidth.acquire_from_slot(min_slot, words)
     }
 
+    /// Books `count` DMA bursts of `words` each, the `i`-th from slot
+    /// `first_slot + i·stride`, in one step (see
+    /// [`ThroughputResource::acquire_periodic`], whose panics apply):
+    /// what `count` calls of [`MainMemory::acquire_bandwidth_slots`]
+    /// book for a chain that queues behind nothing, so no queueing is
+    /// tallied. Returns the last burst's `(end_slot, completion_cycle)`.
+    pub fn acquire_bandwidth_periodic(
+        &mut self,
+        first_slot: u64,
+        stride: u64,
+        words: u64,
+        count: u64,
+    ) -> (u64, Cycle) {
+        self.bandwidth
+            .acquire_periodic(first_slot, stride, words, count)
+    }
+
     /// Performs a timed atomic fetch-add on `addr`, returning the new value
     /// and the completion time. AMOs serialize on the atomic unit, so
     /// concurrent requests queue — exactly the contention the baseline
@@ -226,6 +260,9 @@ impl MainMemory {
         self.bandwidth.reset();
         self.atomic_unit.reset();
         self.stats.clear();
+        self.queue_events = 0;
+        self.queue_cycles = Summary::new();
+        self.queue_histogram = Histogram::new();
     }
 }
 

@@ -54,6 +54,18 @@ pub enum SchedError {
         /// Its service time (cycles).
         cycles: u64,
     },
+    /// A job was offered ahead of the shard's clock: its caller skipped
+    /// [`ShardSim::advance`](crate::ShardSim::advance) to the job's
+    /// arrival, so completions due before the arrival would retire after
+    /// it.
+    ArrivalAhead {
+        /// The job's id.
+        job: u64,
+        /// Its arrival cycle.
+        arrival: u64,
+        /// The shard's clock.
+        now: u64,
+    },
 }
 
 impl std::fmt::Display for SchedError {
@@ -88,6 +100,11 @@ impl std::fmt::Display for SchedError {
                 "job {job} starting at cycle {start} would run {cycles} cycle(s), \
                  past the end of virtual time"
             ),
+            SchedError::ArrivalAhead { job, arrival, now } => write!(
+                f,
+                "job {job} arriving at cycle {arrival} was offered at cycle {now}, \
+                 before advancing to its arrival"
+            ),
         }
     }
 }
@@ -101,7 +118,8 @@ impl std::error::Error for SchedError {
             | SchedError::Unscheduled { .. }
             | SchedError::UnknownCompletion { .. }
             | SchedError::InvalidPlacement { .. }
-            | SchedError::PastHorizon { .. } => None,
+            | SchedError::PastHorizon { .. }
+            | SchedError::ArrivalAhead { .. } => None,
         }
     }
 }

@@ -901,9 +901,20 @@ impl ShardSim {
     /// Service-backend failures measuring or submitting the job,
     /// [`SchedError::PastHorizon`] when this job's host run, or an
     /// offload the offer lets the policy start, would finish past cycle
-    /// `u64::MAX`, and [`SchedError::InvalidPlacement`] when the policy
-    /// returns a placement the shard cannot honour.
+    /// `u64::MAX`, [`SchedError::InvalidPlacement`] when the policy
+    /// returns a placement the shard cannot honour, and
+    /// [`SchedError::ArrivalAhead`], with the shard unchanged, when the
+    /// job arrives after [`ShardSim::now`]: `advance(job.arrival)` did
+    /// not come first. (An arrival at `u64::MAX` follows
+    /// `advance(u64::MAX)`, which leaves the clock at the last event.)
     pub fn offer(&mut self, job: Job) -> Result<ShardDecision, SchedError> {
+        if job.arrival > self.sched.now && job.arrival != u64::MAX {
+            return Err(SchedError::ArrivalAhead {
+                job: job.id,
+                arrival: job.arrival,
+                now: self.sched.now,
+            });
+        }
         let decision = self.sched.admit(job, APPEND)?;
         if let ShardDecision::Queued { .. } = decision {
             self.sched.dispatch(self.policy.as_mut())?;
@@ -1324,6 +1335,41 @@ mod tests {
             other => panic!("expected PastHorizon, got {other:?}"),
         }
         assert_eq!(s.now(), u64::MAX - 10);
+    }
+
+    /// An offer that skips `advance(job.arrival)` is a typed error that
+    /// leaves the shard as it was: the clock stays put, and the job in
+    /// flight retires at its own finish, before the late arrival, which
+    /// then queues and runs as if offered after the advance.
+    #[test]
+    fn an_offer_ahead_of_the_clock_is_a_typed_error() {
+        let run = |skip_advance: bool| {
+            let mut s = shard(1, ServiceBackend::analytic(ModelTable::paper_defaults()));
+            let stream = jobs(&[(0, 4096, 1_000_000), (20_000, 1024, 1_000_000)]);
+            s.offer(stream[0]).unwrap();
+            if skip_advance {
+                match s.offer(stream[1]) {
+                    Err(SchedError::ArrivalAhead {
+                        job: 1,
+                        arrival: 20_000,
+                        now: 0,
+                    }) => {}
+                    other => panic!("expected ArrivalAhead, got {other:?}"),
+                }
+                assert_eq!((s.now(), s.queue_depth()), (0, 0));
+            }
+            s.advance(stream[1].arrival).unwrap();
+            s.offer(stream[1]).unwrap();
+            s.drain().unwrap();
+            s.drain_finished()
+        };
+        assert_eq!(run(true), run(false));
+        // After `advance(u64::MAX)` the clock stays at the last event, and
+        // a job arriving at the end of time still gets its own error.
+        let mut s = shard(1, ServiceBackend::analytic(ModelTable::paper_defaults()));
+        let job = jobs(&[(u64::MAX, 64, 100_000)])[0];
+        s.advance(job.arrival).unwrap();
+        assert!(matches!(s.offer(job), Err(SchedError::PastHorizon { .. })));
     }
 
     #[test]

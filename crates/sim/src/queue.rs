@@ -125,6 +125,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
+    /// The pending events, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &ScheduledEvent<E>> {
+        self.heap.iter()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -186,6 +191,18 @@ impl<'a, E> Scheduler<'a, E> {
     /// scheduled earlier in this delivery; `None` if nothing is pending.
     pub fn peek_time(&self) -> Option<Cycle> {
         self.queue.peek_time()
+    }
+
+    /// The pending events, counting the ones scheduled earlier in this
+    /// delivery, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = &ScheduledEvent<E>> {
+        self.queue.iter()
+    }
+
+    /// Removes and returns the earliest pending event, for a handler
+    /// that delivers it itself; `None` if nothing is pending.
+    pub fn take_next(&mut self) -> Option<ScheduledEvent<E>> {
+        self.queue.pop()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -310,6 +327,22 @@ mod tests {
         assert_eq!(sched.peek_time(), Some(Cycle::new(6)));
         q.clear();
         assert_eq!(Scheduler::attach(&mut q, Cycle::new(2)).peek_time(), None);
+    }
+
+    #[test]
+    fn scheduler_scans_and_takes_pending_events() {
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(9), 'c');
+        q.push(Cycle::new(3), 'a');
+        let mut sched = Scheduler::attach(&mut q, Cycle::new(2));
+        sched.schedule_at(Cycle::new(3), 'b');
+        let mut seen: Vec<char> = sched.pending().map(|e| *e.event()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec!['a', 'b', 'c']);
+        let taken = sched.take_next().map(|e| e.into_parts());
+        assert_eq!(taken, Some((Cycle::new(3), 'a')));
+        assert_eq!(sched.pending().count(), 2);
+        assert_eq!(sched.peek_time(), Some(Cycle::new(3)));
     }
 
     #[test]

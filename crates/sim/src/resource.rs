@@ -173,6 +173,38 @@ impl ThroughputResource {
         (end_slot, Cycle::new(end_slot.div_ceil(self.rate)))
     }
 
+    /// Reserves `count` bursts of `items` each, the `i`-th from item slot
+    /// `first_slot + i·stride`; returns the last burst's
+    /// `(end_slot, completion_cycle)`.
+    ///
+    /// This is the closed form of `count` calls of
+    /// [`ThroughputResource::acquire_from_slot`] by a client that has the
+    /// resource to itself: with `first_slot` at or past the first free
+    /// slot and `stride ≥ items`, no burst queues behind another, so those
+    /// calls book exactly these slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `count` and `items` are positive, `stride ≥ items`
+    /// and `first_slot ≥` [`ThroughputResource::next_free_slot`].
+    pub fn acquire_periodic(
+        &mut self,
+        first_slot: u64,
+        stride: u64,
+        items: u64,
+        count: u64,
+    ) -> (u64, Cycle) {
+        assert!(
+            count > 0 && items > 0 && stride >= items && first_slot >= self.next_free_slot,
+            "periodic bursts must not queue behind each other or earlier traffic"
+        );
+        let end_slot = first_slot + (count - 1) * stride + items;
+        self.next_free_slot = end_slot;
+        self.items_served += count * items;
+        self.grants += count;
+        (end_slot, Cycle::new(end_slot.div_ceil(self.rate)))
+    }
+
     /// The earliest cycle at which a new request would start service.
     pub fn free_at(&self) -> Cycle {
         Cycle::new(self.next_free_slot.div_ceil(self.rate))
@@ -399,6 +431,32 @@ mod tests {
         // 768 total items at 12/cycle = 64 cycles, both finish together.
         assert_eq!(done_a.max(done_b), Cycle::new(64));
         assert!(done_b - done_a <= Cycle::new(2));
+    }
+
+    #[test]
+    fn periodic_bursts_book_what_one_call_per_burst_books() {
+        for (rate, items, stride) in [(512, 16, 512), (12, 16, 24), (4, 4, 4), (8, 3, 17)] {
+            let mut looped = ThroughputResource::new(rate);
+            looped.acquire(Cycle::ZERO, 5);
+            let mut bulk = looped.clone();
+            let first = looped.next_free_slot() + 3;
+            let mut last = (0, Cycle::ZERO);
+            for i in 0..9 {
+                last = looped.acquire_from_slot(first + i * stride, items);
+            }
+            assert_eq!(bulk.acquire_periodic(first, stride, items, 9), last);
+            assert_eq!(bulk.next_free_slot(), looped.next_free_slot());
+            assert_eq!(bulk.items_served(), looped.items_served());
+            assert_eq!(bulk.grants(), looped.grants());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not queue")]
+    fn periodic_bursts_that_would_queue_are_refused() {
+        let mut r = ThroughputResource::new(4);
+        r.acquire(Cycle::ZERO, 8);
+        r.acquire_periodic(4, 4, 4, 2);
     }
 
     #[test]

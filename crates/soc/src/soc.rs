@@ -179,6 +179,19 @@ struct Reach {
     events: u64,
 }
 
+/// What the event loop's fast paths did over a SoC's life (test-only),
+/// so an oracle comparison can show that it exercised each of them.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct FastPaths {
+    /// Bursts booked by closed-form bookings of two or more bursts.
+    closed_form_bursts: u64,
+    /// Whole cycles folded in lockstep.
+    lockstep_cycles: u64,
+    /// Host steps run inline.
+    inline_host_steps: u64,
+}
+
 /// Shared-resource interference charged to one job: the cycles this
 /// job's own requests spent queued behind *other* traffic on the NoC
 /// injection port, the HBM bandwidth queue and the memory atomic unit.
@@ -295,13 +308,19 @@ pub struct Soc {
     queue: EventQueue<SocEvent>,
     session_now: Cycle,
     events_delivered: u64,
-    /// Events popped from `queue`: `events_delivered` less the DMA
-    /// bursts run inline.
+    /// Events popped from `queue` (see [`Soc::events_popped`]).
     events_popped: u64,
-    /// Test-only switch to the per-burst oracle: every DMA burst goes
-    /// through the queue.
+    /// The clusters whose chains a lockstep fold runs, in queue order;
+    /// kept across folds so a fold allocates nothing.
+    fold_order: Vec<usize>,
+    /// Test-only switch to the per-event oracle: every event goes
+    /// through the queue, with no inline event, closed-form booking or
+    /// lockstep fold.
     #[cfg(test)]
-    per_burst: bool,
+    per_event: bool,
+    /// Test-only tally of the work the fast paths took off the queue.
+    #[cfg(test)]
+    fast_paths: FastPaths,
     jobs: Vec<JobSlot>,
     cluster_owner: Vec<Option<usize>>,
     host_active: Option<usize>,
@@ -353,8 +372,11 @@ impl Soc {
             session_now: Cycle::ZERO,
             events_delivered: 0,
             events_popped: 0,
+            fold_order: Vec::new(),
             #[cfg(test)]
-            per_burst: false,
+            per_event: false,
+            #[cfg(test)]
+            fast_paths: FastPaths::default(),
             jobs: Vec::new(),
             cluster_owner,
             host_active: None,
@@ -638,12 +660,16 @@ impl Soc {
     /// and schedules what follows it.
     ///
     /// While words are left, the next burst runs right here, without a
-    /// trip through the queue, when it falls strictly before every
-    /// queued event and within `reach`: the queue would deliver it next
-    /// anyway, because nothing else is due before it, anything a burst
-    /// schedules is due no earlier than that burst, and a tie goes to the
-    /// event already queued. An inline burst is delivered like any other
-    /// event (same reservation, attribution, telemetry, clock and count).
+    /// trip through the queue, when it [runs inline](Soc::runs_inline).
+    /// An inline burst has the HBM to itself: nothing else is delivered
+    /// before it, so it starts at its cycle's first bandwidth slot and
+    /// queues behind nothing. So are the full bursts after it, one every
+    /// `⌈dma_words_per_cycle / mem_words_per_cycle⌉` cycles, up to the
+    /// next queued event, the horizon or the event budget: one booking
+    /// ([`MainMemory::acquire_bandwidth_periodic`]) reserves them all,
+    /// and the loop keeps the burst that ends the task. A chain due back
+    /// in the queue next cycle may [fold in lockstep](Soc::lockstep)
+    /// with the chains due then.
     fn handle_dma_burst(
         &mut self,
         sched: &mut Scheduler<SocEvent>,
@@ -655,42 +681,51 @@ impl Soc {
             return;
         };
         let width = self.config.dma_words_per_cycle;
+        let mut inline = false;
         let done = loop {
-            let burst = chain.remaining.min(width);
-            let min_slot = if chain.resume_slot == 0 {
-                self.main.bandwidth_slot_of(now)
+            let steady = if inline {
+                self.steady_bursts(sched, now, &chain, reach)
             } else {
-                chain.resume_slot.max(self.main.bandwidth_slot_of(now))
+                0
             };
-            // Attribute the queueing this burst is about to pay (behind
-            // any other job's reserved bandwidth) to the cluster's owner.
-            let queued = self.hbm_queue_delay_from(min_slot);
-            if queued > 0.0 {
-                if let Some(slot) = self.owner_of(cluster) {
-                    self.jobs[slot].contention.hbm_queue_cycles += queued;
-                }
-                self.telemetry.instant(
-                    now,
-                    Unit::MainMem,
-                    EventKind::HbmQueue,
-                    queued.round() as u64,
+            let done = if steady > 0 {
+                let period = self.burst_period();
+                let (end_slot, done) = self.main.acquire_bandwidth_periodic(
+                    self.main.bandwidth_slot_of(now),
+                    period * self.config.mem_words_per_cycle,
+                    width,
+                    steady,
                 );
-            }
-            let (end_slot, done) = self.main.acquire_bandwidth_slots(min_slot, burst);
-            chain.resume_slot = end_slot;
-            chain.remaining -= burst;
+                chain.resume_slot = end_slot;
+                chain.remaining -= steady * width;
+                now += Cycle::new((steady - 1) * period);
+                self.session_now = now;
+                self.events_delivered += steady - 1;
+                #[cfg(test)]
+                if steady > 1 {
+                    self.fast_paths.closed_form_bursts += steady;
+                }
+                done
+            } else {
+                self.book_burst(now, cluster, &mut chain)
+            };
             if chain.remaining == 0 {
                 break done;
             }
             let next = done.max(now + Cycle::new(1));
             if !self.runs_inline(sched, next, reach) {
                 self.dma[cluster] = Some(chain);
-                sched.schedule_at(next, SocEvent::DmaBurst { cluster });
+                let folded =
+                    next == now + Cycle::new(1) && self.lockstep(sched, cluster, next, reach);
+                if !folded {
+                    sched.schedule_at(next, SocEvent::DmaBurst { cluster });
+                }
                 return;
             }
             now = next;
             self.session_now = now;
             self.events_delivered += 1;
+            inline = true;
         };
         self.dma[cluster] = None;
         let mut finish = done + Cycle::new(self.config.mem_latency);
@@ -709,11 +744,181 @@ impl Soc {
         );
     }
 
-    /// Whether a DMA burst due at `next` may run inline (see
-    /// [`Soc::handle_dma_burst`]).
+    /// Cycles between the full bursts of a chain that queues behind
+    /// nothing.
+    fn burst_period(&self) -> u64 {
+        self.config
+            .dma_words_per_cycle
+            .div_ceil(self.config.mem_words_per_cycle)
+    }
+
+    /// How many full bursts an inline `chain` books at once from `now`
+    /// (see [`Soc::handle_dma_burst`]): the one at `now` and every
+    /// [period](Soc::burst_period) after it that runs inline, as long as
+    /// words are left for a last burst; 0 when the burst at `now` may be
+    /// the last.
+    fn steady_bursts(
+        &self,
+        sched: &Scheduler<SocEvent>,
+        now: Cycle,
+        chain: &DmaChain,
+        reach: Reach,
+    ) -> u64 {
+        let full = (chain.remaining - 1) / self.config.dma_words_per_cycle;
+        if full == 0 {
+            return 0;
+        }
+        let period = self.burst_period();
+        let mut later = (full - 1)
+            .min(reach.horizon.saturating_sub(now).as_u64() / period)
+            .min(reach.events.saturating_sub(self.events_delivered));
+        if let Some(queued) = sched.peek_time() {
+            later = later.min(queued.saturating_sub(now).as_u64().saturating_sub(1) / period);
+        }
+        1 + later
+    }
+
+    /// Books the next burst of `cluster`'s `chain` at `now`: reserves its
+    /// HBM bandwidth and charges the queueing it pays behind other
+    /// traffic to the cluster's owner. Returns when its words are in.
+    fn book_burst(&mut self, now: Cycle, cluster: usize, chain: &mut DmaChain) -> Cycle {
+        let burst = chain.remaining.min(self.config.dma_words_per_cycle);
+        let min_slot = chain.resume_slot.max(self.main.bandwidth_slot_of(now));
+        // Attribute the queueing this burst is about to pay (behind any
+        // other job's reserved bandwidth) to the cluster's owner.
+        let queued = self.hbm_queue_delay_from(min_slot);
+        if queued > 0.0 {
+            if let Some(slot) = self.owner_of(cluster) {
+                self.jobs[slot].contention.hbm_queue_cycles += queued;
+            }
+            self.telemetry.instant(
+                now,
+                Unit::MainMem,
+                EventKind::HbmQueue,
+                queued.round() as u64,
+            );
+        }
+        let (end_slot, done) = self.main.acquire_bandwidth_slots(min_slot, burst);
+        chain.resume_slot = end_slot;
+        chain.remaining -= burst;
+        done
+    }
+
+    /// Folds the DMA chains due at `at` into this delivery: `cluster`'s,
+    /// whose burst at `at` is not queued yet, and each chain whose burst
+    /// is queued for `at`. Returns whether it folded them, having
+    /// requeued every chain; `false` leaves the queue as it was.
+    ///
+    /// It folds when every event due before some cycle `end > at` is
+    /// another chain's burst due at `at`, the `k` chains fit the HBM rate
+    /// (`k·dma_words_per_cycle ≤ mem_words_per_cycle`), and each has
+    /// words left past its burst in every folded cycle. Then, in every
+    /// whole cycle from `at` to before `end`, within reach, the `k`
+    /// chains burst in queue order, `cluster`'s last, each as a
+    /// delivered burst would ([`Soc::book_burst`] under its owner's
+    /// telemetry tag, counted and clocked like any event), and are
+    /// requeued in that order.
+    ///
+    /// *Why it is exact:* the queue would deliver the same bursts in the
+    /// same order. Each cycle before `end` holds nothing but the `k`
+    /// bursts; a burst requeued in a cycle goes behind the bursts still
+    /// due in it, so every cycle keeps the order of the one before; and
+    /// no folded burst ends its task, so none schedules anything else.
+    /// The chains stay in step: each is due at `at`, so its last burst
+    /// ended by `at`'s first slot, and so did the HBM's last booking,
+    /// `cluster`'s; the `k` bursts of a cycle then fill at most that
+    /// cycle's slots, so each chain is due again the next cycle.
+    fn lockstep(
+        &mut self,
+        sched: &mut Scheduler<SocEvent>,
+        cluster: usize,
+        at: Cycle,
+        reach: Reach,
+    ) -> bool {
+        #[cfg(test)]
+        if self.per_event {
+            return false;
+        }
+        let width = self.config.dma_words_per_cycle;
+        let rate = self.config.mem_words_per_cycle;
+        if sched.peek_time() != Some(at) || width.saturating_mul(2) > rate {
+            return false;
+        }
+        // Steady cycles left to every chain, and the last cycle before
+        // any other event.
+        let steady = |chain: Option<DmaChain>| chain.map_or(0, |c| (c.remaining - 1) / width);
+        let mut cycles = steady(self.dma[cluster]);
+        let mut last = reach.horizon;
+        let mut chains = 1u64 << cluster;
+        let mut due = 0;
+        for pending in sched.pending() {
+            match *pending.event() {
+                SocEvent::DmaBurst { cluster: other }
+                    if pending.time() == at && chains & (1 << other) == 0 =>
+                {
+                    chains |= 1 << other;
+                    due += 1;
+                    cycles = cycles.min(steady(self.dma[other]));
+                }
+                _ if pending.time() <= at => return false,
+                _ => last = last.min(pending.time() - Cycle::new(1)),
+            }
+        }
+        let k = due + 1;
+        if due == 0 || last < at || width.saturating_mul(k) > rate {
+            return false;
+        }
+        let cycles = cycles
+            .min((last - at).as_u64() + 1)
+            .min(reach.events.saturating_sub(self.events_delivered) / k);
+        if cycles == 0 {
+            return false;
+        }
+        // The queued bursts in queue order, then `cluster`'s.
+        let mut order = std::mem::take(&mut self.fold_order);
+        order.clear();
+        for _ in 0..due {
+            let taken = sched.take_next().map(|e| e.into_parts().1);
+            let Some(SocEvent::DmaBurst { cluster: other }) = taken else {
+                unreachable!("the scan found {due} bursts due first");
+            };
+            order.push(other);
+        }
+        order.push(cluster);
+        let mut now = at;
+        for _ in 0..cycles {
+            for &other in &order {
+                let mut chain = self.dma[other].expect("the scan found a chain");
+                self.session_now = now;
+                self.events_delivered += 1;
+                self.telemetry
+                    .set_job(self.event_job(&SocEvent::DmaBurst { cluster: other }));
+                let done = self.book_burst(now, other, &mut chain);
+                debug_assert!(done <= now + Cycle::new(1), "a folded chain fell behind");
+                self.dma[other] = Some(chain);
+            }
+            now += Cycle::new(1);
+        }
+        #[cfg(test)]
+        {
+            self.fast_paths.lockstep_cycles += cycles;
+        }
+        for &other in &order {
+            sched.schedule_at(now, SocEvent::DmaBurst { cluster: other });
+        }
+        self.fold_order = order;
+        true
+    }
+
+    /// Whether an event due at `next`, which the delivery in progress
+    /// would otherwise schedule, may run inline: within `reach` and
+    /// strictly before every queued event. The queue would deliver it
+    /// next anyway, because nothing else is due before it, anything an
+    /// event schedules is due no earlier than that event, and a tie goes
+    /// to the event already queued.
     fn runs_inline(&self, sched: &Scheduler<SocEvent>, next: Cycle, reach: Reach) -> bool {
         #[cfg(test)]
-        if self.per_burst {
+        if self.per_event {
             return false;
         }
         next <= reach.horizon
@@ -905,43 +1110,75 @@ impl Soc {
         }
     }
 
-    fn host_step(&mut self, sched: &mut Scheduler<SocEvent>, now: Cycle, slot: usize) {
-        let Some(op) = self.jobs[slot].host.current().cloned() else {
-            let pc = self.jobs[slot].host.pc;
-            self.fail(SocError::HostStalled { pc });
-            return;
-        };
-        match op {
-            HostOp::Compute(cycles) => {
+    /// Runs `slot`'s host ops from `now`. An op whose next op is due
+    /// strictly before every queued event runs that op inline, under the
+    /// rule DMA bursts use ([`Soc::runs_inline`]); the host steps of one
+    /// job carry one telemetry tag, so an inline step is delivered
+    /// exactly like a popped one.
+    fn host_step(
+        &mut self,
+        sched: &mut Scheduler<SocEvent>,
+        mut now: Cycle,
+        slot: usize,
+        reach: Reach,
+    ) {
+        while let Some(next) = self.host_op(sched, now, slot) {
+            if !self.runs_inline(sched, next, reach) {
+                sched.schedule_at(next, SocEvent::HostStep { slot });
+                return;
+            }
+            now = next;
+            self.session_now = now;
+            self.events_delivered += 1;
+            #[cfg(test)]
+            {
+                self.fast_paths.inline_host_steps += 1;
+            }
+        }
+    }
+
+    /// Executes `slot`'s current host op at `now`; returns when its next
+    /// op is due, or `None` when the op parks the host, polls, ends the
+    /// program or fails.
+    fn host_op(
+        &mut self,
+        sched: &mut Scheduler<SocEvent>,
+        now: Cycle,
+        slot: usize,
+    ) -> Option<Cycle> {
+        match self.jobs[slot].host.current() {
+            None => {
+                let pc = self.jobs[slot].host.pc;
+                self.fail(SocError::HostStalled { pc });
+                None
+            }
+            Some(&HostOp::Compute(cycles)) => {
                 let job = &mut self.jobs[slot];
                 job.host.pc += 1;
                 job.host.busy_cycles += cycles;
-                sched.schedule_at(now + Cycle::new(cycles), SocEvent::HostStep { slot });
+                Some(now + Cycle::new(cycles))
             }
-            HostOp::WriteWords { addr, values } => {
+            Some(HostOp::WriteWords { addr, values }) => {
+                // The descriptor is written straight from the program.
                 let count = values.len() as u64;
-                {
-                    let job = &mut self.jobs[slot];
-                    job.host.pc += 1;
-                    job.host.busy_cycles += count;
-                    job.activity.mem_words += count;
-                }
-                let next = now + Cycle::new(count);
-                for (i, v) in values.iter().enumerate() {
-                    if let Err(e) = self
-                        .main
-                        .store_mut()
-                        .write_u64(addr.add_words(i as u64), *v)
-                    {
-                        self.fail(e.into());
-                        return;
-                    }
+                let main = self.main.store_mut();
+                let written = values
+                    .iter()
+                    .enumerate()
+                    .try_for_each(|(i, v)| main.write_u64(addr.add_words(i as u64), *v));
+                let job = &mut self.jobs[slot];
+                job.host.pc += 1;
+                job.host.busy_cycles += count;
+                job.activity.mem_words += count;
+                if let Err(e) = written {
+                    self.fail(e.into());
+                    return None;
                 }
                 self.charge_host_hbm_queue(slot, now, count);
                 self.main.transfer(now, count);
-                sched.schedule_at(next, SocEvent::HostStep { slot });
+                Some(now + Cycle::new(count))
             }
-            HostOp::PrepareOperands { words } => {
+            Some(&HostOp::PrepareOperands { words }) => {
                 let cycles = words.div_ceil(self.config.host_prep_words_per_cycle);
                 {
                     let job = &mut self.jobs[slot];
@@ -951,13 +1188,13 @@ impl Soc {
                 }
                 self.charge_host_hbm_queue(slot, now, words);
                 self.main.transfer(now, words);
-                sched.schedule_at(now + Cycle::new(cycles), SocEvent::HostStep { slot });
+                Some(now + Cycle::new(cycles))
             }
-            HostOp::StoreMailbox {
+            Some(&HostOp::StoreMailbox {
                 cluster,
                 reg,
                 value,
-            } => {
+            }) => {
                 self.jobs[slot].host.pc += 1;
                 let d = self.noc.host_unicast(now, cluster);
                 self.jobs[slot].activity.noc_stores += 1;
@@ -991,9 +1228,9 @@ impl Soc {
                         );
                     }
                 }
-                sched.schedule_at(d.injected, SocEvent::HostStep { slot });
+                Some(d.injected)
             }
-            HostOp::MulticastMailbox { mask, reg, value } => {
+            Some(&HostOp::MulticastMailbox { mask, reg, value }) => {
                 self.jobs[slot].host.pc += 1;
                 let mc = self.noc.host_multicast(now, mask);
                 self.jobs[slot].activity.noc_stores += mc.delivered.len() as u64;
@@ -1034,9 +1271,9 @@ impl Soc {
                         );
                     }
                 }
-                sched.schedule_at(mc.injected, SocEvent::HostStep { slot });
+                Some(mc.injected)
             }
-            HostOp::CreditArm { threshold } => {
+            Some(&HostOp::CreditArm { threshold }) => {
                 let job = &mut self.jobs[slot];
                 job.host.pc += 1;
                 job.credit.arm(threshold);
@@ -1044,54 +1281,54 @@ impl Soc {
                 job.activity.sync_ops += 1;
                 self.telemetry
                     .instant(now, Unit::CreditUnit, EventKind::CreditArm, threshold);
-                let injected = now + self.noc.config().inject_cycles;
-                sched.schedule_at(injected, SocEvent::HostStep { slot });
+                Some(now + self.noc.config().inject_cycles)
             }
-            HostOp::StoreUncachedMain { addr, value } => {
+            Some(&HostOp::StoreUncachedMain { addr, value }) => {
                 self.jobs[slot].host.pc += 1;
                 if let Err(e) = self.main.store_mut().write_u64(addr, value) {
                     self.fail(e.into());
-                    return;
+                    return None;
                 }
                 self.charge_host_hbm_queue(slot, now, 1);
                 self.main.transfer(now, 1);
                 self.jobs[slot].activity.mem_words += 1;
-                let injected = now + self.noc.config().inject_cycles;
-                sched.schedule_at(injected, SocEvent::HostStep { slot });
+                Some(now + self.noc.config().inject_cycles)
             }
-            HostOp::PollUntilEq { .. } => {
+            Some(HostOp::PollUntilEq { .. }) => {
                 // A spinning CVA6 holds the core: the host stays occupied
                 // for the whole polling loop, faithful to the baseline.
                 self.jobs[slot].host.status = HostStatus::Polling;
                 sched.schedule_at(now, SocEvent::HostPoll { slot });
+                None
             }
-            HostOp::WaitIrq => {
+            Some(HostOp::WaitIrq) => {
                 let job = &mut self.jobs[slot];
                 if job.irq_pending {
                     job.irq_pending = false;
                     job.host.pc += 1;
-                    sched.schedule_at(now, SocEvent::HostStep { slot });
-                } else {
-                    // Parking on the IRQ frees the serial host core for
-                    // whichever job is queued behind it.
-                    job.host.status = HostStatus::WaitingIrq;
-                    self.release_host(sched, now, slot);
+                    return Some(now);
                 }
+                // Parking on the IRQ frees the serial host core for
+                // whichever job is queued behind it.
+                job.host.status = HostStatus::WaitingIrq;
+                self.release_host(sched, now, slot);
+                None
             }
-            HostOp::End => {
+            Some(HostOp::End) => {
                 self.jobs[slot].host.status = HostStatus::Done(now);
                 self.finish_job(now, slot);
                 self.release_host(sched, now, slot);
+                None
             }
         }
     }
 
     fn host_poll(&mut self, sched: &mut Scheduler<SocEvent>, now: Cycle, slot: usize) {
-        let Some(HostOp::PollUntilEq {
+        let Some(&HostOp::PollUntilEq {
             addr,
             value,
             spin_cycles,
-        }) = self.jobs[slot].host.current().cloned()
+        }) = self.jobs[slot].host.current()
         else {
             return;
         };
@@ -1235,7 +1472,9 @@ impl Soc {
 
 impl Soc {
     /// Handles one event at simulation time `now`; follow-up events go
-    /// through `sched`, except DMA bursts run inline within `reach`.
+    /// through `sched`, except the DMA bursts and host steps that run
+    /// inline, and the bursts booked in closed form or folded in
+    /// lockstep, within `reach`.
     fn handle(
         &mut self,
         sched: &mut Scheduler<SocEvent>,
@@ -1251,7 +1490,7 @@ impl Soc {
         // owner is the legacy wrapper or the partition is free).
         self.telemetry.set_job(self.event_job(&event));
         match event {
-            SocEvent::HostStep { slot } => self.host_step(sched, now, slot),
+            SocEvent::HostStep { slot } => self.host_step(sched, now, slot, reach),
             SocEvent::HostPoll { slot } => self.host_poll(sched, now, slot),
             SocEvent::HostIrq { slot } => {
                 self.jobs[slot].phases.sync_done = now;
@@ -1667,9 +1906,9 @@ impl Soc {
         }
     }
 
-    /// Delivers the next scheduled event, plus the DMA bursts its chain
-    /// runs inline within `reach`; returns the popped event's time, or
-    /// `None` when the queue has drained.
+    /// Delivers the next scheduled event, plus what it runs inline or
+    /// folds within `reach`; returns the popped event's time, or `None`
+    /// when the queue has drained.
     fn pump_one(&mut self, reach: Reach) -> Option<Cycle> {
         let scheduled = self.queue.pop()?;
         let (time, event) = scheduled.into_parts();
@@ -1709,8 +1948,9 @@ impl Soc {
                 None => return Ok(SessionProgress::Idle),
                 Some(t) if t > horizon => return Ok(SessionProgress::Horizon),
                 Some(_) => {
-                    // A burst never completes a job or fails one, so
-                    // this loop would pump each inline burst anyway.
+                    // Nothing runs inline after a completion or a
+                    // failure, so this loop would pump each inline event
+                    // anyway.
                     self.pump_one(Reach {
                         horizon,
                         events: u64::MAX,
@@ -1726,9 +1966,12 @@ impl Soc {
         self.session_now
     }
 
-    /// Events of the current session that went through the event queue.
-    /// The rest of the events delivered are DMA bursts that a chain ran
-    /// inline, because nothing else was due before them.
+    /// Events of the current session that the event queue delivered.
+    /// The rest of the events delivered ran without a heap pop: DMA
+    /// bursts and host steps due strictly before every queued event
+    /// (bursts with the HBM to themselves booked in closed form), and
+    /// the bursts of chains folded in lockstep. The bursts a fold takes
+    /// back out of the queue and requeues are not counted.
     pub fn events_popped(&self) -> u64 {
         self.events_popped
     }
@@ -1749,7 +1992,7 @@ impl Soc {
         }
         self.stats_folded = true;
         self.stats.merge(self.noc.stats());
-        self.stats.merge(self.main.stats());
+        self.stats.merge(&self.main.stats());
         self.stats.add(
             "contention.tcdm.bank_conflicts",
             self.session_tcdm_conflicts,
@@ -2751,26 +2994,35 @@ mod tests {
         );
     }
 
-    /// Runs one random session, its DMA bursts inline or each through
-    /// the queue, then one blocking offload, and logs everything
-    /// observable: every submit's and every `advance_jobs`' result
-    /// (completions in full), with the events delivered and the session
-    /// time after it, the offload's outcome, and after each the
-    /// telemetry, stats, fault stats and the main-memory and TCDM words
-    /// the tenants touch. Tenants overlap in time on random partitions of
-    /// a 4-cluster SoC whose HBM is sometimes narrower than a DMA burst,
-    /// so chains queue behind each other and behind host transfers.
-    /// Every core runs one of a few [random programs](random_program):
-    /// shared copies of it, which find the compiled form its first run
-    /// built, or with `fresh` a new program for every core.
-    fn random_session(seed: u64, per_burst: bool, fresh: bool) -> Vec<String> {
+    /// Runs one random session, with the event loop's fast paths or
+    /// every event through the queue (`per_event`), then one blocking
+    /// offload, and logs everything observable: every submit's and every
+    /// `advance_jobs`' result (completions in full), with the events
+    /// delivered and the session time after it, the offload's outcome,
+    /// and after each the telemetry, stats, fault stats and the
+    /// main-memory and TCDM words the tenants touch. Tenants overlap in
+    /// time on random partitions of a 4-cluster SoC whose HBM is
+    /// sometimes narrower than a DMA burst, so chains queue behind each
+    /// other and behind host transfers. A quarter of the sessions are
+    /// burst-heavy: 2-4 tenants submitted a few cycles apart move
+    /// 1,000-4,000 words per transfer on a 512-word/cycle HBM, advanced
+    /// in short steps, so their chains fold in lockstep and the horizons
+    /// cut folds mid-run. Every core runs one of a few
+    /// [random programs](random_program): shared copies of it, which
+    /// find the compiled form its first run built, or with `fresh` a new
+    /// program for every core. Also returns what the fast paths did.
+    fn random_session(seed: u64, per_event: bool, fresh: bool) -> (Vec<String>, FastPaths) {
         let mut rng = proptest::TestRng::from_name(&seed.to_string());
+        let heavy = rng.below(4) == 0;
         let mut cfg = SocConfig::with_clusters(4);
         cfg.cores_per_cluster = 1 + rng.below(2) as usize;
         cfg.mem_words_per_cycle = [4, 16, 64, 512][rng.below(4) as usize];
         cfg.dma_words_per_cycle = [4, 16, 32][rng.below(3) as usize];
+        if heavy {
+            cfg.mem_words_per_cycle = 512;
+        }
         let mut soc = Soc::new(cfg).unwrap();
-        soc.per_burst = per_burst;
+        soc.per_event = per_event;
         if rng.below(2) == 0 {
             soc.enable_telemetry(1 << 14);
         }
@@ -2789,7 +3041,7 @@ mod tests {
         }
         soc.install_faults(plan);
         let pool: Vec<Program> = (0..3).map(|_| random_program(&mut rng)).collect();
-        let programs = Programs { pool, fresh };
+        let programs = Programs { pool, fresh, heavy };
         let base = soc.map().main_base();
         let words: Vec<f64> = (0..4096).map(|_| rng.unit_f64()).collect();
         soc.main_mut()
@@ -2813,21 +3065,38 @@ mod tests {
         let mut log = Vec::new();
         let mut tenants = 0;
         soc.begin_jobs();
+        let submit = |soc: &mut Soc, rng: &mut proptest::TestRng, log: &mut Vec<String>, tenant| {
+            let (mask, program) = random_tenant(soc, rng, &programs, tenant);
+            let gap = if heavy { 40 } else { 2000 };
+            let at = soc.session_now() + Cycle::new(rng.below(gap));
+            let submitted = soc.submit_job(program, mask, at);
+            log.push(format!("submit {mask:?} at {at}: {submitted:?}"));
+        };
+        let advance = |soc: &mut Soc, rng: &mut proptest::TestRng, log: &mut Vec<String>| {
+            let step = if heavy { 300 } else { 4000 };
+            let horizon = soc.session_now() + Cycle::new(rng.below(step));
+            let progress = soc.advance_jobs(horizon);
+            log.push(format!(
+                "advance to {horizon}: {progress:?}, {} events, now {}",
+                soc.events_delivered,
+                soc.session_now()
+            ));
+        };
+        if heavy {
+            for _ in 0..2 + rng.below(3) {
+                tenants += 1;
+                submit(&mut soc, &mut rng, &mut log, tenants);
+                for _ in 0..rng.below(3) {
+                    advance(&mut soc, &mut rng, &mut log);
+                }
+            }
+        }
         for _ in 0..2 + rng.below(10) {
             if rng.below(2) == 0 {
                 tenants += 1;
-                let (mask, program) = random_tenant(&mut soc, &mut rng, &programs, tenants);
-                let at = soc.session_now() + Cycle::new(rng.below(2000));
-                let submitted = soc.submit_job(program, mask, at);
-                log.push(format!("submit {mask:?} at {at}: {submitted:?}"));
+                submit(&mut soc, &mut rng, &mut log, tenants);
             } else {
-                let horizon = soc.session_now() + Cycle::new(rng.below(4000));
-                let progress = soc.advance_jobs(horizon);
-                log.push(format!(
-                    "advance to {horizon}: {progress:?}, {} events, now {}",
-                    soc.events_delivered,
-                    soc.session_now()
-                ));
+                advance(&mut soc, &mut rng, &mut log);
             }
         }
         for _ in 0..32 {
@@ -2847,26 +3116,31 @@ mod tests {
         let outcome = soc.run_offload(program, mask);
         log.push(format!("offload {mask:?}: {outcome:?}"));
         snapshot(&mut soc, &mut log);
-        log
+        (log, soc.fast_paths)
     }
 
-    /// Binds random jobs to a random partition, unless a job still in
-    /// flight holds part of it, and returns the partition and a host
-    /// program that marshals operands and then dispatches and awaits the
-    /// jobs by credit counter or software barrier.
+    /// Binds random jobs to a random partition (one cluster in a
+    /// burst-heavy session), unless a job still in flight holds part of
+    /// it, and returns the partition and a host program that marshals
+    /// operands and then dispatches and awaits the jobs by credit counter
+    /// or software barrier.
     fn random_tenant(
         soc: &mut Soc,
         rng: &mut proptest::TestRng,
         programs: &Programs,
         tenant: u64,
     ) -> (ClusterMask, HostProgram) {
-        let mask = ClusterMask::from_bits(1 + rng.below(15));
+        let mask = if programs.heavy {
+            ClusterMask::single(rng.below(4) as usize)
+        } else {
+            ClusterMask::from_bits(1 + rng.below(15))
+        };
         let main = soc.map().main_base();
         let completion = if rng.below(2) == 0 {
             CompletionSignal::Credit
         } else {
             CompletionSignal::Barrier {
-                addr: main.add_words(4000 + tenant),
+                addr: main.add_words(4096 + tenant),
             }
         };
         if soc.check_partition(mask).is_ok() {
@@ -2912,12 +3186,15 @@ mod tests {
         words.iter().map(|w| w.to_bits()).collect()
     }
 
-    /// The programs a random session's cores run.
+    /// The programs a random session's cores run, and how much their
+    /// jobs move.
     struct Programs {
         pool: Vec<Program>,
         /// Give every core a program of its own, built from the pool's
         /// ops, which no run has compiled.
         fresh: bool,
+        /// Transfers of 1,000-4,000 words instead of under 300.
+        heavy: bool,
     }
 
     impl Programs {
@@ -2980,7 +3257,9 @@ mod tests {
     }
 
     /// A cluster job of 1-2 stages, each moving up to a few hundred words
-    /// in and out and running a random program on every core.
+    /// (or, in a burst-heavy session, a few thousand) in and out and
+    /// running a random program on every core. Transfers stay within the
+    /// words a session's log shows, below the barrier counters.
     fn random_job(
         rng: &mut proptest::TestRng,
         programs: &Programs,
@@ -2988,10 +3267,21 @@ mod tests {
         main: Addr,
         completion: CompletionSignal,
     ) -> ClusterJob {
-        let transfer = |rng: &mut proptest::TestRng| Transfer {
-            main_addr: main.add_words(rng.below(3500)),
-            local_word: 64 + rng.below(4000),
-            words: rng.below(300),
+        let transfer = |rng: &mut proptest::TestRng| {
+            if programs.heavy {
+                let words = 1000 + rng.below(3001);
+                Transfer {
+                    main_addr: main.add_words(rng.below(4097 - words)),
+                    local_word: 64 + rng.below(4337 - words),
+                    words,
+                }
+            } else {
+                Transfer {
+                    main_addr: main.add_words(rng.below(3500)),
+                    local_word: 64 + rng.below(4000),
+                    words: rng.below(300),
+                }
+            }
         };
         let stages = (0..1 + rng.below(2))
             .map(|_| crate::JobStage {
@@ -3008,19 +3298,45 @@ mod tests {
         }
     }
 
+    /// The random sessions the oracle proptest draws reach every fast
+    /// path, so it cannot pass by never taking one: over a fixed seed
+    /// list, each session matches its per-event run, which takes no fast
+    /// path, and closed-form bookings, lockstep folds and inline host
+    /// steps all do work.
+    #[test]
+    fn random_sessions_take_every_fast_path() {
+        let mut total = FastPaths::default();
+        for seed in 0..24 {
+            let (fast, paths) = random_session(seed, false, false);
+            let (oracle, none) = random_session(seed, true, false);
+            assert_eq!(fast, oracle, "seed {seed}");
+            assert_eq!(none, FastPaths::default(), "seed {seed}");
+            total.closed_form_bursts += paths.closed_form_bursts;
+            total.lockstep_cycles += paths.lockstep_cycles;
+            total.inline_host_steps += paths.inline_host_steps;
+        }
+        assert!(
+            total.closed_form_bursts > 0
+                && total.lockstep_cycles > 0
+                && total.inline_host_steps > 0,
+            "{total:?}"
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Running a DMA chain's bursts inline never changes what a
-        /// session or a blocking offload does: completions, telemetry,
+        /// The event loop's fast paths (inline DMA bursts and host
+        /// steps, closed-form bookings, lockstep folds) never change what
+        /// a session or a blocking offload does: completions, telemetry,
         /// stats, faults, memory, the events delivered and the session
         /// time after every `advance_jobs`, whatever the horizons,
         /// tenants and faults.
         #[test]
         fn inline_bursts_match_the_per_burst_oracle(seed in proptest::any::<u64>()) {
-            let inline = random_session(seed, false, false);
-            let oracle = random_session(seed, true, false);
-            proptest::prop_assert_eq!(inline, oracle);
+            let (fast, _) = random_session(seed, false, false);
+            let (oracle, _) = random_session(seed, true, false);
+            proptest::prop_assert_eq!(fast, oracle);
         }
 
         /// Sharing programs among jobs, so that every run after a
@@ -3030,8 +3346,8 @@ mod tests {
         /// each program on its one run.
         #[test]
         fn compiled_programs_match_fresh_programs(seed in proptest::any::<u64>()) {
-            let shared = random_session(seed, false, false);
-            let fresh = random_session(seed, false, true);
+            let (shared, _) = random_session(seed, false, false);
+            let (fresh, _) = random_session(seed, false, true);
             proptest::prop_assert_eq!(shared, fresh);
         }
     }
