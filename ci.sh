@@ -14,15 +14,17 @@ cargo build --release
 echo "==> cargo test -q (every workspace member: default-members in Cargo.toml)"
 cargo test -q
 
-echo "==> cargo test --release (the interpreter, SoC, offload runtime and co-simulated backend oracles on optimized code)"
+echo "==> cargo test --release (the interpreter, SoC, offload runtime, co-simulated backend and serving oracles on optimized code)"
 # The benchmark and results/ run release builds, so the proptests that
 # hold the loop replay, compiled programs and the SoC event loop's fast
 # paths (inline events, closed-form bursts, lockstep folds) to their
 # per-op, fresh-program and per-event oracles run on release code too;
 # so do the offload runtime's pinned event and heap-pop counts and its
-# session tests, and the co-simulated backend's verified submits, the
-# only check of the data a compiled run computes in a co-simulated job.
-cargo test --release -q -p mpsoc-isa -p mpsoc-soc -p mpsoc-offload -p mpsoc-sched
+# session tests, the co-simulated backend's verified submits, the only
+# check of the data a compiled run computes in a co-simulated job, and
+# the serving daemon's pinned wire bytes (golden_wire) and its streamed
+# response order against the end-of-run sort.
+cargo test --release -q -p mpsoc-isa -p mpsoc-soc -p mpsoc-offload -p mpsoc-sched -p mpsoc-serve
 
 echo "==> forbid(unsafe_code) gate (every workspace crate must carry the attribute)"
 for lib in crates/*/src/lib.rs; do

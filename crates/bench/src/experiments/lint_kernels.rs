@@ -54,7 +54,7 @@ pub(super) fn run(run: &Run) -> Result<Output, Box<dyn Error>> {
             errors: 0,
         };
         for &elems in sizes {
-            let slices = reference_slices(kernel.as_ref(), elems, CORES);
+            let slices = reference_slices(kernel.as_ref(), elems, CORES)?;
             for diag in lint_core_tiles(kernel.as_ref(), &slices) {
                 row.errors += 1;
                 failures.push_str(&format!(

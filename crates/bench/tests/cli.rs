@@ -196,6 +196,38 @@ fn a_paper_artifact_replays_against_the_committed_results() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Replays registry entry `entry` at full scale against the committed
+/// `results/`: exit 0, nothing written, or the first differing line.
+fn replays_against_the_committed_results(entry: &str) {
+    let dir = empty_dir(entry);
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let args = ["--only", entry, "--replay", results.to_str().unwrap()];
+    let out = output_in(&dir, ALL, &args);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{entry} does not replay:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(entries(&dir).is_empty(), "a replay writes nothing");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_serving_study_replays_against_the_committed_results() {
+    replays_against_the_committed_results("serve_study");
+}
+
+#[test]
+fn the_chaos_study_replays_against_the_committed_results() {
+    replays_against_the_committed_results("chaos_study");
+}
+
+#[test]
+fn the_throughput_study_replays_against_the_committed_results() {
+    replays_against_the_committed_results("throughput_study");
+}
+
 #[test]
 fn run_offload_trace_writes_only_the_trace() {
     let dir = empty_dir("trace");

@@ -117,7 +117,9 @@ impl std::ops::Add for CycleBounds {
 }
 
 /// The cost analysis failed: the program's control flow could not be
-/// bounded. Carries the L020/L021 diagnostics explaining why.
+/// bounded (L020/L021), or the job's reference geometry has byte
+/// addresses past the `u64` range (L010). Carries the diagnostics
+/// explaining why.
 #[derive(Debug, Clone)]
 pub struct CostError {
     /// Why the program is unboundable.
@@ -142,6 +144,16 @@ impl CostError {
         CostError::new(vec![Diagnostic::global(
             DiagCode::UnstructuredFlow,
             format!("kernel codegen failed: {err}"),
+        )])
+    }
+
+    pub(crate) fn address_overflow(kernel: &dyn Kernel, elems: u64) -> Self {
+        CostError::new(vec![Diagnostic::global(
+            DiagCode::TcdmOutOfBounds,
+            format!(
+                "{elems} elements of {} need byte addresses past the 64-bit range",
+                kernel.name()
+            ),
         )])
     }
 }
@@ -793,7 +805,7 @@ fn cluster_compute_bounds(
     config: &SocConfig,
 ) -> Result<CycleBounds, CostError> {
     let cores = config.cores_per_cluster;
-    let slices = reference_slices(kernel, chunk, cores);
+    let slices = reference_slices(kernel, chunk, cores)?;
     let mut programs = Vec::with_capacity(slices.len());
     for slice in &slices {
         programs.push(kernel.codegen(slice).map_err(|e| CostError::build(&e))?);
@@ -834,7 +846,8 @@ fn cluster_compute_bounds(
 ///
 /// # Errors
 ///
-/// [`CostError`] when any generated core program cannot be bounded.
+/// [`CostError`] when any generated core program cannot be bounded, or
+/// when the job's operands have byte addresses past the `u64` range.
 ///
 /// # Panics
 ///
@@ -861,6 +874,10 @@ pub fn bound_offload(
     let inject = noc.inject_cycles.as_u64();
     let ingress = noc.ingress_cycles.as_u64();
     let replicate = noc.replicate_cycles.as_u64();
+
+    // A job whose operands have byte addresses past the `u64` range is
+    // a typed error, before any word count below can overflow.
+    reference_slices(kernel, elems, 1)?;
 
     // --- Host issue: marshal, descriptor write, operand prep, arm. ---
     let prep_words = kernel.dma_in_words(elems) + kernel.dma_out_words(elems, m * cores as u64);
@@ -1018,7 +1035,7 @@ pub fn bound_offload(
 ///
 /// See [`bound_program`].
 pub fn bound_host_run(kernel: &dyn Kernel, elems: u64) -> Result<ProgramCost, CostError> {
-    let slices = reference_slices(kernel, elems, 1);
+    let slices = reference_slices(kernel, elems, 1)?;
     let program = kernel
         .codegen(&slices[0])
         .map_err(|e| CostError::build(&e))?;
@@ -1197,7 +1214,7 @@ mod tests {
         for kernel in zoo() {
             for elems in [0u64, 1, 7, 33, 64, 257, 1024] {
                 for cores in [1usize, 8] {
-                    for slice in reference_slices(kernel.as_ref(), elems, cores) {
+                    for slice in reference_slices(kernel.as_ref(), elems, cores).expect("fits") {
                         let program = kernel.codegen(&slice).expect("zoo codegen");
                         for timing in [CoreTiming::snitch(), CoreTiming::cva6()] {
                             let cost = bound_program(&program, &timing)
@@ -1341,11 +1358,39 @@ mod tests {
     }
 
     #[test]
+    fn operands_past_the_address_space_are_a_typed_error() {
+        let kernel = mpsoc_kernels::Daxpy::new(2.0);
+        let config = SocConfig::manticore();
+        let l010 = |e: CostError| {
+            e.report
+                .diagnostics
+                .iter()
+                .all(|d| d.code == DiagCode::TcdmOutOfBounds)
+        };
+        assert!(l010(
+            bound_host_run(&kernel, 1 << 62).expect_err("overflows")
+        ));
+        for strategy in OffloadStrategy::all() {
+            let err = bound_offload(
+                &kernel,
+                1 << 62,
+                8,
+                strategy,
+                &config,
+                &RuntimeCosts::default(),
+                &ContentionEnvelope::default(),
+            )
+            .expect_err("overflows");
+            assert!(l010(err));
+        }
+    }
+
+    #[test]
     fn host_run_bounds_are_sound() {
         for kernel in zoo() {
             for elems in [1u64, 64, 500] {
                 let cost = bound_host_run(kernel.as_ref(), elems).expect("boundable");
-                let slices = reference_slices(kernel.as_ref(), elems, 1);
+                let slices = reference_slices(kernel.as_ref(), elems, 1).expect("fits");
                 let program = kernel.codegen(&slices[0]).expect("codegen");
                 let actual = measure(&program, &CoreTiming::cva6());
                 assert!(
@@ -1370,8 +1415,8 @@ mod tests {
             let cores = [1usize, 4, 8][cores_ix];
             let kernel = &zoo()[kernel_ix];
             let timing = CoreTiming::snitch();
-            let lo_slices = reference_slices(kernel.as_ref(), n, cores);
-            let hi_slices = reference_slices(kernel.as_ref(), n + delta, cores);
+            let lo_slices = reference_slices(kernel.as_ref(), n, cores).expect("fits");
+            let hi_slices = reference_slices(kernel.as_ref(), n + delta, cores).expect("fits");
             let a = bound_program(
                 &kernel.codegen(&lo_slices[0]).expect("codegen"),
                 &timing,

@@ -10,6 +10,7 @@ use mpsoc_noc::ClusterMask;
 use mpsoc_offload::decision::min_clusters;
 use mpsoc_offload::RuntimeModel;
 
+use crate::cost::CostError;
 use crate::diag::{DiagCode, Diagnostic};
 
 /// The per-core [`CoreSlice`]s one cluster of `cores` workers would use
@@ -19,9 +20,23 @@ use crate::diag::{DiagCode, Diagnostic};
 ///
 /// This is the reference geometry the `lint_kernels` bench and the
 /// scheduler's admission gate lint against.
-pub fn reference_slices(kernel: &dyn Kernel, elems: u64, cores: usize) -> Vec<CoreSlice> {
+///
+/// # Errors
+///
+/// A [`CostError`] carrying an L010 diagnostic when a byte address of
+/// the geometry does not fit in a `u64`.
+pub fn reference_slices(
+    kernel: &dyn Kernel,
+    elems: u64,
+    cores: usize,
+) -> Result<Vec<CoreSlice>, CostError> {
+    let overflow = || CostError::address_overflow(kernel, elems);
+    let bytes = |word: Option<u64>| word.and_then(|w| w.checked_mul(8)).ok_or_else(overflow);
     let x_words = if kernel.uses_x() {
-        elems * kernel.x_words_per_elem() + 2 * kernel.x_halo()
+        elems
+            .checked_mul(kernel.x_words_per_elem())
+            .and_then(|w| w.checked_add(2 * kernel.x_halo()))
+            .ok_or_else(overflow)?
     } else {
         0
     };
@@ -35,37 +50,48 @@ pub fn reference_slices(kernel: &dyn Kernel, elems: u64, cores: usize) -> Vec<Co
         KernelKind::Reduce => cores as u64,
     };
     let y_word = x_words;
-    let out_word = x_words + y_words;
-    let args_word = out_word + out_words;
+    let out_word = x_words.checked_add(y_words).ok_or_else(overflow)?;
+    let args_base = bytes(out_word.checked_add(out_words))?;
 
     mpsoc_kernels::partition::split_even(elems, cores)
         .into_iter()
         .enumerate()
         .map(|(core, chunk)| {
             let rel = chunk.start;
-            let y_base = (y_word + rel) * 8;
-            CoreSlice {
+            let y_base = bytes(y_word.checked_add(rel))?;
+            Ok(CoreSlice {
                 elems: chunk.count,
-                x_base: (kernel.x_halo() + rel * kernel.x_words_per_elem()) * 8,
+                x_base: bytes(
+                    rel.checked_mul(kernel.x_words_per_elem())
+                        .and_then(|w| w.checked_add(kernel.x_halo())),
+                )?,
                 y_base,
                 out_base: match kernel.kind() {
                     KernelKind::Map => y_base,
-                    KernelKind::Reduce => (out_word + core as u64) * 8,
+                    KernelKind::Reduce => bytes(out_word.checked_add(core as u64))?,
                 },
-                args_base: args_word * 8,
+                args_base,
                 core_index: core,
-            }
+            })
         })
         .collect()
 }
 
 /// Words of TCDM the [`reference_slices`] geometry occupies.
-pub fn reference_used_words(kernel: &dyn Kernel, elems: u64, cores: usize) -> u64 {
-    let slices = reference_slices(kernel, elems, cores);
+///
+/// # Errors
+///
+/// See [`reference_slices`].
+pub fn reference_used_words(
+    kernel: &dyn Kernel,
+    elems: u64,
+    cores: usize,
+) -> Result<u64, CostError> {
+    let slices = reference_slices(kernel, elems, cores)?;
     let args_words = kernel.scalar_args().len() as u64 + 1;
-    slices
+    Ok(slices
         .first()
-        .map_or(args_words, |s| s.args_base / 8 + args_words)
+        .map_or(args_words, |s| s.args_base / 8 + args_words))
 }
 
 /// L101: write-write and read-write races between the tiles of one
@@ -171,7 +197,7 @@ mod tests {
     fn reference_slices_match_the_runtime_planner() {
         // Mirror of the TcdmLayout daxpy test in mpsoc-offload.
         let k = Daxpy::new(2.0);
-        let slices = reference_slices(&k, 128, 8);
+        let slices = reference_slices(&k, 128, 8).expect("fits");
         assert_eq!(slices.len(), 8);
         assert_eq!(slices[0].x_base, 0);
         assert_eq!(slices[0].y_base, 128 * 8);
@@ -180,15 +206,38 @@ mod tests {
         assert_eq!(slices[2].x_base, 32 * 8);
         assert_eq!(slices[2].y_base, (128 + 32) * 8);
         assert_eq!(slices[2].out_base, slices[2].y_base);
-        assert_eq!(reference_used_words(&k, 128, 8), 258);
+        assert_eq!(reference_used_words(&k, 128, 8).expect("fits"), 258);
     }
 
     #[test]
     fn reduce_slices_get_disjoint_partial_slots() {
         let k = Dot::new();
-        let slices = reference_slices(&k, 64, 8);
+        let slices = reference_slices(&k, 64, 8).expect("fits");
         assert_eq!(slices[3].out_base, (128 + 3) * 8);
-        assert_eq!(reference_used_words(&k, 64, 8), 137);
+        assert_eq!(reference_used_words(&k, 64, 8).expect("fits"), 137);
+    }
+
+    #[test]
+    fn a_geometry_past_the_address_space_is_a_typed_error() {
+        // DAXPY keeps x and y, 16 bytes per element: 2^60 elements end
+        // at byte 2^64, and 2^59 end at 2^63.
+        for (kernel, elems) in [
+            (&Daxpy::new(2.0) as &dyn Kernel, 1u64 << 60),
+            (&Daxpy::new(2.0), 1 << 62),
+            (&Dot::new(), 1 << 62),
+            (&Daxpy::new(2.0), u64::MAX),
+        ] {
+            let err = reference_slices(kernel, elems, 8).expect_err("overflows");
+            assert!(err.report.has_errors());
+            assert!(err
+                .report
+                .diagnostics
+                .iter()
+                .all(|d| d.code == DiagCode::TcdmOutOfBounds));
+            assert!(reference_used_words(kernel, elems, 8).is_err());
+        }
+        let slices = reference_slices(&Daxpy::new(2.0), 1 << 59, 8).expect("fits");
+        assert_eq!(slices[0].args_base, 1 << 63);
     }
 
     #[test]
@@ -199,7 +248,7 @@ mod tests {
             (&Gemv::new(vec![1.0, 2.0, 3.0]), 17),
             (&Stencil3::new(0.25, 0.5, 0.25), 33),
         ] {
-            let slices = reference_slices(kernel, elems, 8);
+            let slices = reference_slices(kernel, elems, 8).expect("fits");
             let diags = lint_core_tiles(kernel, &slices);
             assert!(diags.is_empty(), "{}: {diags:?}", kernel.name());
         }
@@ -208,7 +257,7 @@ mod tests {
     #[test]
     fn overlapping_output_tiles_race() {
         let k = Daxpy::new(2.0);
-        let mut slices = reference_slices(&k, 64, 4);
+        let mut slices = reference_slices(&k, 64, 4).expect("fits");
         // Misplace core 1's output on top of core 0's.
         slices[1].y_base = slices[0].y_base;
         slices[1].out_base = slices[0].out_base;
@@ -224,7 +273,7 @@ mod tests {
     #[test]
     fn write_into_neighbours_read_slice_races() {
         let k = Daxpy::new(2.0);
-        let mut slices = reference_slices(&k, 64, 4);
+        let mut slices = reference_slices(&k, 64, 4).expect("fits");
         // Core 2's output lands in core 3's x slice.
         slices[2].out_base = slices[3].x_base;
         let diags = lint_core_tiles(&k, &slices);
@@ -238,7 +287,7 @@ mod tests {
         // Every core reads the same scalar args — read-read sharing is
         // exactly what the layout intends.
         let k = Gemv::new(vec![1.0; 4]);
-        let slices = reference_slices(&k, 8, 8);
+        let slices = reference_slices(&k, 8, 8).expect("fits");
         assert!(slices.windows(2).all(|w| w[0].args_base == w[1].args_base));
         assert!(lint_core_tiles(&k, &slices).is_empty());
     }

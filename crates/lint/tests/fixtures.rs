@@ -35,7 +35,7 @@ fn fixture_kernels() -> Vec<(&'static str, Box<dyn Kernel>)> {
 fn fixture_program(kernel: &dyn Kernel) -> Program {
     // Core 0 of an 8-core cluster over 64 elements: big enough to get a
     // steady-state loop, small enough to stay readable in the JSON.
-    let slices = reference_slices(kernel, 64, 8);
+    let slices = reference_slices(kernel, 64, 8).expect("fits");
     kernel.codegen(&slices[0]).expect("codegen")
 }
 

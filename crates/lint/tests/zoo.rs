@@ -14,7 +14,7 @@ fn every_zoo_kernel_lints_clean_on_every_slice() {
     let cx = LintContext::manticore();
     for kernel in zoo() {
         for elems in SIZES {
-            for slice in reference_slices(kernel.as_ref(), elems, CORES) {
+            for slice in reference_slices(kernel.as_ref(), elems, CORES).expect("fits") {
                 if slice.elems == 0 {
                     // Empty slices legitimately skip their loop; their
                     // preamble is dead by design.
@@ -38,7 +38,7 @@ fn every_zoo_kernel_lints_clean_on_every_slice() {
 fn every_zoo_kernel_partitions_without_tile_races() {
     for kernel in zoo() {
         for elems in SIZES {
-            let slices = reference_slices(kernel.as_ref(), elems, CORES);
+            let slices = reference_slices(kernel.as_ref(), elems, CORES).expect("fits");
             let diags = lint_core_tiles(kernel.as_ref(), &slices);
             assert!(
                 diags.is_empty(),

@@ -54,19 +54,17 @@ impl LintGate {
 
     fn lint(&self, kernel: KernelId, n: u64) -> Option<LintReport> {
         let k = kernel.instantiate();
-        let slices = reference_slices(k.as_ref(), n, self.cores_per_cluster);
+        // A geometry past the address space and a builder refusal
+        // surface through the service backend's own typed error path;
+        // the gate only judges programs that built.
+        let slices = reference_slices(k.as_ref(), n, self.cores_per_cluster).ok()?;
         // Core 0 holds the biggest slice (remainders go to low cores), so
         // its program has the worst-case footprint and loop structure.
         let slice = slices.first()?;
         if slice.elems == 0 {
             return None;
         }
-        let Ok(program) = k.codegen(slice) else {
-            // A builder refusal surfaces through the service backend's
-            // own typed error path; the gate only judges programs that
-            // built.
-            return None;
-        };
+        let program = k.codegen(slice).ok()?;
         let report = lint_program(&program, &self.context);
         if report.has_errors() {
             Some(report)
@@ -114,6 +112,15 @@ mod tests {
         let mut gate = LintGate::new(tiny, 8);
         let report = gate.check(&job(KernelId::Daxpy, 1024)).expect("must fail");
         assert!(report.has_errors());
+    }
+
+    #[test]
+    fn a_geometry_past_the_address_space_is_skipped() {
+        // 2^62 DAXPY elements have no 64-bit byte addresses: the gate
+        // skips the job, as it skips a program that does not build.
+        let mut gate = LintGate::manticore();
+        assert!(gate.check(&job(KernelId::Daxpy, 1 << 62)).is_none());
+        assert!(gate.check(&job(KernelId::Dot, u64::MAX)).is_none());
     }
 
     #[test]

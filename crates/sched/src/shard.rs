@@ -841,6 +841,14 @@ impl ShardSim {
         std::mem::take(&mut self.sched.finished)
     }
 
+    /// Drains every record finished since the last drain, in the order
+    /// [`ShardSim::drain_finished`] returns them. The shard keeps its
+    /// buffer, so a caller that drains after every event allocates
+    /// nothing.
+    pub fn drain_finished_iter(&mut self) -> std::vec::Drain<'_, JobRecord> {
+        self.sched.finished.drain(..)
+    }
+
     /// Drives virtual time to `until` (inclusive): retires every
     /// completion at or before it, re-dispatching the queue after each
     /// event. `u64::MAX` means "retire everything currently in flight"

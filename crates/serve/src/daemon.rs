@@ -15,12 +15,18 @@
 //!   `JobComplete` at its finish time, delivered to the session that
 //!   submitted the job.
 //!
-//! Responses are timestamped and globally ordered before framing, so a
+//! Each response is framed when it is emitted, stamped with its virtual
+//! time, and sent once virtual time passes it: after every event, the
+//! frames stamped at or before the time the fleet was last advanced to
+//! go to their sessions in (time, emit order), and later ones wait. No
+//! frame discovered later can sort before one already sent, so a
 //! session's outbound stream is in virtual-time order even though
 //! completions are discovered lazily. The daemon never blocks: clients
 //! that send garbage get a typed [`ServeError::Decode`] naming their
 //! session, not a hang.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::Range;
 
@@ -188,94 +194,110 @@ impl Daemon {
     /// runs).
     pub fn run(&mut self, scripts: &[ClientScript]) -> Result<Vec<SessionLog>, ServeError> {
         let _prof = mpsoc_sim::profile::scope("serve.daemon.run");
-        // Merge all sends into (time, session, send index) order.
-        let mut events: Vec<(u64, usize, usize)> = Vec::new();
-        for (session, script) in scripts.iter().enumerate() {
-            if let Some(i) = script.sends.windows(2).position(|w| w[0].0 > w[1].0) {
-                return Err(ServeError::ScriptOrder {
-                    session,
-                    send: i + 1,
-                    at: script.sends[i + 1].0,
-                    after: script.sends[i].0,
-                });
+        check_order(scripts)?;
+        let mut run = RunState::new(&self.fleet, scripts.len());
+        let mut logs = vec![SessionLog::default(); scripts.len()];
+        let mut outbox = Outbox::default();
+        // The time the fleet was last advanced to in this run. The
+        // advance retired every completion at or before it; whatever
+        // is dispatched after it finishes at or after it; and every
+        // later verdict or report is stamped at or after it, with a
+        // larger emit sequence. So no frame emitted later sorts before
+        // a frame stamped at or before it, and those can go now.
+        let mut watermark = None;
+        // The scripts are each ordered by time, so a heap holding each
+        // session's next send `(time, session, index)` merges them.
+        let mut next: BinaryHeap<_> = scripts
+            .iter()
+            .enumerate()
+            .filter_map(|(session, script)| {
+                script.sends.first().map(|&(t, _)| Reverse((t, session, 0)))
+            })
+            .collect();
+        while let Some(Reverse((t, session, idx))) = next.pop() {
+            let sends = &scripts[session].sends;
+            if let Some(&(later, _)) = sends.get(idx + 1) {
+                next.push(Reverse((later, session, idx + 1)));
             }
-            for (idx, &(t, _)) in script.sends.iter().enumerate() {
-                events.push((t, session, idx));
+            if self.step(&mut run, t, session, sends[idx].1, &mut outbox)? {
+                watermark = Some(t);
+            }
+            if let Some(watermark) = watermark {
+                outbox.flush(watermark, &mut logs);
             }
         }
-        // (time, session, index) is unique, so the unstable sort is exact.
-        events.sort_unstable();
+        self.finish(&mut run, &mut outbox)?;
+        outbox.flush(u64::MAX, &mut logs);
+        Ok(logs)
+    }
 
-        let mut decoders: Vec<Decoder> = scripts.iter().map(|_| Decoder::new()).collect();
-        // The daemon's private mapping from fleet identity to wire
-        // identity: fleet job ids are sequential, so the job with id
-        // `first_job + i` came from `origin[i]` (`None` for a rejection).
-        let first_job = self.fleet.submitted();
-        let mut origin: Vec<Option<(usize, u64)>> = Vec::new();
-        let mut outbox = Outbox::default();
-        // Records resolved before this run were answered by earlier runs.
-        let mut collected = self.fleet.completed().len();
-        let mut frame = Vec::new();
-
-        for (t, session, idx) in events {
-            // The "wire": the client's encoded frame arrives now and the
-            // daemon decodes it incrementally.
-            let (_, request) = scripts[session].sends[idx];
-            frame.clear();
-            encode_into(&mut frame, &request);
-            decoders[session].push(&frame);
-            loop {
-                let decoded = decoders[session]
-                    .next_message::<Request>()
-                    .map_err(|error| ServeError::Decode { session, error })?;
-                let Some(decoded) = decoded else {
-                    break;
-                };
-                match decoded {
-                    Request::SubmitJob {
-                        client_job,
-                        kernel,
-                        n,
-                        deadline,
-                    } => {
-                        debug_assert_eq!(self.fleet.submitted(), first_job + origin.len() as u64);
-                        let (shard, decision) = self.fleet.submit(kernel, n, deadline, t)?;
-                        let verdict = match decision {
-                            ShardDecision::Queued { .. } | ShardDecision::Host { .. } => {
-                                origin.push(Some((session, client_job)));
-                                Response::JobAccepted { client_job, shard }
-                            }
-                            ShardDecision::Rejected { reason } => {
-                                origin.push(None);
-                                Response::JobRejected { client_job, reason }
-                            }
-                        };
-                        outbox.emit(t, session, &verdict);
-                        // Completions the submit's advance uncovered.
-                        Self::collect_completions(
-                            &self.fleet,
-                            &mut collected,
-                            first_job,
-                            &origin,
-                            &mut outbox,
-                        );
-                    }
-                    // Stats polls are read-only: they snapshot the fleet
-                    // *as of the last submission's advance* and never
-                    // move virtual time, touch placement state, or
-                    // trigger stealing — so a job stream replays
-                    // byte-identically with or without polls.
-                    Request::GetStats => {
-                        let report = self.stats_report(t);
-                        outbox.emit(t, session, &Response::Stats { report });
-                    }
+    /// Delivers one send: `session`'s encoded `request` arrives at
+    /// virtual time `t`, and every response it causes goes to `out`.
+    /// Returns whether the fleet was advanced to `t`.
+    fn step(
+        &mut self,
+        run: &mut RunState,
+        t: u64,
+        session: usize,
+        request: Request,
+        out: &mut impl Emit,
+    ) -> Result<bool, ServeError> {
+        // The "wire": the client's encoded frame arrives now and the
+        // daemon decodes it incrementally.
+        run.frame.clear();
+        encode_into(&mut run.frame, &request);
+        run.decoders[session].push(&run.frame);
+        let mut advanced = false;
+        while let Some(decoded) = run.decoders[session]
+            .next_message::<Request>()
+            .map_err(|error| ServeError::Decode { session, error })?
+        {
+            match decoded {
+                Request::SubmitJob {
+                    client_job,
+                    kernel,
+                    n,
+                    deadline,
+                } => {
+                    debug_assert_eq!(
+                        self.fleet.submitted(),
+                        run.first_job + run.origin.len() as u64
+                    );
+                    let (shard, decision) = self.fleet.submit(kernel, n, deadline, t)?;
+                    advanced = true;
+                    let verdict = match decision {
+                        ShardDecision::Queued { .. } | ShardDecision::Host { .. } => {
+                            run.origin.push(Some((session, client_job)));
+                            Response::JobAccepted { client_job, shard }
+                        }
+                        ShardDecision::Rejected { reason } => {
+                            run.origin.push(None);
+                            Response::JobRejected { client_job, reason }
+                        }
+                    };
+                    out.emit(t, session, &verdict);
+                    // Completions the submit's advance uncovered.
+                    run.collect_completions(&self.fleet, out);
+                }
+                // Stats polls are read-only: they snapshot the fleet
+                // *as of the last submission's advance* and never
+                // move virtual time, touch placement state, or
+                // trigger stealing — so a job stream replays
+                // byte-identically with or without polls.
+                Request::GetStats => {
+                    let report = self.stats_report(t);
+                    out.emit(t, session, &Response::Stats { report });
                 }
             }
         }
+        Ok(advanced)
+    }
 
+    /// Runs the fleet dry and emits the remaining completions.
+    fn finish(&mut self, run: &mut RunState, out: &mut impl Emit) -> Result<(), ServeError> {
         self.fleet.drain()?;
-        Self::collect_completions(&self.fleet, &mut collected, first_job, &origin, &mut outbox);
-        Ok(outbox.deliver(scripts.len()))
+        run.collect_completions(&self.fleet, out);
+        Ok(())
     }
 
     /// A [`StatsReport`] snapshot of the fleet as it stands, stamped
@@ -304,20 +326,55 @@ impl Daemon {
             counters,
         }
     }
+}
+
+/// Refuses a script whose sends go back in time, naming the first such
+/// send.
+fn check_order(scripts: &[ClientScript]) -> Result<(), ServeError> {
+    for (session, script) in scripts.iter().enumerate() {
+        if let Some(i) = script.sends.windows(2).position(|w| w[0].0 > w[1].0) {
+            return Err(ServeError::ScriptOrder {
+                session,
+                send: i + 1,
+                at: script.sends[i + 1].0,
+                after: script.sends[i].0,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// What one run carries from send to send.
+struct RunState {
+    decoders: Vec<Decoder>,
+    /// The daemon's private mapping from fleet identity to wire
+    /// identity: fleet job ids are sequential, so the job with id
+    /// `first_job + i` came from `origin[i]` (`None` for a rejection).
+    first_job: u64,
+    origin: Vec<Option<(usize, u64)>>,
+    /// Fleet records already answered; those resolved before this run
+    /// were answered by earlier runs.
+    collected: usize,
+    /// The request frame on the wire.
+    frame: Vec<u8>,
+}
+
+impl RunState {
+    fn new(fleet: &Fleet, sessions: usize) -> Self {
+        RunState {
+            decoders: (0..sessions).map(|_| Decoder::new()).collect(),
+            first_job: fleet.submitted(),
+            origin: Vec::new(),
+            collected: fleet.completed().len(),
+            frame: Vec::new(),
+        }
+    }
 
     /// Emits `JobComplete` for fleet records not yet reported; jobs
     /// submitted before `first_job` belong to no session of this run.
-    fn collect_completions(
-        fleet: &Fleet,
-        collected: &mut usize,
-        first_job: u64,
-        origin: &[Option<(usize, u64)>],
-        outbox: &mut Outbox,
-    ) {
+    fn collect_completions(&mut self, fleet: &Fleet, out: &mut impl Emit) {
         let records = fleet.completed();
-        while *collected < records.len() {
-            let fr = &records[*collected];
-            *collected += 1;
+        for fr in &records[self.collected..] {
             let (start, finish, on_host) = match fr.record.outcome {
                 JobOutcome::Offloaded { start, finish, .. } => (start, finish, false),
                 JobOutcome::Host { start, finish } => (start, finish, true),
@@ -328,12 +385,12 @@ impl Daemon {
                 .record
                 .job
                 .id
-                .checked_sub(first_job)
-                .and_then(|i| origin.get(i as usize))
+                .checked_sub(self.first_job)
+                .and_then(|i| self.origin.get(i as usize))
             else {
                 continue;
             };
-            outbox.emit(
+            out.emit(
                 finish,
                 session,
                 &Response::JobComplete {
@@ -347,41 +404,55 @@ impl Daemon {
                 },
             );
         }
+        self.collected = records.len();
     }
 }
 
-/// One run's responses, each framed once when it is emitted into a
-/// shared byte arena and delivered at the end in global virtual-time
-/// order, so each session's stream is time-sorted even though
-/// completions are discovered lazily.
+/// Where a run's responses go as they are emitted, each stamped with
+/// its virtual time and the session it answers.
+trait Emit {
+    fn emit(&mut self, time: u64, session: usize, response: &Response);
+}
+
+/// The responses emitted and not yet sent, each framed once into a byte
+/// arena when it is emitted; a flush sorts only their small keys.
 #[derive(Default)]
 struct Outbox {
     arena: Vec<u8>,
     /// `(virtual time, emit sequence, session, frame's place in arena)`.
     keys: Vec<(u64, u64, usize, Range<usize>)>,
+    /// Frames emitted so far this run.
+    emitted: u64,
 }
 
-impl Outbox {
+impl Emit for Outbox {
     fn emit(&mut self, time: u64, session: usize, response: &Response) {
         let start = self.arena.len();
         encode_into(&mut self.arena, response);
-        let seq = self.keys.len() as u64;
         self.keys
-            .push((time, seq, session, start..self.arena.len()));
+            .push((time, self.emitted, session, start..self.arena.len()));
+        self.emitted += 1;
     }
+}
 
-    /// Appends every frame to its session's outbound stream, ordered by
-    /// (virtual time, emit sequence), and returns the `sessions` logs.
-    /// The pair is unique, so the unstable sort yields the one order a
-    /// stable sort by time would.
-    fn deliver(mut self, sessions: usize) -> Vec<SessionLog> {
+impl Outbox {
+    /// Appends every frame stamped at or before `watermark` to its
+    /// session's outbound stream, ordered by (virtual time, emit
+    /// sequence); later frames wait for a later flush. The pair is
+    /// unique, so the unstable sort yields the one order a stable sort
+    /// by time would.
+    fn flush(&mut self, watermark: u64, logs: &mut [SessionLog]) {
         self.keys
             .sort_unstable_by_key(|&(time, seq, ..)| (time, seq));
-        let mut logs = vec![SessionLog::default(); sessions];
-        for (_, _, session, frame) in self.keys {
+        let ready = self.keys.partition_point(|&(time, ..)| time <= watermark);
+        for (_, _, session, frame) in self.keys.drain(..ready) {
             logs[session].outbound.extend_from_slice(&self.arena[frame]);
         }
-        logs
+        // Waiting frames keep their bytes in place; the arena empties
+        // once none wait, which the next advance past them ensures.
+        if self.keys.is_empty() {
+            self.arena.clear();
+        }
     }
 }
 
@@ -391,6 +462,7 @@ mod tests {
     use crate::fleet::{FleetConfig, PlacementPolicy};
     use crate::wire::encode;
     use mpsoc_sched::{KernelId, ModelTable, RejectReason};
+    use proptest::prelude::*;
 
     fn daemon(shards: usize, queue_limit: usize) -> Daemon {
         Daemon::new(Fleet::analytic(
@@ -405,6 +477,167 @@ mod tests {
             },
             &ModelTable::paper_defaults(),
         ))
+    }
+
+    /// The run as it was before responses streamed, kept as the oracle
+    /// for their order: every send of the run sorted up front, every
+    /// response held in one arena until the run ends, then sorted and
+    /// delivered at once.
+    fn reference_run(
+        d: &mut Daemon,
+        scripts: &[ClientScript],
+    ) -> Result<Vec<SessionLog>, ServeError> {
+        check_order(scripts)?;
+        let mut events: Vec<(u64, usize, usize)> = Vec::new();
+        for (session, script) in scripts.iter().enumerate() {
+            for (idx, &(t, _)) in script.sends.iter().enumerate() {
+                events.push((t, session, idx));
+            }
+        }
+        // (time, session, index) is unique, so the unstable sort is exact.
+        events.sort_unstable();
+        let mut run = RunState::new(&d.fleet, scripts.len());
+        let mut outbox = ReferenceOutbox::default();
+        for (t, session, idx) in events {
+            d.step(
+                &mut run,
+                t,
+                session,
+                scripts[session].sends[idx].1,
+                &mut outbox,
+            )?;
+        }
+        d.finish(&mut run, &mut outbox)?;
+        Ok(outbox.deliver(scripts.len()))
+    }
+
+    /// One run's responses, each framed once when it is emitted into a
+    /// shared byte arena and delivered at the end in global virtual-time
+    /// order.
+    #[derive(Default)]
+    struct ReferenceOutbox {
+        arena: Vec<u8>,
+        /// `(virtual time, emit sequence, session, frame's place in arena)`.
+        keys: Vec<(u64, u64, usize, Range<usize>)>,
+    }
+
+    impl Emit for ReferenceOutbox {
+        fn emit(&mut self, time: u64, session: usize, response: &Response) {
+            let start = self.arena.len();
+            encode_into(&mut self.arena, response);
+            let seq = self.keys.len() as u64;
+            self.keys
+                .push((time, seq, session, start..self.arena.len()));
+        }
+    }
+
+    impl ReferenceOutbox {
+        /// Appends every frame to its session's outbound stream, ordered
+        /// by (virtual time, emit sequence), and returns the `sessions`
+        /// logs.
+        fn deliver(mut self, sessions: usize) -> Vec<SessionLog> {
+            self.keys
+                .sort_unstable_by_key(|&(time, seq, ..)| (time, seq));
+            let mut logs = vec![SessionLog::default(); sessions];
+            for (_, _, session, frame) in self.keys {
+                logs[session].outbound.extend_from_slice(&self.arena[frame]);
+            }
+            logs
+        }
+    }
+
+    /// Random scripts over `sessions` sessions. Each send is `(session,
+    /// gap class, kind, deadline class)`: gap class 0 sends at the same
+    /// time as the session's previous send (ties within and, through
+    /// the shared time grid, across sessions), larger classes wait up
+    /// to 60,000 cycles, past most completions; a quarter of the kinds
+    /// are stats polls; the deadline classes reach rejections and host
+    /// runs.
+    fn random_scripts(sessions: usize, sends: &[(usize, u64, u64, u64)]) -> Vec<ClientScript> {
+        const GAPS: [u64; 6] = [0, 0, 100, 1_000, 10_000, 60_000];
+        const DEADLINES: [u64; 4] = [50, 3_000, 30_000, 1_000_000];
+        let mut scripts = vec![ClientScript::new(); sessions];
+        let mut clock = vec![0u64; sessions];
+        for (i, &(session, gap, kind, deadline)) in sends.iter().enumerate() {
+            let session = session % sessions;
+            clock[session] += GAPS[gap as usize % GAPS.len()];
+            let t = clock[session];
+            if kind % 4 == 0 {
+                scripts[session].poll_stats_at(t);
+            } else {
+                let kernel = KernelId::ALL[kind as usize % KernelId::ALL.len()];
+                let n = 64 << (kind % 8);
+                let deadline = DEADLINES[deadline as usize % DEADLINES.len()];
+                scripts[session].submit_at(t, i as u64, kernel, n, deadline);
+            }
+        }
+        scripts
+    }
+
+    fn assert_streams_match(got: &[SessionLog], want: &[SessionLog]) {
+        assert_eq!(got.len(), want.len());
+        for (session, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.outbound, w.outbound, "session {session}'s stream differs");
+        }
+    }
+
+    #[test]
+    fn a_stats_poll_waits_for_completions_found_after_it() {
+        // The job finishes at 956, but the daemon only learns so at the
+        // submit at 60,000, after the poll at 50,000 has been emitted.
+        // The completion still goes out first: the poll is stamped past
+        // the fleet's clock, so it waits.
+        let mut script = ClientScript::new();
+        script.submit_at(0, 1, KernelId::Daxpy, 1024, 100_000);
+        script.poll_stats_at(50_000);
+        script.submit_at(60_000, 2, KernelId::Daxpy, 1024, 100_000);
+        let scripts = [script];
+        let logs = daemon(2, 8).run(&scripts).expect("run");
+        let stamps: Vec<(Option<u64>, u64)> = logs[0]
+            .responses()
+            .expect("decode")
+            .iter()
+            .map(|r| match r {
+                Response::JobAccepted { client_job, .. } => (Some(*client_job), 0),
+                Response::JobComplete {
+                    client_job, finish, ..
+                } => (Some(*client_job), *finish),
+                Response::Stats { report } => (None, report.time),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(stamps[..3], [(Some(1), 0), (Some(1), 956), (None, 50_000)]);
+        assert_eq!(stamps[3], (Some(2), 0));
+        assert_eq!(stamps.len(), 5);
+        let reference = reference_run(&mut daemon(2, 8), &scripts).expect("reference");
+        assert_streams_match(&logs, &reference);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn streamed_responses_match_the_end_of_run_sort(
+            sessions in 1usize..5,
+            queue_limit in 1usize..4,
+            first in prop::collection::vec((0usize..4, 0u64..6, 0u64..24, 0u64..4), 1..60),
+            second in prop::collection::vec((0usize..4, 0u64..6, 0u64..24, 0u64..4), 0..30),
+        ) {
+            let mut streamed = daemon(2, queue_limit);
+            let mut reference = daemon(2, queue_limit);
+            // A second run on the same daemon starts from the first
+            // run's fleet, and its times may go back to zero.
+            for sends in [&first, &second] {
+                let scripts = random_scripts(sessions, sends);
+                let got = streamed.run(&scripts).expect("run");
+                let want = reference_run(&mut reference, &scripts).expect("reference");
+                prop_assert_eq!(got.len(), want.len());
+                for (session, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(g.outbound == w.outbound, "session {} differs", session);
+                }
+            }
+            prop_assert_eq!(streamed.fleet().completed(), reference.fleet().completed());
+        }
     }
 
     #[test]

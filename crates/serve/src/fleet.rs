@@ -36,10 +36,11 @@
 //!   backpressure is re-offered to the next-best shards before the
 //!   rejection becomes final; the failed attempt's record is withdrawn
 //!   so every job still resolves exactly once.
-//! - **Telemetry**: one [`StatsRegistry`] per shard (accept/reject/steal
-//!   counters, completion-latency histogram, the `serve.health.*`
-//!   family), merged on demand into a fleet-wide [`FleetView`] whose
-//!   histogram merge is exact.
+//! - **Telemetry**: per shard, typed tallies for what every accepted job
+//!   and completion updates (accept/offload/miss counters, completion
+//!   latency) and a [`StatsRegistry`] for the rest (rejections, steals,
+//!   cost audits, the `serve.health.*` family), merged on demand into a
+//!   fleet-wide [`FleetView`] whose histogram merge is exact.
 //!
 //! Everything iterates in shard-index order and all state lives in
 //! ordered containers, so a fixed (config, job stream) pair replays to
@@ -52,6 +53,7 @@ use mpsoc_sched::{
     CostGate, FifoFirstFit, Job, JobOutcome, JobRecord, KernelId, ModelTable, RejectReason,
     SchedError, ServiceBackend, ShardDecision, ShardSim,
 };
+use mpsoc_sim::stats::{Histogram, Summary};
 use mpsoc_telemetry::{FleetView, StatsRegistry};
 use serde::{Deserialize, Serialize};
 
@@ -154,10 +156,64 @@ pub struct FleetRecord {
     pub record: JobRecord,
 }
 
+/// The counters and latency series every accepted job and completion on
+/// one shard updates, kept in typed fields so the hot path does no
+/// keyed lookups; [`Fleet::fleet_view`] merges them into the shard's
+/// registry under their `serve.*` names.
+#[derive(Debug, Clone, Default)]
+struct ShardTally {
+    accepted: u64,
+    offloaded: u64,
+    host_runs: u64,
+    deadline_missed: u64,
+    retries: u64,
+    latency: Summary,
+    latency_histogram: Histogram,
+}
+
+impl ShardTally {
+    /// Records a completion latency the way `StatsRegistry::observe`
+    /// records a sample, without its lookups.
+    fn observe_latency(&mut self, cycles: u64) {
+        let value = cycles as f64;
+        self.latency.record(value);
+        self.latency_histogram.record(value.round() as u64);
+    }
+
+    /// `registry` with the tallies merged in, under the names and with
+    /// the key set keyed updates would have left: a counter once it
+    /// counted something, `serve.retries` once an offload added to it
+    /// (even zero), and `serve.latency` once it holds a sample.
+    fn merged_into(&self, registry: &StatsRegistry) -> StatsRegistry {
+        let mut merged = registry.clone();
+        for (name, value) in [
+            ("serve.accepted", self.accepted),
+            ("serve.offloaded", self.offloaded),
+            ("serve.host_runs", self.host_runs),
+            ("serve.deadline_missed", self.deadline_missed),
+        ] {
+            if value > 0 {
+                merged.add(name, value);
+            }
+        }
+        if self.offloaded > 0 {
+            merged.add("serve.retries", self.retries);
+        }
+        if self.latency.count() > 0 {
+            merged.merge_summary_named("serve.latency", &self.latency);
+            merged.merge_histogram_named("serve.latency", &self.latency_histogram);
+        }
+        merged
+    }
+}
+
 /// A fleet of shards behind one balancer.
 pub struct Fleet {
     config: FleetConfig,
     shards: Vec<ShardSim>,
+    /// Per shard: the typed hot-path tallies.
+    tallies: Vec<ShardTally>,
+    /// Per shard: the registry of the rarer counters.
     stats: Vec<StatsRegistry>,
     rr_next: usize,
     next_job_id: u64,
@@ -210,6 +266,7 @@ impl Fleet {
             })
             .collect();
         Fleet {
+            tallies: vec![ShardTally::default(); config.shards],
             stats: (0..config.shards).map(|_| StatsRegistry::new()).collect(),
             shards,
             rr_next: 0,
@@ -266,16 +323,20 @@ impl Fleet {
         self.deadline_met
     }
 
-    /// Per-shard statistics registries, indexed by shard.
-    #[cfg(test)]
-    fn shard_stats(&self) -> &[StatsRegistry] {
-        &self.stats
+    /// Per-shard statistics registries, tallies merged in, indexed by
+    /// shard.
+    fn shard_stats(&self) -> Vec<StatsRegistry> {
+        self.tallies
+            .iter()
+            .zip(&self.stats)
+            .map(|(tally, registry)| tally.merged_into(registry))
+            .collect()
     }
 
     /// The merged fleet view: global counters/histograms plus
     /// `shard<i>.`-prefixed per-shard breakdowns.
     pub fn fleet_view(&self) -> FleetView {
-        FleetView::with_shards(self.stats.iter())
+        FleetView::with_shards(self.shard_stats().iter())
     }
 
     /// Direct access to a shard (load inspection, tests).
@@ -370,7 +431,7 @@ impl Fleet {
             decision,
             ShardDecision::Queued { .. } | ShardDecision::Host { .. }
         ) {
-            self.stats[shard].incr("serve.accepted");
+            self.tallies[shard].accepted += 1;
             if let Some(check) = self.shards[shard].take_cost_check() {
                 self.stats[shard].incr("serve.cost.checked");
                 if check.predicted < check.best as f64 {
@@ -599,44 +660,36 @@ impl Fleet {
     }
 
     /// Drains shard `i`'s finished records into the fleet log, its
-    /// statistics registry and the fleet's running SLO counters, along
+    /// tallies and registry and the fleet's running SLO counters, along
     /// with its quarantine events and any health-state transition they
     /// caused.
     fn collect(&mut self, i: usize) {
-        for record in self.shards[i].drain_finished() {
-            let reg = &mut self.stats[i];
+        let (tally, reg) = (&mut self.tallies[i], &mut self.stats[i]);
+        for record in self.shards[i].drain_finished_iter() {
             if let JobOutcome::Offloaded { finish, .. } | JobOutcome::Host { finish, .. } =
                 record.outcome
             {
                 self.makespan = self.makespan.max(finish);
-                if !record.missed_deadline() {
+                if record.missed_deadline() {
+                    tally.deadline_missed += 1;
+                } else {
                     self.deadline_met += 1;
+                }
+                if let Some(l) = record.latency() {
+                    tally.observe_latency(l);
                 }
             }
             match record.outcome {
                 JobOutcome::Offloaded { .. } => {
-                    reg.incr("serve.offloaded");
-                    if let Some(l) = record.latency() {
-                        reg.observe("serve.latency", l as f64);
-                    }
-                    if record.missed_deadline() {
-                        reg.incr("serve.deadline_missed");
-                    }
-                    reg.add("serve.retries", u64::from(record.retries));
+                    tally.offloaded += 1;
+                    tally.retries += u64::from(record.retries);
                 }
-                JobOutcome::Host { .. } => {
-                    reg.incr("serve.host_runs");
-                    if let Some(l) = record.latency() {
-                        reg.observe("serve.latency", l as f64);
-                    }
-                    if record.missed_deadline() {
-                        reg.incr("serve.deadline_missed");
-                    }
-                }
+                JobOutcome::Host { .. } => tally.host_runs += 1,
                 // Counted here — not at submit time — so rejections
                 // that materialize mid-run (stranded jobs on a dead
                 // shard) are counted too, and rejections withdrawn by a
-                // successful redirect never are.
+                // successful redirect never are. Rejections are rare
+                // next to completions, so they stay keyed.
                 JobOutcome::Rejected { reason } => {
                     reg.incr("serve.rejected");
                     // One named counter per rejection kind, so
@@ -716,6 +769,30 @@ mod tests {
             1
         );
         f.drain().expect("drain");
+    }
+
+    #[test]
+    fn cost_gates_pass_a_job_whose_geometry_overflows_the_address_space() {
+        // 2^62 DAXPY elements have no 64-bit byte addresses, so the
+        // static analysis cannot bound the job: the gate stays open, as
+        // for any program it cannot bound, and Eq. 3 decides.
+        let mut f = fleet(PlacementPolicy::RoundRobin);
+        f.enable_cost_gates();
+        let (_, d) = f
+            .submit(KernelId::Daxpy, 1 << 62, u64::MAX / 2, 0)
+            .expect("submit");
+        assert!(
+            !matches!(
+                d,
+                ShardDecision::Rejected {
+                    reason: RejectReason::StaticInfeasible { .. }
+                }
+            ),
+            "{d:?}"
+        );
+        f.drain().expect("drain");
+        assert_eq!(f.completed().len(), 1);
+        assert_eq!(f.fleet_view().stats().counter("serve.cost.checked"), 0);
     }
 
     #[test]
@@ -1125,6 +1202,211 @@ mod tests {
             serde_json::to_string(&f.completed().to_vec()).expect("serialize")
         };
         assert_eq!(run(), run());
+    }
+
+    /// Each shard's registry as keyed updates built it before the
+    /// typed tallies: `accepted_on` names the shard each accepted job's
+    /// submit returned, and every served record is counted on the shard
+    /// that resolved it. Rejections are keyed in the registry already.
+    fn keyed_registries(f: &Fleet, accepted_on: &[u32]) -> Vec<StatsRegistry> {
+        let mut regs = f.stats.clone();
+        for &shard in accepted_on {
+            regs[shard as usize].incr("serve.accepted");
+        }
+        for fr in f.completed() {
+            let (reg, record) = (&mut regs[fr.shard as usize], &fr.record);
+            let offloaded = match record.outcome {
+                JobOutcome::Offloaded { .. } => true,
+                JobOutcome::Host { .. } => false,
+                JobOutcome::Rejected { .. } => continue,
+            };
+            reg.incr(if offloaded {
+                "serve.offloaded"
+            } else {
+                "serve.host_runs"
+            });
+            if let Some(l) = record.latency() {
+                reg.observe("serve.latency", l as f64);
+            }
+            if record.missed_deadline() {
+                reg.incr("serve.deadline_missed");
+            }
+            if offloaded {
+                reg.add("serve.retries", u64::from(record.retries));
+            }
+        }
+        regs
+    }
+
+    fn assert_same_registry(got: &StatsRegistry, want: &StatsRegistry) {
+        assert_eq!(
+            got.counters().collect::<Vec<_>>(),
+            want.counters().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            got.summaries().collect::<Vec<_>>(),
+            want.summaries().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            got.histograms().collect::<Vec<_>>(),
+            want.histograms().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_fresh_fleet_reports_no_serve_counters() {
+        let f = fleet(PlacementPolicy::ModelGuided);
+        let view = f.fleet_view();
+        assert_eq!(view.stats().counters().count(), 0);
+        assert_eq!(view.stats().summaries().count(), 0);
+        assert_eq!(view.stats().histograms().count(), 0);
+    }
+
+    #[test]
+    fn the_first_offload_without_retries_reports_zero_retries() {
+        let mut f = fleet(PlacementPolicy::RoundRobin);
+        let (shard, d) = f.submit(KernelId::Daxpy, 1024, 100_000, 0).expect("submit");
+        assert!(matches!(d, ShardDecision::Queued { .. }));
+        let counters = |f: &Fleet| -> Vec<(String, u64)> {
+            f.fleet_view()
+                .stats()
+                .counters()
+                .map(|(name, value)| (name.to_owned(), value))
+                .collect()
+        };
+        // Accepted, not yet finished: no retries key yet.
+        assert!(!counters(&f)
+            .iter()
+            .any(|(name, _)| name.ends_with("retries")));
+        f.drain().expect("drain");
+        let counters = counters(&f);
+        let has = |name: &str, value: u64| counters.contains(&(name.to_owned(), value));
+        assert!(has("serve.retries", 0), "{counters:?}");
+        assert!(
+            has(&format!("shard{shard}.serve.retries"), 0),
+            "{counters:?}"
+        );
+        assert!(has("serve.offloaded", 1), "{counters:?}");
+        assert!(!counters.iter().any(|(name, _)| name.contains("reject")));
+    }
+
+    #[test]
+    fn every_rejection_kind_counts_under_its_keyed_name() {
+        // One shard of two clusters behind a two-deep queue: a burst of
+        // long jobs fills the queue, a one-cycle deadline is infeasible
+        // statically and by Eq. 3, a deadline only a wide partition
+        // meets needs more clusters than the shard has, and a dead
+        // shard rejects as degraded. `program_lint` is the one kind a
+        // fleet cannot produce: the lint gate is an `Engine` option.
+        let mut f = Fleet::analytic(
+            FleetConfig {
+                shards: 1,
+                clusters_per_shard: 2,
+                queue_limit: 2,
+                placement: PlacementPolicy::RoundRobin,
+                steal: false,
+                redirect_budget: 0,
+                failover: false,
+            },
+            &ModelTable::paper_defaults(),
+        );
+        let mut accepted_on = Vec::new();
+        let mut submit = |f: &mut Fleet, n: u64, deadline: u64, now: u64| {
+            let (shard, d) = f.submit(KernelId::Daxpy, n, deadline, now).expect("submit");
+            if !matches!(d, ShardDecision::Rejected { .. }) {
+                accepted_on.push(shard);
+            }
+            d
+        };
+        for _ in 0..6 {
+            submit(&mut f, 16_384, 10_000_000, 0);
+        }
+        submit(&mut f, 4_096, 1, 0);
+        submit(&mut f, 65_536, 20_000, 0);
+        f.enable_cost_gates();
+        submit(&mut f, 4_096, 1, 0);
+        f.quarantine_shard(0, ClusterMask::first(2));
+        submit(&mut f, 4_096, 10_000_000, 10);
+        f.drain().expect("drain");
+
+        let mut kinds: Vec<&str> = f
+            .completed()
+            .iter()
+            .filter_map(|r| match r.record.outcome {
+                JobOutcome::Rejected { reason } => Some(reason.counter_key()),
+                _ => None,
+            })
+            .collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(
+            kinds,
+            [
+                "degraded_machine",
+                "infeasible",
+                "not_enough_clusters",
+                "queue_full",
+                "static_infeasible"
+            ]
+        );
+        let keyed = keyed_registries(&f, &accepted_on);
+        let typed = f.shard_stats();
+        assert_same_registry(&typed[0], &keyed[0]);
+        let view = f.fleet_view();
+        for kind in kinds {
+            let count = f
+                .completed()
+                .iter()
+                .filter(|r| {
+                    matches!(r.record.outcome, JobOutcome::Rejected { reason }
+                        if reason.counter_key() == kind)
+                })
+                .count() as u64;
+            assert_eq!(view.stats().counter(&format!("serve.reject.{kind}")), count);
+            assert_eq!(
+                view.stats().counter(&format!("shard0.serve.reject.{kind}")),
+                count
+            );
+        }
+    }
+
+    #[test]
+    fn typed_tallies_merge_to_the_keyed_registries() {
+        // Offloads, host runs, misses, steals, redirects and queue-full
+        // rejections across four shards.
+        let mut f = Fleet::analytic(
+            FleetConfig {
+                redirect_budget: 1,
+                ..config(PlacementPolicy::ModelGuided)
+            },
+            &ModelTable::paper_defaults(),
+        );
+        let mut accepted_on = Vec::new();
+        for i in 0..400u64 {
+            let n = [64, 1024, 8192, 32_768][(i % 4) as usize];
+            let deadline = [400, 20_000, 60_000, 1_000_000][(i % 3) as usize];
+            let (shard, d) = f
+                .submit(KernelId::ALL[(i % 7) as usize], n, deadline, i * 150)
+                .expect("submit");
+            if !matches!(d, ShardDecision::Rejected { .. }) {
+                accepted_on.push(shard);
+            }
+        }
+        f.drain().expect("drain");
+        let view = f.fleet_view();
+        for name in [
+            "serve.host_runs",
+            "serve.deadline_missed",
+            "serve.queue_full",
+        ] {
+            assert!(view.stats().counter(name) > 0, "{name} never counted");
+        }
+        let keyed = keyed_registries(&f, &accepted_on);
+        for (typed, keyed) in f.shard_stats().iter().zip(&keyed) {
+            assert_same_registry(typed, keyed);
+        }
+        let keyed_view = FleetView::with_shards(keyed.iter());
+        assert_same_registry(view.stats(), keyed_view.stats());
     }
 
     #[test]
