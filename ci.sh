@@ -104,13 +104,17 @@ test -z "$(find "$trace_dir/smoke" -type f -empty)"
 test -s "$trace_dir/throughput.folded"
 test -s "$trace_dir/throughput.trace.json"
 
-echo "==> perf/run.sh --smoke (benchmark workloads, determinism-gated)"
+echo "==> perf/run.sh --smoke (benchmark workloads, determinism-gated, work counts pinned)"
 # Runs the four benchmark workloads at a hundredth of their size,
 # untraced and traced, in two invocations; fails unless every run checks
 # correct and the simulated results and per-layer work counts (policy
 # picks, queue entries scanned, session advances, interpreter calls) are
-# identical across all four.
-perf/run.sh --smoke
+# identical across all four. Those counts are deterministic, so they are
+# also pinned: the traced runs' `count` and `bytes` lines must equal
+# ci/perf-smoke-counts.txt (ci/perf-smoke-counts.sh says how a change
+# that moves a count on purpose regenerates it).
+perf/run.sh --smoke | tee "$trace_dir/perf-smoke.txt"
+ci/perf-smoke-counts.sh < "$trace_dir/perf-smoke.txt" | diff ci/perf-smoke-counts.txt -
 
 echo "==> perf package: tests, clippy -D warnings, fmt --check"
 # The benchmark is its own package (perf/Cargo.toml with an empty

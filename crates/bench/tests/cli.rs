@@ -1,6 +1,9 @@
 //! The bench bins' command-line contract (`mpsoc_bench::study`), driven
 //! through the built binaries: strict flags, no writes on a usage error
-//! or a smoke run without `--out`, and a byte-comparing `--replay`.
+//! or a smoke run without `--out`, and a byte-comparing `--replay`; and
+//! the byte-identity contract itself: every registry entry replays
+//! against the committed `results/`, and a smoke run replays with the
+//! self-profiler off.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -213,19 +216,105 @@ fn replays_against_the_committed_results(entry: &str) {
     fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn the_serving_study_replays_against_the_committed_results() {
-    replays_against_the_committed_results("serve_study");
+/// One test per registry entry, so the harness replays them in
+/// parallel. `headline` replays in
+/// `a_paper_artifact_replays_against_the_committed_results`.
+/// `sched_study` comes first because every study runs the scheduling
+/// loop.
+mod replays {
+    macro_rules! replays {
+        ($($entry:ident),* $(,)?) => {
+            /// The entries replayed here.
+            pub(super) const ENTRIES: &[&str] = &[$(stringify!($entry)),*];
+            $(
+                #[test]
+                fn $entry() {
+                    super::replays_against_the_committed_results(stringify!($entry));
+                }
+            )*
+        };
+    }
+
+    replays!(
+        sched_study,
+        fig1_left,
+        fig1_right,
+        model_fit,
+        mape_table,
+        decision,
+        ablation,
+        kernel_sweep,
+        breakeven,
+        energy,
+        pipeline,
+        sensitivity,
+        codegen_ablation,
+        bank_ablation,
+        offload_profile,
+        interference,
+        fault_sweep,
+        serve_study,
+        cost_study,
+        chaos_study,
+        throughput_study,
+        lint_kernels,
+    );
 }
 
+/// The entry list `--only` prints on a usage error is the registry's;
+/// every entry in it replays in tier-1.
 #[test]
-fn the_chaos_study_replays_against_the_committed_results() {
-    replays_against_the_committed_results("chaos_study");
+fn every_registry_entry_replays_in_a_test() {
+    let dir = empty_dir("registry");
+    let out = output_in(&dir, ALL, &["--only", "no_such_entry"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (_, list) = stderr.split_once("experiments: ").expect("the entry list");
+    let mut registry: Vec<&str> = list.trim_end().trim_end_matches(')').split(", ").collect();
+    let mut replayed = [replays::ENTRIES, &["headline"]].concat();
+    registry.sort_unstable();
+    replayed.sort_unstable();
+    assert_eq!(registry, replayed);
+    fs::remove_dir_all(&dir).ok();
 }
 
+/// `ci.sh`'s smoke gate: every entry's smoke run, with the throughput
+/// profile's exports, replayed with the self-profiler off byte for byte.
 #[test]
-fn the_throughput_study_replays_against_the_committed_results() {
-    replays_against_the_committed_results("throughput_study");
+fn a_smoke_run_replays_with_profiling_off() {
+    let dir = empty_dir("smoke-replay");
+    let run = [
+        "--smoke",
+        "--out",
+        "smoke",
+        "--flamegraph",
+        "throughput.folded",
+        "--chrome",
+        "throughput.trace.json",
+    ];
+    assert_eq!(run_in(&dir, ALL, &run), 0);
+    let replay = Command::new(ALL)
+        .args(["--smoke", "--replay", "smoke"])
+        .env("MPSOC_PROFILE", "0")
+        .current_dir(&dir)
+        .output()
+        .expect("the bin starts");
+    assert_eq!(
+        replay.status.code(),
+        Some(0),
+        "the smoke run does not replay:\n{}",
+        String::from_utf8_lossy(&replay.stdout)
+    );
+    for file in entries(&dir.join("smoke")) {
+        let len = fs::metadata(dir.join("smoke").join(&file)).unwrap().len();
+        assert!(len > 0, "{file} is empty");
+    }
+    for export in ["throughput.folded", "throughput.trace.json"] {
+        assert!(
+            fs::metadata(dir.join(export)).unwrap().len() > 0,
+            "{export}"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -595,22 +595,27 @@ mod tests {
         }
     }
 
+    /// A 2-cluster co-simulated engine whose DMA corrupts every burst.
+    fn always_corrupting_engine() -> Engine {
+        let mut offloader =
+            mpsoc_offload::Offloader::new(mpsoc_soc::SocConfig::with_clusters(2)).expect("soc");
+        let mut plan = mpsoc_soc::FaultPlan::with_seed(7);
+        plan.dma_corrupt = mpsoc_soc::SiteSpec::rate(1.0);
+        offloader.install_faults(plan);
+        Engine::new(
+            ModelTable::paper_defaults(),
+            2,
+            ServiceBackend::co_simulated(offloader, 0xBEEF),
+        )
+    }
+
     #[test]
     fn persistent_corruption_auto_quarantines_without_an_explicit_call() {
         // Every DMA burst corrupts: each tenant's cluster accumulates a
         // strike per corrupt completion and crosses the 3-strike
         // threshold mid-stream. `Engine::quarantine` is never called;
         // the closed loop does it all.
-        let mut offloader =
-            mpsoc_offload::Offloader::new(mpsoc_soc::SocConfig::with_clusters(2)).expect("soc");
-        let mut plan = mpsoc_soc::FaultPlan::with_seed(7);
-        plan.dma_corrupt = mpsoc_soc::SiteSpec::rate(1.0);
-        offloader.install_faults(plan);
-        let mut e = Engine::new(
-            ModelTable::paper_defaults(),
-            2,
-            ServiceBackend::co_simulated(offloader, 0xBEEF),
-        );
+        let mut e = always_corrupting_engine();
         e.enable_telemetry(4096);
         let stream = jobs(&[(0, 1024, 100_000), (0, 1024, 100_000), (0, 1024, 100_000)]);
         let report = e.run(&stream, &mut FifoFirstFit).expect("run");
@@ -635,22 +640,43 @@ mod tests {
         }
     }
 
+    /// Jobs that quarantine strands in the queue are rejected at drain,
+    /// and each such rejection leaves a `reject` instant in the trace,
+    /// as a rejection at admission does.
+    #[test]
+    fn stranded_jobs_trace_their_degraded_rejections() {
+        let mut e = always_corrupting_engine();
+        e.enable_telemetry(4096);
+        let stream = jobs(&[(0, 1024, 100_000); 5]);
+        let report = e.run(&stream, &mut FifoFirstFit).expect("run");
+        let degraded: Vec<u64> = report
+            .records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.outcome,
+                    JobOutcome::Rejected {
+                        reason: crate::RejectReason::DegradedMachine { .. }
+                    }
+                )
+            })
+            .map(|r| r.job.id)
+            .collect();
+        assert_eq!(degraded, [2, 3, 4], "the three queued jobs are stranded");
+        let rejects: Vec<u64> = e
+            .telemetry()
+            .events()
+            .iter()
+            .filter(|ev| ev.kind.name() == "reject")
+            .map(|ev| ev.arg)
+            .collect();
+        assert_eq!(rejects, degraded);
+    }
+
     #[test]
     fn auto_quarantine_can_be_disabled() {
-        let mk = || {
-            let mut offloader =
-                mpsoc_offload::Offloader::new(mpsoc_soc::SocConfig::with_clusters(2)).expect("soc");
-            let mut plan = mpsoc_soc::FaultPlan::with_seed(7);
-            plan.dma_corrupt = mpsoc_soc::SiteSpec::rate(1.0);
-            offloader.install_faults(plan);
-            Engine::new(
-                ModelTable::paper_defaults(),
-                2,
-                ServiceBackend::co_simulated(offloader, 0xBEEF),
-            )
-        };
         let stream = jobs(&[(0, 1024, 100_000), (0, 1024, 100_000), (0, 1024, 100_000)]);
-        let mut e = mk();
+        let mut e = always_corrupting_engine();
         e.set_auto_quarantine(None);
         let report = e.run(&stream, &mut FifoFirstFit).expect("run");
         assert!(e.quarantined().is_empty());
@@ -725,9 +751,6 @@ mod tests {
         }
 
         fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
-            if ready.is_empty() {
-                return None;
-            }
             (self.0)(ready, ctx)
         }
     }

@@ -67,6 +67,15 @@ pub trait SchedPolicy {
     /// until the next event. Called repeatedly after every arrival and
     /// completion; each returned placement removes that job from the
     /// queue before the next call. `ready` is `ctx.queue.jobs()`.
+    ///
+    /// The loop calls `pick` only while `ready` is non-empty and
+    /// `ctx.free_clusters ≥ 1`. A placement names a queued job and
+    /// `1 ≤ m ≤ free` clusters, so without both the only valid answer is
+    /// `None`. Skipping such a call is exact as long as a pick's only
+    /// side effect is a cache that a later call refills to the same
+    /// answer: [`ModelGuided`] files the jobs it finds lost in the
+    /// queue's deadline index, and since a lost job stays lost, the
+    /// next walk files the same jobs and returns what it would have.
     fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement>;
 }
 

@@ -25,7 +25,9 @@
 //! session, which is advanced no further than the next of those keyed
 //! completions, so both kinds retire in global time order. The policy
 //! re-picks after each retired instant, and after each co-simulated
-//! completion. Host-fallback jobs serialize on the virtual host server.
+//! completion, as long as a job waits and a cluster is free: a pick
+//! without both can only pass. Host-fallback jobs serialize on the
+//! virtual host server.
 //!
 //! **The tie rule.** Completions at cycle `t` retire before the jobs
 //! arriving at `t` are admitted. The engine then admits every job that
@@ -324,10 +326,28 @@ impl SchedLoop {
                 self.dispatch(policy)?;
             }
         }
+        self.clock_to(until);
+        Ok(())
+    }
+
+    /// Whether [`SchedLoop::advance`] to `until` would only move the
+    /// clock: no keyed completion is due by then and no co-simulated
+    /// tenant is in flight, so its loop would retire nothing and pick
+    /// nothing.
+    fn nothing_due_by(&self, until: u64) -> bool {
+        self.running.is_empty()
+            && self
+                .completions
+                .first_key_value()
+                .map_or(true, |(&(t, _), _)| t > until)
+    }
+
+    /// Moves the clock to `until`; `u64::MAX` leaves it at the last
+    /// event.
+    fn clock_to(&mut self, until: u64) {
         if until != u64::MAX {
             self.now = self.now.max(until);
         }
-        Ok(())
     }
 
     /// Runs the loop dry: retires everything in flight and resolves the
@@ -466,6 +486,10 @@ impl SchedLoop {
     /// Lets the policy place queued jobs until it passes: pick, check,
     /// remove from the queue, carve the partition, start the job.
     ///
+    /// The policy is asked only while a job waits and a cluster is free.
+    /// A placement needs both (`1 ≤ m ≤ free`, see [`SchedPolicy::pick`]),
+    /// so a pick without them can only pass.
+    ///
     /// # Errors
     ///
     /// [`SchedError::InvalidPlacement`] when the policy names an index
@@ -477,6 +501,9 @@ impl SchedLoop {
         let total_clusters = self.healthy_clusters();
         loop {
             let free = self.allocator.free_count();
+            if free == 0 || self.ready.is_empty() {
+                return Ok(());
+            }
             let ctx = SchedContext {
                 now: self.now,
                 free_clusters: free,
@@ -637,13 +664,20 @@ impl SchedLoop {
     }
 
     /// Resolves an evicted job as a [`RejectReason::DegradedMachine`]
-    /// rejection against the surviving pool.
+    /// rejection against the surviving pool, traced like a rejection at
+    /// admission.
     fn reject_degraded(&mut self, q: QueuedJob, slot: usize) {
         let healthy = self.healthy_clusters() as u64;
         let reason = RejectReason::DegradedMachine {
             required: q.m_min,
             healthy,
         };
+        self.trace.instant(
+            Cycle::new(self.now),
+            Unit::SchedHost,
+            EventKind::Reject,
+            q.job.id,
+        );
         self.reject(q.job, slot, reason);
     }
 
@@ -860,6 +894,12 @@ impl ShardSim {
     /// from the policy; [`SchedError::SessionStalled`] can surface from
     /// [`ShardSim::drain`], not from a bounded advance.
     pub fn advance(&mut self, until: u64) -> Result<(), SchedError> {
+        // With nothing due, the loop would only move the clock: a fleet
+        // advances every shard on every submit, and most have nothing due.
+        if self.sched.nothing_due_by(until) {
+            self.sched.clock_to(until);
+            return Ok(());
+        }
         let _prof = mpsoc_sim::profile::scope("sched.shard.advance");
         self.sched.advance(until, true, self.policy.as_mut())
     }
@@ -982,9 +1022,12 @@ impl ShardSim {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::job::KernelId;
-    use crate::policy::{FifoFirstFit, ModelGuided, SortThenScan};
+    use crate::policy::{all_policies, FifoFirstFit, ModelGuided, SortThenScan};
     use crate::workload::{ArrivalPattern, Workload};
     use crate::Engine;
 
@@ -1064,6 +1107,29 @@ mod tests {
         let mut s = shard(8, mk_backend());
         let got = run_stream(&mut s, &stream);
         assert_eq!(got, want.records);
+    }
+
+    /// Jobs that queue behind co-simulated tenants start when those
+    /// tenants finish, not at the next event a shard would see anyway:
+    /// a shard advanced past a tenant's completion retires it, though
+    /// no keyed completion is due.
+    #[test]
+    fn shard_matches_engine_when_jobs_queue_behind_cosimulated_tenants() {
+        let stream = jobs(&[
+            (0, 1024, 100_000),
+            (0, 1024, 100_000),
+            (100, 1024, 100_000),
+            (5_000, 2048, 100_000),
+            (5_000, 1024, 100_000),
+            (9_000, 512, 100_000),
+        ]);
+        let table = ModelTable::paper_defaults();
+        let mut engine = Engine::new(table.clone(), 2, cosimulated(2, 0.0));
+        let want = engine.run(&stream, &mut FifoFirstFit).expect("engine");
+        let waited = |r: &JobRecord| matches!(r.outcome, JobOutcome::Offloaded { start, .. } if start > r.job.arrival);
+        assert!(want.records.iter().any(waited), "a job queues");
+        let mut s = shard(2, cosimulated(2, 0.0));
+        assert_eq!(run_stream(&mut s, &stream), want.records);
     }
 
     #[test]
@@ -1409,16 +1475,19 @@ mod tests {
         workload.generate(&table)
     }
 
-    /// Drives two 4-cluster shards through `stream` under `policy`. Jobs
-    /// alternate between the shards; every seventh offer moves the
-    /// newest queued job of the deeper queue to the other shard; halfway
-    /// through, shard 0 loses three clusters and rejects the queued jobs
-    /// that no longer fit. Returns each shard's records.
-    fn two_shards(stream: &[Job], policy: fn() -> Box<dyn SchedPolicy>) -> [Vec<JobRecord>; 2] {
+    /// Drives two 4-cluster shards over `backend` through `stream` under
+    /// `policy`. Jobs alternate between the shards; every seventh offer
+    /// moves the newest queued job of the deeper queue to the other
+    /// shard; halfway through, shard 0 loses three clusters and rejects
+    /// the queued jobs that no longer fit. Returns each shard's records.
+    fn two_shards_on(
+        stream: &[Job],
+        backend: impl Fn() -> ServiceBackend,
+        policy: impl Fn() -> Box<dyn SchedPolicy>,
+    ) -> [Vec<JobRecord>; 2] {
         let table = ModelTable::paper_defaults();
         let mut shards = [0, 1].map(|_| {
-            let backend = ServiceBackend::analytic(table.clone());
-            let mut s = ShardSim::new(table.clone(), 4, backend, policy());
+            let mut s = ShardSim::new(table.clone(), 4, backend(), policy());
             s.set_queue_limit(64);
             s
         });
@@ -1444,6 +1513,12 @@ mod tests {
             s.drain().expect("drain");
             s.drain_finished()
         })
+    }
+
+    /// [`two_shards_on`] the analytic backend.
+    fn two_shards(stream: &[Job], policy: fn() -> Box<dyn SchedPolicy>) -> [Vec<JobRecord>; 2] {
+        let table = ModelTable::paper_defaults();
+        two_shards_on(stream, || ServiceBackend::analytic(table.clone()), policy)
     }
 
     /// Whole shards under the indexed pick log what shards under the
@@ -1494,6 +1569,105 @@ mod tests {
             assert_eq!(runs(&mut ModelGuided), runs(&mut SortThenScan));
         }
     }
+
+    /// Wraps a policy and holds the loop to its side of
+    /// [`SchedPolicy::pick`]'s contract: every call sees a queued job and
+    /// a free cluster. Counts the calls in `picks`.
+    struct Strict {
+        inner: Box<dyn SchedPolicy>,
+        picks: Rc<Cell<u64>>,
+    }
+
+    impl SchedPolicy for Strict {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
+            let name = self.inner.name();
+            assert!(!ready.is_empty(), "{name} picked from an empty queue");
+            assert!(ctx.free_clusters >= 1, "{name} picked with no cluster free");
+            self.picks.set(self.picks.get() + 1);
+            self.inner.pick(ready, ctx)
+        }
+    }
+
+    /// A co-simulated backend on `clusters` clusters whose DMA corrupts
+    /// `rate` of its bursts: tenants are re-dispatched, and clusters that
+    /// keep corrupting are quarantined mid-stream.
+    fn cosimulated(clusters: usize, rate: f64) -> ServiceBackend {
+        let config = mpsoc_soc::SocConfig::with_clusters(clusters);
+        let mut offloader = mpsoc_offload::Offloader::new(config).expect("soc");
+        let mut plan = mpsoc_soc::FaultPlan::with_seed(0x5EED);
+        plan.dma_corrupt = mpsoc_soc::SiteSpec::rate(rate);
+        offloader.install_faults(plan);
+        ServiceBackend::co_simulated(offloader, 0xBEEF)
+    }
+
+    /// Every built-in policy, under both drivers and on the analytic and
+    /// the co-simulated backend, with clusters quarantined mid-stream or
+    /// between runs, is asked to pick only while a job waits and a
+    /// cluster is free.
+    #[test]
+    fn policies_pick_only_with_a_job_queued_and_a_cluster_free() {
+        let table = ModelTable::paper_defaults();
+        let analytic = || ServiceBackend::analytic(table.clone());
+        let stream = overloaded(3, 200, 8);
+        let short = &stream[..48];
+        for i in 0..all_policies().len() {
+            let picks = Rc::new(Cell::new(0));
+            let strict = || Strict {
+                inner: all_policies().swap_remove(i),
+                picks: Rc::clone(&picks),
+            };
+            let mut engine = Engine::new(table.clone(), 8, analytic());
+            engine.run(&stream, &mut strict()).expect("run");
+            engine.quarantine(ClusterMask::first(3));
+            engine
+                .run(&stream, &mut strict())
+                .expect("run after quarantine");
+
+            let mut engine = Engine::new(table.clone(), 4, cosimulated(4, 0.3));
+            engine.run(short, &mut strict()).expect("co-simulated run");
+            assert!(!engine.quarantine_events().is_empty());
+
+            two_shards_on(&stream, analytic, || Box::new(strict()));
+            two_shards_on(short, || cosimulated(4, 0.0), || Box::new(strict()));
+            assert!(picks.get() > 0, "{} never picked", strict().name());
+        }
+    }
+
+    /// How many picks one overloaded stream takes under each built-in
+    /// policy, through a shard and through a closed run. Every pick asked
+    /// with no job queued or no cluster free would add to these.
+    #[test]
+    fn an_overloaded_stream_takes_a_pinned_number_of_picks() {
+        let table = ModelTable::paper_defaults();
+        let stream = overloaded(1, 600, 8);
+        let counts: Vec<[u64; 2]> = (0..all_policies().len())
+            .map(|i| {
+                let picks = Rc::new(Cell::new(0));
+                let strict = || Strict {
+                    inner: all_policies().swap_remove(i),
+                    picks: Rc::clone(&picks),
+                };
+                let backend = ServiceBackend::analytic(table.clone());
+                let mut s = ShardSim::new(table.clone(), 8, backend, Box::new(strict()));
+                s.set_queue_limit(64);
+                run_stream(&mut s, &stream);
+                let shard = picks.replace(0);
+                let backend = ServiceBackend::analytic(table.clone());
+                Engine::new(table.clone(), 8, backend)
+                    .run(&stream, &mut strict())
+                    .expect("run");
+                [shard, picks.get()]
+            })
+            .collect();
+        assert_eq!(counts, PINNED_PICKS);
+    }
+
+    /// `[shard, closed run]` picks per policy, in [`all_policies`] order.
+    const PINNED_PICKS: [[u64; 2]; 4] = [[463, 615], [467, 606], [463, 620], [514, 604]];
 
     /// FIFO never reads the deadline index, so neither a closed run (the
     /// loop `Engine::run` drives) nor a shard builds it; the model-guided

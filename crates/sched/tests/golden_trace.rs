@@ -7,7 +7,9 @@
 //! lint, static-cost and Eq. 3 rejections, with completions that tie
 //! with arrivals. The co-simulated scenario injects DMA corruption, so
 //! re-dispatches and automatic quarantines appear, and runs twice on one
-//! engine so the second run starts from the quarantine the first left.
+//! engine so the second run starts from the quarantine the first left;
+//! the second run strands a queued job, whose degraded rejection at
+//! drain is traced.
 //! Job ids differ from input positions and two jobs share one, so a
 //! change that relabels jobs shows up in the `job_arrive` and `reject`
 //! payloads. Any change to event order, span numbering, payloads or the
@@ -243,5 +245,5 @@ const GOLDEN_ANALYTIC: [[u64; 4]; 2] = [
 ];
 const GOLDEN_COSIM: [[u64; 4]; 2] = [
     [9868, 17950905576453565954, 2607, 16140207383093186083],
-    [10372, 16148851559525481411, 2623, 11539182071732088702],
+    [10558, 5671457157600802651, 2623, 11539182071732088702],
 ];

@@ -305,8 +305,8 @@ impl Daemon {
     /// advances the fleet, so it is safe to call mid-run (it is exactly
     /// what [`Request::GetStats`] gets) or after a drain.
     pub fn stats_report(&self, time: u64) -> StatsReport {
-        let slo = FleetSlo::from_fleet(&self.fleet);
         let view = self.fleet.fleet_view();
+        let slo = FleetSlo::from_view(&self.fleet, &view);
         let counters: Vec<(String, u64)> = view
             .stats()
             .counters()

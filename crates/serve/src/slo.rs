@@ -7,6 +7,7 @@
 //! exact merge of per-shard log-bucketed histograms, so fleet p50/p99
 //! carry the same 1/16 relative-error bound as any single shard's.
 
+use mpsoc_telemetry::FleetView;
 use serde::{Deserialize, Serialize};
 
 use crate::fleet::Fleet;
@@ -104,7 +105,12 @@ pub struct FleetSlo {
 impl FleetSlo {
     /// Summarizes a fleet after (or during) a run.
     pub fn from_fleet(fleet: &Fleet) -> Self {
-        let view = fleet.fleet_view();
+        Self::from_view(fleet, &fleet.fleet_view())
+    }
+
+    /// Summarizes `fleet` from `view`, its [`Fleet::fleet_view`], so a
+    /// caller that also reads the view's counters builds it once.
+    pub(crate) fn from_view(fleet: &Fleet, view: &FleetView) -> Self {
         let stats = view.stats();
         let config = fleet.config();
         // Kept as the fleet collects records, so a summary costs time in
