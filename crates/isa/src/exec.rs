@@ -12,6 +12,8 @@ mod compiled;
 
 pub(crate) use compiled::Compiled;
 use compiled::Recorder;
+#[cfg(test)]
+pub(crate) use compiled::Shape;
 
 /// A memory access fault raised by a [`MemoryPort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,9 +11,12 @@
 //! (integer ops hold no data and drop out), and each loop it replays in
 //! closed form as one segment of cursors and a trip count. A later run
 //! under the same key executes that plan on the lent words and returns
-//! the first run's report shifted to its start.
+//! the first run's report shifted to its start. A loop whose trips are
+//! independent runs op by op over chunks of trips, each op as a slice
+//! kernel whose shape the plan fixed.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 
 use mpsoc_sim::Cycle;
 
@@ -26,7 +29,7 @@ use crate::{IntReg, MicroOp, Program, FP_REGS};
 const PLAN_CAP: usize = 1 << 14;
 
 /// Trips an op-major loop runs each op over before the next op starts.
-const CHUNK: u64 = 64;
+const CHUNK: u64 = 256;
 
 const FP: usize = FP_REGS as usize;
 
@@ -99,6 +102,48 @@ impl Compiled {
             Segment::Major { .. } => (loops + 1, major + 1),
         })
     }
+
+    /// The shape of every op of the plan's op-major loops, in plan order.
+    #[cfg(test)]
+    pub(crate) fn shapes(&self) -> Vec<Shape> {
+        let segments = self.form.iter().flat_map(|form| &form.plan.segments);
+        let majors = segments.filter_map(|segment| match segment {
+            Segment::Major { major, .. } => Some(major),
+            _ => None,
+        });
+        majors
+            .flat_map(|major| &major.ops)
+            .map(|op| match *op {
+                Major::Load { .. } => Shape::Load,
+                Major::Store { .. } => Shape::Store,
+                Major::Fill { .. } => Shape::Fill,
+                Major::Map { fd, args, .. } if args.contains(&fd) => Shape::InPlace,
+                Major::Map { .. } => Shape::Map,
+                Major::Fold { .. } => Shape::Fold,
+                Major::Each(_) => Shape::Each,
+            })
+            .collect()
+    }
+}
+
+/// How an op of an op-major loop runs.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// A contiguous load.
+    Load,
+    /// A contiguous store of a buffered register.
+    Store,
+    /// A contiguous store of a register the body never writes.
+    Fill,
+    /// An FP op into a buffer that none of its operands is.
+    Map,
+    /// An FP op into a buffer that one of its operands is.
+    InPlace,
+    /// A one-op recurrence.
+    Fold,
+    /// A strided, descending, still or paired access, one trip at a time.
+    Each,
 }
 
 /// What a compiled run returns and does.
@@ -359,15 +404,45 @@ impl Val {
     }
 }
 
-/// One op of an op-major loop.
+/// One op of an op-major loop, in the shape of the slice kernel that
+/// runs it over a chunk of trips. The plan fixes the shape.
 #[derive(Debug, Clone, Copy)]
 enum Major {
+    /// A load whose cursor moves one word up per trip: the chunk's words
+    /// copied into the buffer at `fd`.
+    Load { fd: usize, at: Cursor },
+    /// A store of the buffer at `fs` whose cursor moves one word up per
+    /// trip.
+    Store { fs: usize, at: Cursor },
+    /// A store of register `fs`, which the body never writes, one word
+    /// up per trip: a fill.
+    Fill { fs: usize, at: Cursor },
+    /// An FP op with a buffered result: `kernel` walks the buffer at
+    /// `fd` against the operands at `args`, in place where `fd` is one
+    /// of them.
+    Map {
+        kernel: Kernel,
+        fd: usize,
+        args: [usize; 3],
+    },
+    /// A one-op recurrence: `kernel` folds register `fd` over the
+    /// operands at `args` in trip order.
+    Fold {
+        kernel: Kernel,
+        fd: usize,
+        args: [usize; 3],
+    },
+    /// Any other load or store, one trip at a time: a strided,
+    /// descending or still cursor, or a pair.
+    Each(Access),
+}
+
+/// A load or store of an op-major loop that runs one trip at a time.
+#[derive(Debug, Clone, Copy)]
+enum Access {
     Load { fd: Val, at: Cursor },
     Store { fs: Val, at: Cursor },
     Pair { fs1: Val, fs2: Val, at: Cursor },
-    Fmadd { fd: Val, fa: Val, fb: Val, fc: Val },
-    Fadd { fd: Val, fa: Val, fb: Val },
-    Fmul { fd: Val, fa: Val, fb: Val },
 }
 
 /// A closed-form loop whose trips are independent, planned to run op by
@@ -443,38 +518,56 @@ impl OpMajor {
             Fp::Reg(i) => val[usize::from(i)],
             Fp::Stream(_) => unreachable!("fp_flow refuses streams"),
         };
+        // An FP op's result is buffered, or it is a recurrence's register
+        // (step 0). An operand at the result's place is the result
+        // itself; one in the register file holds for the whole loop,
+        // since only its writer reads a recurrence's register; any other
+        // is buffered.
+        let fp_op = |fd: Fp, op: FpOp, operands: [Fp; 3]| {
+            let fd = reg(fd);
+            let args = operands.map(|r| reg(r).base);
+            let kinds = args.map(|at| match at {
+                _ if at == fd.base => Kind::Own,
+                _ if at < FP => Kind::Splat,
+                _ => Kind::Slice,
+            });
+            match fd.step {
+                1 => Major::Map {
+                    kernel: kernel::<Map>(op, kinds),
+                    fd: fd.base,
+                    args,
+                },
+                _ => Major::Fold {
+                    kernel: kernel::<Fold>(op, kinds),
+                    fd: fd.base,
+                    args,
+                },
+            }
+        };
         let ops = ops
             .iter()
             .map(|&(step, at)| match step {
-                Step::Fld { fd, .. } => Major::Load {
-                    fd: val[fd.index()],
-                    at,
+                // A loaded register is buffered: a load does not read its
+                // register, so the load is no recurrence.
+                Step::Fld { fd, .. } => match (val[fd.index()], at.stride) {
+                    (fd, 1) => Major::Load { fd: fd.base, at },
+                    (fd, _) => Major::Each(Access::Load { fd, at }),
                 },
-                Step::Fsd { fs, .. } => Major::Store {
-                    fs: val[fs.index()],
-                    at,
+                Step::Fsd { fs, .. } => match (val[fs.index()], at.stride) {
+                    (Val { base, step: 1 }, 1) => Major::Store { fs: base, at },
+                    (Val { base, .. }, 1) => Major::Fill { fs: base, at },
+                    (fs, _) => Major::Each(Access::Store { fs, at }),
                 },
-                Step::FsdPair { fs1, fs2, .. } => Major::Pair {
+                Step::FsdPair { fs1, fs2, .. } => Major::Each(Access::Pair {
                     fs1: val[fs1.index()],
                     fs2: val[fs2.index()],
                     at,
-                },
-                Step::Fmadd { fd, fa, fb, fc } => Major::Fmadd {
-                    fd: reg(fd),
-                    fa: reg(fa),
-                    fb: reg(fb),
-                    fc: reg(fc),
-                },
-                Step::Fadd { fd, fa, fb } => Major::Fadd {
-                    fd: reg(fd),
-                    fa: reg(fa),
-                    fb: reg(fb),
-                },
-                Step::Fmul { fd, fa, fb } => Major::Fmul {
-                    fd: reg(fd),
-                    fa: reg(fa),
-                    fb: reg(fb),
-                },
+                }),
+                Step::Fmadd { fd, fa, fb, fc } => fp_op(fd, FpOp::Fmadd, [fa, fb, fc]),
+                // A binary op's third operand repeats its second; its
+                // kernel never reads it.
+                Step::Fadd { fd, fa, fb } => fp_op(fd, FpOp::Fadd, [fa, fb, fb]),
+                Step::Fmul { fd, fa, fb } => fp_op(fd, FpOp::Fmul, [fa, fb, fb]),
                 Step::Li { .. } | Step::Addi { .. } | Step::Add { .. } => {
                     unreachable!("fp_flow refuses integer ops")
                 }
@@ -562,7 +655,9 @@ fn apart((a, a_width): (Cursor, i128), (b, b_width): (Cursor, i128), trips: u64)
 impl Core {
     /// Runs `trips` trips of the op-major loop `major` on lent words,
     /// with `vals` holding at least its scratch values: each op over a
-    /// chunk of trips, then the next op.
+    /// chunk of trips, then the next op. A buffered register's values for
+    /// a chunk are one slice, so every op but an [`Major::Each`] runs as
+    /// a slice kernel, its bounds checked once per chunk.
     fn run_major<W: Word>(
         &mut self,
         major: &OpMajor,
@@ -572,26 +667,41 @@ impl Core {
     ) {
         vals[..FP].copy_from_slice(&self.fp);
         let mut first = 0;
-        let mut last = 0;
+        let mut n = 0;
         while first < trips {
-            let n = (trips - first).min(major.chunk as u64) as usize;
+            n = (trips - first).min(major.chunk as u64) as usize;
             for op in &major.ops {
                 match *op {
                     Major::Load { fd, at } => {
+                        let from = &words[at.at(first)..][..n];
+                        for (value, word) in vals[fd..][..n].iter_mut().zip(from) {
+                            *value = word.get();
+                        }
+                    }
+                    Major::Store { fs, at } => {
+                        let to = &mut words[at.at(first)..][..n];
+                        for (word, value) in to.iter_mut().zip(&vals[fs..][..n]) {
+                            *word = W::of(*value);
+                        }
+                    }
+                    Major::Fill { fs, at } => words[at.at(first)..][..n].fill(W::of(vals[fs])),
+                    Major::Map { kernel, fd, args } => fp_kernel(kernel, vals, fd, n, args, n),
+                    Major::Fold { kernel, fd, args } => fp_kernel(kernel, vals, fd, 1, args, n),
+                    Major::Each(Access::Load { fd, at }) => {
                         let mut word = at.at(first);
                         for t in 0..n {
                             vals[fd.at(t)] = words[word].get();
                             word = word.wrapping_add_signed(at.stride);
                         }
                     }
-                    Major::Store { fs, at } => {
+                    Major::Each(Access::Store { fs, at }) => {
                         let mut word = at.at(first);
                         for t in 0..n {
                             words[word] = W::of(vals[fs.at(t)]);
                             word = word.wrapping_add_signed(at.stride);
                         }
                     }
-                    Major::Pair { fs1, fs2, at } => {
+                    Major::Each(Access::Pair { fs1, fs2, at }) => {
                         let mut word = at.at(first);
                         for t in 0..n {
                             words[word] = W::of(vals[fs1.at(t)]);
@@ -599,29 +709,227 @@ impl Core {
                             word = word.wrapping_add_signed(at.stride);
                         }
                     }
-                    Major::Fmadd { fd, fa, fb, fc } => {
-                        for t in 0..n {
-                            vals[fd.at(t)] = vals[fa.at(t)].mul_add(vals[fb.at(t)], vals[fc.at(t)]);
-                        }
-                    }
-                    Major::Fadd { fd, fa, fb } => {
-                        for t in 0..n {
-                            vals[fd.at(t)] = vals[fa.at(t)] + vals[fb.at(t)];
-                        }
-                    }
-                    Major::Fmul { fd, fa, fb } => {
-                        for t in 0..n {
-                            vals[fd.at(t)] = vals[fa.at(t)] * vals[fb.at(t)];
-                        }
-                    }
                 }
             }
             first += n as u64;
-            last = n - 1;
         }
         for &(r, base) in &major.buffered {
-            vals[r] = vals[base + last];
+            vals[r] = vals[base + n - 1];
         }
         self.fp.copy_from_slice(&vals[..FP]);
+    }
+}
+
+/// Runs an FP op's `kernel` over a chunk of `n` trips: its destination
+/// is the `width` values at `fd` (the chunk's, or a recurrence's one
+/// register), and each operand the values from its index in `args` on.
+/// The destination is cut out of `vals`, so no operand can alias it; an
+/// operand at `fd` itself is the destination, which the kernel reads in
+/// place.
+#[inline(always)]
+fn fp_kernel(
+    kernel: Kernel,
+    vals: &mut [f64],
+    fd: usize,
+    width: usize,
+    args: [usize; 3],
+    n: usize,
+) {
+    let (below, rest) = vals.split_at_mut(fd);
+    let (own, above) = rest.split_at_mut(width);
+    let (below, above): (&[f64], &[f64]) = (below, above);
+    let arg = move |at: usize| match at.cmp(&fd) {
+        Ordering::Less => &below[at..],
+        Ordering::Equal => &[],
+        Ordering::Greater => &above[at - fd - width..],
+    };
+    kernel(own, n, [arg(args[0]), arg(args[1]), arg(args[2])]);
+}
+
+/// A slice kernel: one FP op over a chunk of `n` trips, given its
+/// destination and its three operands' values.
+type Kernel = fn(&mut [f64], usize, [&[f64]; 3]);
+
+/// What an operand of an FP op is to its kernel.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// The destination itself: an op in place, or a recurrence's
+    /// carried value.
+    Own,
+    /// A register that holds for the whole loop, broadcast to every
+    /// trip.
+    Splat,
+    /// A buffered register: one value per trip.
+    Slice,
+}
+
+/// An operand kind as a type, so that each combination of kinds runs its
+/// own loop, with no per-trip branch or index arithmetic.
+trait Operand {
+    /// The operand's values for a chunk of `n` trips, cut from the values
+    /// from its index on: a slice's one bounds check.
+    fn cut(vals: &[f64], n: usize) -> &[f64];
+    /// The operand at trip `t`, from its cut values, where the
+    /// destination holds `own`.
+    fn at(vals: &[f64], own: f64, t: usize) -> f64;
+}
+
+struct Own;
+struct Splat;
+struct Slice;
+
+impl Operand for Own {
+    #[inline(always)]
+    fn cut(vals: &[f64], _: usize) -> &[f64] {
+        vals
+    }
+
+    #[inline(always)]
+    fn at(_: &[f64], own: f64, _: usize) -> f64 {
+        own
+    }
+}
+
+impl Operand for Splat {
+    #[inline(always)]
+    fn cut(vals: &[f64], _: usize) -> &[f64] {
+        &vals[..1]
+    }
+
+    #[inline(always)]
+    fn at(vals: &[f64], _: f64, _: usize) -> f64 {
+        vals[0]
+    }
+}
+
+impl Operand for Slice {
+    #[inline(always)]
+    fn cut(vals: &[f64], n: usize) -> &[f64] {
+        &vals[..n]
+    }
+
+    #[inline(always)]
+    fn at(vals: &[f64], _: f64, t: usize) -> f64 {
+        vals[t]
+    }
+}
+
+/// The operation of an FP op.
+#[derive(Clone, Copy)]
+enum FpOp {
+    Fadd,
+    Fmul,
+    Fmadd,
+}
+
+/// An FP operation as a type. A binary op ignores its third operand.
+trait Math {
+    fn apply(a: f64, b: f64, c: f64) -> f64;
+}
+
+struct Add;
+struct Mul;
+struct MulAdd;
+
+impl Math for Add {
+    #[inline(always)]
+    fn apply(a: f64, b: f64, _: f64) -> f64 {
+        a + b
+    }
+}
+
+impl Math for Mul {
+    #[inline(always)]
+    fn apply(a: f64, b: f64, _: f64) -> f64 {
+        a * b
+    }
+}
+
+impl Math for MulAdd {
+    /// One `f64::mul_add`, as the per-op interpreter runs `fmadd`.
+    #[inline(always)]
+    fn apply(a: f64, b: f64, c: f64) -> f64 {
+        a.mul_add(b, c)
+    }
+}
+
+/// How a kernel walks its destination.
+trait Walk {
+    fn run<M: Math, A: Operand, B: Operand, C: Operand>(
+        own: &mut [f64],
+        n: usize,
+        args: [&[f64]; 3],
+    );
+}
+
+/// A buffered result: each trip's value computed on its own. IEEE basic
+/// operations round every result on its own, so a vectorized lane
+/// equals the scalar result.
+struct Map;
+
+/// A recurrence: the carried value folded over the trips in order.
+struct Fold;
+
+impl Walk for Map {
+    // Indexing `own` with the operands keeps the loop free of bounds
+    // checks: `n` bounds every slice. Walking `own` with `enumerate`
+    // left a check on each slice operand in the loop.
+    #[allow(clippy::needless_range_loop)]
+    fn run<M: Math, A: Operand, B: Operand, C: Operand>(
+        own: &mut [f64],
+        n: usize,
+        args: [&[f64]; 3],
+    ) {
+        let own = &mut own[..n];
+        let (a, b, c) = (A::cut(args[0], n), B::cut(args[1], n), C::cut(args[2], n));
+        for t in 0..n {
+            let v = own[t];
+            own[t] = M::apply(A::at(a, v, t), B::at(b, v, t), C::at(c, v, t));
+        }
+    }
+}
+
+impl Walk for Fold {
+    fn run<M: Math, A: Operand, B: Operand, C: Operand>(
+        own: &mut [f64],
+        n: usize,
+        args: [&[f64]; 3],
+    ) {
+        let (a, b, c) = (A::cut(args[0], n), B::cut(args[1], n), C::cut(args[2], n));
+        let mut acc = own[0];
+        for t in 0..n {
+            acc = M::apply(A::at(a, acc, t), B::at(b, acc, t), C::at(c, acc, t));
+        }
+        own[0] = acc;
+    }
+}
+
+/// Binds the type `$T` to the operand kind `$kind` in `$body`.
+macro_rules! kind {
+    ($kind:expr, $T:ident => $body:expr) => {
+        match $kind {
+            Kind::Own => {
+                type $T = Own;
+                $body
+            }
+            Kind::Splat => {
+                type $T = Splat;
+                $body
+            }
+            Kind::Slice => {
+                type $T = Slice;
+                $body
+            }
+        }
+    };
+}
+
+/// The kernel that walks a destination as `W` does for the operation
+/// `op` on operands of the kinds `kinds`.
+fn kernel<W: Walk>(op: FpOp, [a, b, c]: [Kind; 3]) -> Kernel {
+    match op {
+        FpOp::Fadd => kind!(a, A => kind!(b, B => W::run::<Add, A, B, Own>)),
+        FpOp::Fmul => kind!(a, A => kind!(b, B => W::run::<Mul, A, B, Own>)),
+        FpOp::Fmadd => kind!(a, A => kind!(b, B => kind!(c, C => W::run::<MulAdd, A, B, C>))),
     }
 }

@@ -342,6 +342,7 @@ mod tests {
         Sum, VecAdd,
     };
 
+    use crate::exec::Shape;
     use crate::{
         CoreTiming, ExecReport, FpReg, IntReg, Interpreter, MemoryPort, PortError, Program,
         ProgramBuilder, VecPort, Words,
@@ -418,8 +419,29 @@ mod tests {
         words.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Random words, an eighth of them edge values: signed zeros,
+    /// infinities, subnormals and magnitudes near `f64::MAX`. None is a
+    /// NaN; the NaNs ops make (`∞ − ∞`, `0 · ∞`) are compared by their
+    /// bits like every other word.
     fn memory(words: usize, rng: &mut TestRng) -> Vec<f64> {
-        (0..words).map(|_| rng.unit_f64() * 8.0 - 4.0).collect()
+        const EDGES: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            -5e-324,
+            f64::MAX,
+            -f64::MAX,
+            f64::MAX / 3.0,
+            -f64::MAX / 1.5,
+        ];
+        (0..words)
+            .map(|_| match rng.below(8) {
+                0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+                _ => rng.unit_f64() * 8.0 - 4.0,
+            })
+            .collect()
     }
 
     /// A core with latencies drawn from `rng`, some longer than a loop
@@ -473,6 +495,8 @@ mod tests {
         /// that run op-major.
         loops: usize,
         major: usize,
+        /// The ops of those op-major loops, by [`Shape`].
+        shapes: [usize; 7],
     }
 
     /// Compares the two interpreters with each core timing, on a copy of
@@ -528,6 +552,9 @@ mod tests {
                 let (loops, major) = compiled.loops();
                 tally.loops += loops;
                 tally.major += major;
+                for shape in compiled.shapes() {
+                    tally.shapes[shape as usize] += 1;
+                }
             }
         }
         Ok(tally)
@@ -624,17 +651,39 @@ mod tests {
         CarriedAndRead,
     }
 
-    /// Emits a closed body of loads from `x1` and `x2`, FP ops on what
-    /// the trip loaded or computed, a one-op recurrence and stores to
-    /// `x2`, with both pointers moving by one stride and every store
-    /// inside the stride-wide window of the loads from `x2`: the shape
-    /// the compiled plan runs op-major. Then, unless `breaker` is
-    /// [`Breaker::None`], the ops that make the trips dependent. The
-    /// caller emits the counter's decrement.
-    fn shaped_body(b: &mut ProgramBuilder, g: &mut Genes, breaker: Breaker) {
-        fn pick(g: &mut Genes, ready: &[FpReg]) -> FpReg {
-            ready[g.below(ready.len() as u64) as usize]
+    /// Emits an `fmadd`, `fadd` or `fmul` into `fd` that reads `read` at
+    /// a random operand position and registers of `ready` at the others.
+    fn op_reading(b: &mut ProgramBuilder, g: &mut Genes, fd: FpReg, read: FpReg, ready: &[FpReg]) {
+        let mut operands = [pick(g, ready), pick(g, ready), pick(g, ready)];
+        match g.below(3) {
+            0 => {
+                operands[g.below(3) as usize] = read;
+                b.fmadd(fd, operands[0], operands[1], operands[2]);
+            }
+            1 => {
+                operands[g.below(2) as usize] = read;
+                b.fadd(fd, operands[0], operands[1]);
+            }
+            _ => {
+                operands[g.below(2) as usize] = read;
+                b.fmul(fd, operands[0], operands[1]);
+            }
         }
+    }
+
+    fn pick(g: &mut Genes, ready: &[FpReg]) -> FpReg {
+        ready[g.below(ready.len() as u64) as usize]
+    }
+
+    /// Emits a closed body of loads from `x1` and `x2`, FP ops on what
+    /// the trip loaded or computed, some writing a register in place, a
+    /// one-op recurrence and stores to `x2`, with both pointers moving by
+    /// one stride, down when `down`, and every store inside the
+    /// stride-wide window of the loads from `x2`: the shape the compiled
+    /// plan runs op-major. Then, unless `breaker` is [`Breaker::None`],
+    /// the ops that make the trips dependent. The caller emits the
+    /// counter's decrement.
+    fn shaped_body(b: &mut ProgramBuilder, g: &mut Genes, breaker: Breaker, down: bool) {
         let (x1, x2, x5) = (IntReg::new(1), IntReg::new(2), IntReg::new(5));
         let f = FpReg::new;
         let words = if breaker == Breaker::PairOverlap {
@@ -659,8 +708,13 @@ mod tests {
             }
             ready.push(f(r));
         }
+        for _ in 0..g.below(3) {
+            // In place: a register this trip wrote, read by its writer.
+            let own = pick(g, &ready[1..]);
+            op_reading(b, g, own, own, &ready);
+        }
         if g.below(2) == 0 {
-            b.fmadd(f(9), pick(g, &ready), pick(g, &ready), f(9));
+            op_reading(b, g, f(9), f(9), &ready);
         }
         for _ in 0..1 + g.below(2) {
             let value = pick(g, &ready);
@@ -689,8 +743,9 @@ mod tests {
                 b.fsd(f(8), x2, at(g));
             }
         }
-        b.addi(x1, x1, 8 * words);
-        b.addi(x2, x2, 8 * words);
+        let stride = if down { -8 * words } else { 8 * words };
+        b.addi(x1, x1, stride);
+        b.addi(x2, x2, stride);
     }
 
     /// The register an edge access walks memory through; no other op
@@ -738,8 +793,8 @@ mod tests {
     /// the shape the replay runs in closed form, with or without
     /// streams; a quarter of those also hold a [`plan_edge`] access. Of
     /// the closed bodies without streams, a third are
-    /// [shaped](shaped_body): half of those meet the op-major conditions
-    /// and half break one of them.
+    /// [shaped](shaped_body), a third of those walking memory down: half
+    /// of them meet the op-major conditions and half break one of them.
     fn random_program(g: &mut Genes) -> Program {
         let mut b = ProgramBuilder::new();
         let (p1, p2) = (IntReg::new(1), IntReg::new(2));
@@ -776,14 +831,16 @@ mod tests {
                 .get(g.below(10) as usize)
                 .copied()
                 .unwrap_or(Breaker::None);
-                // Loads from words [0, 128) and stores to [256, 384):
-                // the two pointers' ranges stay apart.
-                b.li(p1, 8 * g.below(8) as i64);
-                b.li(p2, 8 * (256 + g.below(8)) as i64);
+                // Loads from words [0, 131) and stores to [256, 386),
+                // walked up or down: the two pointers' ranges stay apart.
+                let down = g.below(3) == 0;
+                let from = if down { 120 } else { 0 };
+                b.li(p1, 8 * (from + g.below(8)) as i64);
+                b.li(p2, 8 * (256 + from + g.below(8)) as i64);
                 b.li(counter, (step * trips + rest) as i64);
                 let top = b.label();
                 b.bind(top);
-                shaped_body(&mut b, g, breaker);
+                shaped_body(&mut b, g, breaker, down);
                 b.addi(counter, counter, -(step as i64));
                 b.bnez(counter, top);
                 // What the loop leaves in the accumulator and in two
@@ -900,11 +957,12 @@ mod tests {
         }
     }
 
-    /// The property above reaches compiled forms, and both kinds of
-    /// closed-form loop in their plans: over 1,024 of its cases, a share
-    /// of the second runs runs a compiled form, and some of the plans'
-    /// loops run op-major and some trip by trip. (`--nocapture` prints
-    /// the shares.)
+    /// The property above reaches compiled forms, both kinds of
+    /// closed-form loop in their plans, and every shape of an op-major
+    /// op: over 1,024 of its cases, a share of the second runs runs a
+    /// compiled form, some of the plans' loops run op-major and some
+    /// trip by trip, and each slice kernel and the one-trip-at-a-time
+    /// path run. (`--nocapture` prints the counts.)
     #[test]
     fn second_runs_reach_compiled_forms() {
         let mut rng = TestRng::from_name("second runs");
@@ -917,17 +975,48 @@ mod tests {
             tally.compiled += case.compiled;
             tally.loops += case.loops;
             tally.major += case.major;
+            for (sum, ops) in tally.shapes.iter_mut().zip(case.shapes) {
+                *sum += ops;
+            }
         }
         eprintln!(
-            "{} of {} second runs compiled; {} of {} loops op-major",
-            tally.compiled, tally.second, tally.major, tally.loops
+            "{} of {} second runs compiled; {} of {} loops op-major; ops by shape {:?}",
+            tally.compiled, tally.second, tally.major, tally.loops, tally.shapes
         );
         assert!(tally.compiled * 10 > tally.second, "{tally:?}");
         assert!(tally.major > 0 && tally.major < tally.loops, "{tally:?}");
+        assert!(tally.shapes.iter().all(|&ops| ops > 0), "{tally:?}");
+    }
+
+    /// The shape of each op of the op-major loop that the kernel named
+    /// `name` runs on one Snitch core at 512 elements, for the seven
+    /// kernels a tenant submits (the benchmark's `cosim-soc` traffic):
+    /// every op a slice kernel, but DAXPY's loads, 10 words apart, and
+    /// its paired stores.
+    fn pinned_shapes(name: &str) -> Option<Vec<Shape>> {
+        use Shape::{Each, Fill, Fold, InPlace, Load, Map, Store};
+        Some(match name {
+            "daxpy" => [
+                vec![Each; 6],
+                [InPlace, Each, Each].repeat(7),
+                vec![InPlace, Each, InPlace, Each, InPlace, Each, Each, Each],
+            ]
+            .concat(),
+            "axpby" => vec![Load, Load, InPlace, InPlace, Store],
+            "scale" => vec![Load, Map, Store],
+            "vecadd" => vec![Load, Load, InPlace, Store],
+            "memset" => vec![Fill],
+            "dot" => vec![Load, Load, Fold],
+            "sum" => vec![Load, Fold],
+            _ => return None,
+        })
     }
 
     /// Every zoo kernel's code, at sizes around its unroll factors and
-    /// loop trip boundaries, on one core.
+    /// loop trip boundaries (700 trips are two full chunks and a short
+    /// one), on one core; and the shapes of the seven
+    /// schedulable kernels' op-major ops ([`pinned_shapes`]), so that a
+    /// change that sends their traffic one trip at a time fails.
     #[test]
     fn zoo_kernels_match_the_per_op_interpreter() {
         let zoo: Vec<Box<dyn Kernel>> = vec![
@@ -944,8 +1033,9 @@ mod tests {
         ];
         let mut rng = TestRng::from_name("zoo");
         let mut runs = 0;
+        let mut pinned = 0;
         for kernel in &zoo {
-            for elems in [0u64, 1, 2, 3, 9, 10, 11, 20, 21, 37, 64, 255, 512] {
+            for elems in [0u64, 1, 2, 3, 9, 10, 11, 20, 21, 37, 64, 255, 512, 700] {
                 let x_words = elems * kernel.x_words_per_elem() + 2 * kernel.x_halo();
                 let y_base = x_words;
                 let out_base = y_base + elems;
@@ -972,6 +1062,14 @@ mod tests {
                     words[args_base as usize + i] = arg;
                 }
                 words[args_base as usize + kernel.scalar_args().len()] = 0.0;
+                if let Some(want) = pinned_shapes(kernel.name()).filter(|_| elems == 512) {
+                    let fresh = Program::from_ops_unchecked(program.ops().to_vec());
+                    let mut port = VecPort::new(words.clone());
+                    Interpreter::new().run(&fresh, &mut port).expect("zoo run");
+                    let compiled = fresh.compiled().get().expect("a first run compiles");
+                    assert_eq!(compiled.shapes(), want, "{}", kernel.name());
+                    pinned += 1;
+                }
                 let start = rng.below(10_000);
                 let timings = [CoreTiming::snitch(), CoreTiming::cva6()];
                 runs += check(
@@ -985,7 +1083,8 @@ mod tests {
                 .runs;
             }
         }
-        assert_eq!(runs, 10 * 13 * 2 * 7);
+        assert_eq!(runs, 10 * 14 * 2 * 7);
+        assert_eq!(pinned, 7);
     }
 
     /// The completion high-water mark is part of the sampled state: here

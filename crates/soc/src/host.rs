@@ -152,6 +152,12 @@ impl HostState {
     pub fn current(&self) -> Option<&HostOp> {
         self.program.ops().get(self.pc)
     }
+
+    /// Drops the program's ops, which nothing reads once the program has
+    /// run to its [`HostOp::End`].
+    pub fn release(&mut self) {
+        self.program.ops = Vec::new();
+    }
 }
 
 #[cfg(test)]

@@ -264,7 +264,10 @@ pub enum SessionProgress {
     Idle,
 }
 
-/// One in-flight (or finished) job of the current session.
+/// One in-flight (or finished) job of the current session. A finished
+/// job's slot keeps what [`Soc::fold_session_stats`] and event
+/// attribution read; its host program and conflict baseline are
+/// released when it finishes.
 #[derive(Debug)]
 struct JobSlot {
     id: JobId,
@@ -286,7 +289,6 @@ struct JobSlot {
     corrupt_clusters: u64,
     /// Injected faults attributed to this job so far.
     faults_injected: u64,
-    done: bool,
 }
 
 /// The simulated heterogeneous MPSoC.
@@ -322,6 +324,8 @@ pub struct Soc {
     #[cfg(test)]
     fast_paths: FastPaths,
     jobs: Vec<JobSlot>,
+    /// Jobs of `jobs` not yet finished.
+    live: usize,
     cluster_owner: Vec<Option<usize>>,
     host_active: Option<usize>,
     host_ready: VecDeque<usize>,
@@ -378,6 +382,7 @@ impl Soc {
             #[cfg(test)]
             fast_paths: FastPaths::default(),
             jobs: Vec::new(),
+            live: 0,
             cluster_owner,
             host_active: None,
             host_ready: VecDeque::new(),
@@ -1390,7 +1395,12 @@ impl Soc {
     /// like the legacy single-job path's) and queues the
     /// [`JobCompletion`].
     fn finish_job(&mut self, now: Cycle, slot: usize) {
-        self.jobs[slot].done = true;
+        self.live -= 1;
+        // Nothing runs the host program after its `End`, and the conflict
+        // baseline is read only below: a session as long as a shard's
+        // life keeps neither for its finished jobs.
+        self.jobs[slot].host.release();
+        let conflict_base = std::mem::take(&mut self.jobs[slot].conflict_base);
         let mask = self.jobs[slot].mask;
         for cluster in mask.iter() {
             self.cluster_owner[cluster] = None;
@@ -1416,7 +1426,7 @@ impl Soc {
                 },
             ));
             core_reports.push(self.clusters[cluster].core_reports.clone());
-            tcdm_conflicts += self.tcdms[cluster].conflicts() - self.jobs[slot].conflict_base[i];
+            tcdm_conflicts += self.tcdms[cluster].conflicts() - conflict_base[i];
         }
         self.session_tcdm_conflicts += tcdm_conflicts;
 
@@ -1770,6 +1780,7 @@ impl Soc {
         self.events_delivered = 0;
         self.events_popped = 0;
         self.jobs.clear();
+        self.live = 0;
         self.cluster_owner.fill(None);
         self.host_active = None;
         self.host_ready.clear();
@@ -1873,8 +1884,8 @@ impl Soc {
             conflict_base,
             corrupt_clusters: 0,
             faults_injected: 0,
-            done: false,
         });
+        self.live += 1;
         if self.host_active.is_none() {
             // The host is free: the job starts marshalling at `at`.
             self.host_active = Some(slot);
@@ -1978,7 +1989,7 @@ impl Soc {
 
     /// Jobs submitted this session that have not yet completed.
     pub fn jobs_in_flight(&self) -> usize {
-        self.jobs.iter().filter(|j| !j.done).count()
+        self.live
     }
 
     /// Folds the per-resource contention registries (NoC, main memory,
@@ -2652,6 +2663,53 @@ mod tests {
             done2.outcome.total, done.outcome.total,
             "a re-run on a drained SoC takes the same relative time"
         );
+    }
+
+    #[test]
+    fn finished_jobs_give_back_their_host_programs() {
+        let mut soc = small_soc(1);
+        soc.bind_job(0, nop_job(CompletionSignal::Credit, 2));
+        let descriptor = soc.map().main_base().add_words(200);
+        let hp = || {
+            HostProgram::new(vec![
+                HostOp::WriteWords {
+                    addr: descriptor,
+                    values: vec![7; 64],
+                },
+                HostOp::CreditArm { threshold: 1 },
+                HostOp::StoreMailbox {
+                    cluster: 0,
+                    reg: ClusterReg::Wakeup,
+                    value: 1,
+                },
+                HostOp::WaitIrq,
+                HostOp::End,
+            ])
+        };
+        soc.begin_jobs();
+        for job in 0..4 {
+            let at = soc.session_now();
+            soc.submit_job(hp(), ClusterMask::single(0), at).unwrap();
+            assert_eq!(soc.jobs_in_flight(), 1);
+            let live = &soc.jobs[job];
+            assert_eq!((live.host.program.len(), live.conflict_base.len()), (5, 1));
+            match soc.advance_jobs(Cycle::MAX).unwrap() {
+                SessionProgress::Completed(c) => assert_eq!(c.job, job as JobId + 1),
+                other => panic!("expected completion, got {other:?}"),
+            }
+            assert_eq!(soc.jobs_in_flight(), 0);
+            for done in &soc.jobs {
+                assert!(matches!(done.host.status, HostStatus::Done(_)));
+                assert!(done.host.program.is_empty() && done.conflict_base.is_empty());
+            }
+        }
+        // The slots keep what the session's stats fold reads.
+        assert_eq!(soc.jobs.len(), 4);
+        soc.fold_session_stats();
+        let folded = soc.stats().counters();
+        assert!(folded
+            .map(|(name, _)| name)
+            .any(|name| name == "contention.job4.host_wait_cycles"));
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! Generic items are intentionally unsupported and produce a compile
 //! error; the workspace does not serialize any.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derives the shim's `Serialize` trait. Honors `#[serde(transparent)]`.

@@ -38,6 +38,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mpsoc_isa as isa;
 pub use mpsoc_kernels as kernels;
 pub use mpsoc_lint as lint;
